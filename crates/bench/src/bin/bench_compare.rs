@@ -8,33 +8,51 @@
 //! ```
 //!
 //! Each pair is a committed baseline (`BENCH_kernel.json`,
-//! `BENCH_estimator.json`) and a freshly produced run of the same bench
-//! (typically `--quick`, redirected via `SCPERF_OBS_DIR`). Absolute
-//! seconds are meaningless across hosts, so only the *scale-invariant
-//! ratio* metrics are compared: the handoff `speedup` and the
-//! estimator's `live_speedup`/`memoized_speedup`, which measure one
-//! code path against another on the same machine in the same run.
+//! `BENCH_estimator.json`, `BENCH_serve.json`) and a freshly produced
+//! run of the same bench (typically `--quick`, redirected via
+//! `SCPERF_OBS_DIR`). Two kinds of metric in each document's `benches`
+//! array are compared:
 //!
-//! For every shared ratio metric the gate computes
-//! `current / baseline`; a value of 1.0 means the fresh run reproduces
-//! the committed ratio exactly. The run **fails (exit 1)** when any
-//! metric falls below `1 - threshold` (default 0.5 — generous, because
-//! quick-mode CI runs on small problem sizes are noisy; the gate is
-//! for order-of-magnitude regressions, not 5% drifts). Min, median and
-//! stddev of the ratio distribution are printed for trend-watching,
-//! and the `attribution.overhead_pct` entries are echoed informatively.
+//! * **per-unit costs** (lower is better): `ns_per_activation`,
+//!   `ns_per_op` and the `*_ns_per_charge` medians. They are absolute
+//!   host times, so they move with the host (the baselines record
+//!   `host_cpus`); the problem sizes are chosen so that `--quick` runs
+//!   measure the same per-unit cost as full ones.
+//! * **same-run ratios** (higher is better): the parallel-kernel
+//!   `speedup`, `memoized_speedup`, `prog_speedup` and `pool_speedup`,
+//!   each one code path against another on the same machine in the
+//!   same run.
+//!
+//! For every shared metric the gate computes a score where 1.0 means
+//! the fresh run reproduces the baseline exactly and lower is worse:
+//! `current / baseline` for ratios, `baseline / current` for costs. The
+//! run **fails (exit 1)** when any score falls below `1 - threshold`
+//! (default 0.5 — generous, because CI hosts differ from the baseline
+//! host and quick runs are noisy; the gate is for order-of-magnitude
+//! regressions, not 5% drifts). Min, median and stddev of the score
+//! distribution are printed for trend-watching, and the
+//! `attribution.overhead_pct` entries are echoed informatively.
 
 use std::process::ExitCode;
 
+use scperf_bench::microbench::Spread;
 use scperf_serve::json::{parse, Json};
 
-/// Ratio-metric keys: higher is better, scale-invariant across hosts.
-const RATIO_KEYS: [&str; 5] = [
+/// Same-run ratio keys: higher is better.
+const RATIO_KEYS: [&str; 4] = [
     "speedup",
-    "live_speedup",
     "memoized_speedup",
     "pool_speedup",
     "prog_speedup",
+];
+
+/// Per-unit cost keys (medians over reps): lower is better.
+const COST_KEYS: [&str; 5] = [
+    "ns_per_activation",
+    "ns_per_op",
+    "live_ns_per_charge",
+    "memoized_ns_per_charge",
+    "warm_ns_per_charge",
 ];
 
 fn usage() -> ! {
@@ -50,16 +68,32 @@ fn load(path: &str) -> Json {
     parse(&text).unwrap_or_else(|e| panic!("cannot parse {path}: {e}"))
 }
 
-/// Extracts `(metric-name, value)` for every ratio metric in a bench
-/// document's `benches` array.
-fn ratio_metrics(doc: &Json) -> Vec<(String, f64)> {
+/// One gated metric of a bench document.
+struct Metric {
+    /// `bench-name.key`.
+    name: String,
+    value: f64,
+    lower_is_better: bool,
+}
+
+/// Extracts every ratio and cost metric in a bench document's
+/// `benches` array.
+fn metrics(doc: &Json) -> Vec<Metric> {
     let mut out = Vec::new();
     if let Some(benches) = doc.get("benches").and_then(|b| b.as_arr()) {
         for b in benches {
-            let name = b.get("name").and_then(|n| n.as_str()).unwrap_or("?");
-            for key in RATIO_KEYS {
-                if let Some(v) = b.get(key).and_then(|v| v.as_f64()) {
-                    out.push((format!("{name}.{key}"), v));
+            let bench = b.get("name").and_then(|n| n.as_str()).unwrap_or("?");
+            let keys = RATIO_KEYS
+                .iter()
+                .map(|k| (k, false))
+                .chain(COST_KEYS.iter().map(|k| (k, true)));
+            for (key, lower_is_better) in keys {
+                if let Some(value) = b.get(key).and_then(|v| v.as_f64()) {
+                    out.push(Metric {
+                        name: format!("{bench}.{key}"),
+                        value,
+                        lower_is_better,
+                    });
                 }
             }
         }
@@ -71,21 +105,6 @@ fn overhead_pct(doc: &Json) -> Option<f64> {
     doc.get("attribution")
         .and_then(|a| a.get("overhead_pct"))
         .and_then(|v| v.as_f64())
-}
-
-fn median(sorted: &[f64]) -> f64 {
-    let n = sorted.len();
-    if n % 2 == 1 {
-        sorted[n / 2]
-    } else {
-        (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
-    }
-}
-
-fn stddev(values: &[f64]) -> f64 {
-    let n = values.len() as f64;
-    let mean = values.iter().sum::<f64>() / n;
-    (values.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n).sqrt()
 }
 
 fn main() -> ExitCode {
@@ -110,7 +129,7 @@ fn main() -> ExitCode {
     }
 
     let floor = 1.0 - threshold;
-    let mut ratios: Vec<f64> = Vec::new();
+    let mut scores: Vec<f64> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
     let mut compared = 0usize;
 
@@ -120,25 +139,31 @@ fn main() -> ExitCode {
         let cur = load(cur_path);
         println!("{base_path} vs {cur_path}:");
 
-        let base_metrics = ratio_metrics(&base);
-        let cur_metrics = ratio_metrics(&cur);
-        for (name, b) in &base_metrics {
-            let Some((_, c)) = cur_metrics.iter().find(|(n, _)| n == name) else {
-                println!("  {name:<28} missing from current run (skipped)");
+        let cur_metrics = metrics(&cur);
+        for m in metrics(&base) {
+            let name = &m.name;
+            let Some(c) = cur_metrics.iter().find(|c| &c.name == name) else {
+                println!("  {name:<36} missing from current run (skipped)");
                 continue;
             };
-            if *b <= 0.0 {
+            let (b, c) = (m.value, c.value);
+            if b <= 0.0 || c <= 0.0 {
                 continue;
             }
-            let r = c / b;
+            let (score, unit) = if m.lower_is_better {
+                (b / c, "ns")
+            } else {
+                (c / b, "x ")
+            };
             compared += 1;
-            ratios.push(r);
-            let verdict = if r < floor { "REGRESSED" } else { "ok" };
+            scores.push(score);
+            let verdict = if score < floor { "REGRESSED" } else { "ok" };
             println!(
-                "  {name:<28} baseline {b:>6.2}x  current {c:>6.2}x  ratio {r:>5.2}  {verdict}"
+                "  {name:<36} baseline {b:>8.2}{unit}  current {c:>8.2}{unit}  \
+                 score {score:>5.2}  {verdict}"
             );
-            if r < floor {
-                failures.push(format!("{name}: {c:.2}x vs committed {b:.2}x"));
+            if score < floor {
+                failures.push(format!("{name}: {c:.2}{unit} vs committed {b:.2}{unit}"));
             }
         }
         if let (Some(b), Some(c)) = (overhead_pct(&base), overhead_pct(&cur)) {
@@ -147,16 +172,14 @@ fn main() -> ExitCode {
     }
 
     if compared == 0 {
-        eprintln!("no shared ratio metrics found — wrong files?");
+        eprintln!("no shared metrics found — wrong files?");
         return ExitCode::FAILURE;
     }
 
-    ratios.sort_by(|a, b| a.total_cmp(b));
+    let spread = Spread::of(&scores);
     println!(
-        "\n{compared} ratio metric(s): min {:.2}  median {:.2}  stddev {:.2}  (floor {floor:.2})",
-        ratios[0],
-        median(&ratios),
-        stddev(&ratios),
+        "\n{compared} metric(s): score min {:.2}  median {:.2}  stddev {:.2}  (floor {floor:.2})",
+        spread.min, spread.median, spread.stddev,
     );
 
     if failures.is_empty() {

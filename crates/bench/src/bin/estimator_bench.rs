@@ -1,6 +1,6 @@
 //! Estimator hot-path microbenchmarks: flat-TLS charging, segment-site
-//! memoization and the allocation-free DFG, measured against the legacy
-//! `RefCell` charging path.
+//! memoization and warm-started cost programs, reported as absolute
+//! per-unit costs.
 //!
 //! Usage:
 //!
@@ -8,75 +8,49 @@
 //! cargo run -p scperf-bench --release --bin estimator_bench -- [--reps N] [--quick]
 //! ```
 //!
-//! Four benches:
+//! Four benches, each reported as host nanoseconds per charged operation
+//! (median, min and stddev over `--reps` runs):
 //!
-//! * **charge** — one process charging a tight stream of `Op::Add`s;
-//!   the purest fast-path-vs-legacy comparison.
 //! * **plain_thread** — annotated `G` arithmetic on a thread with *no*
 //!   installed estimation context: the absent-context path must be
 //!   almost free (a single thread-local flag test per op).
-//! * **fir** — the 64-tap/256-sample FIR workload, run legacy, live
-//!   (fast path, no memoization) and memoized (segment sites replay).
-//! * **vocoder** — the five-stage vocoder pipeline on one CPU, same
-//!   three configurations.
+//! * **charge** — one process charging a tight stream of `Op::Add`s;
+//!   the purest measure of the charging fast path.
+//! * **fir** — the 64-tap/256-sample FIR workload, run live (no
+//!   memoization) and memoized (segment sites replay).
+//! * **vocoder** — the five-stage vocoder pipeline on one CPU, live,
+//!   memoized, and memoized from a warm program set shipped through the
+//!   wire encoding.
 //!
 //! Every configuration must produce bit-identical simulated time and
-//! checksums — the bench asserts this — so the reported speedups are
-//! pure host-time ratios at identical estimates. Results go to
-//! `BENCH_estimator.json`.
+//! checksums — the bench asserts this — so `memoized_speedup` and
+//! `prog_speedup` are host-time ratios over the live path at identical
+//! estimates. `--quick` shrinks only the charge and plain-thread streams:
+//! fir and vocoder keep their sizes so that memoization amortizes
+//! recording the same way in both modes. Results go to
+//! `BENCH_estimator.json` together with the host's cpu count.
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
+use scperf_bench::microbench::{host_cpus, BenchArgs, Spread};
 use scperf_core::{charge_op, CostTable, MemoMode, Op, Platform, ProgramSet, SimConfig, G};
 use scperf_kernel::Time;
 use scperf_obs::json::JsonWriter;
 use scperf_workloads::fir;
 use scperf_workloads::vocoder::pipeline::{self, VocoderMapping};
 
-struct Args {
-    reps: usize,
-    quick: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        reps: 5,
-        quick: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--reps" => {
-                args.reps = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v > 0)
-                    .expect("--reps expects a positive integer");
-            }
-            "--quick" => args.quick = true,
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    args
-}
-
-/// How one session is configured: the legacy `RefCell` path, the flat
-/// fast path with memoization off, or the fast path with segment-site
-/// replay (the default).
+/// How one session is configured: the fast path with memoization off,
+/// or with segment-site replay (the default).
 #[derive(Clone, Copy, PartialEq, Eq)]
 enum Config {
-    Legacy,
     Live,
     Memoized,
 }
 
 impl Config {
-    const ALL: [Config; 3] = [Config::Legacy, Config::Live, Config::Memoized];
-
     fn apply(self, cfg: SimConfig) -> SimConfig {
         match self {
-            Config::Legacy => cfg.legacy_charging(true).site_memo(MemoMode::Off),
             Config::Live => cfg.site_memo(MemoMode::Off),
             Config::Memoized => cfg.site_memo(MemoMode::Replay),
         }
@@ -216,89 +190,103 @@ fn vocoder_warm_run(set: Arc<ProgramSet>, nframes: usize) -> (Run, u64) {
     )
 }
 
-/// Best-of-`reps` wall time per configuration (noise only adds time),
-/// with bit-identity asserted across configurations.
-fn bench(name: &'static str, reps: usize, run: impl Fn(Config) -> Run) -> BenchResult {
-    let mut best: [Option<Run>; 3] = [None, None, None];
-    for (i, config) in Config::ALL.into_iter().enumerate() {
-        for _ in 0..reps {
-            let r = run(config);
-            match &best[i] {
-                Some(b) if b.elapsed <= r.elapsed => {}
-                _ => best[i] = Some(r),
-            }
-        }
+/// Runs `run` `reps` times, asserting every run produces the same
+/// estimate and data.
+fn repeat(name: &str, reps: usize, run: impl Fn() -> Run) -> Vec<Run> {
+    let runs: Vec<Run> = (0..reps).map(|_| run()).collect();
+    for r in &runs[1..] {
+        assert_eq!(
+            r.end_time_ps, runs[0].end_time_ps,
+            "{name}: estimate varies"
+        );
+        assert_eq!(r.checksum, runs[0].checksum, "{name}: data varies");
     }
-    let [legacy, live, memo] = best.map(|r| r.expect("reps > 0"));
-    assert_eq!(
-        legacy.end_time_ps, live.end_time_ps,
-        "{name}: fast path changed the estimate"
-    );
-    assert_eq!(
-        legacy.end_time_ps, memo.end_time_ps,
-        "{name}: memoization changed the estimate"
-    );
-    assert_eq!(legacy.checksum, live.checksum, "{name}: data changed");
-    assert_eq!(legacy.checksum, memo.checksum, "{name}: data changed");
-    assert_eq!(legacy.fast_charges, 0, "{name}: legacy run used fast path");
-    let r = BenchResult {
-        name,
-        legacy,
-        live,
-        memo,
-    };
-    println!(
-        "{:>12}: legacy {:>9.2?}  live {:>9.2?} ({:>5.2}x)  memoized {:>9.2?} ({:>5.2}x, {} site hits)",
-        r.name,
-        r.legacy.elapsed,
-        r.live.elapsed,
-        r.live_speedup(),
-        r.memo.elapsed,
-        r.memo_speedup(),
-        r.memo.site_hits,
-    );
-    r
+    runs
+}
+
+fn min_secs(runs: &[Run]) -> f64 {
+    runs.iter()
+        .map(|r| r.elapsed)
+        .min()
+        .expect("reps > 0")
+        .as_secs_f64()
+}
+
+/// Host nanoseconds per charged operation of each run.
+fn ns_per(ops: u64, times: impl Iterator<Item = Duration>) -> Spread {
+    let per: Vec<f64> = times.map(|t| t.as_secs_f64() * 1e9 / ops as f64).collect();
+    Spread::of(&per)
 }
 
 struct BenchResult {
     name: &'static str,
-    legacy: Run,
-    live: Run,
-    memo: Run,
+    live: Vec<Run>,
+    memo: Vec<Run>,
+    /// Operations one run charges (the live run's fast-path count).
+    charges: u64,
 }
 
 impl BenchResult {
-    fn live_speedup(&self) -> f64 {
-        self.legacy.elapsed.as_secs_f64() / self.live.elapsed.as_secs_f64()
+    fn cost(&self, runs: &[Run]) -> Spread {
+        ns_per(self.charges, runs.iter().map(|r| r.elapsed))
     }
+
+    /// Best-of-reps live time over best-of-reps memoized time.
     fn memo_speedup(&self) -> f64 {
-        self.legacy.elapsed.as_secs_f64() / self.memo.elapsed.as_secs_f64()
+        min_secs(&self.live) / min_secs(&self.memo)
     }
 }
 
+/// Measures both configurations, asserting they agree bit for bit.
+fn bench(name: &'static str, reps: usize, run: impl Fn(Config) -> Run) -> BenchResult {
+    let live = repeat(name, reps, || run(Config::Live));
+    let memo = repeat(name, reps, || run(Config::Memoized));
+    assert_eq!(
+        live[0].end_time_ps, memo[0].end_time_ps,
+        "{name}: memoization changed the estimate"
+    );
+    assert_eq!(live[0].checksum, memo[0].checksum, "{name}: data changed");
+    let r = BenchResult {
+        name,
+        charges: live[0].fast_charges,
+        live,
+        memo,
+    };
+    let (live_cost, memo_cost) = (r.cost(&r.live), r.cost(&r.memo));
+    println!(
+        "{:>12}: live {:>7.2} ns/charge (min {:.2}, stddev {:.2})  \
+         memoized {:>7.2} ns/charge ({:>5.2}x, {} site hits)",
+        r.name,
+        live_cost.median,
+        live_cost.min,
+        live_cost.stddev,
+        memo_cost.median,
+        r.memo_speedup(),
+        r.memo[0].site_hits,
+    );
+    r
+}
+
 fn main() {
-    let args = parse_args();
+    let args = BenchArgs::parse();
     let scale = if args.quick { 10 } else { 1 };
-    let charge_ops = 4_000_000 / scale as u64;
-    let plain_ops = 20_000_000 / scale as u64;
-    let fir_iters = 20 / scale.min(10);
-    let voc_frames = 20 / scale.min(10);
+    let charge_ops = 4_000_000 / scale;
+    let plain_ops = 20_000_000 / scale;
+    let fir_iters = 20;
+    let voc_frames = 20;
+    let cpus = host_cpus();
 
     println!(
-        "estimator hot-path microbench (best of {} reps{})",
+        "estimator hot-path microbench ({} reps{}, {cpus} host cpu(s))",
         args.reps,
         if args.quick { ", quick" } else { "" }
     );
 
     // The absent-context case first: it needs no session at all.
-    let mut plain_best = Duration::MAX;
-    for _ in 0..args.reps {
-        plain_best = plain_best.min(plain_thread(plain_ops));
-    }
-    let plain_ns_per_op = plain_best.as_secs_f64() * 1e9 / plain_ops as f64;
+    let plain = ns_per(plain_ops, (0..args.reps).map(|_| plain_thread(plain_ops)));
     println!(
-        "{:>12}: {:>9.2?} for {} ops ({:.2} ns/op, no context installed)",
-        "plain_thread", plain_best, plain_ops, plain_ns_per_op
+        "{:>12}: {:>7.2} ns/op (min {:.2}, stddev {:.2}; no context installed)",
+        "plain_thread", plain.median, plain.min, plain.stddev
     );
 
     let results = [
@@ -309,26 +297,18 @@ fn main() {
 
     // Attribution overhead: busy/contention accounting on the memoized
     // charge stream. The estimate must stay bit-identical and the
-    // host-time overhead ≤ 5%.
-    let mut attr_best: Option<Run> = None;
-    for _ in 0..args.reps {
-        let r = charge_stream(Config::Memoized, charge_ops, true);
-        match &attr_best {
-            Some(b) if b.elapsed <= r.elapsed => {}
-            _ => attr_best = Some(r),
-        }
-    }
-    let attr = attr_best.expect("reps > 0");
-    let base = &results[0].memo;
+    // best-of-reps host-time overhead ≤ 5%.
+    let attr = repeat("charge+attribution", args.reps, || {
+        charge_stream(Config::Memoized, charge_ops, true)
+    });
     assert_eq!(
-        base.end_time_ps, attr.end_time_ps,
+        results[0].memo[0].end_time_ps, attr[0].end_time_ps,
         "charge: attribution changed the estimate"
     );
-    let attr_overhead = attr.elapsed.as_secs_f64() / base.elapsed.as_secs_f64() - 1.0;
+    let (off, on) = (min_secs(&results[0].memo), min_secs(&attr));
+    let attr_overhead = on / off - 1.0;
     println!(
-        " attribution: off {:>9.2?}  on {:>9.2?}  overhead {:+.2}%",
-        base.elapsed,
-        attr.elapsed,
+        " attribution: off {off:.4}s  on {on:.4}s  overhead {:+.2}%",
         attr_overhead * 100.0
     );
 
@@ -354,33 +334,32 @@ fn main() {
         *decoded, harvested,
         "wire round-trip changed the program set"
     );
-    let mut warm_best: Option<(Run, u64)> = None;
-    for _ in 0..args.reps {
-        let r = vocoder_warm_run(Arc::clone(&decoded), voc_frames);
-        match &warm_best {
-            Some((b, _)) if b.elapsed <= r.0.elapsed => {}
-            _ => warm_best = Some(r),
-        }
-    }
-    let (warm, warm_hits) = warm_best.expect("reps > 0");
+    let warm_runs: Vec<(Run, u64)> = (0..args.reps)
+        .map(|_| vocoder_warm_run(Arc::clone(&decoded), voc_frames))
+        .collect();
+    let warm_hits = warm_runs[0].1;
+    let warm: Vec<Run> = warm_runs.into_iter().map(|(r, _)| r).collect();
     let vocoder = &results[2];
-    assert_eq!(
-        vocoder.legacy.end_time_ps, warm.end_time_ps,
-        "vocoder: warm-started programs changed the estimate"
-    );
-    assert_eq!(
-        vocoder.legacy.checksum, warm.checksum,
-        "vocoder: warm-started programs changed the data"
-    );
+    for r in &warm {
+        assert_eq!(
+            vocoder.live[0].end_time_ps, r.end_time_ps,
+            "vocoder: warm-started programs changed the estimate"
+        );
+        assert_eq!(
+            vocoder.live[0].checksum, r.checksum,
+            "vocoder: warm-started programs changed the data"
+        );
+    }
     assert!(
         warm_hits > 0,
         "warm run fetched nothing from the shared set"
     );
-    let prog_speedup = vocoder.legacy.elapsed.as_secs_f64() / warm.elapsed.as_secs_f64();
+    let warm_cost = vocoder.cost(&warm);
+    let prog_speedup = min_secs(&vocoder.live) / min_secs(&warm);
     println!(
-        "    programs: {} bytes on the wire, warm {:>9.2?} ({:>5.2}x, {} warm fetches)",
+        "    programs: {} bytes on the wire, warm {:>7.2} ns/charge ({:>5.2}x, {} warm fetches)",
         wire.len(),
-        warm.elapsed,
+        warm_cost.median,
         prog_speedup,
         warm_hits,
     );
@@ -391,53 +370,46 @@ fn main() {
     w.value_u64(args.reps as u64);
     w.key("quick");
     w.value_bool(args.quick);
+    w.key("host_cpus");
+    w.value_u64(cpus as u64);
     w.key("attribution");
     w.begin_object();
     w.key("bench");
     w.value_str("charge/memoized");
     w.key("off_seconds");
-    w.value_f64(base.elapsed.as_secs_f64());
+    w.value_f64(off);
     w.key("on_seconds");
-    w.value_f64(attr.elapsed.as_secs_f64());
+    w.value_f64(on);
     w.key("overhead_pct");
     w.value_f64(attr_overhead * 100.0);
     w.key("estimates_identical");
     w.value_bool(true);
     w.end_object();
-    w.key("plain_thread");
-    w.begin_object();
-    w.key("ops");
-    w.value_u64(plain_ops);
-    w.key("seconds");
-    w.value_f64(plain_best.as_secs_f64());
-    w.key("ns_per_op");
-    w.value_f64(plain_ns_per_op);
-    w.end_object();
     w.key("benches");
     w.begin_array();
+    w.begin_object();
+    w.key("name");
+    w.value_str("plain_thread");
+    w.key("ops");
+    w.value_u64(plain_ops);
+    plain.write(&mut w, "ns_per_op");
+    w.end_object();
     for r in &results {
         w.begin_object();
         w.key("name");
         w.value_str(r.name);
         w.key("end_time_ps");
-        w.value_u64(r.legacy.end_time_ps);
-        w.key("legacy_seconds");
-        w.value_f64(r.legacy.elapsed.as_secs_f64());
-        w.key("live_seconds");
-        w.value_f64(r.live.elapsed.as_secs_f64());
-        w.key("memoized_seconds");
-        w.value_f64(r.memo.elapsed.as_secs_f64());
-        w.key("live_speedup");
-        w.value_f64(r.live_speedup());
+        w.value_u64(r.live[0].end_time_ps);
+        w.key("charges");
+        w.value_u64(r.charges);
+        r.cost(&r.live).write(&mut w, "live_ns_per_charge");
+        r.cost(&r.memo).write(&mut w, "memoized_ns_per_charge");
         w.key("memoized_speedup");
         w.value_f64(r.memo_speedup());
-        w.key("fast_charges");
-        w.value_u64(r.live.fast_charges);
         w.key("site_hits");
-        w.value_u64(r.memo.site_hits);
+        w.value_u64(r.memo[0].site_hits);
         if r.name == "vocoder" {
-            w.key("warm_seconds");
-            w.value_f64(warm.elapsed.as_secs_f64());
+            warm_cost.write(&mut w, "warm_ns_per_charge");
             w.key("prog_speedup");
             w.value_f64(prog_speedup);
             w.key("prog_warm_hits");
@@ -458,18 +430,21 @@ fn main() {
     println!("bench results -> {path}");
 
     // Workloads with memoizable sites must replay something.
-    assert!(results[1].memo.site_hits > 0, "fir recorded no site hits");
     assert!(
-        results[2].memo.site_hits > 0,
+        results[1].memo[0].site_hits > 0,
+        "fir recorded no site hits"
+    );
+    assert!(
+        results[2].memo[0].site_hits > 0,
         "vocoder recorded no site hits"
     );
     if !args.quick {
         // Quick mode is a CI smoke run on loaded shared machines; the
-        // throughput floor is only meaningful at full problem sizes.
+        // floors are only meaningful at full problem sizes.
         for r in &results[1..] {
             assert!(
                 r.memo_speedup() >= 1.5,
-                "{}: memoized estimation must be >=1.5x over legacy (got {:.2}x)",
+                "{}: memoized estimation must be >=1.5x over live (got {:.2}x)",
                 r.name,
                 r.memo_speedup()
             );

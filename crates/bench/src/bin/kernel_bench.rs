@@ -1,5 +1,6 @@
-//! Kernel hot-path microbenchmarks: scheduler↔process handoff and the
-//! timed-notification queue, measured under both handoff protocols.
+//! Kernel hot-path microbenchmarks: the scheduler↔process handoff, the
+//! timed-notification queue and the parallel evaluate phase, reported as
+//! absolute per-unit costs.
 //!
 //! Usage:
 //!
@@ -7,9 +8,8 @@
 //! cargo run -p scperf-bench --release --bin kernel_bench -- [--reps N] [--quick]
 //! ```
 //!
-//! Three kernels, each run under [`HandoffKind::CondvarBaton`] (the
-//! original mutex+condvar run-baton) and [`HandoffKind::Direct`] (the
-//! park/unpark direct handoff):
+//! Three sequential kernels, each reported as host nanoseconds per
+//! process activation (median, min and stddev over `--reps` runs):
 //!
 //! * **pingpong** — two processes over a [`scperf_kernel::Rendezvous`];
 //!   every transfer is a chain of scheduler↔process round trips, the
@@ -23,60 +23,32 @@
 //!
 //! Two further scenarios sweep the parallel evaluate phase
 //! (`SimOptions::jobs`, see `docs/PARALLELISM.md`) at `jobs = 1` vs
-//! `jobs = 8`:
+//! `jobs = max(2, host cpus)`:
 //!
 //! * **par_pairs** — 8 independent FIFO producer/consumer pairs with
 //!   per-activation busy work; every delta is 16 processes wide.
 //! * **par_fanout** — an event broadcast to 32 computing waiters; the
 //!   waking delta is 32 processes wide.
 //!
-//! For every kernel the two protocols (and the two `jobs` values) must
-//! produce the *same* [`SimSummary`] — the bench asserts this — so the
-//! reported speedup is a pure host-time ratio at identical simulated
-//! behaviour. Results go to `BENCH_kernel.json`.
+//! Every repetition of a kernel must produce the *same* [`SimSummary`],
+//! and both `jobs` values must agree — the bench asserts this — so the
+//! costs and the parallel speedup are measured at identical simulated
+//! behaviour. Results go to `BENCH_kernel.json` together with the host's
+//! cpu count.
 
 use std::time::{Duration, Instant};
 
-use scperf_kernel::{HandoffKind, SimOptions, SimSummary, Time};
+use scperf_bench::microbench::{host_cpus, BenchArgs, Spread};
+use scperf_kernel::{SimOptions, SimSummary, Simulator, Time};
 use scperf_obs::json::JsonWriter;
-
-struct Args {
-    reps: usize,
-    quick: bool,
-}
-
-fn parse_args() -> Args {
-    let mut args = Args {
-        reps: 5,
-        quick: false,
-    };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
-        match arg.as_str() {
-            "--reps" => {
-                args.reps = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|&v| v > 0)
-                    .expect("--reps expects a positive integer");
-            }
-            "--quick" => args.quick = true,
-            other => panic!("unknown argument {other}"),
-        }
-    }
-    args
-}
 
 /// Two processes rendezvous `iters` times. Each transfer blocks both
 /// sides, so the activation count — and therefore the handoff count — is
 /// proportional to `iters`. With `attribution` the kernel additionally
 /// accounts per-process wait time and per-channel blocked time on every
 /// one of those transfers — the worst case for the accounting.
-fn pingpong(kind: HandoffKind, iters: u64, attribution: bool) -> (SimSummary, Duration) {
-    let mut sim = SimOptions::new()
-        .handoff(kind)
-        .attribution(attribution)
-        .build();
+fn pingpong(iters: u64, attribution: bool) -> (SimSummary, Duration) {
+    let mut sim = SimOptions::new().attribution(attribution).build();
     let ch = sim.rendezvous::<u64>("pingpong");
     let tx = ch.clone();
     sim.spawn("ping", move |ctx| {
@@ -99,8 +71,8 @@ fn pingpong(kind: HandoffKind, iters: u64, attribution: bool) -> (SimSummary, Du
 
 /// One notifier delta-fires an event `rounds` times; `procs` waiters all
 /// wake each round.
-fn fanout(kind: HandoffKind, procs: usize, rounds: u64) -> (SimSummary, Duration) {
-    let mut sim = SimOptions::new().handoff(kind).build();
+fn fanout(procs: usize, rounds: u64) -> (SimSummary, Duration) {
+    let mut sim = Simulator::new();
     let ev = sim.event("broadcast");
     for p in 0..procs {
         let ev = ev.clone();
@@ -126,8 +98,8 @@ fn fanout(kind: HandoffKind, procs: usize, rounds: u64) -> (SimSummary, Duration
 /// `procs` processes each issue `waits` timed waits with colliding
 /// xorshift-derived deadlines, plus one far-future wait past the time
 /// wheel's ~68.7 ms span to exercise the overflow path.
-fn timer_storm(kind: HandoffKind, procs: usize, waits: u64) -> (SimSummary, Duration) {
-    let mut sim = SimOptions::new().handoff(kind).build();
+fn timer_storm(procs: usize, waits: u64) -> (SimSummary, Duration) {
+    let mut sim = Simulator::new();
     for p in 0..procs {
         sim.spawn(format!("timer{p}"), move |ctx| {
             let mut x = p as u64 + 1;
@@ -215,198 +187,166 @@ fn par_fanout(jobs: usize, procs: usize, rounds: u64, work: u64) -> (SimSummary,
     (summary, start.elapsed())
 }
 
-/// Best-of-`reps` wall time (minimum is the standard microbench
-/// estimator: noise only ever adds time).
-fn measure(
+/// Runs `run` `reps` times, asserting every run simulates the same
+/// summary. Returns the summary and the per-run wall times.
+fn repeat(
+    name: &str,
     reps: usize,
-    run: impl Fn(HandoffKind) -> (SimSummary, Duration),
-    kind: HandoffKind,
-) -> (SimSummary, Duration) {
-    let mut best: Option<(SimSummary, Duration)> = None;
-    for _ in 0..reps {
-        let (summary, elapsed) = run(kind);
-        match &best {
-            Some((_, b)) if *b <= elapsed => {}
-            _ => best = Some((summary, elapsed)),
-        }
+    run: impl Fn() -> (SimSummary, Duration),
+) -> (SimSummary, Vec<Duration>) {
+    let (summary, first) = run();
+    let mut times = vec![first];
+    for _ in 1..reps {
+        let (s, t) = run();
+        assert_eq!(
+            s, summary,
+            "{name}: repetitions disagree on simulated behaviour"
+        );
+        times.push(t);
     }
-    best.expect("reps > 0")
+    (summary, times)
 }
 
-/// Best-of-`reps` for the jobs-parameterized parallel scenarios.
-fn measure_par(
-    reps: usize,
-    run: impl Fn(usize) -> (SimSummary, Duration),
-    jobs: usize,
-) -> (SimSummary, Duration) {
-    let mut best: Option<(SimSummary, Duration)> = None;
-    for _ in 0..reps {
-        let (summary, elapsed) = run(jobs);
-        match &best {
-            Some((_, b)) if *b <= elapsed => {}
-            _ => best = Some((summary, elapsed)),
-        }
-    }
-    best.expect("reps > 0")
+fn min_secs(times: &[Duration]) -> f64 {
+    times.iter().min().expect("reps > 0").as_secs_f64()
 }
 
-struct ParResult {
-    name: &'static str,
-    summary: SimSummary,
-    jobs1: Duration,
-    jobs8: Duration,
-}
-
-impl ParResult {
-    fn speedup(&self) -> f64 {
-        self.jobs1.as_secs_f64() / self.jobs8.as_secs_f64()
-    }
-    fn activations_per_sec(&self, d: Duration) -> f64 {
-        self.summary.activations as f64 / d.as_secs_f64()
-    }
-}
-
-/// Runs a jobs-parameterized scenario at `jobs = 1` and `jobs = 8` and
-/// asserts the determinism contract (`docs/PARALLELISM.md`): the two
-/// summaries must be bit-identical, so the speedup is a pure host-time
-/// ratio at identical simulated behaviour.
-fn par_bench(
-    name: &'static str,
-    reps: usize,
-    run: impl Fn(usize) -> (SimSummary, Duration),
-) -> ParResult {
-    let (sum_1, jobs1) = measure_par(reps, &run, 1);
-    let (sum_8, jobs8) = measure_par(reps, &run, 8);
-    assert_eq!(
-        sum_1, sum_8,
-        "{name}: parallel evaluation changed simulated behaviour"
-    );
-    let r = ParResult {
-        name,
-        summary: sum_8,
-        jobs1,
-        jobs8,
-    };
-    println!(
-        "{:>12}: jobs=1  {:>9.2?}  jobs=8 {:>9.2?}  speedup {:>5.2}x  \
-         ({} activations, {:.0}/s -> {:.0}/s)",
-        r.name,
-        r.jobs1,
-        r.jobs8,
-        r.speedup(),
-        r.summary.activations,
-        r.activations_per_sec(r.jobs1),
-        r.activations_per_sec(r.jobs8),
-    );
-    r
+/// Host nanoseconds per activation of each run.
+fn ns_per_activation(summary: &SimSummary, times: &[Duration]) -> Spread {
+    let per: Vec<f64> = times
+        .iter()
+        .map(|t| t.as_secs_f64() * 1e9 / summary.activations as f64)
+        .collect();
+    Spread::of(&per)
 }
 
 struct BenchResult {
     name: &'static str,
     summary: SimSummary,
-    condvar: Duration,
-    direct: Duration,
+    times: Vec<Duration>,
+    cost: Spread,
 }
 
-impl BenchResult {
-    fn speedup(&self) -> f64 {
-        self.condvar.as_secs_f64() / self.direct.as_secs_f64()
-    }
-    fn activations_per_sec(&self, d: Duration) -> f64 {
-        self.summary.activations as f64 / d.as_secs_f64()
+fn bench(name: &'static str, reps: usize, run: impl Fn() -> (SimSummary, Duration)) -> BenchResult {
+    let (summary, times) = repeat(name, reps, run);
+    let cost = ns_per_activation(&summary, &times);
+    println!(
+        "{name:>12}: {:>8.1} ns/activation (min {:.1}, stddev {:.1}; {} activations)",
+        cost.median, cost.min, cost.stddev, summary.activations,
+    );
+    BenchResult {
+        name,
+        summary,
+        times,
+        cost,
     }
 }
 
-fn bench(
+struct ParResult {
+    name: &'static str,
+    summary: SimSummary,
+    jobs1: Spread,
+    jobs_n: Spread,
+    /// Best-of-reps `jobs = 1` time over best-of-reps `jobs = n` time.
+    speedup: f64,
+}
+
+/// Runs a jobs-parameterized scenario at `jobs = 1` and `jobs = n` and
+/// asserts the determinism contract (`docs/PARALLELISM.md`): the
+/// summaries must be bit-identical, so the speedup is a pure host-time
+/// ratio at identical simulated behaviour.
+fn par_bench(
     name: &'static str,
     reps: usize,
-    run: impl Fn(HandoffKind) -> (SimSummary, Duration),
-) -> BenchResult {
-    let (sum_c, condvar) = measure(reps, &run, HandoffKind::CondvarBaton);
-    let (sum_d, direct) = measure(reps, &run, HandoffKind::Direct);
+    n: usize,
+    run: impl Fn(usize) -> (SimSummary, Duration),
+) -> ParResult {
+    let (sum_1, t1) = repeat(name, reps, || run(1));
+    let (sum_n, tn) = repeat(name, reps, || run(n));
     assert_eq!(
-        sum_c, sum_d,
-        "{name}: protocols disagree on simulated behaviour"
+        sum_1, sum_n,
+        "{name}: parallel evaluation changed simulated behaviour"
     );
-    let r = BenchResult {
+    let r = ParResult {
         name,
-        summary: sum_d,
-        condvar,
-        direct,
+        jobs1: ns_per_activation(&sum_1, &t1),
+        jobs_n: ns_per_activation(&sum_n, &tn),
+        speedup: min_secs(&t1) / min_secs(&tn),
+        summary: sum_1,
     };
     println!(
-        "{:>12}: condvar {:>9.2?}  direct {:>9.2?}  speedup {:>5.2}x  \
-         ({} activations, {:.0}/s -> {:.0}/s)",
-        r.name,
-        r.condvar,
-        r.direct,
-        r.speedup(),
-        r.summary.activations,
-        r.activations_per_sec(r.condvar),
-        r.activations_per_sec(r.direct),
+        "{:>12}: jobs=1 {:>8.1} ns/activation  jobs={n} {:>8.1} ns/activation  \
+         speedup {:>5.2}x ({} activations)",
+        r.name, r.jobs1.median, r.jobs_n.median, r.speedup, r.summary.activations,
     );
     r
 }
 
+fn write_summary(w: &mut JsonWriter, name: &str, summary: &SimSummary) {
+    w.key("name");
+    w.value_str(name);
+    w.key("activations");
+    w.value_u64(summary.activations);
+    w.key("deltas");
+    w.value_u64(summary.deltas);
+    w.key("end_time_ps");
+    w.value_u64(summary.end_time.as_ps());
+}
+
 fn main() {
-    let args = parse_args();
+    let args = BenchArgs::parse();
     let scale = if args.quick { 10 } else { 1 };
     let pingpong_iters = 200_000 / scale;
     let fanout_procs = 64;
     let fanout_rounds = 2_000 / scale;
     let storm_procs = 32;
     let storm_waits = 4_000 / scale;
+    let cpus = host_cpus();
+    let par_jobs = cpus.max(2);
 
     println!(
-        "kernel hot-path microbench (best of {} reps{})",
+        "kernel hot-path microbench ({} reps{}, {cpus} host cpu(s))",
         args.reps,
         if args.quick { ", quick" } else { "" }
     );
 
     let results = [
-        bench("pingpong", args.reps, |k| {
-            pingpong(k, pingpong_iters, false)
-        }),
-        bench("fanout", args.reps, |k| {
-            fanout(k, fanout_procs, fanout_rounds)
-        }),
-        bench("timer_storm", args.reps, |k| {
-            timer_storm(k, storm_procs, storm_waits)
+        bench("pingpong", args.reps, || pingpong(pingpong_iters, false)),
+        bench("fanout", args.reps, || fanout(fanout_procs, fanout_rounds)),
+        bench("timer_storm", args.reps, || {
+            timer_storm(storm_procs, storm_waits)
         }),
     ];
 
     // Parallel-evaluate scenarios (SimOptions::jobs): wide deltas with
-    // real per-activation computation, jobs = 1 vs jobs = 8. Both runs
-    // must be bit-identical in simulated behaviour (asserted inside
-    // par_bench); the speedup is meaningful only on a multi-core host.
+    // real per-activation computation, jobs = 1 vs one job per host cpu
+    // (at least 2). Both runs must be bit-identical in simulated
+    // behaviour (asserted inside par_bench).
     let par_results = [
-        par_bench("par_pairs", args.reps, |j| {
+        par_bench("par_pairs", args.reps, par_jobs, |j| {
             par_pairs(j, 8, 2_000 / scale, 2_000)
         }),
-        par_bench("par_fanout", args.reps, |j| {
+        par_bench("par_fanout", args.reps, par_jobs, |j| {
             par_fanout(j, 32, 500 / scale, 4_000)
         }),
     ];
 
     // Attribution overhead: the scheduling-state accounting rides the
-    // handoff-heaviest kernel (pingpong, direct handoff). The baseline
-    // is the attribution-off direct measurement above; the summaries
-    // must stay bit-identical and the host-time overhead ≤ 5%.
-    let (attr_sum, attr_time) = measure(
-        args.reps,
-        |k| pingpong(k, pingpong_iters, true),
-        HandoffKind::Direct,
-    );
+    // handoff-heaviest kernel (pingpong). The baseline is the
+    // attribution-off measurement above; the summaries must stay
+    // bit-identical and the best-of-reps host-time overhead ≤ 5%.
     let base = &results[0];
+    let (attr_sum, attr_times) = repeat("pingpong+attribution", args.reps, || {
+        pingpong(pingpong_iters, true)
+    });
     assert_eq!(
         attr_sum, base.summary,
         "pingpong: attribution changed simulated behaviour"
     );
-    let attr_overhead = attr_time.as_secs_f64() / base.direct.as_secs_f64() - 1.0;
+    let (off, on) = (min_secs(&base.times), min_secs(&attr_times));
+    let attr_overhead = on / off - 1.0;
     println!(
-        " attribution: off {:>9.2?}  on {:>9.2?}  overhead {:+.2}%",
-        base.direct,
-        attr_time,
+        " attribution: off {off:.4}s  on {on:.4}s  overhead {:+.2}%",
         attr_overhead * 100.0
     );
 
@@ -416,14 +356,16 @@ fn main() {
     w.value_u64(args.reps as u64);
     w.key("quick");
     w.value_bool(args.quick);
+    w.key("host_cpus");
+    w.value_u64(cpus as u64);
     w.key("attribution");
     w.begin_object();
     w.key("bench");
-    w.value_str("pingpong/direct");
+    w.value_str("pingpong");
     w.key("off_seconds");
-    w.value_f64(base.direct.as_secs_f64());
+    w.value_f64(off);
     w.key("on_seconds");
-    w.value_f64(attr_time.as_secs_f64());
+    w.value_f64(on);
     w.key("overhead_pct");
     w.value_f64(attr_overhead * 100.0);
     w.key("summaries_identical");
@@ -433,48 +375,23 @@ fn main() {
     w.begin_array();
     for r in &results {
         w.begin_object();
-        w.key("name");
-        w.value_str(r.name);
-        w.key("activations");
-        w.value_u64(r.summary.activations);
-        w.key("deltas");
-        w.value_u64(r.summary.deltas);
-        w.key("end_time_ps");
-        w.value_u64(r.summary.end_time.as_ps());
-        w.key("condvar_seconds");
-        w.value_f64(r.condvar.as_secs_f64());
-        w.key("direct_seconds");
-        w.value_f64(r.direct.as_secs_f64());
-        w.key("condvar_activations_per_sec");
-        w.value_f64(r.activations_per_sec(r.condvar));
-        w.key("direct_activations_per_sec");
-        w.value_f64(r.activations_per_sec(r.direct));
-        w.key("speedup");
-        w.value_f64(r.speedup());
+        write_summary(&mut w, r.name, &r.summary);
+        r.cost.write(&mut w, "ns_per_activation");
+        w.key("activations_per_sec");
+        w.value_f64(1e9 / r.cost.median);
         w.key("summaries_identical");
         w.value_bool(true);
         w.end_object();
     }
     for r in &par_results {
         w.begin_object();
-        w.key("name");
-        w.value_str(r.name);
-        w.key("activations");
-        w.value_u64(r.summary.activations);
-        w.key("deltas");
-        w.value_u64(r.summary.deltas);
-        w.key("end_time_ps");
-        w.value_u64(r.summary.end_time.as_ps());
-        w.key("jobs1_seconds");
-        w.value_f64(r.jobs1.as_secs_f64());
-        w.key("jobs8_seconds");
-        w.value_f64(r.jobs8.as_secs_f64());
-        w.key("jobs1_activations_per_sec");
-        w.value_f64(r.activations_per_sec(r.jobs1));
-        w.key("jobs8_activations_per_sec");
-        w.value_f64(r.activations_per_sec(r.jobs8));
+        write_summary(&mut w, r.name, &r.summary);
+        w.key("jobs");
+        w.value_u64(par_jobs as u64);
+        r.jobs1.write(&mut w, "jobs1_ns_per_activation");
+        r.jobs_n.write(&mut w, "jobs_n_ns_per_activation");
         w.key("speedup");
-        w.value_f64(r.speedup());
+        w.value_f64(r.speedup);
         w.key("summaries_identical");
         w.value_bool(true);
         w.end_object();
@@ -487,12 +404,6 @@ fn main() {
     std::fs::write(&path, w.finish()).expect("write BENCH_kernel.json");
     println!("bench results -> {path}");
 
-    let pp = &results[0];
-    assert!(
-        pp.speedup() >= 1.0,
-        "direct handoff should not be slower on pingpong (got {:.2}x)",
-        pp.speedup()
-    );
     if !args.quick {
         // Quick mode is a CI smoke run on loaded shared machines; the
         // overhead bound is only meaningful at full problem sizes.
@@ -503,25 +414,22 @@ fn main() {
         );
     }
 
-    // The >=2x parallel-throughput bar only makes sense with real cores
-    // to spread the evaluate phase over; on a 1-core host jobs = 8 is
-    // pure overhead (the determinism assert above still ran).
-    let cores = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    if !args.quick && cores >= 4 {
+    // The >=2x parallel-throughput bar only makes sense with enough
+    // cores to spread the evaluate phase over (the determinism assert
+    // above still ran).
+    if !args.quick && cpus >= 4 {
         for r in &par_results {
             assert!(
-                r.speedup() >= 2.0,
-                "{}: expected >=2x activation throughput at jobs=8 on a \
-                 {cores}-core host (got {:.2}x)",
+                r.speedup >= 2.0,
+                "{}: expected >=2x activation throughput at jobs={par_jobs} on a \
+                 {cpus}-core host (got {:.2}x)",
                 r.name,
-                r.speedup()
+                r.speedup
             );
         }
     } else {
         println!(
-            " (parallel >=2x speedup bar skipped: {cores} core(s), quick={})",
+            " (parallel >=2x speedup bar skipped: {cpus} core(s), quick={})",
             args.quick
         );
     }

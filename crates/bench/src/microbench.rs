@@ -108,9 +108,114 @@ pub fn run_group(title: &str, cases: &[Case]) -> Vec<Measurement> {
     results
 }
 
+/// Command-line arguments shared by the `kernel_bench` and
+/// `estimator_bench` binaries: `--reps N` (default 5) and `--quick`
+/// (smaller problem sizes for CI smoke runs).
+#[derive(Debug, Clone, Copy)]
+pub struct BenchArgs {
+    /// Timed repetitions per configuration.
+    pub reps: usize,
+    /// Run at reduced problem sizes.
+    pub quick: bool,
+}
+
+impl BenchArgs {
+    /// Parses the process arguments.
+    ///
+    /// # Panics
+    ///
+    /// Panics on an unknown argument or a non-positive `--reps`.
+    pub fn parse() -> BenchArgs {
+        let mut args = BenchArgs {
+            reps: 5,
+            quick: false,
+        };
+        let mut it = std::env::args().skip(1);
+        while let Some(arg) = it.next() {
+            match arg.as_str() {
+                "--reps" => {
+                    args.reps = it
+                        .next()
+                        .and_then(|v| v.parse().ok())
+                        .filter(|&v| v > 0)
+                        .expect("--reps expects a positive integer");
+                }
+                "--quick" => args.quick = true,
+                other => panic!("unknown argument {other}"),
+            }
+        }
+        args
+    }
+}
+
+/// Median, minimum and population standard deviation of a sample, e.g.
+/// one per-unit cost over a bench's repetitions.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Spread {
+    /// Median (mean of the middle pair for an even count).
+    pub median: f64,
+    /// Smallest sample.
+    pub min: f64,
+    /// Population standard deviation.
+    pub stddev: f64,
+}
+
+impl Spread {
+    /// Summarizes `samples`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `samples` is empty.
+    pub fn of(samples: &[f64]) -> Spread {
+        assert!(!samples.is_empty(), "no samples to summarize");
+        let mut sorted = samples.to_vec();
+        sorted.sort_by(f64::total_cmp);
+        let n = sorted.len();
+        let median = if n % 2 == 1 {
+            sorted[n / 2]
+        } else {
+            (sorted[n / 2 - 1] + sorted[n / 2]) / 2.0
+        };
+        let mean = sorted.iter().sum::<f64>() / n as f64;
+        let var = sorted.iter().map(|v| (v - mean).powi(2)).sum::<f64>() / n as f64;
+        Spread {
+            median,
+            min: sorted[0],
+            stddev: var.sqrt(),
+        }
+    }
+
+    /// Writes the summary as three JSON keys: `key` (the median),
+    /// `key_min` and `key_stddev`.
+    pub fn write(&self, w: &mut scperf_obs::json::JsonWriter, key: &str) {
+        w.key(key);
+        w.value_f64(self.median);
+        w.key(&format!("{key}_min"));
+        w.value_f64(self.min);
+        w.key(&format!("{key}_stddev"));
+        w.value_f64(self.stddev);
+    }
+}
+
+/// The host's available parallelism, recorded next to every result
+/// that depends on threads.
+pub fn host_cpus() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn spread_reports_median_min_and_stddev() {
+        let s = Spread::of(&[4.0, 1.0, 3.0, 2.0]);
+        assert_eq!(s.median, 2.5);
+        assert_eq!(s.min, 1.0);
+        assert!((s.stddev - 1.25_f64.sqrt()).abs() < 1e-12);
+        assert_eq!(Spread::of(&[7.0]).stddev, 0.0);
+        assert_eq!(Spread::of(&[3.0, 9.0, 5.0]).median, 5.0);
+    }
 
     #[test]
     fn measure_reports_min_and_mean() {

@@ -133,9 +133,6 @@ pub(crate) struct EstInner {
     /// Record every segment execution's cycles into
     /// [`ProcRecord::cost_trace`] (cheap: one `Vec::push` per segment).
     pub(crate) record_segment_costs: bool,
-    /// Route charging through the legacy `RefCell`-per-op path (the
-    /// measurable pre-fast-path baseline; see `estimator_bench`).
-    pub(crate) legacy_charging: bool,
     /// Segment-site memoization policy handed to spawned processes.
     pub(crate) memo_mode: MemoMode,
     /// Warm program set handed to spawned processes: compiled cost
@@ -210,7 +207,6 @@ impl EstimatorShared {
                 record_instantaneous: false,
                 record_dfgs: false,
                 record_segment_costs: false,
-                legacy_charging: false,
                 memo_mode: MemoMode::default(),
                 warm_programs: None,
                 programs: None,
@@ -297,7 +293,7 @@ impl EstimatorShared {
 
     /// Returns the estimator to its just-constructed state over
     /// `platform`, keeping the configuration knobs (mode, recording
-    /// flags, legacy charging, memo policy, attribution) and discarding
+    /// flags, memo policy, attribution) and discarding
     /// everything a finished run accumulated: process records, node
     /// registrations beyond the implicit three, capture lists,
     /// per-resource busy/RTOS/contention accounting and the hot-path
@@ -367,11 +363,11 @@ pub(crate) fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
         max_ready,
         counts,
         dfg,
-        fast_ops,
         site_hits,
         site_misses,
         arena_reuse,
     } = take;
+    let fast_ops = counts.total();
 
     if kind == ResourceKind::Environment {
         return Time::ZERO;

@@ -193,10 +193,9 @@ macro_rules! g_site {
 /// wrapping arithmetic, and the native block must not charge or wait.
 /// The annotated block runs on the first execution per key (recording
 /// the program), in [`MemoMode::Off`](crate::MemoMode) and
-/// [`MemoMode::Verify`](crate::MemoMode), on non-sequential resources
-/// and on the legacy path — so the annotated semantics remain the
-/// source of truth, and verify mode still checks programs against live
-/// charging.
+/// [`MemoMode::Verify`](crate::MemoMode) and on non-sequential
+/// resources — so the annotated semantics remain the source of truth,
+/// and verify mode still checks programs against live charging.
 ///
 /// ```
 /// use scperf_core::{g_for, g_twin, GArr};
@@ -265,7 +264,7 @@ mod tests {
     use crate::gval::G;
     use crate::resource::ResourceKind;
     use crate::site::MemoMode;
-    use crate::tls::testutil::{with_test_ctx, with_test_ctx_full};
+    use crate::tls::testutil::{with_test_ctx, with_test_ctx_memo};
 
     #[test]
     fn g_if_charges_branch_then_condition() {
@@ -345,18 +344,12 @@ mod tests {
             });
         });
         for memo in [MemoMode::Off, MemoMode::Replay, MemoMode::Verify] {
-            let looped = with_test_ctx_full(
-                ResourceKind::Sequential,
-                table.clone(),
-                false,
-                false,
-                memo,
-                || {
+            let looped =
+                with_test_ctx_memo(ResourceKind::Sequential, table.clone(), false, memo, || {
                     g_loop!(_i in 0..6 => {
                         crate::charge_op(Op::Mul);
                     });
-                },
-            );
+                });
             assert_eq!(plain.acc.to_bits(), looped.acc.to_bits(), "{memo:?}");
             assert_eq!(plain.counts, looped.counts, "{memo:?}");
         }
@@ -371,20 +364,13 @@ mod tests {
             (Op::Cmp, 1.0),
         ]);
         let run = |memo| {
-            with_test_ctx_full(
-                ResourceKind::Sequential,
-                table.clone(),
-                false,
-                false,
-                memo,
-                || {
-                    for trip in [2usize, 5, 2, 5, 5] {
-                        g_site!((trip as u64) {
-                            g_for!(_i in 0..trip => {});
-                        });
-                    }
-                },
-            )
+            with_test_ctx_memo(ResourceKind::Sequential, table.clone(), false, memo, || {
+                for trip in [2usize, 5, 2, 5, 5] {
+                    g_site!((trip as u64) {
+                        g_for!(_i in 0..trip => {});
+                    });
+                }
+            })
         };
         let live = run(MemoMode::Off);
         let memo = run(MemoMode::Replay);
@@ -397,10 +383,9 @@ mod tests {
     #[test]
     fn g_loop_body_break_and_continue_stay_safe() {
         let table = CostTable::from_pairs([(Op::Branch, 1.0), (Op::Mul, 3.0)]);
-        let ctx = with_test_ctx_full(
+        let ctx = with_test_ctx_memo(
             ResourceKind::Sequential,
             table,
-            false,
             false,
             MemoMode::Replay,
             || {

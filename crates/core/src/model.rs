@@ -13,7 +13,6 @@ use std::sync::Arc;
 use scperf_kernel::{Fifo, ProcCtx, ProcId, Rendezvous, Signal, Simulator, Time};
 
 use crate::capture::{CaptureList, CapturePoint};
-use crate::cost::OpCounts;
 use crate::estimator::{end_segment, EstHotStats, EstimatorShared, Mode, NODE_WAIT};
 use crate::hw::Dfg;
 use crate::prog::{fingerprint_costs, ProgStore, ProgramSet};
@@ -93,14 +92,6 @@ impl PerfModel {
         self.est.inner.lock().attribution = enable;
     }
 
-    /// Routes operator charging through the legacy `RefCell`-per-op path
-    /// instead of the flat thread-local fast path. Bit-identical results,
-    /// strictly slower — exists as the measurable baseline for
-    /// `estimator_bench` and as a diagnostic escape hatch.
-    pub fn legacy_charging(&self, enable: bool) {
-        self.est.inner.lock().legacy_charging = enable;
-    }
-
     /// Sets the segment-site memoization policy for processes spawned
     /// after this call (default: [`MemoMode::Replay`]). Memoization only
     /// actually engages for live estimation on sequential resources with
@@ -168,32 +159,6 @@ impl PerfModel {
         Recorder::attach(&self.est)
     }
 
-    /// Deprecated shim: switches segment-cost recording on without
-    /// handing back the [`Recorder`].
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `PerfModel::recorder()` (or `SimConfig::record_costs()`) \
-                and keep the returned `Recorder`"
-    )]
-    pub fn record_segment_costs(&self) {
-        let _ = self.recorder();
-    }
-
-    /// Deprecated shim: the recorded per-segment cycle trace of
-    /// `process`, as a bare vector.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `Recorder::replay(process)`, which returns a `Replay` handle"
-    )]
-    pub fn segment_cost_trace(&self, process: &str) -> Option<Vec<f64>> {
-        let inner = self.est.inner.lock();
-        inner
-            .procs
-            .values()
-            .find(|p| p.name == process)
-            .map(|p| p.cost_trace.clone())
-    }
-
     /// Spawns a process mapped to `resource` (the architectural-mapping
     /// annotation of §2). The body runs with the estimation context
     /// installed, so `G`-typed operations are charged automatically and
@@ -243,31 +208,6 @@ impl PerfModel {
         self.spawn_inner(sim, name.into(), resource, Some(replay), body)
     }
 
-    /// Deprecated shim forwarding to [`PerfModel::spawn_replaying`].
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `PerfModel::spawn_replaying` with a `Replay` handle"
-    )]
-    pub fn spawn_replay<F>(
-        &self,
-        sim: &mut Simulator,
-        name: impl Into<String>,
-        resource: ResourceId,
-        trace: Arc<Vec<f64>>,
-        body: F,
-    ) -> ProcId
-    where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
-    {
-        self.spawn_inner(
-            sim,
-            name.into(),
-            resource,
-            Some(Replay::from_arc(trace)),
-            body,
-        )
-    }
-
     fn spawn_inner<F>(
         &self,
         sim: &mut Simulator,
@@ -282,7 +222,7 @@ impl PerfModel {
         let est = Arc::clone(&self.est);
         let reg_name = name.clone();
         let pid = sim.spawn(name, move |ctx| {
-            let (kind, costs, k, rtos_cycles, legacy, memo, record_dfgs, warm) = {
+            let (kind, costs, k, rtos_cycles, memo, record_dfgs, warm) = {
                 let inner = est.inner.lock();
                 let r = inner.platform.resource(resource);
                 (
@@ -290,7 +230,6 @@ impl PerfModel {
                     tls::dense_costs(&r.costs),
                     r.k,
                     r.rtos_cycles,
-                    inner.legacy_charging,
                     inner.memo_mode,
                     inner.record_dfgs,
                     inner.warm_programs.clone(),
@@ -306,9 +245,6 @@ impl PerfModel {
                 costs,
                 k,
                 rtos_cycles,
-                acc: 0.0,
-                counts: OpCounts::new(),
-                max_ready: 0.0,
                 dfg: record_dfgs.then(Dfg::default),
                 current_node: crate::estimator::NODE_ENTRY,
                 replay: replay.map(|r| {
@@ -319,7 +255,6 @@ impl PerfModel {
                         next: 0,
                     }
                 }),
-                legacy,
                 memo,
                 progs: ProgStore::with_warm(warm),
                 rec_events: Vec::new(),

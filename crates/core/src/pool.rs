@@ -187,10 +187,8 @@ impl Snapshot {
             .platform(self.platform.clone())
             .mode(self.knobs.mode)
             .attribution(self.knobs.attribution)
-            .legacy_charging(self.knobs.legacy_charging)
             .site_memo(self.knobs.site_memo)
             .jobs(self.knobs.jobs)
-            .handoff(self.knobs.handoff)
             .tracing(self.knobs.tracing);
         if self.knobs.record_costs {
             config = config.record_costs();

@@ -2,12 +2,9 @@
 //! cycle traces during a run, [`Replay`] feeds a captured trace back
 //! into a later run.
 //!
-//! This replaces the historical ad-hoc trio
-//! `PerfModel::record_segment_costs` / `PerfModel::segment_cost_trace` /
-//! `PerfModel::spawn_replay` (kept as deprecated shims): recording is
-//! now a capability you *hold* — a [`Recorder`] handle obtained before
-//! the run — and a captured trace is a first-class [`Replay`] value that
-//! can be cached, cloned cheaply and handed to
+//! Recording is a capability you *hold* — a [`Recorder`] handle obtained
+//! before the run — and a captured trace is a first-class [`Replay`]
+//! value that can be cached, cloned cheaply and handed to
 //! [`PerfModel::spawn_replaying`](crate::PerfModel::spawn_replaying) or
 //! [`Session::spawn_replaying`](crate::Session::spawn_replaying).
 //!
@@ -47,8 +44,7 @@ pub(crate) struct SegDetail {
 /// Traces captured by a [`Recorder`] also carry the per-segment
 /// operation counts and HW extremes, so a replayed run's
 /// [`crate::Report`] matches the live run's bit for bit. Traces built
-/// from bare cycle vectors ([`Replay::new`] / [`Replay::from_arc`])
-/// replay timing only: replayed segments then report empty operation
+/// from bare cycle vectors ([`Replay::new`]) replay timing only: replayed segments then report empty operation
 /// counts.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Replay {
@@ -62,14 +58,6 @@ impl Replay {
     pub fn new(cycles: Vec<f64>) -> Replay {
         Replay {
             trace: Arc::new(cycles),
-            detail: None,
-        }
-    }
-
-    /// Wraps an already-shared cycle trace without copying.
-    pub fn from_arc(trace: Arc<Vec<f64>>) -> Replay {
-        Replay {
-            trace,
             detail: None,
         }
     }
@@ -228,6 +216,5 @@ mod tests {
     #[test]
     fn empty_replay_reports_empty() {
         assert!(Replay::new(Vec::new()).is_empty());
-        assert!(Replay::from_arc(Arc::new(Vec::new())).is_empty());
     }
 }

@@ -40,7 +40,7 @@
 use std::sync::Arc;
 
 use scperf_kernel::{
-    HandoffKind, ProcCtx, ProcId, SimError, SimOptions, SimSummary, Simulator, Time, TraceMode,
+    ProcCtx, ProcId, SimError, SimOptions, SimSummary, Simulator, Time, TraceMode,
 };
 use scperf_obs::{MetricsSnapshot, TraceSink, TraceTable};
 
@@ -54,12 +54,12 @@ use crate::resource::{Platform, ResourceId};
 use crate::site::MemoMode;
 
 /// Declarative configuration of one simulation: the kernel half
-/// (handoff protocol, trace sink) plus the estimation half (platform,
+/// (evaluate-phase jobs, trace sink) plus the estimation half (platform,
 /// mode, recording options). [`SimConfig::build`] turns it into a
 /// [`Session`].
 ///
-/// Defaults: empty platform, [`Mode::StrictTimed`], default handoff
-/// ([`HandoffKind::default_kind`]), no tracing, no recording.
+/// Defaults: empty platform, [`Mode::StrictTimed`], `jobs = 1`, no
+/// tracing, no recording.
 #[derive(Debug)]
 pub struct SimConfig {
     options: SimOptions,
@@ -68,7 +68,6 @@ pub struct SimConfig {
     record_instantaneous: bool,
     record_dfgs: bool,
     record_costs: bool,
-    legacy_charging: bool,
     site_memo: MemoMode,
     run_limit: Option<Time>,
     attribution: bool,
@@ -85,14 +84,12 @@ pub struct SimConfig {
 pub(crate) struct SessionKnobs {
     pub(crate) mode: Mode,
     pub(crate) attribution: bool,
-    pub(crate) legacy_charging: bool,
     pub(crate) site_memo: MemoMode,
     pub(crate) record_costs: bool,
     pub(crate) record_instantaneous: bool,
     pub(crate) record_dfgs: bool,
     pub(crate) tracing: TraceMode,
     pub(crate) jobs: usize,
-    pub(crate) handoff: HandoffKind,
     pub(crate) run_limit: Option<Time>,
 }
 
@@ -112,7 +109,6 @@ impl SimConfig {
             record_instantaneous: false,
             record_dfgs: false,
             record_costs: false,
-            legacy_charging: false,
             site_memo: MemoMode::default(),
             run_limit: None,
             attribution: false,
@@ -154,13 +150,6 @@ impl SimConfig {
     /// Sets the estimation mode (default [`Mode::StrictTimed`]).
     pub fn mode(mut self, mode: Mode) -> SimConfig {
         self.mode = mode;
-        self
-    }
-
-    /// Selects the scheduler↔process handoff protocol (replaces the
-    /// deprecated `Simulator::with_handoff`).
-    pub fn handoff(mut self, kind: HandoffKind) -> SimConfig {
-        self.options = self.options.handoff(kind);
         self
     }
 
@@ -206,21 +195,8 @@ impl SimConfig {
     /// [`SimOptions::jobs`]); `1` (the default) is the plain sequential
     /// kernel. Results are bit-identical for any value — see
     /// `docs/PARALLELISM.md` for the determinism contract.
-    ///
-    /// [`SimConfig::legacy_charging`] forces `jobs = 1` at build time:
-    /// the legacy charging path mutates per-operator state in execution
-    /// order, which only the sequential kernel reproduces.
     pub fn jobs(mut self, jobs: usize) -> SimConfig {
         self.options = self.options.jobs(jobs);
-        self
-    }
-
-    /// Routes operator charging through the legacy `RefCell`-per-op path
-    /// instead of the flat thread-local fast path. Bit-identical
-    /// results, strictly slower — the measurable baseline of
-    /// `estimator_bench` and a diagnostic escape hatch.
-    pub fn legacy_charging(mut self, enable: bool) -> SimConfig {
-        self.legacy_charging = enable;
         self
     }
 
@@ -243,13 +219,7 @@ impl SimConfig {
     /// Builds the [`Session`]: simulator plus estimation model, wired
     /// per this configuration.
     pub fn build(self) -> Session {
-        let mut options = self.options.attribution(self.attribution);
-        if self.legacy_charging {
-            // Legacy charging is order-sensitive; only the sequential
-            // kernel reproduces its execution order.
-            options = options.jobs(1);
-        }
-        let sim = Simulator::with_options(options);
+        let sim = Simulator::with_options(self.options.attribution(self.attribution));
         let model = PerfModel::new(self.platform, self.mode);
         model.attribution(self.attribution);
         if self.record_instantaneous {
@@ -258,7 +228,6 @@ impl SimConfig {
         if self.record_dfgs {
             model.record_dfgs();
         }
-        model.legacy_charging(self.legacy_charging);
         model.site_memo(self.site_memo);
         if let Some(set) = self.programs {
             model.warm_programs(set);
@@ -267,14 +236,12 @@ impl SimConfig {
         let knobs = SessionKnobs {
             mode: self.mode,
             attribution: self.attribution,
-            legacy_charging: self.legacy_charging,
             site_memo: self.site_memo,
             record_costs: self.record_costs,
             record_instantaneous: self.record_instantaneous,
             record_dfgs: self.record_dfgs,
             tracing: self.tracing_mode,
             jobs: sim.jobs(),
-            handoff: sim.handoff_kind(),
             run_limit: self.run_limit,
         };
         Session {
@@ -469,7 +436,7 @@ impl Session {
     /// be reused without rebuilding: process threads are joined, kernel
     /// queues and the timer wheel are rebuilt, estimator records and
     /// capture lists are cleared, and simulation time is back at zero.
-    /// Configuration (mode, jobs, handoff protocol, recording flags,
+    /// Configuration (mode, jobs, recording flags,
     /// attribution, run limit, tracing mode) is retained; a custom
     /// trace sink installed via [`SimConfig::trace_sink`] is the one
     /// thing that cannot be restored and is dropped. Elaborate the next

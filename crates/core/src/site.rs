@@ -32,8 +32,8 @@
 //! *sequential* resources; the recorder additionally refuses to store a
 //! program whose `Σ count·cost` does not reproduce the measured `Δacc`
 //! bit-for-bit. Fractional tables, parallel resources (whose DFG node
-//! lineage spans iterations), replaying processes and the legacy
-//! charging path all leave the region charging live — marking a region
+//! lineage spans iterations) and replaying processes all leave the
+//! region charging live — marking a region
 //! is always sound, never mandatory.
 //!
 //! [`MemoMode::Verify`] re-charges every "hit" live anyway and asserts
@@ -509,7 +509,7 @@ mod tests {
     use crate::cost::{CostTable, Op};
     use crate::prog::Instr;
     use crate::resource::ResourceKind;
-    use crate::tls::testutil::with_test_ctx_full;
+    use crate::tls::testutil::with_test_ctx_memo;
     use crate::tls::{charge_branch, charge_op};
 
     fn int_table() -> CostTable {
@@ -525,20 +525,13 @@ mod tests {
     #[test]
     fn replay_matches_live_bit_for_bit() {
         let run = |memo| {
-            with_test_ctx_full(
-                ResourceKind::Sequential,
-                int_table(),
-                false,
-                false,
-                memo,
-                || {
-                    static SITE: SegmentSite = SegmentSite::new();
-                    for _ in 0..10 {
-                        let _g = site_enter(&SITE, 0);
-                        body();
-                    }
-                },
-            )
+            with_test_ctx_memo(ResourceKind::Sequential, int_table(), false, memo, || {
+                static SITE: SegmentSite = SegmentSite::new();
+                for _ in 0..10 {
+                    let _g = site_enter(&SITE, 0);
+                    body();
+                }
+            })
         };
         let live = run(MemoMode::Off);
         let memo = run(MemoMode::Replay);
@@ -549,10 +542,9 @@ mod tests {
 
     #[test]
     fn hits_and_misses_are_counted() {
-        let ctx = with_test_ctx_full(
+        let ctx = with_test_ctx_memo(
             ResourceKind::Sequential,
             int_table(),
-            false,
             false,
             MemoMode::Replay,
             || {
@@ -576,10 +568,9 @@ mod tests {
 
     #[test]
     fn distinct_keys_miss_separately() {
-        let ctx = with_test_ctx_full(
+        let ctx = with_test_ctx_memo(
             ResourceKind::Sequential,
             int_table(),
-            false,
             false,
             MemoMode::Replay,
             || {
@@ -600,10 +591,9 @@ mod tests {
 
     #[test]
     fn fractional_tables_never_replay() {
-        let ctx = with_test_ctx_full(
+        let ctx = with_test_ctx_memo(
             ResourceKind::Sequential,
             CostTable::figure3(), // Branch = 2.4
-            false,
             false,
             MemoMode::Replay,
             || {
@@ -620,10 +610,9 @@ mod tests {
 
     #[test]
     fn verify_mode_accepts_deterministic_regions() {
-        let ctx = with_test_ctx_full(
+        let ctx = with_test_ctx_memo(
             ResourceKind::Sequential,
             int_table(),
-            false,
             false,
             MemoMode::Verify,
             || {
@@ -641,10 +630,9 @@ mod tests {
     #[test]
     #[should_panic(expected = "data-dependent")]
     fn verify_mode_catches_data_dependent_regions() {
-        let _ = with_test_ctx_full(
+        let _ = with_test_ctx_memo(
             ResourceKind::Sequential,
             int_table(),
-            false,
             false,
             MemoMode::Verify,
             || {
@@ -663,25 +651,18 @@ mod tests {
     #[test]
     fn nested_regions_stay_consistent() {
         let run = |memo| {
-            with_test_ctx_full(
-                ResourceKind::Sequential,
-                int_table(),
-                false,
-                false,
-                memo,
-                || {
-                    static OUTER: SegmentSite = SegmentSite::new();
-                    static INNER: SegmentSite = SegmentSite::new();
-                    for _ in 0..3 {
-                        let _o = site_enter(&OUTER, 0);
-                        charge_op(Op::Mul);
-                        for _ in 0..4 {
-                            let _i = site_enter(&INNER, 0);
-                            charge_op(Op::Add);
-                        }
+            with_test_ctx_memo(ResourceKind::Sequential, int_table(), false, memo, || {
+                static OUTER: SegmentSite = SegmentSite::new();
+                static INNER: SegmentSite = SegmentSite::new();
+                for _ in 0..3 {
+                    let _o = site_enter(&OUTER, 0);
+                    charge_op(Op::Mul);
+                    for _ in 0..4 {
+                        let _i = site_enter(&INNER, 0);
+                        charge_op(Op::Add);
                     }
-                },
-            )
+                }
+            })
         };
         let live = run(MemoMode::Off);
         let memo = run(MemoMode::Replay);
@@ -692,10 +673,9 @@ mod tests {
 
     #[test]
     fn early_exit_from_region_is_safe() {
-        let ctx = with_test_ctx_full(
+        let ctx = with_test_ctx_memo(
             ResourceKind::Sequential,
             int_table(),
-            false,
             false,
             MemoMode::Replay,
             || {
@@ -718,10 +698,9 @@ mod tests {
 
     #[test]
     fn named_sites_record_serializable_programs() {
-        let mut ctx = with_test_ctx_full(
+        let mut ctx = with_test_ctx_memo(
             ResourceKind::Sequential,
             int_table(),
-            false,
             false,
             MemoMode::Replay,
             || {
@@ -747,10 +726,9 @@ mod tests {
 
     #[test]
     fn loop_sites_collapse_uniform_bodies() {
-        let mut ctx = with_test_ctx_full(
+        let mut ctx = with_test_ctx_memo(
             ResourceKind::Sequential,
             int_table(),
-            false,
             false,
             MemoMode::Replay,
             || {
@@ -777,10 +755,9 @@ mod tests {
     fn loop_trip_counts_key_separately() {
         let run_trips = |trips: &[u64]| {
             let counts: Vec<u64> = trips.to_vec();
-            with_test_ctx_full(
+            with_test_ctx_memo(
                 ResourceKind::Sequential,
                 int_table(),
-                false,
                 false,
                 MemoMode::Replay,
                 move || {
@@ -804,10 +781,9 @@ mod tests {
 
     #[test]
     fn nested_named_sites_record_call_structure() {
-        let mut ctx = with_test_ctx_full(
+        let mut ctx = with_test_ctx_memo(
             ResourceKind::Sequential,
             int_table(),
-            false,
             false,
             MemoMode::Replay,
             || {

@@ -83,7 +83,11 @@ where
             scope.spawn(move || {
                 let _span = scperf_obs::profile::span_dyn(format!("dse.worker.{w}"));
                 loop {
-                    let task = deques[w].lock().pop_front().or_else(|| {
+                    // Own-deque guard must drop before stealing: two idle
+                    // workers each holding their own lock while locking
+                    // the other's would deadlock.
+                    let own = deques[w].lock().pop_front();
+                    let task = own.or_else(|| {
                         // Own deque empty: steal from the back of the
                         // other deques, nearest neighbour first.
                         (1..jobs).find_map(|d| {

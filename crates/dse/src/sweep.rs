@@ -38,9 +38,10 @@ pub struct SweepConfig {
     /// order) instead of all 243 — for tests and doc examples. `None`
     /// sweeps everything.
     pub limit: Option<usize>,
-    /// Charge through the legacy `RefCell` context instead of the flat
-    /// thread-local fast path. Estimates are bit-identical either way;
-    /// this exists as an A/B switch for benchmarks and regression tests.
+    /// Has no effect. The legacy `RefCell` charging path it used to
+    /// select was removed; it gave bit-identical estimates, so every
+    /// sweep now charges through the one thread-local fast path. Kept so
+    /// existing struct literals still compile.
     pub legacy_charging: bool,
     /// A serialized program blob ([`SweepResult::programs_out`] from an
     /// earlier sweep, possibly another process) to warm-start the
@@ -167,7 +168,7 @@ pub fn evaluate(
     nframes: usize,
     cache: Option<&SegmentCostCache>,
 ) -> DesignPoint {
-    evaluate_with(table, mapping, nframes, cache, false, 1, None)
+    evaluate_with(table, mapping, nframes, cache, 1, None)
 }
 
 fn evaluate_with(
@@ -175,7 +176,6 @@ fn evaluate_with(
     mapping: [Target; 5],
     nframes: usize,
     cache: Option<&SegmentCostCache>,
-    legacy_charging: bool,
     kernel_jobs: usize,
     prog: Option<&ProgCounters>,
 ) -> DesignPoint {
@@ -194,10 +194,7 @@ fn evaluate_with(
     }
     let missing: Vec<usize> = (0..5).filter(|&s| replays[s].is_none()).collect();
 
-    let mut config = SimConfig::new()
-        .platform(platform)
-        .legacy_charging(legacy_charging)
-        .jobs(kernel_jobs);
+    let mut config = SimConfig::new().platform(platform).jobs(kernel_jobs);
     // Warm-start the segment-site cost programs from the shared set for
     // the SW cost table (memoization only engages on sequential
     // resources, and cpu0/cpu1 share `table`).
@@ -262,7 +259,6 @@ pub fn sweep(config: &SweepConfig) -> SweepResult {
             mappings[i],
             config.nframes,
             cache.as_ref(),
-            config.legacy_charging,
             config.kernel_jobs,
             Some(&prog_counters),
         )
@@ -483,23 +479,5 @@ mod tests {
             warm.metrics().counter("est.prog.hits"),
             Some(warm.prog.hits)
         );
-    }
-
-    #[test]
-    fn legacy_charging_is_bit_identical_to_the_fast_path() {
-        let base = SweepConfig {
-            nframes: 1,
-            jobs: 2,
-            use_cache: false,
-            limit: Some(8),
-            ..SweepConfig::default()
-        };
-        let fast = sweep(&base);
-        let legacy = sweep(&SweepConfig {
-            legacy_charging: true,
-            ..base
-        });
-        assert_eq!(legacy.points, fast.points);
-        assert_eq!(legacy.frontier, fast.frontier);
     }
 }

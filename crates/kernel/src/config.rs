@@ -1,10 +1,9 @@
 //! Kernel-side simulator configuration: the [`SimOptions`] builder.
 //!
 //! Historically the knobs of a [`Simulator`](crate::Simulator) were
-//! scattered over dedicated constructors and setters
-//! (`Simulator::with_handoff`, `enable_tracing`, `enable_tracing_ring`,
-//! `set_trace_sink`). `SimOptions` folds them into one value that can be
-//! built up, passed around and handed to
+//! scattered over dedicated setters (`enable_tracing`,
+//! `enable_tracing_ring`, `set_trace_sink`). `SimOptions` folds them into
+//! one value that can be built up, passed around and handed to
 //! [`Simulator::with_options`](crate::Simulator::with_options) — it is
 //! also the kernel half of the full-stack `scperf_core::SimConfig`
 //! builder, which threads an options value through to the kernel when a
@@ -12,7 +11,6 @@
 
 use scperf_obs::TraceSink;
 
-use crate::handoff::HandoffKind;
 use crate::sim::Simulator;
 
 /// How the kernel records trace events.
@@ -30,26 +28,22 @@ pub enum TraceMode {
 
 /// Kernel-level simulator options.
 ///
-/// Collects the scheduler↔process handoff protocol and the trace-sink
-/// wiring in one builder. Construct with [`SimOptions::new`], chain the
+/// Collects the evaluate-phase parallelism, attribution and the
+/// trace-sink wiring in one builder. Construct with [`SimOptions::new`], chain the
 /// setters, and either call [`SimOptions::build`] or pass the value to
 /// [`Simulator::with_options`].
 ///
 /// # Examples
 ///
 /// ```
-/// use scperf_kernel::{HandoffKind, SimOptions, TraceMode};
+/// use scperf_kernel::{SimOptions, TraceMode};
 ///
-/// let mut sim = SimOptions::new()
-///     .handoff(HandoffKind::Direct)
-///     .tracing(TraceMode::Ring(1024))
-///     .build();
+/// let mut sim = SimOptions::new().tracing(TraceMode::Ring(1024)).build();
 /// sim.spawn("p", |ctx| ctx.wait(scperf_kernel::Time::ns(1)));
 /// sim.run()?;
 /// # Ok::<(), scperf_kernel::SimError>(())
 /// ```
 pub struct SimOptions {
-    pub(crate) handoff: HandoffKind,
     pub(crate) trace: TraceMode,
     pub(crate) sink: Option<Box<dyn TraceSink>>,
     pub(crate) attribution: bool,
@@ -63,13 +57,10 @@ impl Default for SimOptions {
 }
 
 impl SimOptions {
-    /// Default options: the default handoff protocol
-    /// ([`HandoffKind::default_kind`], which honours the
-    /// `SCPERF_HANDOFF` environment variable and the `condvar-baton`
-    /// feature) and no tracing.
+    /// Default options: sequential evaluation, no attribution and no
+    /// tracing.
     pub fn new() -> SimOptions {
         SimOptions {
-            handoff: HandoffKind::default_kind(),
             trace: TraceMode::Off,
             sink: None,
             attribution: false,
@@ -119,16 +110,6 @@ impl SimOptions {
         self
     }
 
-    /// Selects the scheduler↔process handoff protocol.
-    /// [`HandoffKind::Direct`] is the fast path;
-    /// [`HandoffKind::CondvarBaton`] is the original mutex+condvar
-    /// protocol kept for debugging and A/B benchmarking. Both produce
-    /// bit-identical traces.
-    pub fn handoff(mut self, kind: HandoffKind) -> SimOptions {
-        self.handoff = kind;
-        self
-    }
-
     /// Selects the trace recording mode (ignored when a custom sink is
     /// installed with [`SimOptions::trace_sink`]).
     pub fn tracing(mut self, mode: TraceMode) -> SimOptions {
@@ -165,7 +146,6 @@ impl SimOptions {
 impl std::fmt::Debug for SimOptions {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("SimOptions")
-            .field("handoff", &self.handoff)
             .field("trace", &self.trace)
             .field("sink", &self.sink.as_ref().map(|_| "custom"))
             .field("attribution", &self.attribution)
@@ -180,12 +160,8 @@ mod tests {
     use crate::time::Time;
 
     #[test]
-    fn options_thread_handoff_and_tracing_into_the_simulator() {
-        let mut sim = SimOptions::new()
-            .handoff(HandoffKind::CondvarBaton)
-            .tracing(TraceMode::Unbounded)
-            .build();
-        assert_eq!(sim.handoff_kind(), HandoffKind::CondvarBaton);
+    fn options_thread_tracing_into_the_simulator() {
+        let mut sim = SimOptions::new().tracing(TraceMode::Unbounded).build();
         sim.spawn("p", |ctx| {
             ctx.wait(Time::ns(1));
             ctx.emit_trace("mark", "x");
@@ -208,18 +184,5 @@ mod tests {
         let table = sim.take_events();
         assert!(table.events.len() <= 8, "ring must bound the buffer");
         assert!(table.dropped > 0);
-    }
-
-    #[test]
-    fn default_options_match_plain_new() {
-        let sim = SimOptions::new().build();
-        assert_eq!(sim.handoff_kind(), HandoffKind::default_kind());
-    }
-
-    #[test]
-    #[allow(deprecated)]
-    fn deprecated_with_handoff_still_forwards() {
-        let sim = Simulator::with_handoff(HandoffKind::CondvarBaton);
-        assert_eq!(sim.handoff_kind(), HandoffKind::CondvarBaton);
     }
 }

@@ -1,13 +1,14 @@
-//! Direct-handoff scheduling: the kernel's hot-path replacement for the
-//! mutex+condvar run-baton.
+//! Direct-handoff scheduling: the run-baton that lets exactly one of
+//! {scheduler, some process} run at any instant.
 //!
 //! Every process activation in the cooperative kernel is a round trip:
 //! the scheduler hands execution to one process thread and blocks until
-//! the process yields it back. The original [`crate::baton`] paid a mutex
-//! acquisition, a condvar notification and a condvar wait on *each* side
-//! of that round trip. The paper's strict-timed methodology assumes the
-//! kernel's own overhead is negligible next to segment estimation, so
-//! this module cuts the protocol down to the minimum the OS allows:
+//! the process yields it back. That invariant is what makes the kernel's
+//! cooperative semantics identical to SystemC's coroutine-based processes
+//! even though each process lives on its own OS thread. The paper's
+//! strict-timed methodology assumes the kernel's own overhead is
+//! negligible next to segment estimation, so the protocol is cut down to
+//! the minimum the OS allows:
 //!
 //! * one shared [`AtomicU8`] encodes who holds the baton
 //!   (`WAITING`/`RUNNING`/`DONE`/`KILL`),
@@ -19,7 +20,8 @@
 //!   two waits) complete without any sleeping syscall at all.
 //!
 //! There is no mutex on the hot path. The only locks left are cold:
-//! the panic-message slot written once at process termination.
+//! the panic-message slot written once at process termination. This
+//! module also hosts the kill-unwind machinery simulator teardown uses.
 //!
 //! # Safety argument for the unsynchronized cells
 //!
@@ -41,42 +43,23 @@
 //! kernel's core invariant — so the cells are never accessed
 //! concurrently.
 
-use std::cell::UnsafeCell;
+use std::cell::{Cell, UnsafeCell};
 use std::sync::atomic::{AtomicU8, Ordering};
-use std::sync::OnceLock;
+use std::sync::{Once, OnceLock};
 use std::thread::{self, Thread};
 use std::time::{Duration, Instant};
 
 use scperf_sync::Mutex;
 
-use crate::baton::{kill_unwind, CondvarBaton, RunState};
-
-/// Which scheduler ↔ process handoff protocol a [`crate::Simulator`]
-/// uses. See [`crate::SimOptions::handoff`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum HandoffKind {
-    /// Lock-free direct handoff built on `std::thread::park`/`unpark`
-    /// with a bounded spin phase. The default.
-    Direct,
-    /// The original mutex+condvar run-baton, kept as a debugging
-    /// fallback. Compile with the `condvar-baton` cargo feature (or set
-    /// `SCPERF_HANDOFF=condvar`) to make it the default again.
-    CondvarBaton,
-}
-
-impl HandoffKind {
-    /// The kind new simulators use: the `condvar-baton` feature flips
-    /// the default to the fallback protocol, and the `SCPERF_HANDOFF`
-    /// environment variable (`direct` / `condvar`) overrides both.
-    pub fn default_kind() -> HandoffKind {
-        static KIND: OnceLock<HandoffKind> = OnceLock::new();
-        *KIND.get_or_init(|| match std::env::var("SCPERF_HANDOFF").as_deref() {
-            Ok("condvar") => HandoffKind::CondvarBaton,
-            Ok("direct") => HandoffKind::Direct,
-            _ if cfg!(feature = "condvar-baton") => HandoffKind::CondvarBaton,
-            _ => HandoffKind::Direct,
-        })
-    }
+/// Where a process thread stands, as observed by the scheduler when the
+/// baton comes back.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) enum RunState {
+    /// Parked: waiting for the scheduler to hand over the baton.
+    Waiting,
+    /// The process function returned or panicked; the thread is exiting.
+    /// Carries the panic message if it panicked.
+    Done(Option<String>),
 }
 
 /// Baton states packed into one atomic byte.
@@ -189,8 +172,7 @@ impl DirectHandoff {
     ///
     /// # Panics
     ///
-    /// Unwinds with [`crate::baton::KillToken`] when the simulator is
-    /// shutting down.
+    /// Unwinds with [`KillToken`] when the simulator is shutting down.
     pub(crate) fn yield_to_scheduler(&self) {
         let sched = self.release_to_scheduler(WAITING);
         sched.unpark();
@@ -276,70 +258,52 @@ impl std::fmt::Debug for DirectHandoff {
     }
 }
 
-/// The per-process handoff object used by the scheduler and the process
-/// context: one of the two protocols, chosen per simulator at
-/// construction time.
-#[derive(Debug)]
-pub(crate) enum Baton {
-    Direct(DirectHandoff),
-    Condvar(CondvarBaton),
+/// Panic payload used to unwind a process thread during simulator teardown.
+/// Never escapes the crate: the thread wrapper catches it.
+pub(crate) struct KillToken;
+
+thread_local! {
+    static SUPPRESS_PANIC_HOOK: Cell<bool> = const { Cell::new(false) };
 }
 
-impl Baton {
-    pub(crate) fn new(kind: HandoffKind) -> Baton {
-        match kind {
-            HandoffKind::Direct => Baton::Direct(DirectHandoff::new()),
-            HandoffKind::CondvarBaton => Baton::Condvar(CondvarBaton::new()),
-        }
-    }
+static HOOK_INIT: Once = Once::new();
 
-    pub(crate) fn set_proc_thread(&self, t: Thread) {
-        if let Baton::Direct(h) = self {
-            h.set_proc_thread(t);
-        }
-    }
+/// Installs (once, process-wide) a panic hook that suppresses the default
+/// "thread panicked" report for our internal kill-unwind, while delegating
+/// every genuine panic to the previously installed hook.
+pub(crate) fn install_silent_kill_hook() {
+    HOOK_INIT.call_once(|| {
+        let prev = std::panic::take_hook();
+        std::panic::set_hook(Box::new(move |info| {
+            if SUPPRESS_PANIC_HOOK.with(Cell::get) {
+                return;
+            }
+            prev(info);
+        }));
+    });
+}
 
-    pub(crate) fn set_scheduler(&self, t: &Thread) {
-        if let Baton::Direct(h) = self {
-            h.set_scheduler(t);
-        }
-    }
+/// Unwinds the calling process thread with a [`KillToken`], suppressing
+/// the default panic report. Any lock guards are released by the unwind.
+fn kill_unwind() -> ! {
+    SUPPRESS_PANIC_HOOK.with(|c| c.set(true));
+    std::panic::panic_any(KillToken);
+}
 
-    /// Scheduler side: returns the observed state and, on the direct
-    /// protocol, the process→scheduler resume latency.
-    pub(crate) fn dispatch(&self) -> (RunState, Option<Duration>) {
-        match self {
-            Baton::Direct(h) => h.dispatch(),
-            Baton::Condvar(b) => (b.dispatch(), None),
-        }
-    }
+/// Runs after `catch_unwind` on the process thread to re-enable panic
+/// reporting for any later panic on this thread.
+pub(crate) fn clear_panic_suppression() {
+    SUPPRESS_PANIC_HOOK.with(|c| c.set(false));
+}
 
-    pub(crate) fn yield_to_scheduler(&self) {
-        match self {
-            Baton::Direct(h) => h.yield_to_scheduler(),
-            Baton::Condvar(b) => b.yield_to_scheduler(),
-        }
-    }
-
-    pub(crate) fn wait_first_dispatch(&self) -> bool {
-        match self {
-            Baton::Direct(h) => h.wait_first_dispatch(),
-            Baton::Condvar(b) => b.wait_first_dispatch(),
-        }
-    }
-
-    pub(crate) fn finish(&self, panic_msg: Option<String>) {
-        match self {
-            Baton::Direct(h) => h.finish(panic_msg),
-            Baton::Condvar(b) => b.finish(panic_msg),
-        }
-    }
-
-    pub(crate) fn kill(&self) {
-        match self {
-            Baton::Direct(h) => h.kill(),
-            Baton::Condvar(b) => b.kill(),
-        }
+/// Extracts a printable message from a panic payload.
+pub(crate) fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
+    if let Some(s) = payload.downcast_ref::<&'static str>() {
+        (*s).to_owned()
+    } else if let Some(s) = payload.downcast_ref::<String>() {
+        s.clone()
+    } else {
+        "non-string panic payload".to_owned()
     }
 }
 
@@ -348,8 +312,9 @@ mod tests {
     use super::*;
     use std::sync::Arc;
 
-    fn round_trip(kind: HandoffKind) {
-        let baton = Arc::new(Baton::new(kind));
+    #[test]
+    fn round_trip() {
+        let baton = Arc::new(DirectHandoff::new());
         let b2 = Arc::clone(&baton);
         let t = thread::spawn(move || {
             assert!(b2.wait_first_dispatch());
@@ -364,18 +329,8 @@ mod tests {
     }
 
     #[test]
-    fn direct_round_trip() {
-        round_trip(HandoffKind::Direct);
-    }
-
-    #[test]
-    fn condvar_round_trip() {
-        round_trip(HandoffKind::CondvarBaton);
-    }
-
-    #[test]
-    fn direct_kill_before_first_dispatch() {
-        let baton = Arc::new(Baton::new(HandoffKind::Direct));
+    fn kill_before_first_dispatch() {
+        let baton = Arc::new(DirectHandoff::new());
         let b2 = Arc::clone(&baton);
         let t = thread::spawn(move || b2.wait_first_dispatch());
         baton.set_proc_thread(t.thread().clone());
@@ -384,8 +339,8 @@ mod tests {
     }
 
     #[test]
-    fn direct_reports_resume_latency() {
-        let baton = Arc::new(Baton::new(HandoffKind::Direct));
+    fn reports_resume_latency() {
+        let baton = Arc::new(DirectHandoff::new());
         let b2 = Arc::clone(&baton);
         let t = thread::spawn(move || {
             assert!(b2.wait_first_dispatch());
@@ -406,28 +361,36 @@ mod tests {
     fn many_rapid_round_trips() {
         // Hammer the spin/park boundary: enough round trips that both
         // the spin fast path and the park slow path are exercised.
-        for kind in [HandoffKind::Direct, HandoffKind::CondvarBaton] {
-            let baton = Arc::new(Baton::new(kind));
-            let b2 = Arc::clone(&baton);
-            let t = thread::spawn(move || {
-                assert!(b2.wait_first_dispatch());
-                for i in 0..10_000 {
-                    if i % 97 == 0 {
-                        // Occasionally linger so the scheduler side
-                        // exhausts its spin budget and parks.
-                        std::thread::yield_now();
-                    }
-                    b2.yield_to_scheduler();
+        let baton = Arc::new(DirectHandoff::new());
+        let b2 = Arc::clone(&baton);
+        let t = thread::spawn(move || {
+            assert!(b2.wait_first_dispatch());
+            for i in 0..10_000 {
+                if i % 97 == 0 {
+                    // Occasionally linger so the scheduler side
+                    // exhausts its spin budget and parks.
+                    std::thread::yield_now();
                 }
-                b2.finish(None);
-            });
-            baton.set_proc_thread(t.thread().clone());
-            baton.set_scheduler(&thread::current());
-            for _ in 0..10_000 {
-                assert_eq!(baton.dispatch().0, RunState::Waiting);
+                b2.yield_to_scheduler();
             }
-            assert_eq!(baton.dispatch().0, RunState::Done(None));
-            t.join().unwrap();
+            b2.finish(None);
+        });
+        baton.set_proc_thread(t.thread().clone());
+        baton.set_scheduler(&thread::current());
+        for _ in 0..10_000 {
+            assert_eq!(baton.dispatch().0, RunState::Waiting);
         }
+        assert_eq!(baton.dispatch().0, RunState::Done(None));
+        t.join().unwrap();
+    }
+
+    #[test]
+    fn panic_message_extracts_strings() {
+        let payload: Box<dyn std::any::Any + Send> = Box::new("boom");
+        assert_eq!(panic_message(payload.as_ref()), "boom");
+        let payload: Box<dyn std::any::Any + Send> = Box::new(String::from("bang"));
+        assert_eq!(panic_message(payload.as_ref()), "bang");
+        let payload: Box<dyn std::any::Any + Send> = Box::new(42_u32);
+        assert_eq!(panic_message(payload.as_ref()), "non-string panic payload");
     }
 }

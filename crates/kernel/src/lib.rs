@@ -54,7 +54,6 @@
 #![deny(missing_docs)]
 #![warn(missing_debug_implementations)]
 
-mod baton;
 mod channel;
 mod config;
 mod event;
@@ -71,7 +70,6 @@ mod wheel;
 pub use channel::{Fifo, Rendezvous, Signal, SimMutex, SimSemaphore};
 pub use config::{SimOptions, TraceMode};
 pub use event::Event;
-pub use handoff::HandoffKind;
 pub use process::{ProcCtx, ProcId};
 pub use sim::{SimError, SimSummary, Simulator, StopReason};
 pub use state::{ChannelSchedStats, ProcSchedStats, SchedSnapshot};

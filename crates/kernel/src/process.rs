@@ -4,7 +4,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::event::Event;
-use crate::handoff::Baton;
+use crate::handoff::DirectHandoff;
 use crate::parallel::Effect;
 use crate::state::{Shared, TimedAction};
 use crate::time::Time;
@@ -50,7 +50,7 @@ impl fmt::Display for ProcId {
 pub struct ProcCtx {
     pub(crate) pid: usize,
     pub(crate) shared: Arc<Shared>,
-    pub(crate) baton: Arc<Baton>,
+    pub(crate) baton: Arc<DirectHandoff>,
 }
 
 impl ProcCtx {

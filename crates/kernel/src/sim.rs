@@ -8,12 +8,12 @@ use std::thread::JoinHandle;
 
 use scperf_obs::{MemorySink, MetricsSnapshot, TraceSink, TraceTable};
 
-use crate::baton::{
-    clear_panic_suppression, install_silent_kill_hook, panic_message, KillToken, RunState,
-};
 use crate::config::{SimOptions, TraceMode};
 use crate::event::Event;
-use crate::handoff::{Baton, HandoffKind};
+use crate::handoff::{
+    clear_panic_suppression, install_silent_kill_hook, panic_message, DirectHandoff, KillToken,
+    RunState,
+};
 use crate::parallel::Effect;
 use crate::process::{ProcCtx, ProcId};
 use crate::state::{AdvanceOutcome, ProcMeta, SchedSnapshot, Shared};
@@ -85,7 +85,7 @@ impl fmt::Display for SimError {
 impl std::error::Error for SimError {}
 
 struct ProcHandle {
-    baton: Arc<Baton>,
+    baton: Arc<DirectHandoff>,
     thread: Option<JoinHandle<()>>,
 }
 
@@ -125,9 +125,8 @@ pub struct Simulator {
     shared: Arc<Shared>,
     procs: Vec<ProcHandle>,
     errored: bool,
-    handoff: HandoffKind,
-    /// Accumulated process→scheduler resume latency (direct handoff
-    /// only), exported through [`Simulator::metrics`].
+    /// Accumulated process→scheduler resume latency, exported through
+    /// [`Simulator::metrics`].
     handoff_resume_nanos: u64,
     handoff_resumes: u64,
     /// Evaluate-phase parallelism degree; 1 = the sequential baton
@@ -139,18 +138,27 @@ pub struct Simulator {
 }
 
 impl Simulator {
-    /// Creates an empty simulator using the default handoff protocol
-    /// ([`HandoffKind::default_kind`]).
+    /// Creates an empty simulator with default options: sequential
+    /// evaluation, no attribution, no tracing.
     pub fn new() -> Simulator {
-        Simulator::new_with_handoff(HandoffKind::default_kind())
+        install_silent_kill_hook();
+        Simulator {
+            shared: Shared::new(),
+            procs: Vec::new(),
+            errored: false,
+            handoff_resume_nanos: 0,
+            handoff_resumes: 0,
+            jobs: 1,
+            pool: None,
+        }
     }
 
     /// Creates an empty simulator from a [`SimOptions`] value: the
-    /// handoff protocol plus the trace-sink wiring, in one place. This
-    /// is the constructor the `scperf_core::SimConfig` session builder
-    /// threads its kernel half through.
+    /// evaluate-phase parallelism, attribution and trace-sink wiring, in
+    /// one place. This is the constructor the `scperf_core::SimConfig`
+    /// session builder threads its kernel half through.
     pub fn with_options(options: SimOptions) -> Simulator {
-        let mut sim = Simulator::new_with_handoff(options.handoff);
+        let mut sim = Simulator::new();
         sim.set_jobs(options.jobs);
         if options.attribution {
             sim.set_attribution(true);
@@ -164,39 +172,6 @@ impl Simulator {
             },
         }
         sim
-    }
-
-    /// Creates an empty simulator with an explicit scheduler↔process
-    /// handoff protocol. [`HandoffKind::Direct`] is the fast path;
-    /// [`HandoffKind::CondvarBaton`] is the original mutex+condvar
-    /// protocol, kept for debugging and as the A/B baseline of the
-    /// kernel microbenches. Both produce bit-identical traces.
-    #[deprecated(
-        since = "0.4.0",
-        note = "use `SimOptions::new().handoff(kind).build()` (or the \
-                `scperf_core::SimConfig` session builder)"
-    )]
-    pub fn with_handoff(kind: HandoffKind) -> Simulator {
-        Simulator::new_with_handoff(kind)
-    }
-
-    fn new_with_handoff(kind: HandoffKind) -> Simulator {
-        install_silent_kill_hook();
-        Simulator {
-            shared: Shared::new(),
-            procs: Vec::new(),
-            errored: false,
-            handoff: kind,
-            handoff_resume_nanos: 0,
-            handoff_resumes: 0,
-            jobs: 1,
-            pool: None,
-        }
-    }
-
-    /// The handoff protocol this simulator dispatches processes with.
-    pub fn handoff_kind(&self) -> HandoffKind {
-        self.handoff
     }
 
     /// Sets the evaluate-phase parallelism degree (normally through
@@ -234,7 +209,7 @@ impl Simulator {
             st.procs.push(ProcMeta::new(name.clone()));
             st.procs.len() - 1
         });
-        let baton = Arc::new(Baton::new(self.handoff));
+        let baton = Arc::new(DirectHandoff::new());
         let mut ctx = ProcCtx {
             pid,
             shared: Arc::clone(&self.shared),
@@ -340,10 +315,9 @@ impl Simulator {
     /// notification counts, per-channel access counts, …). Available at
     /// any point, with or without tracing.
     ///
-    /// On the direct-handoff scheduler this includes the accumulated
-    /// process→scheduler resume latency (`kernel.handoff.*`): the host
-    /// time from a process releasing the baton to the scheduler
-    /// observing it.
+    /// This includes the accumulated process→scheduler resume latency
+    /// (`kernel.handoff.*`): the host time from a process releasing the
+    /// baton to the scheduler observing it.
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut m = self.shared.with_state(|st| st.metrics_snapshot());
         m.set_counter("kernel.handoff.resumes", self.handoff_resumes);
@@ -433,7 +407,7 @@ impl Simulator {
         assert!(!self.errored, "simulator is poisoned by an earlier error");
         // Register this thread as the unpark target for process yields.
         // Every process is parked (or not yet started) here, so the
-        // direct-handoff cells are safe to write.
+        // handoff cells are safe to write.
         let scheduler = std::thread::current();
         for proc in &self.procs {
             proc.baton.set_scheduler(&scheduler);
@@ -550,7 +524,6 @@ impl Simulator {
                 }
                 Err(SimError::ProcessPanic { process, message })
             }
-            other => unreachable!("dispatch observed unexpected state {other:?}"),
         }
     }
 
@@ -596,7 +569,7 @@ impl Simulator {
         let base = members.len() / workers;
         let extra = members.len() % workers;
         let mut start = 0usize;
-        let mut chunks: Vec<Vec<(usize, Arc<Baton>)>> = Vec::with_capacity(workers);
+        let mut chunks: Vec<Vec<(usize, Arc<DirectHandoff>)>> = Vec::with_capacity(workers);
         for w in 0..workers {
             let len = base + usize::from(w < extra);
             let chunk = members[start..start + len]
@@ -704,7 +677,6 @@ impl Simulator {
                             message,
                         });
                     }
-                    Some(other) => unreachable!("parallel dispatch observed {other:?}"),
                 }
             }
             st.current = None;
@@ -736,9 +708,8 @@ impl Simulator {
     /// channel registries, trace sink) is cleared in place, the
     /// `kernel.par.*` counters are zeroed, and the error/poison flag is
     /// cleared — a [`SimError::NonDeterminate`] in the previous life
-    /// does not poison the next one. The handoff protocol, `jobs`
-    /// degree, attribution flag and the lazily created dispatcher pool
-    /// are kept.
+    /// does not poison the next one. The `jobs` degree, attribution flag
+    /// and the lazily created dispatcher pool are kept.
     ///
     /// After a reset the simulator behaves exactly like
     /// `Simulator::with_options` with the same options: spawn processes,
@@ -774,7 +745,7 @@ impl Simulator {
 /// it yields, and marks it yielded on the round gate (releasing any
 /// higher-pid fences waiting on it).
 fn run_chunk(
-    chunk: Vec<(usize, Arc<Baton>)>,
+    chunk: Vec<(usize, Arc<DirectHandoff>)>,
     gate: &crate::parallel::RoundGate,
     outcomes: &scperf_sync::Mutex<Vec<(usize, RunState, Option<std::time::Duration>)>>,
 ) {

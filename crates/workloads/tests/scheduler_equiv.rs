@@ -1,25 +1,17 @@
-//! Scheduler-equivalence tests: the direct park/unpark handoff and the
-//! condvar run-baton fallback must be *observationally identical* on a
-//! real workload — same functional output, same [`SimSummary`], and a
-//! bit-identical functional trace. Anything less means the hot-path
-//! rewrite changed simulation semantics, not just host performance.
+//! Scheduler-equivalence tests: parallel evaluation must be
+//! *observationally identical* to the sequential kernel on a real
+//! workload — same functional output, same [`SimSummary`], and a
+//! bit-identical functional trace. Anything less means the parallel
+//! kernel changed simulation semantics, not just host performance.
 
 use scperf_kernel::trace::functional_projection;
-use scperf_kernel::{HandoffKind, SimOptions, SimSummary, Time, TraceMode};
+use scperf_kernel::{SimOptions, SimSummary, TraceMode};
 use scperf_workloads::vocoder::pipeline::build_plain;
 
 const NFRAMES: usize = 12;
 
-fn run_vocoder(kind: HandoffKind) -> (i32, SimSummary, Vec<(String, String, String)>) {
-    run_vocoder_jobs(kind, 1)
-}
-
-fn run_vocoder_jobs(
-    kind: HandoffKind,
-    jobs: usize,
-) -> (i32, SimSummary, Vec<(String, String, String)>) {
+fn run_vocoder_jobs(jobs: usize) -> (i32, SimSummary, Vec<(String, String, String)>) {
     let mut sim = SimOptions::new()
-        .handoff(kind)
         .jobs(jobs)
         .tracing(TraceMode::Unbounded)
         .build();
@@ -29,74 +21,19 @@ fn run_vocoder_jobs(
     (chk, summary, functional_projection(&sim.take_trace()))
 }
 
-/// The five-stage vocoder pipeline — blocking FIFOs all the way through —
-/// is the paper's own case study and the strongest available stressor of
-/// scheduler↔process round trips.
-#[test]
-fn vocoder_trace_is_bit_identical_across_handoffs() {
-    let (chk_d, sum_d, trace_d) = run_vocoder(HandoffKind::Direct);
-    let (chk_c, sum_c, trace_c) = run_vocoder(HandoffKind::CondvarBaton);
-    assert_eq!(chk_d, chk_c, "functional checksum diverged");
-    assert_eq!(sum_d, sum_c, "summary diverged");
-    assert_eq!(trace_d, trace_c, "functional trace diverged");
-}
-
-/// The same vocoder under parallel evaluation (`jobs ∈ {2, 8}`) must
-/// reproduce the sequential run exactly: same checksum, same summary,
-/// same functional trace. This is the paper-case-study instance of the
-/// determinism contract in `docs/PARALLELISM.md`.
+/// The five-stage vocoder pipeline — blocking FIFOs all the way through,
+/// the paper's own case study — under parallel evaluation
+/// (`jobs ∈ {2, 8}`) must reproduce the sequential run exactly: same
+/// checksum, same summary, same functional trace. This is the
+/// paper-case-study instance of the determinism contract in
+/// `docs/PARALLELISM.md`.
 #[test]
 fn vocoder_trace_is_bit_identical_across_jobs() {
-    let (chk_1, sum_1, trace_1) = run_vocoder_jobs(HandoffKind::Direct, 1);
+    let (chk_1, sum_1, trace_1) = run_vocoder_jobs(1);
     for jobs in [2usize, 8] {
-        let (chk_j, sum_j, trace_j) = run_vocoder_jobs(HandoffKind::Direct, jobs);
+        let (chk_j, sum_j, trace_j) = run_vocoder_jobs(jobs);
         assert_eq!(chk_1, chk_j, "functional checksum diverged at jobs={jobs}");
         assert_eq!(sum_1, sum_j, "summary diverged at jobs={jobs}");
         assert_eq!(trace_1, trace_j, "functional trace diverged at jobs={jobs}");
     }
-}
-
-/// A timed synthetic pipeline mixing wait(time) storms with blocking
-/// channel traffic: timer ordering comes from the new time wheel, wakeup
-/// delivery from the new handoff — both must reproduce the condvar
-/// baseline exactly.
-#[test]
-fn timed_pipeline_is_bit_identical_across_handoffs() {
-    fn run(kind: HandoffKind) -> (SimSummary, Vec<(String, String, String)>) {
-        let mut sim = SimOptions::new().handoff(kind).build();
-        sim.enable_tracing();
-        let ch = sim.fifo::<u64>("stage", 3);
-        for p in 0..4u64 {
-            let tx = ch.clone();
-            sim.spawn(format!("gen{p}"), move |ctx| {
-                let mut x = p + 1;
-                for _ in 0..32 {
-                    // Deterministic pseudo-random waits, different per
-                    // generator, some colliding at the same instant.
-                    x ^= x << 13;
-                    x ^= x >> 7;
-                    x ^= x << 17;
-                    ctx.wait(Time::ns(x % 97));
-                    tx.write(ctx, x);
-                }
-            });
-        }
-        let rx = ch;
-        sim.spawn("fold", move |ctx| {
-            let mut chk = 0u64;
-            for i in 0..128 {
-                chk = chk.wrapping_mul(1099511628211).wrapping_add(rx.read(ctx));
-                if i % 16 == 15 {
-                    ctx.emit_trace("chk", chk.to_string());
-                }
-            }
-        });
-        let summary = sim.run().expect("runs");
-        (summary, functional_projection(&sim.take_trace()))
-    }
-
-    let (sum_d, trace_d) = run(HandoffKind::Direct);
-    let (sum_c, trace_c) = run(HandoffKind::CondvarBaton);
-    assert_eq!(sum_d, sum_c);
-    assert_eq!(trace_d, trace_c);
 }

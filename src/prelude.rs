@@ -66,8 +66,8 @@ pub use scperf_core::{determinism, rate};
 
 // --- Kernel: simulation time, lifecycle, process context, options.
 pub use scperf_kernel::{
-    HandoffKind, ProcCtx, ProcId, SimError, SimOptions, SimSummary, Simulator, StopReason, Time,
-    TraceMode, TraceRecord,
+    ProcCtx, ProcId, SimError, SimOptions, SimSummary, Simulator, StopReason, Time, TraceMode,
+    TraceRecord,
 };
 
 // --- Observability results surfaced by `Session`.
