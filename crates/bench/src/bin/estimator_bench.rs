@@ -25,15 +25,17 @@
 //! Every configuration must produce bit-identical simulated time and
 //! checksums — the bench asserts this — so `memoized_speedup` and
 //! `prog_speedup` are host-time ratios over the live path at identical
-//! estimates. `--quick` shrinks only the charge and plain-thread streams:
-//! fir and vocoder keep their sizes so that memoization amortizes
-//! recording the same way in both modes. Results go to
-//! `BENCH_estimator.json` together with the host's cpu count.
+//! estimates. Live and memoized runs alternate, as do the attribution
+//! off and on runs. `--quick` shrinks only the charge and plain-thread
+//! streams: fir and vocoder keep their sizes so that memoization
+//! amortizes recording the same way in both modes. Results go to
+//! `BENCH_estimator.json` together with the host's cpu count; the
+//! committed baseline is a run pinned to one CPU (`taskset -c 0`).
 
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use scperf_bench::microbench::{host_cpus, BenchArgs, Spread};
+use scperf_bench::microbench::{host_cpus, interleave, min_secs, ns_per_unit, BenchArgs, Spread};
 use scperf_core::{charge_op, CostTable, MemoMode, Op, Platform, ProgramSet, SimConfig, G};
 use scperf_kernel::Time;
 use scperf_obs::json::JsonWriter;
@@ -190,10 +192,8 @@ fn vocoder_warm_run(set: Arc<ProgramSet>, nframes: usize) -> (Run, u64) {
     )
 }
 
-/// Runs `run` `reps` times, asserting every run produces the same
-/// estimate and data.
-fn repeat(name: &str, reps: usize, run: impl Fn() -> Run) -> Vec<Run> {
-    let runs: Vec<Run> = (0..reps).map(|_| run()).collect();
+/// Asserts that every run produced the same estimate and data.
+fn consistent(name: &str, runs: Vec<Run>) -> Vec<Run> {
     for r in &runs[1..] {
         assert_eq!(
             r.end_time_ps, runs[0].end_time_ps,
@@ -204,18 +204,9 @@ fn repeat(name: &str, reps: usize, run: impl Fn() -> Run) -> Vec<Run> {
     runs
 }
 
-fn min_secs(runs: &[Run]) -> f64 {
-    runs.iter()
-        .map(|r| r.elapsed)
-        .min()
-        .expect("reps > 0")
-        .as_secs_f64()
-}
-
-/// Host nanoseconds per charged operation of each run.
-fn ns_per(ops: u64, times: impl Iterator<Item = Duration>) -> Spread {
-    let per: Vec<f64> = times.map(|t| t.as_secs_f64() * 1e9 / ops as f64).collect();
-    Spread::of(&per)
+/// The host time of each run.
+fn times(runs: &[Run]) -> Vec<Duration> {
+    runs.iter().map(|r| r.elapsed).collect()
 }
 
 struct BenchResult {
@@ -228,19 +219,20 @@ struct BenchResult {
 
 impl BenchResult {
     fn cost(&self, runs: &[Run]) -> Spread {
-        ns_per(self.charges, runs.iter().map(|r| r.elapsed))
+        ns_per_unit(self.charges, &times(runs))
     }
 
     /// Best-of-reps live time over best-of-reps memoized time.
     fn memo_speedup(&self) -> f64 {
-        min_secs(&self.live) / min_secs(&self.memo)
+        min_secs(&times(&self.live)) / min_secs(&times(&self.memo))
     }
 }
 
-/// Measures both configurations, asserting they agree bit for bit.
+/// Measures both configurations alternately, asserting they agree bit
+/// for bit.
 fn bench(name: &'static str, reps: usize, run: impl Fn(Config) -> Run) -> BenchResult {
-    let live = repeat(name, reps, || run(Config::Live));
-    let memo = repeat(name, reps, || run(Config::Memoized));
+    let (live, memo) = interleave(reps, || run(Config::Live), || run(Config::Memoized));
+    let (live, memo) = (consistent(name, live), consistent(name, memo));
     assert_eq!(
         live[0].end_time_ps, memo[0].end_time_ps,
         "{name}: memoization changed the estimate"
@@ -283,7 +275,8 @@ fn main() {
     );
 
     // The absent-context case first: it needs no session at all.
-    let plain = ns_per(plain_ops, (0..args.reps).map(|_| plain_thread(plain_ops)));
+    let plain_times: Vec<Duration> = (0..args.reps).map(|_| plain_thread(plain_ops)).collect();
+    let plain = ns_per_unit(plain_ops, &plain_times);
     println!(
         "{:>12}: {:>7.2} ns/op (min {:.2}, stddev {:.2}; no context installed)",
         "plain_thread", plain.median, plain.min, plain.stddev
@@ -296,16 +289,20 @@ fn main() {
     ];
 
     // Attribution overhead: busy/contention accounting on the memoized
-    // charge stream. The estimate must stay bit-identical and the
-    // best-of-reps host-time overhead ≤ 5%.
-    let attr = repeat("charge+attribution", args.reps, || {
-        charge_stream(Config::Memoized, charge_ops, true)
-    });
+    // charge stream, with attribution off and on alternately. The
+    // estimate must stay bit-identical and the best-of-reps host-time
+    // overhead ≤ 5%.
+    let (attr_off, attr_on) = interleave(
+        args.reps,
+        || charge_stream(Config::Memoized, charge_ops, false),
+        || charge_stream(Config::Memoized, charge_ops, true),
+    );
+    let attr_on = consistent("charge+attribution", attr_on);
     assert_eq!(
-        results[0].memo[0].end_time_ps, attr[0].end_time_ps,
+        results[0].memo[0].end_time_ps, attr_on[0].end_time_ps,
         "charge: attribution changed the estimate"
     );
-    let (off, on) = (min_secs(&results[0].memo), min_secs(&attr));
+    let (off, on) = (min_secs(&times(&attr_off)), min_secs(&times(&attr_on)));
     let attr_overhead = on / off - 1.0;
     println!(
         " attribution: off {off:.4}s  on {on:.4}s  overhead {:+.2}%",
@@ -355,7 +352,7 @@ fn main() {
         "warm run fetched nothing from the shared set"
     );
     let warm_cost = vocoder.cost(&warm);
-    let prog_speedup = min_secs(&vocoder.live) / min_secs(&warm);
+    let prog_speedup = min_secs(&times(&vocoder.live)) / min_secs(&times(&warm));
     println!(
         "    programs: {} bytes on the wire, warm {:>7.2} ns/charge ({:>5.2}x, {} warm fetches)",
         wire.len(),

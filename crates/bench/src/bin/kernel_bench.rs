@@ -33,12 +33,14 @@
 //! Every repetition of a kernel must produce the *same* [`SimSummary`],
 //! and both `jobs` values must agree — the bench asserts this — so the
 //! costs and the parallel speedup are measured at identical simulated
-//! behaviour. Results go to `BENCH_kernel.json` together with the host's
-//! cpu count.
+//! behaviour. The two legs of each ratio (`jobs = 1` vs `n`, attribution
+//! off vs on) run alternately. Results go to `BENCH_kernel.json`
+//! together with the host's cpu count; the committed baseline is a run
+//! pinned to one CPU (`taskset -c 0`).
 
 use std::time::{Duration, Instant};
 
-use scperf_bench::microbench::{host_cpus, BenchArgs, Spread};
+use scperf_bench::microbench::{host_cpus, interleave, min_secs, ns_per_unit, BenchArgs, Spread};
 use scperf_kernel::{SimOptions, SimSummary, Simulator, Time};
 use scperf_obs::json::JsonWriter;
 
@@ -187,37 +189,22 @@ fn par_fanout(jobs: usize, procs: usize, rounds: u64, work: u64) -> (SimSummary,
     (summary, start.elapsed())
 }
 
-/// Runs `run` `reps` times, asserting every run simulates the same
-/// summary. Returns the summary and the per-run wall times.
-fn repeat(
-    name: &str,
-    reps: usize,
-    run: impl Fn() -> (SimSummary, Duration),
-) -> (SimSummary, Vec<Duration>) {
-    let (summary, first) = run();
-    let mut times = vec![first];
-    for _ in 1..reps {
-        let (s, t) = run();
+/// Asserts that every run simulated the same summary and returns it
+/// together with the per-run wall times.
+fn same_summary(name: &str, runs: Vec<(SimSummary, Duration)>) -> (SimSummary, Vec<Duration>) {
+    let summary = runs[0].0;
+    for (s, _) in &runs[1..] {
         assert_eq!(
-            s, summary,
+            *s, summary,
             "{name}: repetitions disagree on simulated behaviour"
         );
-        times.push(t);
     }
-    (summary, times)
+    (summary, runs.into_iter().map(|(_, t)| t).collect())
 }
 
-fn min_secs(times: &[Duration]) -> f64 {
-    times.iter().min().expect("reps > 0").as_secs_f64()
-}
-
-/// Host nanoseconds per activation of each run.
-fn ns_per_activation(summary: &SimSummary, times: &[Duration]) -> Spread {
-    let per: Vec<f64> = times
-        .iter()
-        .map(|t| t.as_secs_f64() * 1e9 / summary.activations as f64)
-        .collect();
-    Spread::of(&per)
+/// `reps` runs of `run`.
+fn repeat(reps: usize, run: impl Fn() -> (SimSummary, Duration)) -> Vec<(SimSummary, Duration)> {
+    (0..reps).map(|_| run()).collect()
 }
 
 struct BenchResult {
@@ -227,9 +214,9 @@ struct BenchResult {
     cost: Spread,
 }
 
-fn bench(name: &'static str, reps: usize, run: impl Fn() -> (SimSummary, Duration)) -> BenchResult {
-    let (summary, times) = repeat(name, reps, run);
-    let cost = ns_per_activation(&summary, &times);
+fn bench(name: &'static str, runs: Vec<(SimSummary, Duration)>) -> BenchResult {
+    let (summary, times) = same_summary(name, runs);
+    let cost = ns_per_unit(summary.activations, &times);
     println!(
         "{name:>12}: {:>8.1} ns/activation (min {:.1}, stddev {:.1}; {} activations)",
         cost.median, cost.min, cost.stddev, summary.activations,
@@ -254,23 +241,24 @@ struct ParResult {
 /// Runs a jobs-parameterized scenario at `jobs = 1` and `jobs = n` and
 /// asserts the determinism contract (`docs/PARALLELISM.md`): the
 /// summaries must be bit-identical, so the speedup is a pure host-time
-/// ratio at identical simulated behaviour.
+/// ratio at identical simulated behaviour. The two legs run alternately.
 fn par_bench(
     name: &'static str,
     reps: usize,
     n: usize,
     run: impl Fn(usize) -> (SimSummary, Duration),
 ) -> ParResult {
-    let (sum_1, t1) = repeat(name, reps, || run(1));
-    let (sum_n, tn) = repeat(name, reps, || run(n));
+    let (runs_1, runs_n) = interleave(reps, || run(1), || run(n));
+    let (sum_1, t1) = same_summary(name, runs_1);
+    let (sum_n, tn) = same_summary(name, runs_n);
     assert_eq!(
         sum_1, sum_n,
         "{name}: parallel evaluation changed simulated behaviour"
     );
     let r = ParResult {
         name,
-        jobs1: ns_per_activation(&sum_1, &t1),
-        jobs_n: ns_per_activation(&sum_n, &tn),
+        jobs1: ns_per_unit(sum_1.activations, &t1),
+        jobs_n: ns_per_unit(sum_n.activations, &tn),
         speedup: min_secs(&t1) / min_secs(&tn),
         summary: sum_1,
     };
@@ -310,12 +298,23 @@ fn main() {
         if args.quick { ", quick" } else { "" }
     );
 
+    // Pingpong alternates with its attribution-on twin (see below), so
+    // its cost runs double as the overhead's attribution-off leg.
+    let (pingpong_runs, attribution_runs) = interleave(
+        args.reps,
+        || pingpong(pingpong_iters, false),
+        || pingpong(pingpong_iters, true),
+    );
     let results = [
-        bench("pingpong", args.reps, || pingpong(pingpong_iters, false)),
-        bench("fanout", args.reps, || fanout(fanout_procs, fanout_rounds)),
-        bench("timer_storm", args.reps, || {
-            timer_storm(storm_procs, storm_waits)
-        }),
+        bench("pingpong", pingpong_runs),
+        bench(
+            "fanout",
+            repeat(args.reps, || fanout(fanout_procs, fanout_rounds)),
+        ),
+        bench(
+            "timer_storm",
+            repeat(args.reps, || timer_storm(storm_procs, storm_waits)),
+        ),
     ];
 
     // Parallel-evaluate scenarios (SimOptions::jobs): wide deltas with
@@ -333,12 +332,11 @@ fn main() {
 
     // Attribution overhead: the scheduling-state accounting rides the
     // handoff-heaviest kernel (pingpong). The baseline is the
-    // attribution-off measurement above; the summaries must stay
-    // bit-identical and the best-of-reps host-time overhead ≤ 5%.
+    // attribution-off measurement above, taken alternately with this
+    // one; the summaries must stay bit-identical and the best-of-reps
+    // host-time overhead ≤ 5%.
     let base = &results[0];
-    let (attr_sum, attr_times) = repeat("pingpong+attribution", args.reps, || {
-        pingpong(pingpong_iters, true)
-    });
+    let (attr_sum, attr_times) = same_summary("pingpong+attribution", attribution_runs);
     assert_eq!(
         attr_sum, base.summary,
         "pingpong: attribution changed simulated behaviour"
@@ -377,8 +375,6 @@ fn main() {
         w.begin_object();
         write_summary(&mut w, r.name, &r.summary);
         r.cost.write(&mut w, "ns_per_activation");
-        w.key("activations_per_sec");
-        w.value_f64(1e9 / r.cost.median);
         w.key("summaries_identical");
         w.value_bool(true);
         w.end_object();

@@ -13,9 +13,9 @@
 //!   stdio path at each worker count: end-to-end seconds, requests/s
 //!   and the service's own p50/p90/p99 latency. Simulation is
 //!   CPU-bound, so this scales with *host cores*, not worker count —
-//!   the committed numbers come from a single-core container
-//!   (`host_cpus` is recorded; see the JSON) and are expected to stay
-//!   flat there.
+//!   the committed numbers come from a run pinned to one CPU
+//!   (`taskset -c 0`; `host_cpus` is recorded, see the JSON) and are
+//!   expected to stay flat there.
 //! * **determinism** — the same mixed batch rendered by a 1-worker and
 //!   an 8-worker service must produce *bitwise identical* response
 //!   payloads. Asserted, not just reported.
@@ -40,6 +40,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use scperf_bench::microbench::host_cpus;
 use scperf_obs::json::JsonWriter;
 use scperf_serve::{Responder, Service, ServiceConfig, TcpServer};
 
@@ -283,9 +284,7 @@ fn slow_client_run(workers: usize, clients: usize, delay: Duration) -> SlowClien
 
 fn main() {
     let quick = std::env::args().any(|a| a == "--quick");
-    let host_cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
+    let host_cpus = host_cpus();
     let requests = if quick { 8 } else { 24 };
     let nframes = 2;
     let clients = 8;

@@ -197,8 +197,42 @@ impl Spread {
     }
 }
 
+/// Runs `a` and `b` alternately, `reps` times each, and returns each
+/// leg's results in run order. A ratio between two legs measured in
+/// separate blocks also measures how the host's speed drifted between
+/// the blocks (frequency scaling, neighbours on a shared machine);
+/// alternating makes that drift hit both legs alike.
+pub fn interleave<T>(reps: usize, a: impl Fn() -> T, b: impl Fn() -> T) -> (Vec<T>, Vec<T>) {
+    (0..reps).map(|_| (a(), b())).unzip()
+}
+
+/// Host nanoseconds per unit of work (activation, charge, op) of each
+/// run, where every run did `units` units.
+///
+/// # Panics
+///
+/// Panics if `times` is empty.
+pub fn ns_per_unit(units: u64, times: &[Duration]) -> Spread {
+    let per: Vec<f64> = times
+        .iter()
+        .map(|t| t.as_secs_f64() * 1e9 / units as f64)
+        .collect();
+    Spread::of(&per)
+}
+
+/// The fastest of `times` in seconds: the best-of-reps time the
+/// same-run speedups divide.
+///
+/// # Panics
+///
+/// Panics if `times` is empty.
+pub fn min_secs(times: &[Duration]) -> f64 {
+    times.iter().min().expect("no runs").as_secs_f64()
+}
+
 /// The host's available parallelism, recorded next to every result
-/// that depends on threads.
+/// that depends on threads. It honours CPU affinity, so a run pinned
+/// with `taskset -c 0` reports 1.
 pub fn host_cpus() -> usize {
     std::thread::available_parallelism().map_or(1, |n| n.get())
 }
@@ -215,6 +249,27 @@ mod tests {
         assert!((s.stddev - 1.25_f64.sqrt()).abs() < 1e-12);
         assert_eq!(Spread::of(&[7.0]).stddev, 0.0);
         assert_eq!(Spread::of(&[3.0, 9.0, 5.0]).median, 5.0);
+    }
+
+    #[test]
+    fn per_unit_costs_and_best_time() {
+        let times = [Duration::from_micros(30), Duration::from_micros(10)];
+        let s = ns_per_unit(10, &times);
+        assert_eq!(s.min, 1_000.0);
+        assert_eq!(s.median, 2_000.0);
+        assert_eq!(min_secs(&times), 10e-6);
+    }
+
+    #[test]
+    fn interleave_alternates_the_legs() {
+        let order = std::cell::RefCell::new(Vec::new());
+        let (a, b) = interleave(
+            3,
+            || order.borrow_mut().push('a'),
+            || order.borrow_mut().push('b'),
+        );
+        assert_eq!((a.len(), b.len()), (3, 3));
+        assert_eq!(order.into_inner(), ['a', 'b', 'a', 'b', 'a', 'b']);
     }
 
     #[test]
