@@ -18,16 +18,14 @@
 //!   host times, so they move with the host; the problem sizes are
 //!   chosen so that `--quick` runs measure the same per-unit cost as
 //!   full ones.
-//! * **same-run ratios** (higher is better): the parallel-kernel
-//!   `speedup`, `memoized_speedup`, `prog_speedup` and `pool_speedup`,
-//!   each one code path against another on the same machine in the
-//!   same run.
+//! * **same-run ratios** (higher is better): `memoized_speedup`,
+//!   `prog_speedup` and `pool_speedup`, each one code path against
+//!   another on the same machine in the same run.
 //!
 //! Both kinds only mean something on the setup the baseline was taken
 //! on, so before scoring a pair the gate checks that the two documents
-//! agree on the top-level `host_cpus` and on every bench's `jobs` (the
-//! parallel-kernel worker count). A pair that differs in either **fails**
-//! as a baseline host mismatch and is not scored. Baselines and gate runs
+//! agree on the top-level `host_cpus`. A pair that differs **fails** as
+//! a baseline host mismatch and is not scored. Baselines and gate runs
 //! are therefore taken the same way: pinned to one CPU with
 //! `taskset -c 0`, which also keeps the handoff-dominated costs steady
 //! (a same-CPU handoff costs a few µs; a cross-CPU wake-up costs several
@@ -49,12 +47,7 @@ use scperf_bench::microbench::Spread;
 use scperf_serve::json::{parse, Json};
 
 /// Same-run ratio keys: higher is better.
-const RATIO_KEYS: [&str; 4] = [
-    "speedup",
-    "memoized_speedup",
-    "pool_speedup",
-    "prog_speedup",
-];
+const RATIO_KEYS: [&str; 3] = ["memoized_speedup", "pool_speedup", "prog_speedup"];
 
 /// Per-unit cost keys (medians over reps): lower is better.
 const COST_KEYS: [&str; 5] = [
@@ -111,39 +104,14 @@ fn metrics(doc: &Json) -> Vec<Metric> {
     out
 }
 
-/// The setup a document's scores depend on, as `(label, value)`: the
-/// top-level `host_cpus` and each bench's `jobs`.
-fn host_setup(doc: &Json) -> Vec<(String, Option<f64>)> {
-    let mut out = vec![(
-        "host_cpus".to_string(),
-        doc.get("host_cpus").and_then(|v| v.as_f64()),
-    )];
-    if let Some(benches) = doc.get("benches").and_then(|b| b.as_arr()) {
-        for b in benches {
-            if let Some(jobs) = b.get("jobs").and_then(|v| v.as_f64()) {
-                let bench = b.get("name").and_then(|n| n.as_str()).unwrap_or("?");
-                out.push((format!("{bench}.jobs"), Some(jobs)));
-            }
-        }
-    }
-    out
-}
-
-/// Every setting of the baseline's [`host_setup`] that the current run
-/// does not reproduce, rendered as `label baseline vs current`.
-fn host_mismatches(base: &Json, cur: &Json) -> Vec<String> {
-    let cur_setup = host_setup(cur);
+/// The top-level `host_cpus` the scores depend on, when the current run
+/// does not reproduce the baseline's, rendered as
+/// `host_cpus baseline vs current`.
+fn host_mismatch(base: &Json, cur: &Json) -> Option<String> {
+    let cpus = |doc: &Json| doc.get("host_cpus").and_then(|v| v.as_f64());
     let show = |v: Option<f64>| v.map_or_else(|| "absent".to_string(), |v| v.to_string());
-    host_setup(base)
-        .into_iter()
-        .filter_map(|(label, b)| {
-            let c = cur_setup
-                .iter()
-                .find(|(l, _)| *l == label)
-                .and_then(|(_, v)| *v);
-            (b != c).then(|| format!("{label} {} vs {}", show(b), show(c)))
-        })
-        .collect()
+    let (b, c) = (cpus(base), cpus(cur));
+    (b != c).then(|| format!("host_cpus {} vs {}", show(b), show(c)))
 }
 
 fn overhead_pct(doc: &Json) -> Option<f64> {
@@ -184,9 +152,7 @@ fn main() -> ExitCode {
         let cur = load(cur_path);
         println!("{base_path} vs {cur_path}:");
 
-        let mismatches = host_mismatches(&base, &cur);
-        if !mismatches.is_empty() {
-            let what = mismatches.join(", ");
+        if let Some(what) = host_mismatch(&base, &cur) {
             println!("  baseline host mismatch ({what}): not scored");
             failures.push(format!(
                 "{cur_path}: baseline host mismatch with {base_path} ({what})"
@@ -260,21 +226,20 @@ mod tests {
     }
 
     #[test]
-    fn host_mismatch_names_every_differing_setting() {
-        let base =
-            doc(r#"{"host_cpus":1,"benches":[{"name":"pingpong"},{"name":"par_pairs","jobs":2}]}"#);
-        assert!(host_mismatches(&base, &base).is_empty());
+    fn host_mismatch_names_the_differing_cpu_count() {
+        let base = doc(r#"{"host_cpus":1,"benches":[{"name":"pingpong"}]}"#);
+        assert_eq!(host_mismatch(&base, &base), None);
 
-        let other_host = doc(r#"{"host_cpus":4,"benches":[{"name":"par_pairs","jobs":4}]}"#);
+        let other_host = doc(r#"{"host_cpus":4,"benches":[{"name":"pingpong"}]}"#);
         assert_eq!(
-            host_mismatches(&base, &other_host),
-            ["host_cpus 1 vs 4", "par_pairs.jobs 2 vs 4"]
+            host_mismatch(&base, &other_host).as_deref(),
+            Some("host_cpus 1 vs 4")
         );
 
-        let no_par = doc(r#"{"host_cpus":1,"benches":[]}"#);
+        let unrecorded = doc(r#"{"benches":[]}"#);
         assert_eq!(
-            host_mismatches(&base, &no_par),
-            ["par_pairs.jobs 2 vs absent"]
+            host_mismatch(&base, &unrecorded).as_deref(),
+            Some("host_cpus 1 vs absent")
         );
     }
 }

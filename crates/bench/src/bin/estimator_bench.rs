@@ -26,7 +26,8 @@
 //! checksums — the bench asserts this — so `memoized_speedup` and
 //! `prog_speedup` are host-time ratios over the live path at identical
 //! estimates. Live and memoized runs alternate, as do the attribution
-//! off and on runs. `--quick` shrinks only the charge and plain-thread
+//! off and on runs; the attribution overhead is the median of the
+//! per-pair ratios. `--quick` shrinks only the charge and plain-thread
 //! streams: fir and vocoder keep their sizes so that memoization
 //! amortizes recording the same way in both modes. Results go to
 //! `BENCH_estimator.json` together with the host's cpu count; the
@@ -35,7 +36,9 @@
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
-use scperf_bench::microbench::{host_cpus, interleave, min_secs, ns_per_unit, BenchArgs, Spread};
+use scperf_bench::microbench::{
+    host_cpus, interleave, min_secs, ns_per_unit, paired_overhead, BenchArgs, Spread,
+};
 use scperf_core::{charge_op, CostTable, MemoMode, Op, Platform, ProgramSet, SimConfig, G};
 use scperf_kernel::Time;
 use scperf_obs::json::JsonWriter;
@@ -290,8 +293,8 @@ fn main() {
 
     // Attribution overhead: busy/contention accounting on the memoized
     // charge stream, with attribution off and on alternately. The
-    // estimate must stay bit-identical and the best-of-reps host-time
-    // overhead ≤ 5%.
+    // estimate must stay bit-identical and the median of the per-pair
+    // host-time overheads ≤ 5%.
     let (attr_off, attr_on) = interleave(
         args.reps,
         || charge_stream(Config::Memoized, charge_ops, false),
@@ -303,7 +306,7 @@ fn main() {
         "charge: attribution changed the estimate"
     );
     let (off, on) = (min_secs(&times(&attr_off)), min_secs(&times(&attr_on)));
-    let attr_overhead = on / off - 1.0;
+    let attr_overhead = paired_overhead(&times(&attr_off), &times(&attr_on));
     println!(
         " attribution: off {off:.4}s  on {on:.4}s  overhead {:+.2}%",
         attr_overhead * 100.0

@@ -1,6 +1,5 @@
-//! Kernel hot-path microbenchmarks: the scheduler↔process handoff, the
-//! timed-notification queue and the parallel evaluate phase, reported as
-//! absolute per-unit costs.
+//! Kernel hot-path microbenchmarks: the scheduler↔process handoff and
+//! the timed-notification queue, reported as absolute per-unit costs.
 //!
 //! Usage:
 //!
@@ -8,8 +7,8 @@
 //! cargo run -p scperf-bench --release --bin kernel_bench -- [--reps N] [--quick]
 //! ```
 //!
-//! Three sequential kernels, each reported as host nanoseconds per
-//! process activation (median, min and stddev over `--reps` runs):
+//! Three kernels, each reported as host nanoseconds per process
+//! activation (median, min and stddev over `--reps` runs):
 //!
 //! * **pingpong** — two processes over a [`scperf_kernel::Rendezvous`];
 //!   every transfer is a chain of scheduler↔process round trips, the
@@ -21,26 +20,19 @@
 //!   with colliding deadlines (plus a far-future tail beyond the time
 //!   wheel's span); stresses the timed queue, not the handoff.
 //!
-//! Two further scenarios sweep the parallel evaluate phase
-//! (`SimOptions::jobs`, see `docs/PARALLELISM.md`) at `jobs = 1` vs
-//! `jobs = max(2, host cpus)`:
-//!
-//! * **par_pairs** — 8 independent FIFO producer/consumer pairs with
-//!   per-activation busy work; every delta is 16 processes wide.
-//! * **par_fanout** — an event broadcast to 32 computing waiters; the
-//!   waking delta is 32 processes wide.
-//!
-//! Every repetition of a kernel must produce the *same* [`SimSummary`],
-//! and both `jobs` values must agree — the bench asserts this — so the
-//! costs and the parallel speedup are measured at identical simulated
-//! behaviour. The two legs of each ratio (`jobs = 1` vs `n`, attribution
-//! off vs on) run alternately. Results go to `BENCH_kernel.json`
-//! together with the host's cpu count; the committed baseline is a run
-//! pinned to one CPU (`taskset -c 0`).
+//! Every repetition of a kernel must produce the *same* [`SimSummary`]
+//! — the bench asserts this — so the costs are measured at identical
+//! simulated behaviour. Pingpong runs alternate with its attribution-on
+//! twin, and the attribution overhead is the median of the per-pair
+//! ratios. Results go to `BENCH_kernel.json` together with the host's
+//! cpu count; the committed baseline is a run pinned to one CPU
+//! (`taskset -c 0`).
 
 use std::time::{Duration, Instant};
 
-use scperf_bench::microbench::{host_cpus, interleave, min_secs, ns_per_unit, BenchArgs, Spread};
+use scperf_bench::microbench::{
+    host_cpus, interleave, min_secs, ns_per_unit, paired_overhead, BenchArgs, Spread,
+};
 use scperf_kernel::{SimOptions, SimSummary, Simulator, Time};
 use scperf_obs::json::JsonWriter;
 
@@ -120,75 +112,6 @@ fn timer_storm(procs: usize, waits: u64) -> (SimSummary, Duration) {
     (summary, start.elapsed())
 }
 
-/// Busy-work standing in for a process body's computation: `rounds` of
-/// xorshift on `x`. This is what the parallel evaluate phase can overlap
-/// across workers.
-fn spin(mut x: u64, rounds: u64) -> u64 {
-    for _ in 0..rounds {
-        x ^= x << 13;
-        x ^= x >> 7;
-        x ^= x << 17;
-    }
-    x
-}
-
-/// `pairs` independent producer→FIFO→consumer pairs; every activation
-/// burns `work` xorshift rounds. All pairs are runnable in the same
-/// deltas, so the evaluate phase is `2 * pairs` wide — the shape the
-/// parallel kernel (`SimOptions::jobs`) is built for.
-fn par_pairs(jobs: usize, pairs: usize, iters: u64, work: u64) -> (SimSummary, Duration) {
-    let mut sim = SimOptions::new().jobs(jobs).build();
-    for p in 0..pairs {
-        let ch = sim.fifo::<u64>(format!("ch{p}"), 4);
-        let tx = ch.clone();
-        sim.spawn(format!("prod{p}"), move |ctx| {
-            for i in 0..iters {
-                tx.write(ctx, spin(i + p as u64 + 1, work));
-                ctx.wait(Time::ns(1));
-            }
-        });
-        let rx = ch;
-        sim.spawn(format!("cons{p}"), move |ctx| {
-            let mut acc = 0u64;
-            for _ in 0..iters {
-                acc = acc.wrapping_add(spin(rx.read(ctx), work));
-            }
-            std::hint::black_box(acc);
-        });
-    }
-    let start = Instant::now();
-    let summary = sim.run().expect("par_pairs runs");
-    (summary, start.elapsed())
-}
-
-/// Wide fanout with per-waiter computation: one notifier delta-fires an
-/// event `rounds` times and `procs` waiters each burn `work` xorshift
-/// rounds per wake. The waking delta is `procs` wide.
-fn par_fanout(jobs: usize, procs: usize, rounds: u64, work: u64) -> (SimSummary, Duration) {
-    let mut sim = SimOptions::new().jobs(jobs).build();
-    let ev = sim.event("broadcast");
-    for p in 0..procs {
-        let ev = ev.clone();
-        sim.spawn(format!("waiter{p}"), move |ctx| {
-            let mut acc = p as u64 + 1;
-            for _ in 0..rounds {
-                ctx.wait_event(&ev);
-                acc = spin(acc, work);
-            }
-            std::hint::black_box(acc);
-        });
-    }
-    sim.spawn("notifier", move |ctx| {
-        for _ in 0..rounds {
-            ev.notify_delta();
-            ctx.wait(Time::ns(1));
-        }
-    });
-    let start = Instant::now();
-    let summary = sim.run().expect("par_fanout runs");
-    (summary, start.elapsed())
-}
-
 /// Asserts that every run simulated the same summary and returns it
 /// together with the per-run wall times.
 fn same_summary(name: &str, runs: Vec<(SimSummary, Duration)>) -> (SimSummary, Vec<Duration>) {
@@ -229,47 +152,6 @@ fn bench(name: &'static str, runs: Vec<(SimSummary, Duration)>) -> BenchResult {
     }
 }
 
-struct ParResult {
-    name: &'static str,
-    summary: SimSummary,
-    jobs1: Spread,
-    jobs_n: Spread,
-    /// Best-of-reps `jobs = 1` time over best-of-reps `jobs = n` time.
-    speedup: f64,
-}
-
-/// Runs a jobs-parameterized scenario at `jobs = 1` and `jobs = n` and
-/// asserts the determinism contract (`docs/PARALLELISM.md`): the
-/// summaries must be bit-identical, so the speedup is a pure host-time
-/// ratio at identical simulated behaviour. The two legs run alternately.
-fn par_bench(
-    name: &'static str,
-    reps: usize,
-    n: usize,
-    run: impl Fn(usize) -> (SimSummary, Duration),
-) -> ParResult {
-    let (runs_1, runs_n) = interleave(reps, || run(1), || run(n));
-    let (sum_1, t1) = same_summary(name, runs_1);
-    let (sum_n, tn) = same_summary(name, runs_n);
-    assert_eq!(
-        sum_1, sum_n,
-        "{name}: parallel evaluation changed simulated behaviour"
-    );
-    let r = ParResult {
-        name,
-        jobs1: ns_per_unit(sum_1.activations, &t1),
-        jobs_n: ns_per_unit(sum_n.activations, &tn),
-        speedup: min_secs(&t1) / min_secs(&tn),
-        summary: sum_1,
-    };
-    println!(
-        "{:>12}: jobs=1 {:>8.1} ns/activation  jobs={n} {:>8.1} ns/activation  \
-         speedup {:>5.2}x ({} activations)",
-        r.name, r.jobs1.median, r.jobs_n.median, r.speedup, r.summary.activations,
-    );
-    r
-}
-
 fn write_summary(w: &mut JsonWriter, name: &str, summary: &SimSummary) {
     w.key("name");
     w.value_str(name);
@@ -290,7 +172,6 @@ fn main() {
     let storm_procs = 32;
     let storm_waits = 4_000 / scale;
     let cpus = host_cpus();
-    let par_jobs = cpus.max(2);
 
     println!(
         "kernel hot-path microbench ({} reps{}, {cpus} host cpu(s))",
@@ -317,24 +198,11 @@ fn main() {
         ),
     ];
 
-    // Parallel-evaluate scenarios (SimOptions::jobs): wide deltas with
-    // real per-activation computation, jobs = 1 vs one job per host cpu
-    // (at least 2). Both runs must be bit-identical in simulated
-    // behaviour (asserted inside par_bench).
-    let par_results = [
-        par_bench("par_pairs", args.reps, par_jobs, |j| {
-            par_pairs(j, 8, 2_000 / scale, 2_000)
-        }),
-        par_bench("par_fanout", args.reps, par_jobs, |j| {
-            par_fanout(j, 32, 500 / scale, 4_000)
-        }),
-    ];
-
     // Attribution overhead: the scheduling-state accounting rides the
     // handoff-heaviest kernel (pingpong). The baseline is the
     // attribution-off measurement above, taken alternately with this
-    // one; the summaries must stay bit-identical and the best-of-reps
-    // host-time overhead ≤ 5%.
+    // one; the summaries must stay bit-identical and the median of the
+    // per-pair host-time overheads ≤ 5%.
     let base = &results[0];
     let (attr_sum, attr_times) = same_summary("pingpong+attribution", attribution_runs);
     assert_eq!(
@@ -342,7 +210,7 @@ fn main() {
         "pingpong: attribution changed simulated behaviour"
     );
     let (off, on) = (min_secs(&base.times), min_secs(&attr_times));
-    let attr_overhead = on / off - 1.0;
+    let attr_overhead = paired_overhead(&base.times, &attr_times);
     println!(
         " attribution: off {off:.4}s  on {on:.4}s  overhead {:+.2}%",
         attr_overhead * 100.0
@@ -379,19 +247,6 @@ fn main() {
         w.value_bool(true);
         w.end_object();
     }
-    for r in &par_results {
-        w.begin_object();
-        write_summary(&mut w, r.name, &r.summary);
-        w.key("jobs");
-        w.value_u64(par_jobs as u64);
-        r.jobs1.write(&mut w, "jobs1_ns_per_activation");
-        r.jobs_n.write(&mut w, "jobs_n_ns_per_activation");
-        w.key("speedup");
-        w.value_f64(r.speedup);
-        w.key("summaries_identical");
-        w.value_bool(true);
-        w.end_object();
-    }
     w.end_array();
     w.end_object();
 
@@ -407,26 +262,6 @@ fn main() {
             attr_overhead <= 0.05,
             "attribution accounting must cost <=5% on pingpong (got {:+.2}%)",
             attr_overhead * 100.0
-        );
-    }
-
-    // The >=2x parallel-throughput bar only makes sense with enough
-    // cores to spread the evaluate phase over (the determinism assert
-    // above still ran).
-    if !args.quick && cpus >= 4 {
-        for r in &par_results {
-            assert!(
-                r.speedup >= 2.0,
-                "{}: expected >=2x activation throughput at jobs={par_jobs} on a \
-                 {cpus}-core host (got {:.2}x)",
-                r.name,
-                r.speedup
-            );
-        }
-    } else {
-        println!(
-            " (parallel >=2x speedup bar skipped: {cpus} core(s), quick={})",
-            args.quick
         );
     }
 }

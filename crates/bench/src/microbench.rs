@@ -230,6 +230,25 @@ pub fn min_secs(times: &[Duration]) -> f64 {
     times.iter().min().expect("no runs").as_secs_f64()
 }
 
+/// The relative host-time overhead of the `on` leg over the `off` leg:
+/// the median over reps of `on[i] / off[i] - 1`, pairing the runs
+/// [`interleave`] took back to back. Pairing cancels host speed drift
+/// between reps, and the median ignores one disturbed pair, where a
+/// ratio of best-of-reps times rests on the two luckiest runs alone.
+///
+/// # Panics
+///
+/// Panics if the legs differ in length or are empty.
+pub fn paired_overhead(off: &[Duration], on: &[Duration]) -> f64 {
+    assert_eq!(off.len(), on.len(), "overhead legs must pair up");
+    let ratios: Vec<f64> = off
+        .iter()
+        .zip(on)
+        .map(|(off, on)| on.as_secs_f64() / off.as_secs_f64() - 1.0)
+        .collect();
+    Spread::of(&ratios).median
+}
+
 /// The host's available parallelism, recorded next to every result
 /// that depends on threads. It honours CPU affinity, so a run pinned
 /// with `taskset -c 0` reports 1.
@@ -258,6 +277,20 @@ mod tests {
         assert_eq!(s.min, 1_000.0);
         assert_eq!(s.median, 2_000.0);
         assert_eq!(min_secs(&times), 10e-6);
+    }
+
+    #[test]
+    fn paired_overhead_is_the_median_per_pair_ratio() {
+        let ms = Duration::from_millis;
+        // Pair ratios 1.10, 1.02, 1.04: the median pair decides (+4%),
+        // not the best-of-reps times (100 ms off, 110 ms on: +10%).
+        let off = [ms(100), ms(200), ms(150)];
+        let on = [ms(110), ms(204), ms(156)];
+        assert!((paired_overhead(&off, &on) - 0.04).abs() < 1e-12);
+        // Host drift that slows both legs of a pair alike cancels out.
+        let off = [ms(100), ms(300)];
+        let on = [ms(103), ms(309)];
+        assert!((paired_overhead(&off, &on) - 0.03).abs() < 1e-12);
     }
 
     #[test]

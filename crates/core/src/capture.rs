@@ -116,12 +116,12 @@ pub struct CapturePoint {
 impl CapturePoint {
     /// Records an event at the current simulation time, without a value.
     pub fn capture(&self, ctx: &ProcCtx) {
-        self.push(ctx, None);
+        self.push(ctx.now(), None);
     }
 
     /// Records an event with an associated value.
     pub fn capture_value(&self, ctx: &ProcCtx, value: f64) {
-        self.push(ctx, Some(value));
+        self.push(ctx.now(), Some(value));
     }
 
     /// Conditional capture (§4: "capture points can be conditional to a
@@ -139,11 +139,7 @@ impl CapturePoint {
         }
     }
 
-    fn push(&self, ctx: &ProcCtx, value: Option<f64>) {
-        // Capture events append to a shared list; fence so same-delta
-        // captures land in canonical pid order under parallel evaluation.
-        ctx.par_fence();
-        let at = ctx.now();
+    fn push(&self, at: Time, value: Option<f64>) {
         let mut inner = self.est.inner.lock();
         inner.captures[self.index]
             .events

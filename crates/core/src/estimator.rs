@@ -498,12 +498,6 @@ pub(crate) fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
             // because another process can take the resource meanwhile —
             // the arbitration loop of §4), then occupy it.
             loop {
-                // `busy_until` is immediately visible to every process, so
-                // under parallel evaluation the arbitration must observe and
-                // occupy the resource in canonical pid order (see
-                // `docs/PARALLELISM.md`): wait for lower-pid round members
-                // before each check.
-                ctx.par_fence();
                 let now = ctx.now();
                 let free_at = est.inner.lock().busy_until[resource.index()];
                 if free_at <= now {

@@ -549,13 +549,7 @@ pub fn timed_wait(ctx: &mut ProcCtx, delay: Time) {
 /// sites appear as different nodes in the process graph.
 pub fn timed_wait_labeled(ctx: &mut ProcCtx, delay: Time, label: &str) {
     let node = match tls::with(|t| Arc::clone(&t.est)) {
-        Some(est) => {
-            // Node ids are handed out first-come-first-served; fence so
-            // first registrations happen in canonical pid order under
-            // parallel evaluation.
-            ctx.par_fence();
-            est.register_node(format!("wait:{label}"))
-        }
+        Some(est) => est.register_node(format!("wait:{label}")),
         None => NODE_WAIT,
     };
     end_segment(ctx, node);

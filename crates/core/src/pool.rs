@@ -36,8 +36,8 @@
 //! Reset-vs-fresh bit-identity is the correctness contract: a reused
 //! slot must be indistinguishable from a newly built session, verified
 //! by the tests below and the `pool_props` property tests. A process
-//! panic — including [`scperf_kernel::SimError::NonDeterminate`] — does
-//! not poison the slot: reset clears the kernel's error latch.
+//! panic ([`scperf_kernel::SimError::ProcessPanic`]) does not poison the
+//! slot: reset clears the kernel's error latch.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -188,7 +188,6 @@ impl Snapshot {
             .mode(self.knobs.mode)
             .attribution(self.knobs.attribution)
             .site_memo(self.knobs.site_memo)
-            .jobs(self.knobs.jobs)
             .tracing(self.knobs.tracing);
         if self.knobs.record_costs {
             config = config.record_costs();
@@ -207,10 +206,10 @@ impl Snapshot {
 
     /// Stamps the snapshot into an existing (pooled) session slot:
     /// resets the slot and installs the snapshot's platform. The slot
-    /// keeps its own kernel knobs (jobs, handoff) — pool slots are
-    /// homogeneous by construction, so these already match. Elaborate
-    /// the scenario with [`Snapshot::replay`] traces to skip live
-    /// estimation.
+    /// keeps its own configuration (mode, attribution, tracing,
+    /// recording flags) — pool slots are homogeneous by construction, so
+    /// these already match. Elaborate the scenario with
+    /// [`Snapshot::replay`] traces to skip live estimation.
     pub fn fork_into(&self, session: &mut Session) {
         session.reset_with_platform(self.platform.clone());
     }
@@ -241,9 +240,10 @@ pub struct SessionPool {
 
 impl SessionPool {
     /// Creates a pool of up to `limits.max_sessions` slots, each built
-    /// on first use by `build`. The factory fixes the slots' kernel
-    /// configuration (jobs, handoff, tracing); per-scenario variation —
-    /// platform parameters, replays — is stamped in at acquisition.
+    /// on first use by `build`. The factory fixes the slots'
+    /// configuration (mode, attribution, tracing); per-scenario
+    /// variation — platform parameters, replays — is stamped in at
+    /// acquisition.
     pub fn new(
         limits: InstanceLimits,
         build: impl Fn() -> Session + Send + Sync + 'static,
@@ -373,9 +373,9 @@ impl SessionPool {
     }
 
     fn release(&self, mut session: Session) {
-        // Reset on release (not on acquire): a panicked or
-        // NonDeterminate run must not leave a poisoned simulator in the
-        // free list, and acquire stays cheap.
+        // Reset on release (not on acquire): a panicked run must not
+        // leave a poisoned simulator in the free list, and acquire stays
+        // cheap.
         session.reset();
         self.resets.fetch_add(1, Ordering::Relaxed);
         self.inner.lock().free.push(session);

@@ -54,12 +54,12 @@ use crate::resource::{Platform, ResourceId};
 use crate::site::MemoMode;
 
 /// Declarative configuration of one simulation: the kernel half
-/// (evaluate-phase jobs, trace sink) plus the estimation half (platform,
-/// mode, recording options). [`SimConfig::build`] turns it into a
+/// (attribution, trace sink) plus the estimation half (platform, mode,
+/// recording options). [`SimConfig::build`] turns it into a
 /// [`Session`].
 ///
-/// Defaults: empty platform, [`Mode::StrictTimed`], `jobs = 1`, no
-/// tracing, no recording.
+/// Defaults: empty platform, [`Mode::StrictTimed`], no tracing, no
+/// recording.
 #[derive(Debug)]
 pub struct SimConfig {
     options: SimOptions,
@@ -89,7 +89,6 @@ pub(crate) struct SessionKnobs {
     pub(crate) record_instantaneous: bool,
     pub(crate) record_dfgs: bool,
     pub(crate) tracing: TraceMode,
-    pub(crate) jobs: usize,
     pub(crate) run_limit: Option<Time>,
 }
 
@@ -191,12 +190,11 @@ impl SimConfig {
         self
     }
 
-    /// Sets the parallelism of the kernel's evaluate phase (forwarded to
-    /// [`SimOptions::jobs`]); `1` (the default) is the plain sequential
-    /// kernel. Results are bit-identical for any value — see
-    /// `docs/PARALLELISM.md` for the determinism contract.
-    pub fn jobs(mut self, jobs: usize) -> SimConfig {
-        self.options = self.options.jobs(jobs);
+    /// Has no effect. The parallel evaluate phase it used to size was
+    /// removed; it gave bit-identical results, so every session now runs
+    /// on the one sequential scheduler. Kept so existing builder chains
+    /// still compile.
+    pub fn jobs(self, _jobs: usize) -> SimConfig {
         self
     }
 
@@ -241,7 +239,6 @@ impl SimConfig {
             record_instantaneous: self.record_instantaneous,
             record_dfgs: self.record_dfgs,
             tracing: self.tracing_mode,
-            jobs: sim.jobs(),
             run_limit: self.run_limit,
         };
         Session {
@@ -436,10 +433,10 @@ impl Session {
     /// be reused without rebuilding: process threads are joined, kernel
     /// queues and the timer wheel are rebuilt, estimator records and
     /// capture lists are cleared, and simulation time is back at zero.
-    /// Configuration (mode, jobs, recording flags,
-    /// attribution, run limit, tracing mode) is retained; a custom
-    /// trace sink installed via [`SimConfig::trace_sink`] is the one
-    /// thing that cannot be restored and is dropped. Elaborate the next
+    /// Configuration (mode, recording flags, attribution, run limit,
+    /// tracing mode) is retained; a custom trace sink installed via
+    /// [`SimConfig::trace_sink`] is the one thing that cannot be
+    /// restored and is dropped. Elaborate the next
     /// scenario (spawn processes, create channels) and run again — a
     /// reset session produces bit-identical results to a freshly built
     /// one.

@@ -1,8 +1,8 @@
 //! Property tests for the session pool's determinism contract: a
 //! recycled (reset) slot and a snapshot-forked slot must be
 //! bit-identical to a freshly built session — summary, report, trace
-//! and produced data — at every parallel-evaluate width, and an
-//! errored run must never poison the slot it ran in.
+//! and produced data — and an errored run must never poison the slot it
+//! ran in.
 
 use std::sync::Arc;
 
@@ -21,11 +21,10 @@ fn platform() -> (Platform, ResourceId, ResourceId) {
     (p, cpu, hw)
 }
 
-fn config(jobs: usize) -> SimConfig {
+fn config() -> SimConfig {
     SimConfig::new()
         .platform(platform().0)
         .tracing(TraceMode::Unbounded)
-        .jobs(jobs)
 }
 
 /// The two-stage pipeline under test: `gen` (annotated, on the CPU)
@@ -121,22 +120,20 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
     /// Fresh vs reset vs snapshot-forked: identical down to the trace,
-    /// for random workload sizes and seeds at jobs ∈ {1, 2, 8}.
+    /// for random workload sizes and seeds.
     #[test]
     fn fresh_reset_and_forked_sessions_are_bit_identical(
         nitems in 1usize..12,
         seed in -50_i64..50,
-        jobs_idx in 0usize..3,
     ) {
-        let jobs = [1, 2, 8][jobs_idx];
         let (_, cpu, hw) = platform();
 
-        let mut fresh = config(jobs).build();
+        let mut fresh = config().build();
         let data = elaborate(&mut fresh, cpu, hw, nitems, seed, None);
         let oracle = observe(&mut fresh, &data);
 
         // Reset: run an unrelated scenario first so the slot is dirty.
-        let mut recycled = config(jobs).build();
+        let mut recycled = config().build();
         recycled.spawn("other", cpu, |_ctx| {
             let _ = g_i64(5) * g_i64(7);
         });
@@ -147,7 +144,7 @@ proptest! {
 
         // Forked: first-of-shape records and publishes, the repeat
         // forks the snapshot and replays.
-        let pool = SessionPool::new(InstanceLimits::default(), move || config(jobs).build());
+        let pool = SessionPool::new(InstanceLimits::default(), || config().build());
         let shape = (nitems as u64) << 32 | (seed + 50) as u64;
         {
             let mut slot = pool.acquire_for_shape(shape).expect("free slot");
@@ -167,35 +164,41 @@ proptest! {
 }
 
 #[test]
-fn a_non_determinate_run_does_not_poison_its_slot() {
-    // Conflicting same-delta signal writes are reported as
-    // NonDeterminate under parallel evaluation; the slot that hosted
-    // the failed run must come back from the pool reset and produce a
-    // run bit-identical to a fresh session.
+fn a_panicked_run_does_not_poison_its_slot() {
+    // A process panic fails the run with ProcessPanic while another
+    // process is still blocked on a channel; the slot that hosted the
+    // failed run must come back from the pool reset and produce a run
+    // bit-identical to a fresh session.
     let (_, cpu, hw) = platform();
     let pool = SessionPool::new(
         InstanceLimits {
             max_sessions: 1,
             ..InstanceLimits::default()
         },
-        || config(4).build(),
+        || config().build(),
     );
 
     {
         let mut slot = pool.acquire().expect("free slot");
         let sim = slot.sim();
-        let s = sim.signal("s", 0_u32);
-        let s1 = s.clone();
-        let s2 = s;
-        sim.spawn("a", move |ctx| s1.write(ctx, 1));
-        sim.spawn("b", move |ctx| s2.write(ctx, 2));
+        let ch = sim.fifo::<u32>("ch", 1);
+        let rx = ch.clone();
+        sim.spawn("reader", move |ctx| {
+            let _ = rx.read(ctx);
+            let _ = rx.read(ctx); // never written: blocked at the panic
+        });
+        sim.spawn("bad", move |ctx| {
+            ch.write(ctx, 1);
+            ctx.wait(Time::ns(5));
+            panic!("deliberate test panic");
+        });
         match slot.run() {
-            Err(SimError::NonDeterminate { .. }) => {}
-            other => panic!("expected NonDeterminate, got {other:?}"),
+            Err(SimError::ProcessPanic { process, .. }) => assert_eq!(process, "bad"),
+            other => panic!("expected ProcessPanic, got {other:?}"),
         }
     }
 
-    let mut fresh = config(4).build();
+    let mut fresh = config().build();
     let data = elaborate(&mut fresh, cpu, hw, 6, 7, None);
     let oracle = observe(&mut fresh, &data);
 

@@ -15,9 +15,10 @@
 //!   stages are mapped, so a trace recorded once is replayed — bit-exact
 //!   — in every later point that maps the stage to a compatible
 //!   resource.
-//! * [`pool`] — a work-stealing thread pool on `std::thread` +
-//!   `scperf-sync` (the workspace builds offline; no rayon). `jobs = 1`
-//!   bypasses the pool entirely and is the sequential oracle.
+//! * [`pool`] — a scoped thread pool on `std::thread` + `scperf-sync`
+//!   (the workspace builds offline; no rayon): workers claim point
+//!   indices from one atomic counter. `jobs = 1` bypasses the pool
+//!   entirely and is the sequential oracle.
 //! * [`mod@pareto`] — frontier extraction with a sort-and-sweep pruning pass
 //!   that matches the naive O(n²) domination definition exactly.
 //! * [`mod@sweep`] — the orchestrator: fans the 243 points over the pool,

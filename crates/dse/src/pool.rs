@@ -1,23 +1,19 @@
 //! Worker pools for the exploration and serving layers.
 //!
-//! Two shapes, both built on the in-tree `scperf-sync` primitives (the
-//! workspace builds fully offline — no rayon):
+//! Two shapes, both on `std::thread` and the in-tree `scperf-sync`
+//! primitives (the workspace builds fully offline — no rayon):
 //!
-//! * [`run_indexed`] — a scoped work-stealing pool for embarrassingly
-//!   parallel, index-addressed task *sets* (the DSE sweep). Each worker
-//!   owns a deque seeded round-robin; when its own deque drains it
-//!   steals from the back of its neighbours'. Results land in per-index
-//!   slots, so the output order — and therefore everything computed
-//!   from it — is independent of worker count and steal timing.
+//! * [`run_indexed`] — a scoped pool for embarrassingly parallel,
+//!   index-addressed task *sets* (the DSE sweep). Workers claim the next
+//!   task index from one shared atomic counter. Results land in
+//!   per-index slots, so the output order — and therefore everything
+//!   computed from it — is independent of worker count and timing.
 //! * [`WorkerPool`] — a long-lived pool for task *streams*, re-exported
-//!   from `scperf-sync`, where it moved so the kernel's parallel
-//!   evaluate phase can share it without inverting the dependency
-//!   graph. This is the execution substrate of the `scperf-serve`
-//!   simulation service (which layers admission control — bounded
-//!   queue + backpressure — on top).
+//!   from `scperf-sync`. This is the execution substrate of the
+//!   `scperf-serve` simulation service (which layers admission control —
+//!   bounded queue + backpressure — on top).
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use scperf_sync::Mutex;
 
@@ -28,7 +24,9 @@ pub struct PoolStats {
     pub workers: usize,
     /// Tasks executed.
     pub tasks: usize,
-    /// Tasks a worker took from another worker's deque.
+    /// Always 0: workers claim tasks from one shared counter, so no
+    /// worker ever takes a task queued for another. Kept so readers of
+    /// the `dse.pool.steals` metric still find it.
     pub steals: u64,
 }
 
@@ -66,42 +64,20 @@ where
     }
 
     let jobs = jobs.min(n);
-    let deques: Vec<Mutex<VecDeque<usize>>> =
-        (0..jobs).map(|_| Mutex::new(VecDeque::new())).collect();
-    for i in 0..n {
-        deques[i % jobs].lock().push_back(i);
-    }
+    let next = AtomicUsize::new(0);
     let slots: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let steals = AtomicU64::new(0);
 
     std::thread::scope(|scope| {
         for w in 0..jobs {
-            let deques = &deques;
-            let slots = &slots;
-            let steals = &steals;
-            let f = &f;
+            let (next, slots, f) = (&next, &slots, &f);
             scope.spawn(move || {
                 let _span = scperf_obs::profile::span_dyn(format!("dse.worker.{w}"));
                 loop {
-                    // Own-deque guard must drop before stealing: two idle
-                    // workers each holding their own lock while locking
-                    // the other's would deadlock.
-                    let own = deques[w].lock().pop_front();
-                    let task = own.or_else(|| {
-                        // Own deque empty: steal from the back of the
-                        // other deques, nearest neighbour first.
-                        (1..jobs).find_map(|d| {
-                            let stolen = deques[(w + d) % jobs].lock().pop_back();
-                            if stolen.is_some() {
-                                steals.fetch_add(1, Ordering::Relaxed);
-                            }
-                            stolen
-                        })
-                    });
-                    match task {
-                        Some(i) => *slots[i].lock() = Some(f(i)),
-                        None => break,
+                    let i = next.fetch_add(1, Ordering::Relaxed);
+                    if i >= n {
+                        break;
                     }
+                    *slots[i].lock() = Some(f(i));
                 }
             });
         }
@@ -116,7 +92,7 @@ where
         PoolStats {
             workers: jobs,
             tasks: n,
-            steals: steals.load(Ordering::Relaxed),
+            steals: 0,
         },
     )
 }
@@ -153,8 +129,9 @@ mod tests {
     }
 
     #[test]
-    fn uneven_tasks_get_stolen() {
-        // Worker 0's tasks sleep; the others finish and steal from it.
+    fn uneven_tasks_all_complete_in_index_order() {
+        // Every fourth task sleeps, so workers finish out of index order;
+        // the output must still hold every result at its own index.
         let (out, stats) = run_indexed(4, 32, |i| {
             if i % 4 == 0 {
                 std::thread::sleep(std::time::Duration::from_millis(2));
@@ -162,9 +139,8 @@ mod tests {
             i
         });
         assert_eq!(out, (0..32).collect::<Vec<usize>>());
-        // Steal counts are timing-dependent; the scheduler only
-        // guarantees completion, which the ordered output proves.
         assert_eq!(stats.tasks, 32);
+        assert_eq!(stats.steals, 0);
     }
 
     #[test]

@@ -25,12 +25,11 @@ pub struct SweepConfig {
     /// Worker threads; `1` is the sequential oracle (no pool, no
     /// spawned threads).
     pub jobs: usize,
-    /// Evaluate-phase parallelism *inside* each point's simulation
-    /// (forwarded to `SimConfig::jobs`); `1` is the sequential kernel.
-    /// Composes with `jobs`: the sweep fans points over its pool while
-    /// each simulation spreads wide delta cycles over its own workers.
-    /// Results are bit-identical for any value — the contract is
-    /// documented in `docs/PARALLELISM.md`.
+    /// Has no effect. The kernel's parallel evaluate phase it used to
+    /// size was removed; it gave bit-identical results, so every point
+    /// now simulates on the one sequential scheduler and parallelism
+    /// comes from `jobs` alone. Kept so existing struct literals still
+    /// compile.
     pub kernel_jobs: usize,
     /// Whether to memoize segment-cost traces across points.
     pub use_cache: bool,
@@ -128,7 +127,7 @@ pub struct SweepResult {
     /// for [`SweepConfig::programs_in`] of a later sweep — empty when
     /// the cache is off. Stable across processes and machines.
     pub programs_out: Vec<u8>,
-    /// Worker/steal counters from the pool.
+    /// Worker and task counters from the pool.
     pub pool: PoolStats,
 }
 
@@ -168,7 +167,7 @@ pub fn evaluate(
     nframes: usize,
     cache: Option<&SegmentCostCache>,
 ) -> DesignPoint {
-    evaluate_with(table, mapping, nframes, cache, 1, None)
+    evaluate_with(table, mapping, nframes, cache, None)
 }
 
 fn evaluate_with(
@@ -176,7 +175,6 @@ fn evaluate_with(
     mapping: [Target; 5],
     nframes: usize,
     cache: Option<&SegmentCostCache>,
-    kernel_jobs: usize,
     prog: Option<&ProgCounters>,
 ) -> DesignPoint {
     let (platform, ids) = build_platform(table);
@@ -194,7 +192,7 @@ fn evaluate_with(
     }
     let missing: Vec<usize> = (0..5).filter(|&s| replays[s].is_none()).collect();
 
-    let mut config = SimConfig::new().platform(platform).jobs(kernel_jobs);
+    let mut config = SimConfig::new().platform(platform);
     // Warm-start the segment-site cost programs from the shared set for
     // the SW cost table (memoization only engages on sequential
     // resources, and cpu0/cpu1 share `table`).
@@ -234,7 +232,7 @@ fn evaluate_with(
 }
 
 /// Explores the mapping space per `config`: fans the points over the
-/// work-stealing pool, collects them in canonical order and extracts the
+/// worker pool, collects them in canonical order and extracts the
 /// Pareto frontier.
 ///
 /// Determinism guarantee: for a fixed `config` modulo `jobs` and
@@ -259,7 +257,6 @@ pub fn sweep(config: &SweepConfig) -> SweepResult {
             mappings[i],
             config.nframes,
             cache.as_ref(),
-            config.kernel_jobs,
             Some(&prog_counters),
         )
     });

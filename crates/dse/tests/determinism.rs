@@ -39,35 +39,6 @@ proptest! {
         }
     }
 
-    /// Nested parallelism: the sweep pool (`jobs`) composed with the
-    /// kernel's parallel evaluate phase (`kernel_jobs`,
-    /// docs/PARALLELISM.md) still reproduces the sequential oracle
-    /// bit for bit.
-    #[test]
-    fn sweep_is_deterministic_across_kernel_jobs(
-        picks in vec(0_usize..243, 4..=6),
-    ) {
-        let limit = *picks.iter().max().unwrap() + 1;
-        let base = SweepConfig {
-            table: CostTable::risc_sw(),
-            nframes: 1,
-            jobs: 1,
-            kernel_jobs: 1,
-            use_cache: false,
-            limit: Some(limit.min(10)),
-            legacy_charging: false,
-            programs_in: None,
-        };
-        let oracle = sweep(&base);
-        for (jobs, kernel_jobs) in [(1, 2), (1, 8), (2, 8)] {
-            let got = sweep(&SweepConfig { jobs, kernel_jobs, ..base.clone() });
-            prop_assert_eq!(&got.points, &oracle.points,
-                "points differ at jobs={} kernel_jobs={}", jobs, kernel_jobs);
-            prop_assert_eq!(&got.frontier, &oracle.frontier,
-                "frontier differs at jobs={} kernel_jobs={}", jobs, kernel_jobs);
-        }
-    }
-
     /// Individual points: replayed-from-cache evaluation is bit-identical
     /// to live evaluation for arbitrary mappings.
     #[test]
@@ -126,7 +97,7 @@ fn full_sweep_matches_sequential_oracle() {
     let parallel = sweep(&SweepConfig {
         jobs: 8,
         use_cache: true,
-        ..base.clone()
+        ..base
     });
     assert_eq!(parallel.points, oracle.points);
     assert_eq!(parallel.frontier, oracle.frontier);
@@ -135,15 +106,4 @@ fn full_sweep_matches_sequential_oracle() {
         stats > 0.9,
         "243 points × 5 stages should mostly hit: {stats}"
     );
-    // The jobs=8 run of the release determinism gate: the same full
-    // sweep with every point's *kernel* also evaluating in parallel
-    // (docs/PARALLELISM.md) must still match the oracle bit for bit.
-    let kernel_parallel = sweep(&SweepConfig {
-        jobs: 8,
-        kernel_jobs: 8,
-        use_cache: true,
-        ..base
-    });
-    assert_eq!(kernel_parallel.points, oracle.points);
-    assert_eq!(kernel_parallel.frontier, oracle.frontier);
 }

@@ -14,7 +14,6 @@ use scperf_obs::{Payload, Sym};
 use scperf_sync::Mutex;
 
 use crate::event::Event;
-use crate::parallel::Effect;
 use crate::process::ProcCtx;
 use crate::sim::Simulator;
 use crate::state::{ChanStats, KernelState, UpdateHook};
@@ -27,25 +26,6 @@ struct FifoBuf<T> {
     written: usize,
     /// Items read since the last update phase.
     read: usize,
-    /// Parallel round the conflict trackers below belong to (stale
-    /// values from earlier rounds are ignored). Only touched while a
-    /// parallel evaluate round is active.
-    par_round: u64,
-    /// Pid that read (or attempted to) this round; `usize::MAX` = none.
-    par_reader: usize,
-    /// Pid that wrote (or attempted to) this round; `usize::MAX` = none.
-    par_writer: usize,
-}
-
-impl<T> FifoBuf<T> {
-    /// Rolls the same-round conflict trackers over to `round`.
-    fn par_roll(&mut self, round: u64) {
-        if self.par_round != round {
-            self.par_round = round;
-            self.par_reader = usize::MAX;
-            self.par_writer = usize::MAX;
-        }
-    }
 }
 
 struct FifoInner<T> {
@@ -122,9 +102,6 @@ impl Simulator {
                 readable: 0,
                 written: 0,
                 read: 0,
-                par_round: 0,
-                par_reader: usize::MAX,
-                par_writer: usize::MAX,
             }),
             data_ev,
             space_ev,
@@ -159,41 +136,12 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
         self.inner.capacity - buf.readable - buf.written
     }
 
-    /// Same-delta conflict detection under parallel evaluation: a
-    /// second distinct reader (or writer) process in one round makes
-    /// the outcome order-dependent — which one gets the last item or
-    /// slot — so it is reported as a non-determinate construct instead
-    /// of being silently raced. One reader plus one writer per delta
-    /// is always fine: `sc_fifo` update-phase semantics decouple them.
-    fn par_track(&self, ctx: &ProcCtx, buf: &mut FifoBuf<T>, is_read: bool) {
-        if !ctx.shared.par_active_fast() {
-            return;
-        }
-        buf.par_roll(ctx.shared.par.round_id());
-        let slot = if is_read {
-            &mut buf.par_reader
-        } else {
-            &mut buf.par_writer
-        };
-        if *slot != usize::MAX && *slot != ctx.pid {
-            let role = if is_read { "read" } else { "write" };
-            ctx.shared.par.report_hazard(format!(
-                "fifo '{}': processes P{} and P{} both {role} in the same delta cycle",
-                self.inner.name,
-                (*slot).min(ctx.pid),
-                (*slot).max(ctx.pid)
-            ));
-        }
-        *slot = ctx.pid;
-    }
-
     /// Blocking read: suspends the calling process until a committed value
     /// is available (the analogue of `sc_fifo::read`).
     pub fn read(&self, ctx: &mut ProcCtx) -> T {
         loop {
             let taken = {
                 let mut buf = self.inner.buf.lock();
-                self.par_track(ctx, &mut buf, true);
                 if buf.readable > buf.read {
                     let v = buf.q.pop_front().expect("readable item present");
                     buf.read += 1;
@@ -209,31 +157,13 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
                     // when a sink is installed: with tracing off the read
                     // path performs no allocation at all.
                     let payload = ctx.shared.tracing_fast().then(|| Payload::capture(&v));
-                    let shared = Arc::clone(&ctx.shared);
-                    if shared.par_active_fast() {
-                        // The update request is live (an idempotent,
-                        // order-independent set insert); the trace
-                        // record is buffered for pid-order commit.
-                        shared.with_state(|st| st.request_update(self.hook_id));
+                    ctx.shared.with_state(|st| {
+                        st.request_update(self.hook_id);
                         if let Some(payload) = payload {
-                            shared.par.append(
-                                ctx.pid,
-                                Effect::Trace {
-                                    label: shared.labels.fifo_read,
-                                    chan: self.inner.name_sym,
-                                    payload,
-                                },
-                            );
+                            let label = st.labels.fifo_read;
+                            st.record_event(Some(ctx.pid), label, self.inner.name_sym, payload);
                         }
-                    } else {
-                        shared.with_state(|st| {
-                            st.request_update(self.hook_id);
-                            if let Some(payload) = payload {
-                                let label = st.labels.fifo_read;
-                                st.record_event(Some(ctx.pid), label, self.inner.name_sym, payload);
-                            }
-                        });
-                    }
+                    });
                     return v;
                 }
                 None => {
@@ -261,7 +191,6 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
         loop {
             let wrote = {
                 let mut buf = self.inner.buf.lock();
-                self.par_track(ctx, &mut buf, false);
                 if self.inner.capacity - buf.readable - buf.written > 0 {
                     let v = value.take().expect("value still pending");
                     // Only snapshot the value when tracing is live — the
@@ -283,28 +212,13 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
             match wrote {
                 Some(payload) => {
                     self.inner.stats.writes.fetch_add(1, Ordering::Relaxed);
-                    let shared = Arc::clone(&ctx.shared);
-                    if shared.par_active_fast() {
-                        shared.with_state(|st| st.request_update(self.hook_id));
+                    ctx.shared.with_state(|st| {
+                        st.request_update(self.hook_id);
                         if let Some(payload) = payload {
-                            shared.par.append(
-                                ctx.pid,
-                                Effect::Trace {
-                                    label: shared.labels.fifo_write,
-                                    chan: self.inner.name_sym,
-                                    payload,
-                                },
-                            );
+                            let label = st.labels.fifo_write;
+                            st.record_event(Some(ctx.pid), label, self.inner.name_sym, payload);
                         }
-                    } else {
-                        shared.with_state(|st| {
-                            st.request_update(self.hook_id);
-                            if let Some(payload) = payload {
-                                let label = st.labels.fifo_write;
-                                st.record_event(Some(ctx.pid), label, self.inner.name_sym, payload);
-                            }
-                        });
-                    }
+                    });
                     return;
                 }
                 None => {
@@ -327,7 +241,6 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
     pub fn try_read(&self, ctx: &mut ProcCtx) -> Option<T> {
         let taken = {
             let mut buf = self.inner.buf.lock();
-            self.par_track(ctx, &mut buf, true);
             if buf.readable > buf.read {
                 let v = buf.q.pop_front().expect("readable item present");
                 buf.read += 1;
@@ -338,8 +251,7 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
         };
         if taken.is_some() {
             self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
-            let shared = Arc::clone(&ctx.shared);
-            shared.with_state(|st| st.request_update(self.hook_id));
+            ctx.shared.with_state(|st| st.request_update(self.hook_id));
         }
         taken
     }

@@ -14,7 +14,6 @@ use scperf_obs::{Payload, Sym};
 use scperf_sync::Mutex;
 
 use crate::event::Event;
-use crate::parallel::Effect;
 use crate::process::ProcCtx;
 use crate::sim::Simulator;
 use crate::state::ChanStats;
@@ -79,11 +78,6 @@ impl<T: Send + std::fmt::Debug + 'static> Rendezvous<T> {
         // Wait for the slot to be free (a previous offer still pending).
         let mut value = Some(value);
         loop {
-            // The slot is immediately visible to the reader (rendezvous
-            // cannot use update-phase buffering), so under parallel
-            // evaluation slot accesses must happen in canonical pid
-            // order: wait for every lower-pid round member first.
-            ctx.par_fence();
             let placed = {
                 let mut slot = self.inner.slot.lock();
                 if slot.is_none() {
@@ -101,22 +95,10 @@ impl<T: Send + std::fmt::Debug + 'static> Rendezvous<T> {
                 Some(payload) => {
                     self.inner.stats.writes.fetch_add(1, Ordering::Relaxed);
                     if let Some(payload) = payload {
-                        let shared = Arc::clone(&ctx.shared);
-                        if shared.par_active_fast() {
-                            shared.par.append(
-                                ctx.pid,
-                                Effect::Trace {
-                                    label: shared.labels.rendezvous_write,
-                                    chan: self.inner.name_sym,
-                                    payload,
-                                },
-                            );
-                        } else {
-                            shared.with_state(|st| {
-                                let label = st.labels.rendezvous_write;
-                                st.record_event(Some(ctx.pid), label, self.inner.name_sym, payload);
-                            });
-                        }
+                        ctx.shared.with_state(|st| {
+                            let label = st.labels.rendezvous_write;
+                            st.record_event(Some(ctx.pid), label, self.inner.name_sym, payload);
+                        });
                     }
                     self.inner.data_ev.notify_delta();
                     break;
@@ -128,11 +110,7 @@ impl<T: Send + std::fmt::Debug + 'static> Rendezvous<T> {
             }
         }
         // Block until the reader takes the value (the rendezvous itself).
-        loop {
-            ctx.par_fence();
-            if self.inner.slot.lock().is_none() {
-                break;
-            }
+        while self.inner.slot.lock().is_some() {
             self.inner.stats.blocks.fetch_add(1, Ordering::Relaxed);
             self.timed_wait(ctx, &self.inner.consumed_ev);
         }
@@ -142,31 +120,16 @@ impl<T: Send + std::fmt::Debug + 'static> Rendezvous<T> {
     /// writer.
     pub fn read(&self, ctx: &mut ProcCtx) -> T {
         loop {
-            // See `write`: slot accesses are serialized in pid order
-            // under parallel evaluation.
-            ctx.par_fence();
             let taken = self.inner.slot.lock().take();
             match taken {
                 Some(v) => {
                     self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
                     if ctx.shared.tracing_fast() {
                         let payload = Payload::capture(&v);
-                        let shared = Arc::clone(&ctx.shared);
-                        if shared.par_active_fast() {
-                            shared.par.append(
-                                ctx.pid,
-                                Effect::Trace {
-                                    label: shared.labels.rendezvous_read,
-                                    chan: self.inner.name_sym,
-                                    payload,
-                                },
-                            );
-                        } else {
-                            shared.with_state(|st| {
-                                let label = st.labels.rendezvous_read;
-                                st.record_event(Some(ctx.pid), label, self.inner.name_sym, payload);
-                            });
-                        }
+                        ctx.shared.with_state(|st| {
+                            let label = st.labels.rendezvous_read;
+                            st.record_event(Some(ctx.pid), label, self.inner.name_sym, payload);
+                        });
                     }
                     self.inner.consumed_ev.notify_delta();
                     return v;

@@ -15,13 +15,6 @@ use crate::state::{ChanStats, KernelState, UpdateHook};
 struct SignalBuf<T> {
     current: T,
     next: Option<T>,
-    /// Parallel round the writer tracker belongs to (only touched while
-    /// a parallel evaluate round is active).
-    par_round: u64,
-    /// Pid that wrote this round; `usize::MAX` = none. "Last write in
-    /// execution order wins" is order-dependent, so a second distinct
-    /// same-delta writer under parallel evaluation is a hazard.
-    par_writer: usize,
 }
 
 struct SignalInner<T> {
@@ -92,8 +85,6 @@ impl Simulator {
             buf: Mutex::new(SignalBuf {
                 current: initial,
                 next: None,
-                par_round: 0,
-                par_writer: usize::MAX,
             }),
             changed_ev,
             stats,
@@ -120,29 +111,8 @@ impl<T: Send + Clone + PartialEq + std::fmt::Debug + 'static> Signal<T> {
     /// delta cycle.
     pub fn write(&self, ctx: &mut ProcCtx, value: T) {
         self.inner.stats.writes.fetch_add(1, Ordering::Relaxed);
-        {
-            let mut buf = self.inner.buf.lock();
-            if ctx.shared.par_active_fast() {
-                let round = ctx.shared.par.round_id();
-                if buf.par_round != round {
-                    buf.par_round = round;
-                    buf.par_writer = usize::MAX;
-                }
-                if buf.par_writer != usize::MAX && buf.par_writer != ctx.pid {
-                    ctx.shared.par.report_hazard(format!(
-                        "signal '{}': processes P{} and P{} both write in the same delta \
-                         cycle (last-writer-wins depends on execution order)",
-                        self.inner.name,
-                        buf.par_writer.min(ctx.pid),
-                        buf.par_writer.max(ctx.pid)
-                    ));
-                }
-                buf.par_writer = ctx.pid;
-            }
-            buf.next = Some(value);
-        }
-        let shared = Arc::clone(&ctx.shared);
-        shared.with_state(|st| st.request_update(self.hook_id));
+        self.inner.buf.lock().next = Some(value);
+        ctx.shared.with_state(|st| st.request_update(self.hook_id));
     }
 
     /// The event notified (delta) whenever the committed value changes.

@@ -86,10 +86,6 @@ impl SimMutex {
     /// it is not recursive).
     pub fn lock(&self, ctx: &mut ProcCtx) {
         loop {
-            // Lock state is immediately visible to other processes, so
-            // under parallel evaluation acquisition happens in
-            // canonical pid order (the documented hand-off order).
-            ctx.par_fence();
             {
                 let mut holder = self.inner.holder.lock();
                 match *holder {
@@ -112,7 +108,6 @@ impl SimMutex {
 
     /// Attempts to acquire without blocking; `true` on success.
     pub fn try_lock(&self, ctx: &mut ProcCtx) -> bool {
-        ctx.par_fence();
         let mut holder = self.inner.holder.lock();
         if holder.is_none() {
             *holder = Some(ctx.pid().index());
@@ -128,7 +123,6 @@ impl SimMutex {
     ///
     /// Panics if the calling process does not hold the mutex.
     pub fn unlock(&self, ctx: &mut ProcCtx) {
-        ctx.par_fence();
         {
             let mut holder = self.inner.holder.lock();
             assert_eq!(
@@ -201,9 +195,6 @@ impl SimSemaphore {
     /// (`sc_semaphore::wait`).
     pub fn acquire(&self, ctx: &mut ProcCtx) {
         loop {
-            // See `SimMutex::lock`: permits are handed out in pid order
-            // under parallel evaluation.
-            ctx.par_fence();
             {
                 let mut count = self.inner.count.lock();
                 if *count > 0 {
@@ -216,8 +207,7 @@ impl SimSemaphore {
     }
 
     /// Attempts to acquire without blocking (`sc_semaphore::trywait`).
-    pub fn try_acquire(&self, ctx: &mut ProcCtx) -> bool {
-        ctx.par_fence();
+    pub fn try_acquire(&self, _ctx: &mut ProcCtx) -> bool {
         let mut count = self.inner.count.lock();
         if *count > 0 {
             *count -= 1;
@@ -228,8 +218,7 @@ impl SimSemaphore {
     }
 
     /// Releases one permit and wakes waiters (`sc_semaphore::post`).
-    pub fn release(&self, ctx: &mut ProcCtx) {
-        ctx.par_fence();
+    pub fn release(&self, _ctx: &mut ProcCtx) {
         *self.inner.count.lock() += 1;
         self.inner.posted_ev.notify_delta();
     }

@@ -28,10 +28,9 @@ pub enum TraceMode {
 
 /// Kernel-level simulator options.
 ///
-/// Collects the evaluate-phase parallelism, attribution and the
-/// trace-sink wiring in one builder. Construct with [`SimOptions::new`], chain the
-/// setters, and either call [`SimOptions::build`] or pass the value to
-/// [`Simulator::with_options`].
+/// Collects attribution and the trace-sink wiring in one builder.
+/// Construct with [`SimOptions::new`], chain the setters, and either call
+/// [`SimOptions::build`] or pass the value to [`Simulator::with_options`].
 ///
 /// # Examples
 ///
@@ -47,7 +46,6 @@ pub struct SimOptions {
     pub(crate) trace: TraceMode,
     pub(crate) sink: Option<Box<dyn TraceSink>>,
     pub(crate) attribution: bool,
-    pub(crate) jobs: usize,
 }
 
 impl Default for SimOptions {
@@ -57,57 +55,13 @@ impl Default for SimOptions {
 }
 
 impl SimOptions {
-    /// Default options: sequential evaluation, no attribution and no
-    /// tracing.
+    /// Default options: no attribution and no tracing.
     pub fn new() -> SimOptions {
         SimOptions {
             trace: TraceMode::Off,
             sink: None,
             attribution: false,
-            jobs: 1,
         }
-    }
-
-    /// Sets the evaluate-phase parallelism degree. The default, `1`, is
-    /// the sequential single-baton scheduler, preserved verbatim. With
-    /// `jobs > 1` each delta cycle's runnable processes are dispatched
-    /// concurrently across `jobs` threads (the scheduler plus a lazily
-    /// created `jobs - 1`-worker pool); their kernel side effects are
-    /// buffered per process and committed in canonical pid order at the
-    /// delta boundary, so summaries, metrics and traces stay
-    /// bit-identical to `jobs = 1` for determinate models. `0` is
-    /// treated as `1`. Non-determinate constructs (conflicting
-    /// same-delta channel accesses) are reported as
-    /// [`SimError::NonDeterminate`](crate::SimError::NonDeterminate)
-    /// instead of racing. See `docs/PARALLELISM.md`.
-    ///
-    /// # Examples
-    ///
-    /// ```
-    /// use scperf_kernel::{SimOptions, Time};
-    ///
-    /// let mut sim = SimOptions::new().jobs(8).build();
-    /// let fifo = sim.fifo::<u32>("data", 4);
-    /// let (tx, rx) = (fifo.clone(), fifo);
-    /// sim.spawn("producer", move |ctx| {
-    ///     for i in 0..16 {
-    ///         tx.write(ctx, i);
-    ///         ctx.wait(Time::ns(5));
-    ///     }
-    /// });
-    /// sim.spawn("consumer", move |ctx| {
-    ///     for _ in 0..16 {
-    ///         let _ = rx.read(ctx);
-    ///     }
-    /// });
-    /// // Bit-identical to the same model run with jobs = 1.
-    /// let summary = sim.run()?;
-    /// assert_eq!(summary.end_time, Time::ns(80));
-    /// # Ok::<(), scperf_kernel::SimError>(())
-    /// ```
-    pub fn jobs(mut self, jobs: usize) -> SimOptions {
-        self.jobs = jobs.max(1);
-        self
     }
 
     /// Selects the trace recording mode (ignored when a custom sink is
@@ -149,7 +103,6 @@ impl std::fmt::Debug for SimOptions {
             .field("trace", &self.trace)
             .field("sink", &self.sink.as_ref().map(|_| "custom"))
             .field("attribution", &self.attribution)
-            .field("jobs", &self.jobs)
             .finish()
     }
 }

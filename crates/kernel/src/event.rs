@@ -8,7 +8,6 @@
 
 use std::sync::Arc;
 
-use crate::parallel::Effect;
 use crate::state::{Shared, TimedAction};
 use crate::time::Time;
 
@@ -36,20 +35,7 @@ impl Event {
 
     /// Immediate notification: processes waiting on this event become
     /// runnable in the *current* evaluate phase (SystemC `notify()`).
-    ///
-    /// Under parallel evaluation (`jobs > 1`) an immediate notification
-    /// that would wake a waiter *within* the current delta makes the
-    /// outcome depend on process execution order; the kernel reports it
-    /// as [`crate::SimError::NonDeterminate`] at the delta boundary
-    /// instead of racing. Immediate notifications with no waiters stay
-    /// legal (see `docs/PARALLELISM.md`).
     pub fn notify_immediate(&self) {
-        if let Some(pid) = self.buffering_pid() {
-            self.shared
-                .par
-                .append(pid, Effect::NotifyImmediate { ev: self.id });
-            return;
-        }
         self.shared
             .with_state(|st| st.notify_event_immediate(self.id));
     }
@@ -57,42 +43,14 @@ impl Event {
     /// Delta notification: waiting processes run in the next delta cycle
     /// (SystemC `notify(SC_ZERO_TIME)`).
     pub fn notify_delta(&self) {
-        if let Some(pid) = self.buffering_pid() {
-            self.shared
-                .par
-                .append(pid, Effect::NotifyDelta { ev: self.id });
-            return;
-        }
         self.shared.with_state(|st| st.notify_event_delta(self.id));
     }
 
     /// Timed notification `delay` after the current simulation time
     /// (SystemC `notify(t)`).
     pub fn notify_delayed(&self, delay: Time) {
-        if let Some(pid) = self.buffering_pid() {
-            self.shared.par.append(
-                pid,
-                Effect::Schedule {
-                    delay,
-                    action: TimedAction::NotifyEvent(self.id),
-                },
-            );
-            return;
-        }
         self.shared
             .with_state(|st| st.schedule(delay, TimedAction::NotifyEvent(self.id)));
-    }
-
-    /// When a parallel round is active *and* the caller is a simulation
-    /// process thread, returns the pid whose effect log must buffer
-    /// this notification. Events have no `ProcCtx`, so the pid comes
-    /// from the process thread's thread-local.
-    fn buffering_pid(&self) -> Option<usize> {
-        if self.shared.par_active_fast() {
-            crate::parallel::current_pid()
-        } else {
-            None
-        }
     }
 }
 

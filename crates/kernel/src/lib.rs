@@ -58,7 +58,6 @@ mod channel;
 mod config;
 mod event;
 mod handoff;
-mod parallel;
 mod process;
 mod sim;
 mod state;

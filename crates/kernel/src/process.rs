@@ -5,7 +5,6 @@ use std::sync::Arc;
 
 use crate::event::Event;
 use crate::handoff::DirectHandoff;
-use crate::parallel::Effect;
 use crate::state::{Shared, TimedAction};
 use crate::time::Time;
 
@@ -80,18 +79,8 @@ impl ProcCtx {
     /// A zero delay suspends until the next timed-notification phase at the
     /// same instant, i.e. it behaves like `wait(SC_ZERO_TIME)`.
     pub fn wait(&mut self, delay: Time) {
-        if self.shared.par_active_fast() {
-            self.shared.par.append(
-                self.pid,
-                Effect::Schedule {
-                    delay,
-                    action: TimedAction::WakeProc(self.pid),
-                },
-            );
-        } else {
-            self.shared
-                .with_state(|st| st.schedule(delay, TimedAction::WakeProc(self.pid)));
-        }
+        self.shared
+            .with_state(|st| st.schedule(delay, TimedAction::WakeProc(self.pid)));
         self.baton.yield_to_scheduler();
     }
 
@@ -100,15 +89,9 @@ impl ProcCtx {
     /// User processes following the paper's specification methodology never
     /// call this directly — channels do — but testbench components may.
     pub fn wait_event(&mut self, event: &Event) {
-        if self.shared.par_active_fast() {
-            self.shared
-                .par
-                .append(self.pid, Effect::WaitEvent { ev: event.id });
-        } else {
-            self.shared.with_state(|st| {
-                st.events[event.id].waiters.insert(self.pid);
-            });
-        }
+        self.shared.with_state(|st| {
+            st.events[event.id].waiters.insert(self.pid);
+        });
         self.baton.yield_to_scheduler();
     }
 
@@ -120,36 +103,8 @@ impl ProcCtx {
         }
         let pid = self.pid;
         let detail = detail.into();
-        if self.shared.par_active_fast() {
-            self.shared.par.append(
-                pid,
-                Effect::TraceText {
-                    label: label.to_string(),
-                    detail,
-                },
-            );
-        } else {
-            self.shared
-                .with_state(|st| st.record_text(Some(pid), label, &detail));
-        }
-    }
-
-    /// Waits, inside a parallel evaluate round, until every runnable
-    /// process with a lower pid has yielded for this delta. Outside a
-    /// parallel round (the default `jobs = 1` kernel) this is a single
-    /// atomic load and returns immediately.
-    ///
-    /// Order-sensitive primitives — rendezvous channels, [`crate::SimMutex`],
-    /// [`crate::SimSemaphore`], and the estimator's sequential-resource
-    /// arbitration in `scperf-core` — call this before touching state
-    /// that other processes can observe within the same delta, so those
-    /// interactions happen in canonical ascending-pid order and the
-    /// parallel kernel stays bit-identical to the sequential one (see
-    /// `docs/PARALLELISM.md`).
-    pub fn par_fence(&self) {
-        if self.shared.par_active_fast() {
-            self.shared.par.fence(self.pid);
-        }
+        self.shared
+            .with_state(|st| st.record_text(Some(pid), label, &detail));
     }
 }
 

@@ -14,7 +14,6 @@ use crate::handoff::{
     clear_panic_suppression, install_silent_kill_hook, panic_message, DirectHandoff, KillToken,
     RunState,
 };
-use crate::parallel::Effect;
 use crate::process::{ProcCtx, ProcId};
 use crate::state::{AdvanceOutcome, ProcMeta, SchedSnapshot, Shared};
 use crate::time::Time;
@@ -52,18 +51,6 @@ pub enum SimError {
         /// Stringified panic payload.
         message: String,
     },
-    /// Parallel evaluation (`jobs > 1`) detected a construct whose
-    /// outcome depends on process execution order within one delta
-    /// cycle — conflicting same-delta channel accesses (two writers on
-    /// a signal, two readers on a fifo) or an immediate notification
-    /// with live waiters. Such a model is not a *determinate
-    /// specification* in the sense of the paper's §4, so instead of
-    /// silently racing the kernel stops and reports it. The simulator
-    /// is poisoned afterwards. See `docs/PARALLELISM.md`.
-    NonDeterminate {
-        /// Human-readable description of the conflicting construct.
-        detail: String,
-    },
 }
 
 impl fmt::Display for SimError {
@@ -71,12 +58,6 @@ impl fmt::Display for SimError {
         match self {
             SimError::ProcessPanic { process, message } => {
                 write!(f, "process '{process}' panicked: {message}")
-            }
-            SimError::NonDeterminate { detail } => {
-                write!(
-                    f,
-                    "non-determinate construct under parallel evaluation: {detail}"
-                )
             }
         }
     }
@@ -129,17 +110,11 @@ pub struct Simulator {
     /// [`Simulator::metrics`].
     handoff_resume_nanos: u64,
     handoff_resumes: u64,
-    /// Evaluate-phase parallelism degree; 1 = the sequential baton
-    /// path, preserved verbatim.
-    jobs: usize,
-    /// Lazily created dispatcher pool for parallel rounds (`jobs - 1`
-    /// workers; the scheduler thread runs the first chunk inline).
-    pool: Option<scperf_sync::WorkerPool>,
 }
 
 impl Simulator {
-    /// Creates an empty simulator with default options: sequential
-    /// evaluation, no attribution, no tracing.
+    /// Creates an empty simulator with default options: no attribution,
+    /// no tracing.
     pub fn new() -> Simulator {
         install_silent_kill_hook();
         Simulator {
@@ -148,18 +123,15 @@ impl Simulator {
             errored: false,
             handoff_resume_nanos: 0,
             handoff_resumes: 0,
-            jobs: 1,
-            pool: None,
         }
     }
 
     /// Creates an empty simulator from a [`SimOptions`] value: the
-    /// evaluate-phase parallelism, attribution and trace-sink wiring, in
-    /// one place. This is the constructor the `scperf_core::SimConfig`
-    /// session builder threads its kernel half through.
+    /// attribution and trace-sink wiring, in one place. This is the
+    /// constructor the `scperf_core::SimConfig` session builder threads
+    /// its kernel half through.
     pub fn with_options(options: SimOptions) -> Simulator {
         let mut sim = Simulator::new();
-        sim.set_jobs(options.jobs);
         if options.attribution {
             sim.set_attribution(true);
         }
@@ -172,22 +144,6 @@ impl Simulator {
             },
         }
         sim
-    }
-
-    /// Sets the evaluate-phase parallelism degree (normally through
-    /// [`SimOptions::jobs`]). `0` is treated as `1`. With `jobs > 1`
-    /// each delta's runnable set is partitioned across dispatcher
-    /// threads and process side effects are committed in canonical
-    /// pid order at the delta boundary, keeping results bit-identical
-    /// to `jobs = 1` for determinate models — see `docs/PARALLELISM.md`.
-    /// Call before `run`.
-    pub fn set_jobs(&mut self, jobs: usize) {
-        self.jobs = jobs.max(1);
-    }
-
-    /// The configured evaluate-phase parallelism degree.
-    pub fn jobs(&self) -> usize {
-        self.jobs
     }
 
     /// Spawns a process (the analogue of `SC_THREAD`). The body runs when
@@ -219,10 +175,6 @@ impl Simulator {
         let thread = std::thread::Builder::new()
             .name(format!("scperf-proc-{name}"))
             .spawn(move || {
-                // Mark this OS thread as pid's, so `Event::notify_*`
-                // (which carry no ProcCtx) can route buffered effects
-                // to the right log during parallel rounds.
-                crate::parallel::set_current_pid(pid);
                 if !thread_baton.wait_first_dispatch() {
                     return; // killed before ever running
                 }
@@ -328,16 +280,6 @@ impl Simulator {
                 self.handoff_resume_nanos as f64 / self.handoff_resumes as f64,
             );
         }
-        if self.jobs > 1 {
-            use std::sync::atomic::Ordering::Relaxed;
-            let par = &self.shared.par;
-            m.set_counter("kernel.par.jobs", self.jobs as u64);
-            m.set_counter("kernel.par.rounds", par.rounds.load(Relaxed));
-            m.set_counter("kernel.par.workers", par.workers.load(Relaxed));
-            m.set_counter("kernel.par.effects", par.effects_committed.load(Relaxed));
-            m.set_counter("kernel.par.commit_nanos", par.commit_nanos.load(Relaxed));
-            m.set_counter("kernel.par.seq_fallbacks", par.seq_fallbacks.load(Relaxed));
-        }
         m
     }
 
@@ -424,27 +366,16 @@ impl Simulator {
             // Evaluate phase.
             {
                 let _span = scperf_obs::profile::span("kernel.evaluate");
-                let runnable = self.shared.with_state(|st| st.runnable.len());
-                if self.parallel_round_possible(runnable) {
-                    self.evaluate_parallel()?;
-                } else {
-                    if self.jobs > 1 && runnable > 0 {
-                        self.shared
-                            .par
-                            .seq_fallbacks
-                            .fetch_add(1, std::sync::atomic::Ordering::Relaxed);
-                    }
-                    loop {
-                        let next = self.shared.with_state(|st| {
-                            let pid = st.runnable.pop_first();
-                            st.current = pid;
-                            pid
-                        });
-                        let Some(pid) = next else { break };
-                        self.dispatch(pid)?;
-                    }
-                    self.shared.with_state(|st| st.current = None);
+                loop {
+                    let next = self.shared.with_state(|st| {
+                        let pid = st.runnable.pop_first();
+                        st.current = pid;
+                        pid
+                    });
+                    let Some(pid) = next else { break };
+                    self.dispatch(pid)?;
                 }
+                self.shared.with_state(|st| st.current = None);
             }
             // Update phase.
             {
@@ -480,12 +411,6 @@ impl Simulator {
     }
 
     fn dispatch(&mut self, pid: usize) -> Result<(), SimError> {
-        if self.jobs > 1 {
-            // A previous parallel round may have registered a pool
-            // worker as this baton's yield target; point it back at
-            // the scheduler thread. (Safe: the process is parked.)
-            self.procs[pid].baton.set_scheduler(&std::thread::current());
-        }
         let (outcome, latency) = self.procs[pid].baton.dispatch();
         if let Some(lat) = latency {
             self.handoff_resume_nanos += lat.as_nanos() as u64;
@@ -527,189 +452,13 @@ impl Simulator {
         }
     }
 
-    /// A parallel round needs `jobs > 1`, at least two runnable
-    /// processes, and no feature that forces the sequential path
-    /// (attribution's wait-span accounting is order-sensitive). A
-    /// reset-and-reused simulator whose new life spawned more processes
-    /// than its effect-log table holds also falls back.
-    fn parallel_round_possible(&self, runnable: usize) -> bool {
-        self.jobs > 1
-            && runnable >= 2
-            && !self.shared.attribution_fast()
-            && self.shared.par.logs_fit(self.procs.len())
-    }
-
-    /// Runs one evaluate phase in parallel: snapshot the runnable set,
-    /// dispatch ascending-pid chunks across the pool (chunk 0 inline on
-    /// the scheduler thread), then commit every buffered effect in
-    /// canonical pid order. See `docs/PARALLELISM.md` for the contract.
-    fn evaluate_parallel(&mut self) -> Result<(), SimError> {
-        use std::sync::atomic::Ordering;
-
-        // Snapshot *without draining*: the commit loop pops `runnable`
-        // exactly like the sequential kernel, so depth-derived metrics
-        // (ready_peak) evolve identically.
-        let members: Vec<usize> = self
-            .shared
-            .with_state(|st| st.runnable.iter().copied().collect());
-        let nprocs = self.procs.len();
-        let gate = self.shared.par.begin_round(members.clone(), nprocs);
-        let workers = self.jobs.min(members.len());
-        if workers > 1 && self.pool.is_none() {
-            self.pool = Some(scperf_sync::WorkerPool::new("scperf-par", self.jobs - 1));
-        }
-
-        type Outcomes = scperf_sync::Mutex<Vec<(usize, RunState, Option<std::time::Duration>)>>;
-        let outcomes: Arc<Outcomes> = Arc::new(scperf_sync::Mutex::new(Vec::new()));
-
-        // One contiguous ascending chunk per dispatcher. Ascending
-        // order within a chunk is what keeps the pid-order fences
-        // deadlock-free: the smallest non-yielded pid is always at the
-        // head of some dispatcher's chunk.
-        let base = members.len() / workers;
-        let extra = members.len() % workers;
-        let mut start = 0usize;
-        let mut chunks: Vec<Vec<(usize, Arc<DirectHandoff>)>> = Vec::with_capacity(workers);
-        for w in 0..workers {
-            let len = base + usize::from(w < extra);
-            let chunk = members[start..start + len]
-                .iter()
-                .map(|&pid| (pid, Arc::clone(&self.procs[pid].baton)))
-                .collect();
-            chunks.push(chunk);
-            start += len;
-        }
-        let mut chunk_iter = chunks.into_iter();
-        let inline_chunk = chunk_iter.next().expect("at least one chunk");
-        for chunk in chunk_iter {
-            let gate = Arc::clone(&gate);
-            let outcomes = Arc::clone(&outcomes);
-            let pool = self.pool.as_ref().expect("pool exists when workers > 1");
-            pool.submit(move || run_chunk(chunk, &gate, &outcomes));
-        }
-        run_chunk(inline_chunk, &gate, &outcomes);
-        if let Some(pool) = &self.pool {
-            pool.wait_idle();
-        }
-        // Every member has yielded; flip back to live-kernel mode so
-        // the commit replay below goes through the normal paths.
-        self.shared.par.end_round();
-        self.shared.par.rounds.fetch_add(1, Ordering::Relaxed);
-        self.shared
-            .par
-            .workers
-            .fetch_max(workers as u64, Ordering::Relaxed);
-
-        // Conflicting same-delta accesses detected mid-round mean the
-        // model is not a determinate spec: report, don't race.
-        let hazards = self.shared.par.take_hazards();
-        if let Some(detail) = hazards.into_iter().next() {
-            self.errored = true;
-            return Err(SimError::NonDeterminate { detail });
-        }
-
-        let mut outs: Vec<Option<RunState>> = (0..nprocs).map(|_| None).collect();
-        for (pid, state, latency) in std::mem::take(&mut *outcomes.lock()) {
-            if let Some(lat) = latency {
-                self.handoff_resume_nanos += lat.as_nanos() as u64;
-                self.handoff_resumes += 1;
-            }
-            outs[pid] = Some(state);
-        }
-
-        // Commit: replay each member's effects in ascending pid order,
-        // each log in program order, through the same KernelState entry
-        // points the sequential kernel uses — reproducing sequence
-        // numbers, metrics and the trace stream bit-exactly.
-        let commit_start = std::time::Instant::now();
-        let mut effects_committed = 0u64;
-        let mut finished: Vec<usize> = Vec::new();
-        let shared = Arc::clone(&self.shared);
-        let result: Result<(), SimError> = shared.with_state(|st| {
-            while let Some(pid) = st.runnable.pop_first() {
-                st.current = Some(pid);
-                for effect in self.shared.par.drain(pid) {
-                    effects_committed += 1;
-                    match effect {
-                        Effect::Schedule { delay, action } => st.schedule(delay, action),
-                        Effect::WaitEvent { ev } => {
-                            st.events[ev].waiters.insert(pid);
-                        }
-                        Effect::NotifyDelta { ev } => st.notify_event_delta(ev),
-                        Effect::NotifyImmediate { ev } => {
-                            if !st.events[ev].waiters.is_empty() {
-                                return Err(SimError::NonDeterminate {
-                                    detail: format!(
-                                        "immediate notification of event '{}' with live \
-                                         waiters during a parallel evaluate round (wakes \
-                                         within the current delta depend on execution \
-                                         order); use notify_delta or run with jobs = 1",
-                                        st.events[ev].name
-                                    ),
-                                });
-                            }
-                            st.notify_event_immediate(ev);
-                        }
-                        Effect::Trace {
-                            label,
-                            chan,
-                            payload,
-                        } => {
-                            st.record_event(Some(pid), label, chan, payload);
-                        }
-                        Effect::TraceText { label, detail } => {
-                            st.record_text(Some(pid), &label, &detail);
-                        }
-                    }
-                }
-                st.activations += 1;
-                match outs[pid].take() {
-                    Some(RunState::Waiting) | None => {}
-                    Some(RunState::Done(None)) => {
-                        st.procs[pid].alive = false;
-                        finished.push(pid);
-                    }
-                    Some(RunState::Done(Some(message))) => {
-                        st.procs[pid].alive = false;
-                        finished.push(pid);
-                        return Err(SimError::ProcessPanic {
-                            process: st.procs[pid].name.clone(),
-                            message,
-                        });
-                    }
-                }
-            }
-            st.current = None;
-            Ok(())
-        });
-        self.shared
-            .par
-            .effects_committed
-            .fetch_add(effects_committed, Ordering::Relaxed);
-        self.shared
-            .par
-            .commit_nanos
-            .fetch_add(commit_start.elapsed().as_nanos() as u64, Ordering::Relaxed);
-        for pid in finished {
-            if let Some(t) = self.procs[pid].thread.take() {
-                let _ = t.join();
-            }
-        }
-        if result.is_err() {
-            self.errored = true;
-        }
-        result
-    }
-
     /// Returns this simulator to its just-constructed state so a pooled
-    /// slot can be reused without paying thread-pool, allocation and
-    /// interner setup again: every process thread is killed and joined,
-    /// the kernel state (time, queues, events, process table, metrics,
-    /// channel registries, trace sink) is cleared in place, the
-    /// `kernel.par.*` counters are zeroed, and the error/poison flag is
-    /// cleared — a [`SimError::NonDeterminate`] in the previous life
-    /// does not poison the next one. The `jobs` degree, attribution flag
-    /// and the lazily created dispatcher pool are kept.
+    /// slot can be reused without paying allocation and interner setup
+    /// again: every process thread is killed and joined, the kernel
+    /// state (time, queues, events, process table, metrics, channel
+    /// registries, trace sink) is cleared in place, and the error/poison
+    /// flag is cleared — a [`SimError::ProcessPanic`] in the previous
+    /// life does not poison the next one. The attribution flag is kept.
     ///
     /// After a reset the simulator behaves exactly like
     /// `Simulator::with_options` with the same options: spawn processes,
@@ -729,7 +478,6 @@ impl Simulator {
         // mirror stays in sync, then clear the state in place.
         self.shared.set_sink(None);
         self.shared.with_state(|st| st.reset());
-        self.shared.par.reset_counters();
         self.errored = false;
         self.handoff_resume_nanos = 0;
         self.handoff_resumes = 0;
@@ -737,26 +485,6 @@ impl Simulator {
 
     pub(crate) fn shared(&self) -> &Arc<Shared> {
         &self.shared
-    }
-}
-
-/// Dispatches one ascending chunk of a parallel round: registers the
-/// calling thread as each baton's yield target, runs the process until
-/// it yields, and marks it yielded on the round gate (releasing any
-/// higher-pid fences waiting on it).
-fn run_chunk(
-    chunk: Vec<(usize, Arc<DirectHandoff>)>,
-    gate: &crate::parallel::RoundGate,
-    outcomes: &scperf_sync::Mutex<Vec<(usize, RunState, Option<std::time::Duration>)>>,
-) {
-    let me = std::thread::current();
-    for (pid, baton) in chunk {
-        // Safe: the process is parked and this dispatcher holds its
-        // baton, which is exactly the set_scheduler contract.
-        baton.set_scheduler(&me);
-        let (state, latency) = baton.dispatch();
-        gate.mark_yielded(pid);
-        outcomes.lock().push((pid, state, latency));
     }
 }
 
@@ -913,14 +641,9 @@ mod tests {
     fn process_panic_is_reported() {
         let mut sim = Simulator::new();
         sim.spawn("bad", |_ctx| panic!("deliberate test panic"));
-        let err = sim.run().unwrap_err();
-        match err {
-            SimError::ProcessPanic { process, message } => {
-                assert_eq!(process, "bad");
-                assert!(message.contains("deliberate"));
-            }
-            other => panic!("expected ProcessPanic, got {other:?}"),
-        }
+        let SimError::ProcessPanic { process, message } = sim.run().unwrap_err();
+        assert_eq!(process, "bad");
+        assert!(message.contains("deliberate"));
     }
 
     #[test]

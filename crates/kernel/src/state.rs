@@ -223,10 +223,9 @@ impl KernelState {
     /// simulator slot can be reused without rebuilding: time, delta
     /// counter, ready queues, time wheel, events, process table, update
     /// hooks, metrics and channel registries are all cleared, and the
-    /// interner is rebuilt. Rebuilding the interner is safe for the
-    /// immutable [`KernelLabels`] copy in [`Shared::labels`]: the five
-    /// kernel labels are interned first and in a fixed order, so the
-    /// fresh interner assigns them the same `Sym` ids. The trace sink
+    /// interner is rebuilt. The five kernel labels are interned first
+    /// and in a fixed order, so the fresh interner assigns them the same
+    /// `Sym` ids as a fresh simulator's. The trace sink
     /// is dropped (the caller re-syncs the lock-free tracing mirror and
     /// reinstalls a sink if it wants one); the `attribution` flag keeps
     /// its value, matching its lock-free mirror.
@@ -580,32 +579,15 @@ pub(crate) struct Shared {
     /// kernel lock so channels can skip wait-span timestamping and
     /// depth tracking entirely when attribution is off.
     attribution: AtomicBool,
-    /// Parallel-evaluate round state (effect logs, gate, counters).
-    pub(crate) par: crate::parallel::ParShared,
-    /// Copy of `KernelState::labels`, readable without the kernel lock
-    /// so parallel rounds can build buffered trace effects lock-free.
-    pub(crate) labels: KernelLabels,
 }
 
 impl Shared {
     pub(crate) fn new() -> Arc<Shared> {
-        let state = KernelState::new();
-        let labels = state.labels;
         Arc::new(Shared {
-            state: Mutex::new(state),
+            state: Mutex::new(KernelState::new()),
             tracing: AtomicBool::new(false),
             attribution: AtomicBool::new(false),
-            par: crate::parallel::ParShared::new(),
-            labels,
         })
-    }
-
-    /// Lock-free check: is a parallel evaluate round in flight? When
-    /// true, process-side kernel effects must be buffered via
-    /// [`Shared::par`] instead of mutating the kernel state.
-    #[inline]
-    pub(crate) fn par_active_fast(&self) -> bool {
-        self.par.active_fast()
     }
 
     pub(crate) fn with_state<R>(&self, f: impl FnOnce(&mut KernelState) -> R) -> R {
@@ -738,8 +720,8 @@ mod tests {
         assert!(st.events.is_empty() && st.procs.is_empty());
         assert_eq!(st.activations, 0);
         assert!(!st.started);
-        // The fixed intern order reproduces identical label symbols, so
-        // the immutable copy in `Shared::labels` stays valid.
+        // The fixed intern order reproduces a fresh state's label
+        // symbols, so a reused slot's trace matches a fresh one.
         assert_eq!(st.labels.fifo_read, fresh_labels.fifo_read);
         assert_eq!(st.labels.signal_update, fresh_labels.signal_update);
         assert_eq!(st.labels.rendezvous_write, fresh_labels.rendezvous_write);

@@ -8,17 +8,13 @@
 //! FIFO) must be flagged.
 
 use scperf_kernel::trace::{compare_traces, functional_projection};
-use scperf_kernel::{SimOptions, Simulator, Time, TraceMode, TraceRecord};
+use scperf_kernel::{Simulator, Time, TraceRecord};
 
 /// One producer → FIFO → one consumer. The producer's per-item delay is
-/// a parameter; the functional content never depends on it. `jobs`
-/// selects the evaluate-phase parallelism — the trace must not depend
-/// on it at all (see `docs/PARALLELISM.md`).
-fn run_deterministic_jobs(delay_ns: u64, jobs: usize) -> Vec<TraceRecord> {
-    let mut sim = SimOptions::new()
-        .jobs(jobs)
-        .tracing(TraceMode::Unbounded)
-        .build();
+/// a parameter; the functional content never depends on it.
+fn run_deterministic(delay_ns: u64) -> Vec<TraceRecord> {
+    let mut sim = Simulator::new();
+    sim.enable_tracing();
     let ch = sim.fifo::<u32>("ch", 2);
     let tx = ch.clone();
     sim.spawn("producer", move |ctx| {
@@ -39,10 +35,6 @@ fn run_deterministic_jobs(delay_ns: u64, jobs: usize) -> Vec<TraceRecord> {
     });
     sim.run().expect("runs");
     sim.take_trace()
-}
-
-fn run_deterministic(delay_ns: u64) -> Vec<TraceRecord> {
-    run_deterministic_jobs(delay_ns, 1)
 }
 
 /// Two producers race into one FIFO; the consumer's read order (and its
@@ -88,20 +80,6 @@ fn deterministic_model_agrees_across_timings() {
     assert_ne!(functional_projection(&fast), functional_projection(&slow));
     // …but every per-process stream is identical: deterministic.
     assert_eq!(compare_traces(&fast, &slow), Vec::<String>::new());
-}
-
-/// Parallel evaluation is held to a stronger bar than the §6 per-stream
-/// check: the *entire* trace — global interleaving included — must be
-/// bit-identical to the sequential kernel, for both timing annotations.
-#[test]
-fn deterministic_model_is_bit_identical_across_jobs() {
-    for delay in [0u64, 13] {
-        let seq = run_deterministic_jobs(delay, 1);
-        for jobs in [2usize, 8] {
-            let par = run_deterministic_jobs(delay, jobs);
-            assert_eq!(seq, par, "full trace diverged at delay={delay} jobs={jobs}");
-        }
-    }
 }
 
 #[test]

@@ -1,11 +1,7 @@
 //! A long-lived worker pool for task streams.
 //!
-//! [`WorkerPool`] started life in `scperf-dse` as the execution
-//! substrate of the serving layer; it lives here so lower layers — in
-//! particular the kernel's parallel-evaluate scheduler — can share the
-//! same pool implementation without inverting the crate dependency
-//! graph (`dse` depends on the kernel, not the other way around).
-//! `scperf_dse::pool` re-exports it, so existing users are unaffected.
+//! [`WorkerPool`] is the execution substrate of the serving layer.
+//! `scperf_dse::pool` re-exports it.
 
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
