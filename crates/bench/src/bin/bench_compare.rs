@@ -19,7 +19,7 @@
 //!   chosen so that `--quick` runs measure the same per-unit cost as
 //!   full ones.
 //! * **same-run ratios** (higher is better): `memoized_speedup`,
-//!   `prog_speedup` and `pool_speedup`, each one code path against
+//!   `prog_speedup` and `reuse_speedup`, each one code path against
 //!   another on the same machine in the same run.
 //!
 //! Both kinds only mean something on the setup the baseline was taken
@@ -47,7 +47,7 @@ use scperf_bench::microbench::Spread;
 use scperf_serve::json::{parse, Json};
 
 /// Same-run ratio keys: higher is better.
-const RATIO_KEYS: [&str; 3] = ["memoized_speedup", "pool_speedup", "prog_speedup"];
+const RATIO_KEYS: [&str; 3] = ["memoized_speedup", "prog_speedup", "reuse_speedup"];
 
 /// Per-unit cost keys (medians over reps): lower is better.
 const COST_KEYS: [&str; 5] = [

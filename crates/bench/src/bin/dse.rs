@@ -6,15 +6,14 @@
 //!
 //! ```text
 //! cargo run -p scperf-bench --release --bin dse -- \
-//!     [--frames N] [--jobs N] [--no-cache] [--bench] \
+//!     [--frames N] [--jobs N] [--bench] \
 //!     [--programs-in FILE] [--programs-out FILE]
 //! ```
 //!
 //! * `--frames N`   frames per design point (default 2)
 //! * `--jobs N`     worker threads; 1 = sequential oracle (default:
 //!   available parallelism)
-//! * `--no-cache`   disable segment-cost memoization
-//! * `--bench`      additionally run the sequential no-cache oracle,
+//! * `--bench`      additionally run the sequential, uncached oracle,
 //!   verify the parallel frontier is bitwise identical, and write
 //!   speedup + cache stats to `BENCH_dse.json`
 //! * `--programs-in FILE`   warm-start segment-site cost programs from a
@@ -31,7 +30,6 @@ use scperf_obs::json::JsonWriter;
 struct Args {
     frames: usize,
     jobs: usize,
-    cache: bool,
     bench: bool,
     programs_in: Option<String>,
     programs_out: Option<String>,
@@ -41,7 +39,6 @@ fn parse_args() -> Args {
     let mut args = Args {
         frames: 2,
         jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
-        cache: true,
         bench: false,
         programs_in: None,
         programs_out: None,
@@ -57,7 +54,6 @@ fn parse_args() -> Args {
         match arg.as_str() {
             "--frames" => args.frames = num("--frames"),
             "--jobs" => args.jobs = num("--jobs"),
-            "--no-cache" => args.cache = false,
             "--bench" => args.bench = true,
             "--programs-in" => {
                 args.programs_in = Some(it.next().expect("--programs-in expects a path"))
@@ -78,11 +74,8 @@ fn main() {
     let cal = scperf_bench::calibration::calibrate();
     println!(
         "cost table calibrated (R^2 = {:.4}); exploring 243 mappings \
-         ({} frames, {} jobs, cache {})...",
-        cal.r_squared,
-        args.frames,
-        args.jobs,
-        if args.cache { "on" } else { "off" }
+         ({} frames, {} jobs)...",
+        cal.r_squared, args.frames, args.jobs
     );
 
     let programs_in = args.programs_in.as_ref().map(|path| {
@@ -98,7 +91,7 @@ fn main() {
         nframes: args.frames,
         jobs: args.jobs,
         kernel_jobs: 1,
-        use_cache: args.cache,
+        use_cache: true,
         limit: None,
         legacy_charging: false,
         programs_in,
@@ -140,7 +133,7 @@ fn main() {
     }
 
     if args.bench {
-        println!("\nrunning sequential no-cache oracle for comparison...");
+        println!("\nrunning sequential, uncached oracle for comparison...");
         let oracle_config = SweepConfig {
             jobs: 1,
             use_cache: false,
@@ -166,7 +159,7 @@ fn main() {
         w.key("jobs");
         w.value_u64(args.jobs as u64);
         w.key("cache");
-        w.value_bool(args.cache);
+        w.value_bool(config.use_cache);
         w.key("seq_no_cache_seconds");
         w.value_f64(oracle_elapsed.as_secs_f64());
         w.key("tuned_seconds");

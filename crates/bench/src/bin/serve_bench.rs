@@ -19,12 +19,12 @@
 //! * **determinism** — the same mixed batch rendered by a 1-worker and
 //!   an 8-worker service must produce *bitwise identical* response
 //!   payloads. Asserted, not just reported.
-//! * **sustained** — repeat-shape traffic with the session pool on vs
-//!   off (trace cache off for both, so the unpooled baseline is true
-//!   per-request construction). Pooled requests fork a warmed-up
-//!   snapshot instead of rebuilding and re-estimating the pipeline;
-//!   the requests/s ratio is asserted ≥ 2× and the per-request heap
-//!   allocation counts are reported alongside.
+//! * **sustained** — repeat-shape traffic through the default service
+//!   (pooled slots, every stage replayed from the trace cache) against
+//!   the same scenario through `engine::execute` without a cache (a
+//!   fresh session with live estimation per request, nothing reused).
+//!   The requests/s ratio, `reuse_speedup`, is asserted ≥ 2× and the
+//!   per-request heap allocation counts are reported alongside.
 //! * **slow_clients** — the concurrency measurement that does not
 //!   depend on core count: TCP clients that handshake (ping/pong),
 //!   think for a fixed delay while holding the connection, then send a
@@ -42,11 +42,11 @@ use std::time::{Duration, Instant};
 
 use scperf_bench::microbench::host_cpus;
 use scperf_obs::json::JsonWriter;
-use scperf_serve::{Responder, Service, ServiceConfig, TcpServer};
+use scperf_serve::{engine, json, Request, Responder, Service, ServiceConfig, TcpServer};
 
 /// Counts every heap allocation so the sustained-load arm can report
-/// allocations per request with the pool on vs off — the pool's other
-/// dividend besides wall clock.
+/// allocations per request for the service and for fresh sessions —
+/// reuse's other dividend besides wall clock.
 struct CountingAlloc;
 
 static ALLOCS: AtomicU64 = AtomicU64::new(0);
@@ -163,27 +163,19 @@ fn determinism_check() -> usize {
 
 struct SustainedRun {
     workers: usize,
-    pooled_rps: f64,
-    unpooled_rps: f64,
-    pool_speedup: f64,
-    pooled_allocs_per_req: u64,
-    unpooled_allocs_per_req: u64,
+    service_rps: f64,
+    fresh_rps: f64,
+    reuse_speedup: f64,
+    service_allocs_per_req: u64,
+    fresh_allocs_per_req: u64,
 }
 
-/// One sustained-load arm: `requests` repeat-shape sim requests (after
-/// one warmup request that pays first-of-shape setup either way)
-/// through a service with the session pool on or off. The trace cache
-/// is off for both, so the unpooled side is true per-request
-/// construction — the setup cost the pool is meant to amortize.
-fn sustained_arm(workers: usize, pooled: bool, requests: usize, nframes: usize) -> (f64, u64) {
-    let svc = Service::new(ServiceConfig {
-        workers,
-        queue_capacity: 256,
-        retry_after_ms: 50,
-        use_cache: false,
-        pool_sessions: if pooled { None } else { Some(0) },
-        ..ServiceConfig::default()
-    });
+/// The service side of the sustained arm: `requests` repeat-shape sim
+/// requests through a default `workers`-wide service, after one warmup
+/// request that records every stage's trace — so every measured request
+/// runs in a pooled slot and replays all five stages.
+fn service_arm(workers: usize, requests: usize, nframes: usize) -> (f64, u64) {
+    let svc = service(workers);
     let (responder, lines) = Responder::collector();
     svc.handle_line(&sim_line("warm", MAPPINGS[1], nframes), &responder);
     while lines.lock().is_empty() {
@@ -208,17 +200,38 @@ fn sustained_arm(workers: usize, pooled: bool, requests: usize, nframes: usize) 
     (requests as f64 / seconds, allocs / requests as u64)
 }
 
-/// Pool on vs pool off at one worker count, same repeat-shape traffic.
+/// The baseline side: the same scenario `requests` times through
+/// `engine::execute` with no cache — a fresh session with live
+/// estimation per request.
+fn fresh_arm(requests: usize, nframes: usize) -> (f64, u64) {
+    let line = sim_line("fresh", MAPPINGS[1], nframes);
+    let request = json::parse(&line).expect("the line is JSON");
+    let Ok(Request::Sim { scenario, .. }) = Request::from_json(&request) else {
+        panic!("not a valid sim request: {line}");
+    };
+    let allocs_before = ALLOCS.load(Ordering::Relaxed);
+    let start = Instant::now();
+    for _ in 0..requests {
+        let out = engine::execute(&scenario, None, None, 0).expect("fresh run");
+        std::hint::black_box(out);
+    }
+    let seconds = start.elapsed().as_secs_f64();
+    let allocs = ALLOCS.load(Ordering::Relaxed) - allocs_before;
+    (requests as f64 / seconds, allocs / requests as u64)
+}
+
+/// The service against fresh sessions at one worker count, same
+/// repeat-shape traffic.
 fn sustained_run(workers: usize, requests: usize, nframes: usize) -> SustainedRun {
-    let (unpooled_rps, unpooled_allocs_per_req) = sustained_arm(workers, false, requests, nframes);
-    let (pooled_rps, pooled_allocs_per_req) = sustained_arm(workers, true, requests, nframes);
+    let (fresh_rps, fresh_allocs_per_req) = fresh_arm(requests, nframes);
+    let (service_rps, service_allocs_per_req) = service_arm(workers, requests, nframes);
     SustainedRun {
         workers,
-        pooled_rps,
-        unpooled_rps,
-        pool_speedup: pooled_rps / unpooled_rps,
-        pooled_allocs_per_req,
-        unpooled_allocs_per_req,
+        service_rps,
+        fresh_rps,
+        reuse_speedup: service_rps / fresh_rps,
+        service_allocs_per_req,
+        fresh_allocs_per_req,
     }
 }
 
@@ -311,33 +324,34 @@ fn main() {
     println!("  payloads bitwise identical ({payload_len} bytes)");
 
     println!(
-        "\nsustained: {requests} repeat-shape requests, nframes={nframes}, pool on vs off \
-         (trace cache off: the baseline is per-request construction)"
+        "\nsustained: {requests} repeat-shape requests, nframes={nframes}, the service \
+         (pooled slots, cached traces) vs fresh sessions with live estimation"
     );
     let sustained: Vec<SustainedRun> = [1, WORKER_COUNTS[2]]
         .iter()
         .map(|&w| {
             let r = sustained_run(w, requests, nframes);
             println!(
-                "  {w} worker(s): pooled {:>7.2} req/s ({} allocs/req)  unpooled {:>7.2} req/s \
+                "  {w} worker(s): service {:>7.2} req/s ({} allocs/req)  fresh {:>7.2} req/s \
                  ({} allocs/req)  speedup {:.2}x",
-                r.pooled_rps,
-                r.pooled_allocs_per_req,
-                r.unpooled_rps,
-                r.unpooled_allocs_per_req,
-                r.pool_speedup
+                r.service_rps,
+                r.service_allocs_per_req,
+                r.fresh_rps,
+                r.fresh_allocs_per_req,
+                r.reuse_speedup
             );
             r
         })
         .collect();
-    // The pool's reason to exist: repeat-shape traffic must amortize
-    // session setup at least 2x over per-request construction. The
-    // 1-worker arm is the cleanest measurement (no scheduler noise).
+    // Reuse is the service's reason to hold a pool and a trace cache:
+    // repeat-shape traffic must run at least 2x faster than building a
+    // session and estimating live per request. The 1-worker arm is the
+    // cleanest measurement (no scheduler noise).
     assert!(
-        sustained[0].pool_speedup >= 2.0,
-        "pooled repeat-shape traffic must be at least 2x per-request construction \
-         (got {:.2}x)",
-        sustained[0].pool_speedup
+        sustained[0].reuse_speedup >= 2.0,
+        "repeat-shape traffic through the service must be at least 2x fresh \
+         sessions with live estimation (got {:.2}x)",
+        sustained[0].reuse_speedup
     );
 
     println!(
@@ -412,8 +426,9 @@ fn main() {
     w.value_u64(nframes as u64);
     w.key("note");
     w.value_str(
-        "repeat-shape traffic, trace cache off: pooled forks a warmed snapshot, \
-         unpooled pays per-request construction",
+        "repeat-shape traffic: the default service (pooled slots, every stage replayed \
+         from the trace cache) vs engine::execute without a cache (a fresh session with \
+         live estimation per request)",
     );
     w.key("per_workers");
     w.begin_array();
@@ -421,21 +436,21 @@ fn main() {
         w.begin_object();
         w.key("workers");
         w.value_u64(r.workers as u64);
-        w.key("pooled_rps");
-        w.value_f64(r.pooled_rps);
-        w.key("unpooled_rps");
-        w.value_f64(r.unpooled_rps);
-        w.key("pool_speedup");
-        w.value_f64(r.pool_speedup);
-        w.key("pooled_allocs_per_req");
-        w.value_u64(r.pooled_allocs_per_req);
-        w.key("unpooled_allocs_per_req");
-        w.value_u64(r.unpooled_allocs_per_req);
+        w.key("service_rps");
+        w.value_f64(r.service_rps);
+        w.key("fresh_rps");
+        w.value_f64(r.fresh_rps);
+        w.key("reuse_speedup");
+        w.value_f64(r.reuse_speedup);
+        w.key("service_allocs_per_req");
+        w.value_u64(r.service_allocs_per_req);
+        w.key("fresh_allocs_per_req");
+        w.value_u64(r.fresh_allocs_per_req);
         w.end_object();
     }
     w.end_array();
     w.key("meets_2x");
-    w.value_bool(sustained[0].pool_speedup >= 2.0);
+    w.value_bool(sustained[0].reuse_speedup >= 2.0);
     w.end_object();
     // Scale-invariant ratios for bench_compare / the CI bench gate.
     w.key("benches");
@@ -444,8 +459,8 @@ fn main() {
         w.begin_object();
         w.key("name");
         w.value_str(&format!("serve_sustained_w{}", r.workers));
-        w.key("pool_speedup");
-        w.value_f64(r.pool_speedup);
+        w.key("reuse_speedup");
+        w.value_f64(r.reuse_speedup);
         w.end_object();
     }
     w.end_array();

@@ -1,24 +1,21 @@
-//! Session pooling and snapshot/fork reuse.
+//! Session pooling.
 //!
 //! The paper's workflow is "build the model once, evaluate many mapping
 //! scenarios" (§5). A long-running evaluation service pays full
 //! [`SimConfig`](crate::SimConfig) → [`Session`] construction — thread
-//! spawning, estimator registration, warmup estimation — on every
-//! request unless something reuses that work. This module provides the
-//! two reuse layers, modeled on wasmtime's pooling instance allocator
-//! (preallocate slots, reset-and-reuse instead of rebuild, admission
-//! limits instead of unbounded growth):
+//! spawning, estimator registration — on every request unless something
+//! reuses that work. [`SessionPool`] is that reuse layer, modeled on
+//! wasmtime's pooling instance allocator (preallocate slots,
+//! reset-and-reuse instead of rebuild, admission limits instead of
+//! unbounded growth): up to [`InstanceLimits::max_sessions`] reusable
+//! session slots, built lazily by a factory and returned to the free
+//! list by [`Session::reset`] when the [`PooledSession`] guard drops.
+//! Admission beyond the cap fails fast with [`PoolExhausted`] so the
+//! caller can tell clients to back off.
 //!
-//! * [`SessionPool`] — up to [`InstanceLimits::max_sessions`] reusable
-//!   session slots, built lazily by a factory and returned to the free
-//!   list by [`Session::reset`] when the [`PooledSession`] guard drops.
-//!   Admission beyond the cap fails fast with [`PoolExhausted`] so the
-//!   caller can tell clients to back off.
-//! * [`Snapshot`] — a forkable image of a *warmed-up* session: the
-//!   platform, the configuration knobs and every process's recorded
-//!   segment-cost trace. Repeated requests for the same scenario shape
-//!   fork the snapshot into a pooled slot and elaborate with the
-//!   captured [`Replay`]s, skipping live estimation entirely.
+//! The pool keeps no per-scenario state. Skipping live estimation on a
+//! repeat scenario is the job of a bounded segment-cost trace cache
+//! (`scperf_dse::SegmentCostCache`), keyed by what a trace depends on.
 //!
 //! # Slot lifecycle
 //!
@@ -29,8 +26,7 @@
 //!    │                 ▼                                  │
 //!    └─ free list ◀─ reset()  ── acquire() ─▶ live ───────┘
 //!                    (joins threads, clears kernel+estimator state,
-//!                     keeps configuration; fork_into stamps a new
-//!                     platform + replays on a snapshot hit)
+//!                     keeps configuration)
 //! ```
 //!
 //! Reset-vs-fresh bit-identity is the correctness contract: a reused
@@ -39,7 +35,6 @@
 //! panic ([`scperf_kernel::SimError::ProcessPanic`]) does not poison the
 //! slot: reset clears the kernel's error latch.
 
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -47,8 +42,7 @@ use std::sync::Arc;
 use scperf_sync::Mutex;
 
 use crate::recorder::Replay;
-use crate::resource::Platform;
-use crate::session::{Session, SessionKnobs, SimConfig};
+use crate::session::Session;
 
 /// Admission knobs of a [`SessionPool`], in the style of wasmtime's
 /// `InstanceLimits`: how many sessions may be live at once, and how
@@ -118,11 +112,12 @@ pub struct PoolStats {
     pub slots: u64,
     /// Currently acquired (live) sessions.
     pub live: u64,
-    /// Acquisitions that found a published snapshot for their shape.
+    /// Always 0: the pool keeps no snapshots for an acquisition to hit.
     pub hits: u64,
-    /// Acquisitions with no snapshot for their shape (first-of-shape).
+    /// Successful acquisitions (every one misses, as there are no
+    /// snapshots).
     pub misses: u64,
-    /// Snapshot forks stamped into slots (one per hit).
+    /// Always 0: the pool forks no snapshots.
     pub forks: u64,
     /// Slots returned to reusable state by [`Session::reset`].
     pub resets: u64,
@@ -130,39 +125,19 @@ pub struct PoolStats {
     pub exhausted: u64,
 }
 
-/// A forkable image of a warmed-up [`Session`]: platform,
-/// configuration knobs and the recorded per-process segment-cost
-/// traces. Captured by [`Session::snapshot`] after a run with
-/// recording enabled; cheap to clone and share ([`Arc`] it once and
-/// fork many times).
-///
-/// What a fork **shares** with the warmup run: the platform (cloned),
-/// the configuration, and the recorded [`Replay`] traces (shared
-/// behind `Arc`s — forking copies nothing). What it does **not**
-/// share: kernel state (each fork elaborates and runs its own
-/// simulation from time zero) and process bodies (Rust closures are
-/// `FnOnce`; the caller re-elaborates, passing the replays to
-/// [`Session::spawn_replaying`] so estimation is skipped).
+/// The segment-cost traces a [`Session`] recorded, captured by
+/// [`Session::snapshot`]. Cheap to clone: the traces are shared behind
+/// `Arc`s.
 #[derive(Debug, Clone)]
 pub struct Snapshot {
-    platform: Platform,
-    knobs: SessionKnobs,
     replays: Vec<(String, Replay)>,
 }
 
 impl Snapshot {
     pub(crate) fn capture(session: &mut Session) -> Snapshot {
-        let replays = session.recorder().replays();
         Snapshot {
-            platform: session.model().platform(),
-            knobs: session.knobs().clone(),
-            replays,
+            replays: session.recorder().replays(),
         }
-    }
-
-    /// The platform the warmup ran on.
-    pub fn platform(&self) -> &Platform {
-        &self.platform
     }
 
     /// The recorded trace of `process`, ready for
@@ -173,46 +148,6 @@ impl Snapshot {
             .find(|(n, _)| n == process)
             .map(|(_, r)| r.clone())
     }
-
-    /// All recorded traces, in process-registration order.
-    pub fn replays(&self) -> &[(String, Replay)] {
-        &self.replays
-    }
-
-    /// Builds a fresh [`Session`] with the snapshot's platform and
-    /// configuration. A custom trace sink of the original config is the
-    /// one knob that cannot be reproduced.
-    pub fn fork(&self) -> Session {
-        let mut config = SimConfig::new()
-            .platform(self.platform.clone())
-            .mode(self.knobs.mode)
-            .attribution(self.knobs.attribution)
-            .site_memo(self.knobs.site_memo)
-            .tracing(self.knobs.tracing);
-        if self.knobs.record_costs {
-            config = config.record_costs();
-        }
-        if self.knobs.record_instantaneous {
-            config = config.record_instantaneous();
-        }
-        if self.knobs.record_dfgs {
-            config = config.record_dfgs();
-        }
-        if let Some(limit) = self.knobs.run_limit {
-            config = config.run_limit(limit);
-        }
-        config.build()
-    }
-
-    /// Stamps the snapshot into an existing (pooled) session slot:
-    /// resets the slot and installs the snapshot's platform. The slot
-    /// keeps its own configuration (mode, attribution, tracing,
-    /// recording flags) — pool slots are homogeneous by construction, so
-    /// these already match. Elaborate the scenario with
-    /// [`Snapshot::replay`] traces to skip live estimation.
-    pub fn fork_into(&self, session: &mut Session) {
-        session.reset_with_platform(self.platform.clone());
-    }
 }
 
 struct PoolInner {
@@ -221,19 +156,15 @@ struct PoolInner {
 }
 
 /// A preallocated set of reusable [`Session`] slots with
-/// [`InstanceLimits`] admission, plus a shape-keyed [`Snapshot`] store
-/// — the "build once, evaluate many scenarios" allocator for a
-/// simulation service. Slots are built lazily by the factory on first
-/// acquisition and thereafter recycled through [`Session::reset`]
-/// instead of rebuilt.
+/// [`InstanceLimits`] admission — the "build once, evaluate many
+/// scenarios" allocator for a simulation service. Slots are built
+/// lazily by the factory on first acquisition and thereafter recycled
+/// through [`Session::reset`] instead of rebuilt.
 pub struct SessionPool {
     limits: InstanceLimits,
     build: Box<dyn Fn() -> Session + Send + Sync>,
     inner: Mutex<PoolInner>,
-    snapshots: Mutex<HashMap<u64, Arc<Snapshot>>>,
-    hits: AtomicU64,
     misses: AtomicU64,
-    forks: AtomicU64,
     resets: AtomicU64,
     exhausted: AtomicU64,
 }
@@ -241,9 +172,9 @@ pub struct SessionPool {
 impl SessionPool {
     /// Creates a pool of up to `limits.max_sessions` slots, each built
     /// on first use by `build`. The factory fixes the slots'
-    /// configuration (mode, attribution, tracing); per-scenario
-    /// variation — platform parameters, replays — is stamped in at
-    /// acquisition.
+    /// configuration (mode, attribution, tracing); the caller stamps in
+    /// per-scenario variation, such as the platform
+    /// ([`Session::reset_with_platform`]).
     pub fn new(
         limits: InstanceLimits,
         build: impl Fn() -> Session + Send + Sync + 'static,
@@ -255,10 +186,7 @@ impl SessionPool {
                 free: Vec::new(),
                 created: 0,
             }),
-            snapshots: Mutex::new(HashMap::new()),
-            hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            forks: AtomicU64::new(0),
             resets: AtomicU64::new(0),
             exhausted: AtomicU64::new(0),
         }
@@ -291,53 +219,30 @@ impl SessionPool {
                 }
             }
         };
+        self.misses.fetch_add(1, Ordering::Relaxed);
         // Build outside the lock; the capacity reservation above keeps
         // concurrent acquirers within `max_sessions`.
         let session = recycled.unwrap_or_else(|| (self.build)());
         Ok(PooledSession {
             pool: self,
             session: Some(session),
-            snapshot: None,
         })
     }
 
-    /// [`SessionPool::acquire`], keyed by scenario shape: when a
-    /// [`Snapshot`] has been published for `shape`, it is forked into
-    /// the slot (a *hit* — elaborate with [`PooledSession::forked_snapshot`]
-    /// replays and skip warmup); otherwise the caller runs the
-    /// first-of-shape warmup and should publish a snapshot afterwards
-    /// (a *miss*).
+    /// Acquires a slot exactly as [`SessionPool::acquire`] does; `shape`
+    /// is ignored. Kept for callers written against the removed
+    /// per-shape snapshot store.
     ///
     /// # Errors
     ///
     /// [`PoolExhausted`] when `max_sessions` sessions are already live.
-    pub fn acquire_for_shape(&self, shape: u64) -> Result<PooledSession<'_>, PoolExhausted> {
-        let mut pooled = self.acquire()?;
-        match self.snapshot_for(shape) {
-            Some(snap) => {
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                self.forks.fetch_add(1, Ordering::Relaxed);
-                snap.fork_into(&mut pooled);
-                pooled.snapshot = Some(snap);
-            }
-            None => {
-                self.misses.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        Ok(pooled)
+    pub fn acquire_for_shape(&self, _shape: u64) -> Result<PooledSession<'_>, PoolExhausted> {
+        self.acquire()
     }
 
-    /// Publishes the warmed-up snapshot for `shape`; subsequent
-    /// [`SessionPool::acquire_for_shape`] calls with the same shape
-    /// fork it instead of warming up again.
-    pub fn publish_snapshot(&self, shape: u64, snapshot: Snapshot) {
-        self.snapshots.lock().insert(shape, Arc::new(snapshot));
-    }
-
-    /// The published snapshot for `shape`, if any.
-    pub fn snapshot_for(&self, shape: u64) -> Option<Arc<Snapshot>> {
-        self.snapshots.lock().get(&shape).cloned()
-    }
+    /// Drops `snapshot`: the pool keeps no per-shape state. Kept for
+    /// callers written against the removed per-shape snapshot store.
+    pub fn publish_snapshot(&self, _shape: u64, _snapshot: Snapshot) {}
 
     /// Counter snapshot (`slots`, `live`, `hits`, `misses`, `forks`,
     /// `resets`, `exhausted`).
@@ -349,9 +254,9 @@ impl SessionPool {
         PoolStats {
             slots: self.limits.max_sessions as u64,
             live: (created - free) as u64,
-            hits: self.hits.load(Ordering::Relaxed),
+            hits: 0,
             misses: self.misses.load(Ordering::Relaxed),
-            forks: self.forks.load(Ordering::Relaxed),
+            forks: 0,
             resets: self.resets.load(Ordering::Relaxed),
             exhausted: self.exhausted.load(Ordering::Relaxed),
         }
@@ -397,17 +302,13 @@ impl fmt::Debug for SessionPool {
 pub struct PooledSession<'a> {
     pool: &'a SessionPool,
     session: Option<Session>,
-    snapshot: Option<Arc<Snapshot>>,
 }
 
 impl PooledSession<'_> {
-    /// The snapshot forked into this slot, when
-    /// [`SessionPool::acquire_for_shape`] hit one — elaborate with its
-    /// replays to skip live estimation. (Named distinctly from
-    /// [`Session::snapshot`], which *captures* a new snapshot and stays
-    /// reachable through deref.)
+    /// Always `None`: the pool forks no snapshots. Kept for callers
+    /// written against the removed per-shape snapshot store.
     pub fn forked_snapshot(&self) -> Option<&Arc<Snapshot>> {
-        self.snapshot.as_ref()
+        None
     }
 
     /// Checks the elaborated scenario against the slot's per-slot
@@ -464,9 +365,7 @@ impl Drop for PooledSession<'_> {
 
 impl fmt::Debug for PooledSession<'_> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("PooledSession")
-            .field("snapshot", &self.snapshot.is_some())
-            .finish()
+        f.debug_struct("PooledSession").finish_non_exhaustive()
     }
 }
 
@@ -475,7 +374,8 @@ mod tests {
     use super::*;
     use crate::cost::CostTable;
     use crate::gval::g_i64;
-    use crate::resource::ResourceId;
+    use crate::resource::{Platform, ResourceId};
+    use crate::session::SimConfig;
     use scperf_kernel::Time;
 
     fn one_cpu() -> (Platform, ResourceId) {
@@ -531,32 +431,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_fork_replays_bit_identically() {
-        let (platform, cpu) = one_cpu();
-        let mut warm = SimConfig::new().platform(platform).record_costs().build();
-        elaborate(&mut warm, cpu);
-        let live = warm.run().unwrap();
-        let live_report = warm.report();
-        let snapshot = warm.snapshot();
-
-        let mut fork = snapshot.fork();
-        let replay = snapshot.replay("worker").expect("recorded");
-        let ch = fork.fifo::<i64>("out", 2);
-        let tx = ch.clone();
-        fork.spawn_replaying("worker", cpu, replay, move |ctx| {
-            tx.write(ctx, 360);
-        });
-        fork.spawn_untimed("sink", move |ctx| {
-            let _ = ch.read(ctx);
-        });
-        let replayed = fork.run().unwrap();
-        assert_eq!(replayed, live);
-        // Recorder-captured replays carry op counts and HW extremes, so
-        // the forked report matches the live one bit for bit.
-        assert_eq!(fork.report(), live_report);
-    }
-
-    #[test]
     fn pool_recycles_slots_and_counts_reuse() {
         let (platform, cpu) = one_cpu();
         let limits = InstanceLimits {
@@ -569,7 +443,6 @@ mod tests {
         });
         let shape = 42;
 
-        // Miss: no snapshot yet — warm up, record, publish.
         {
             let mut slot = pool.acquire_for_shape(shape).unwrap();
             assert!(slot.forked_snapshot().is_none());
@@ -578,27 +451,28 @@ mod tests {
             slot.enforce_limits().unwrap();
             slot.run().unwrap();
             let snap = Session::snapshot(&mut slot);
+            assert!(snap.replay("worker").is_some_and(|r| !r.is_empty()));
             pool.publish_snapshot(shape, snap);
             // Exhaustion: the only slot is live.
             assert!(pool.acquire().is_err());
         }
 
-        // Hit: the recycled slot is forked from the snapshot.
+        // The recycled slot comes back reset; nothing was stored for
+        // the shape.
         {
             let slot = pool.acquire_for_shape(shape).unwrap();
-            let snap = slot.forked_snapshot().expect("snapshot hit");
-            assert!(snap.replay("worker").is_some());
+            assert!(slot.forked_snapshot().is_none());
         }
 
         let stats = pool.stats();
         assert_eq!(stats.slots, 1);
         assert_eq!(stats.live, 0);
-        assert_eq!(stats.hits, 1);
-        assert_eq!(stats.misses, 1);
-        assert_eq!(stats.forks, 1);
+        assert_eq!((stats.hits, stats.forks), (0, 0));
+        assert_eq!(stats.misses, 2, "every acquisition counts as a miss");
         assert_eq!(stats.resets, 2);
         assert_eq!(stats.exhausted, 1);
-        assert_eq!(pool.metrics().counter("pool.hits"), Some(1));
+        assert_eq!(pool.metrics().counter("pool.hits"), Some(0));
+        assert_eq!(pool.metrics().counter("pool.misses"), Some(2));
     }
 
     #[test]

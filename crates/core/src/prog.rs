@@ -15,9 +15,9 @@
 //!   integer-valued cost tables (every partial sum is an exact `f64`
 //!   integer below 2^53);
 //! * **serializable** — [`ProgramSet`] round-trips through a compact
-//!   byte encoding ([`ProgramSet::to_bytes`]) validated by an FNV-1a
-//!   fingerprint of the cost-table bits ([`table_fingerprint`]),
-//!   mirroring `scperf_serve`'s `engine::shape_key`. A set recorded in
+//!   byte encoding ([`ProgramSet::to_bytes`], closed by an FNV-1a
+//!   checksum) validated by an FNV-1a fingerprint of the cost-table
+//!   bits ([`table_fingerprint`]). A set recorded in
 //!   one process warm-starts sites in another: on a local miss the
 //!   store consults the frozen set by the site's *stable* identity (a
 //!   hash of its `file:line:column` name) and compiles the program for
@@ -536,8 +536,10 @@ pub enum ProgDecodeError {
     /// Unknown instruction tag.
     BadInstr(u8),
     /// Structurally invalid record (op index out of range, arm
-    /// overrun, …).
+    /// overrun, bytes after the checksum, …).
     BadStructure,
+    /// The closing checksum does not match the bytes before it.
+    BadChecksum,
 }
 
 impl fmt::Display for ProgDecodeError {
@@ -548,6 +550,7 @@ impl fmt::Display for ProgDecodeError {
             ProgDecodeError::Truncated => write!(f, "truncated program set"),
             ProgDecodeError::BadInstr(t) => write!(f, "unknown instruction tag {t}"),
             ProgDecodeError::BadStructure => write!(f, "malformed program structure"),
+            ProgDecodeError::BadChecksum => write!(f, "program set checksum mismatch"),
         }
     }
 }
@@ -555,7 +558,7 @@ impl fmt::Display for ProgDecodeError {
 impl std::error::Error for ProgDecodeError {}
 
 const WIRE_MAGIC: [u8; 4] = *b"SCPG";
-const WIRE_VERSION: u8 = 1;
+const WIRE_VERSION: u8 = 2;
 
 const TAG_CHARGE_ROW: u8 = 1;
 const TAG_MAX_READY: u8 = 2;
@@ -623,7 +626,8 @@ impl ProgramSet {
     /// `SCPG | version | table_fp | site count`, then per site its
     /// stable hash and arm count, then per arm a [`Instr::Branch`]
     /// header (`key`, instruction count) followed by the arm's
-    /// instructions. Output is deterministic (sites and keys sorted).
+    /// instructions, and last a `u64` FNV-1a checksum of every byte
+    /// before it. Output is deterministic (sites and keys sorted).
     pub fn to_bytes(&self) -> Vec<u8> {
         let mut by_site: Vec<(u64, Vec<(u64, &CostProgram)>)> = Vec::new();
         {
@@ -662,10 +666,14 @@ impl ProgramSet {
                 }
             }
         }
+        let checksum = fnv1a_bytes(&out);
+        out.extend_from_slice(&checksum.to_le_bytes());
         out
     }
 
-    /// Decodes a set written by [`ProgramSet::to_bytes`].
+    /// Decodes a set written by [`ProgramSet::to_bytes`]. Fails closed:
+    /// a changed byte fails the checksum, and bytes after it are
+    /// rejected.
     pub fn from_bytes(bytes: &[u8]) -> Result<ProgramSet, ProgDecodeError> {
         let mut r = Reader { buf: bytes, at: 0 };
         if r.take(4)? != WIRE_MAGIC {
@@ -696,6 +704,13 @@ impl ProgramSet {
                 }
                 set.insert(site, key, CostProgram::new(instrs));
             }
+        }
+        let body = r.at;
+        if r.u64()? != fnv1a_bytes(&bytes[..body]) {
+            return Err(ProgDecodeError::BadChecksum);
+        }
+        if r.at != bytes.len() {
+            return Err(ProgDecodeError::BadStructure);
         }
         Ok(set)
     }
@@ -1070,6 +1085,18 @@ mod tests {
         assert_eq!(
             ProgramSet::from_bytes(&good[..good.len() - 1]),
             Err(ProgDecodeError::Truncated)
+        );
+        let mut flipped = good.clone();
+        flipped[good.len() - 9] ^= 1;
+        assert_eq!(
+            ProgramSet::from_bytes(&flipped),
+            Err(ProgDecodeError::BadChecksum)
+        );
+        let mut trailing = good;
+        trailing.push(0);
+        assert_eq!(
+            ProgramSet::from_bytes(&trailing),
+            Err(ProgDecodeError::BadStructure)
         );
     }
 

@@ -75,23 +75,6 @@ pub struct SimConfig {
     programs: Option<Arc<ProgramSet>>,
 }
 
-/// The plain (clonable) configuration knobs a built [`Session`] keeps,
-/// so [`Session::reset`] can restore them on a pooled slot and a
-/// [`crate::Snapshot`] can fork sessions with the same configuration.
-/// Custom trace sinks ([`SimConfig::trace_sink`]) are the one knob that
-/// cannot be retained: a reset drops the installed sink.
-#[derive(Debug, Clone)]
-pub(crate) struct SessionKnobs {
-    pub(crate) mode: Mode,
-    pub(crate) attribution: bool,
-    pub(crate) site_memo: MemoMode,
-    pub(crate) record_costs: bool,
-    pub(crate) record_instantaneous: bool,
-    pub(crate) record_dfgs: bool,
-    pub(crate) tracing: TraceMode,
-    pub(crate) run_limit: Option<Time>,
-}
-
 impl Default for SimConfig {
     fn default() -> SimConfig {
         SimConfig::new()
@@ -231,22 +214,12 @@ impl SimConfig {
             model.warm_programs(set);
         }
         let recorder = self.record_costs.then(|| model.recorder());
-        let knobs = SessionKnobs {
-            mode: self.mode,
-            attribution: self.attribution,
-            site_memo: self.site_memo,
-            record_costs: self.record_costs,
-            record_instantaneous: self.record_instantaneous,
-            record_dfgs: self.record_dfgs,
-            tracing: self.tracing_mode,
-            run_limit: self.run_limit,
-        };
         Session {
             sim,
             model,
             recorder,
             run_limit: self.run_limit,
-            knobs,
+            tracing: self.tracing_mode,
         }
     }
 }
@@ -265,7 +238,9 @@ pub struct Session {
     model: PerfModel,
     recorder: Option<Recorder>,
     run_limit: Option<Time>,
-    knobs: SessionKnobs,
+    /// The kernel trace mode, re-armed by [`Session::reset`] (which
+    /// clears the kernel's sink).
+    tracing: TraceMode,
 }
 
 impl Session {
@@ -451,7 +426,7 @@ impl Session {
     /// the previous one's.
     pub fn reset_with_platform(&mut self, platform: Platform) {
         self.sim.reset();
-        match self.knobs.tracing {
+        match self.tracing {
             TraceMode::Off => {}
             TraceMode::Unbounded => self.sim.enable_tracing(),
             TraceMode::Ring(n) => self.sim.enable_tracing_ring(n),
@@ -459,12 +434,9 @@ impl Session {
         self.model.reset_estimator(platform);
     }
 
-    /// Captures a forkable image of this session after a recorded
-    /// warmup run: the platform, the configuration knobs and every
-    /// process's recorded segment-cost trace. Repeated requests for the
-    /// same scenario shape then [`crate::Snapshot::fork`] (or
-    /// [`crate::Snapshot::fork_into`] a pooled slot) and elaborate with
-    /// the captured [`Replay`]s, skipping live estimation entirely.
+    /// Captures the segment-cost traces this session recorded, one per
+    /// process; [`crate::Snapshot::replay`] hands one back for
+    /// [`Session::spawn_replaying`].
     ///
     /// The session must have run with recording enabled
     /// ([`SimConfig::record_costs`], or [`Session::recorder`] called
@@ -472,11 +444,6 @@ impl Session {
     /// replaying them panics at the first segment boundary.
     pub fn snapshot(&mut self) -> crate::pool::Snapshot {
         crate::pool::Snapshot::capture(self)
-    }
-
-    /// The retained configuration knobs (for snapshot/fork).
-    pub(crate) fn knobs(&self) -> &SessionKnobs {
-        &self.knobs
     }
 
     /// The underlying kernel simulator, for testbench-level pieces

@@ -1,15 +1,14 @@
 //! Property tests for the session pool's determinism contract: a
-//! recycled (reset) slot and a snapshot-forked slot must be
-//! bit-identical to a freshly built session — summary, report, trace
-//! and produced data — and an errored run must never poison the slot it
-//! ran in.
+//! recycled (reset) slot, whether it charges live or replays recorded
+//! traces, must be bit-identical to a freshly built session — summary,
+//! report, trace and produced data — and an errored run must never
+//! poison the slot it ran in.
 
 use std::sync::Arc;
 
 use proptest::prelude::*;
 use scperf_core::{
-    g_i64, CostTable, InstanceLimits, Platform, ResourceId, Session, SessionPool, SimConfig,
-    Snapshot,
+    g_i64, CostTable, InstanceLimits, Platform, Replay, ResourceId, Session, SessionPool, SimConfig,
 };
 use scperf_kernel::{SimError, Time, TraceMode};
 use scperf_sync::Mutex;
@@ -29,17 +28,23 @@ fn config() -> SimConfig {
 
 /// The two-stage pipeline under test: `gen` (annotated, on the CPU)
 /// streams derived values into `xform` (annotated, on the accelerator),
-/// and an untimed sink collects the results. When `snap` carries
-/// recorded traces the stages elaborate in replay mode with *plain*
-/// bodies computing the same values — the snapshot-fork fast path.
+/// and an untimed sink collects the results. A stage with a trace in
+/// `replays` elaborates in replay mode with a *plain* body computing the
+/// same values — the trace-cache fast path.
 fn elaborate(
     session: &mut Session,
     cpu: ResourceId,
     hw: ResourceId,
     nitems: usize,
     seed: i64,
-    snap: Option<&Snapshot>,
+    replays: &[(String, Replay)],
 ) -> Arc<Mutex<Vec<i64>>> {
+    let replay = |name: &str| {
+        replays
+            .iter()
+            .find(|(n, _)| n == name)
+            .map(|(_, r)| r.clone())
+    };
     let mid = session.fifo::<i64>("mid", 2);
     let out = session.fifo::<i64>("out", 2);
     let collected: Arc<Mutex<Vec<i64>>> = Arc::new(Mutex::new(Vec::new()));
@@ -52,7 +57,7 @@ fn elaborate(
         acc
     };
     let tx = mid.clone();
-    match snap.and_then(|s| s.replay("gen")) {
+    match replay("gen") {
         Some(replay) => {
             session.spawn_replaying("gen", cpu, replay, move |ctx| {
                 for i in 0..nitems {
@@ -75,7 +80,7 @@ fn elaborate(
 
     let rx = mid;
     let tx = out.clone();
-    match snap.and_then(|s| s.replay("xform")) {
+    match replay("xform") {
         Some(replay) => {
             session.spawn_replaying("xform", hw, replay, move |ctx| {
                 for _ in 0..nitems {
@@ -119,17 +124,17 @@ fn observe(session: &mut Session, collected: &Mutex<Vec<i64>>) -> impl PartialEq
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Fresh vs reset vs snapshot-forked: identical down to the trace,
-    /// for random workload sizes and seeds.
+    /// Fresh vs reset vs a recycled slot replaying recorded traces:
+    /// identical down to the trace, for random workload sizes and seeds.
     #[test]
-    fn fresh_reset_and_forked_sessions_are_bit_identical(
+    fn fresh_reset_and_replaying_slots_are_bit_identical(
         nitems in 1usize..12,
         seed in -50_i64..50,
     ) {
         let (_, cpu, hw) = platform();
 
         let mut fresh = config().build();
-        let data = elaborate(&mut fresh, cpu, hw, nitems, seed, None);
+        let data = elaborate(&mut fresh, cpu, hw, nitems, seed, &[]);
         let oracle = observe(&mut fresh, &data);
 
         // Reset: run an unrelated scenario first so the slot is dirty.
@@ -139,27 +144,26 @@ proptest! {
         });
         recycled.run().expect("warmup scenario");
         recycled.reset();
-        let data = elaborate(&mut recycled, cpu, hw, nitems, seed, None);
+        let data = elaborate(&mut recycled, cpu, hw, nitems, seed, &[]);
         prop_assert_eq!(&observe(&mut recycled, &data), &oracle);
 
-        // Forked: first-of-shape records and publishes, the repeat
-        // forks the snapshot and replays.
-        let pool = SessionPool::new(InstanceLimits::default(), || config().build());
-        let shape = (nitems as u64) << 32 | (seed + 50) as u64;
-        {
-            let mut slot = pool.acquire_for_shape(shape).expect("free slot");
-            prop_assert!(slot.forked_snapshot().is_none());
-            slot.recorder();
-            let data = elaborate(&mut slot, cpu, hw, nitems, seed, None);
+        // Replayed: the one slot records live, then comes back recycled
+        // and replays the Recorder's traces.
+        let pool = SessionPool::new(
+            InstanceLimits { max_sessions: 1, ..InstanceLimits::default() },
+            || config().build(),
+        );
+        let replays = {
+            let mut slot = pool.acquire().expect("free slot");
+            let recorder = slot.recorder();
+            let data = elaborate(&mut slot, cpu, hw, nitems, seed, &[]);
             prop_assert_eq!(&observe(&mut slot, &data), &oracle);
-            let snapshot = Session::snapshot(&mut slot);
-            pool.publish_snapshot(shape, snapshot);
-        }
-        let mut slot = pool.acquire_for_shape(shape).expect("free slot");
-        let snap = slot.forked_snapshot().cloned().expect("published snapshot");
-        let data = elaborate(&mut slot, cpu, hw, nitems, seed, Some(&snap));
+            recorder.replays()
+        };
+        let mut slot = pool.acquire().expect("the slot was recycled");
+        let data = elaborate(&mut slot, cpu, hw, nitems, seed, &replays);
         prop_assert_eq!(&observe(&mut slot, &data), &oracle);
-        prop_assert_eq!(pool.stats().hits, 1);
+        prop_assert_eq!(pool.stats().resets, 1);
     }
 }
 
@@ -199,11 +203,11 @@ fn a_panicked_run_does_not_poison_its_slot() {
     }
 
     let mut fresh = config().build();
-    let data = elaborate(&mut fresh, cpu, hw, 6, 7, None);
+    let data = elaborate(&mut fresh, cpu, hw, 6, 7, &[]);
     let oracle = observe(&mut fresh, &data);
 
     let mut slot = pool.acquire().expect("the slot was recycled");
-    let data = elaborate(&mut slot, cpu, hw, 6, 7, None);
+    let data = elaborate(&mut slot, cpu, hw, 6, 7, &[]);
     assert_eq!(observe(&mut slot, &data), oracle);
     assert_eq!(pool.stats().resets, 1, "release after the failed run");
 }

@@ -238,8 +238,10 @@ impl SegmentCostCache {
     }
 
     /// Merges a harvested program set into the shared store for its
-    /// fingerprint (copy-on-write: readers keep their `Arc`). Returns
-    /// how many programs were actually new. Empty sets are ignored.
+    /// fingerprint (copy-on-write: readers keep their `Arc`, and the
+    /// stored set is only copied when `set` brings programs it lacks).
+    /// Returns how many programs were actually new. Empty sets are
+    /// ignored.
     pub fn publish_programs(&self, set: &ProgramSet) -> usize {
         if set.is_empty() {
             return 0;
@@ -248,12 +250,16 @@ impl SegmentCostCache {
         let mut map = self.programs.write();
         match map.get_mut(&set.table_fp()) {
             Some(slot) => {
+                slot.last_used.store(now, Ordering::Relaxed);
+                if set
+                    .iter()
+                    .all(|(site, key, _)| slot.set.get(site, key).is_some())
+                {
+                    return 0;
+                }
                 let mut merged = (*slot.set).clone();
                 let added = merged.merge(set);
-                if added > 0 {
-                    slot.set = Arc::new(merged);
-                }
-                slot.last_used.store(now, Ordering::Relaxed);
+                slot.set = Arc::new(merged);
                 added
             }
             None => {
@@ -296,14 +302,16 @@ impl SegmentCostCache {
     /// # Errors
     ///
     /// Returns the underlying [`ProgDecodeError`] when the blob is
-    /// malformed; sets merged before the error sticks.
+    /// malformed: a bad magic, a truncated or corrupted set (each set
+    /// carries a checksum), or bytes after the last set. Nothing is
+    /// merged from a malformed blob.
     pub fn import_programs(&self, bytes: &[u8]) -> Result<usize, ProgDecodeError> {
         if bytes.len() < 8 || &bytes[..4] != EXPORT_MAGIC {
             return Err(ProgDecodeError::BadMagic);
         }
         let count = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
         let mut at = 8;
-        let mut added = 0;
+        let mut sets = Vec::new();
         for _ in 0..count {
             if bytes.len() < at + 4 {
                 return Err(ProgDecodeError::Truncated);
@@ -313,11 +321,13 @@ impl SegmentCostCache {
             if bytes.len() < at + len {
                 return Err(ProgDecodeError::Truncated);
             }
-            let set = ProgramSet::from_bytes(&bytes[at..at + len])?;
+            sets.push(ProgramSet::from_bytes(&bytes[at..at + len])?);
             at += len;
-            added += self.publish_programs(&set);
         }
-        Ok(added)
+        if at != bytes.len() {
+            return Err(ProgDecodeError::BadStructure);
+        }
+        Ok(sets.iter().map(|set| self.publish_programs(set)).sum())
     }
 
     /// Current hit/miss/entry counts.
@@ -466,10 +476,18 @@ mod tests {
         let risc = CostTable::risc_sw();
         let asic = CostTable::asic_hw();
         assert_eq!(cache.publish_programs(&one_prog_set(&risc, 11)), 1);
+        let known = cache.programs(table_fingerprint(&risc)).expect("stored");
         assert_eq!(
             cache.publish_programs(&one_prog_set(&risc, 11)),
             0,
             "same program is not new"
+        );
+        assert!(
+            Arc::ptr_eq(
+                &known,
+                &cache.programs(table_fingerprint(&risc)).expect("stored")
+            ),
+            "republishing a known set must not replace the stored set"
         );
         assert_eq!(cache.publish_programs(&one_prog_set(&risc, 22)), 1);
         assert_eq!(cache.publish_programs(&one_prog_set(&asic, 11)), 1);
@@ -488,5 +506,47 @@ mod tests {
         // Importing again adds nothing.
         assert_eq!(other.import_programs(&blob).expect("imports"), 0);
         assert!(other.import_programs(b"junkjunkjunk").is_err());
+    }
+
+    #[test]
+    fn every_single_byte_change_to_an_export_is_rejected() {
+        let cache = SegmentCostCache::new();
+        for (table, site) in [
+            (CostTable::risc_sw(), 11),
+            (CostTable::risc_sw(), 22),
+            (CostTable::asic_hw(), 33),
+        ] {
+            let mut set = ProgramSet::new(table_fingerprint(&table));
+            let instrs = vec![
+                Instr::Loop { n: 4, body: 1 },
+                Instr::ChargeRow {
+                    op: Op::Mul,
+                    count: 2,
+                },
+                Instr::Call { site: 5, key: 1 },
+                Instr::ChargeRow {
+                    op: Op::Add,
+                    count: 3,
+                },
+            ];
+            set.insert(site, 7, CostProgram::new(instrs));
+            cache.publish_programs(&set);
+        }
+        let blob = cache.export_programs();
+        let import = |bytes: &[u8]| SegmentCostCache::new().import_programs(bytes);
+        assert_eq!(import(&blob), Ok(3));
+        for at in 0..blob.len() {
+            for mask in 1..=u8::MAX {
+                let mut bad = blob.clone();
+                bad[at] ^= mask;
+                assert!(import(&bad).is_err(), "byte {at} ^ {mask:#04x} decoded");
+            }
+        }
+        for len in 0..blob.len() {
+            assert!(import(&blob[..len]).is_err(), "truncation to {len} decoded");
+        }
+        let mut trailing = blob;
+        trailing.push(0);
+        assert_eq!(import(&trailing), Err(ProgDecodeError::BadStructure));
     }
 }

@@ -24,7 +24,8 @@
 //! * [`mod@sweep`] — the orchestrator: fans the 243 points over the pool,
 //!   collects results ordered by point index (deterministic and
 //!   bitwise-identical for any worker count), and snapshots cache and
-//!   pool metrics through `scperf-obs`.
+//!   pool metrics through `scperf-obs`. Its [`elaborate_cached`] is the
+//!   one cached vocoder evaluation, shared with `scperf-serve`.
 //!
 //! ```
 //! use scperf_core::CostTable;
@@ -55,8 +56,11 @@ pub mod sweep;
 pub use cache::{CacheStats, SegmentCostCache, DEFAULT_CACHE_CAPACITY};
 pub use pareto::{pareto, pareto_naive};
 pub use point::{
-    all_mappings, build_platform, platform_cost, resolve_mapping, DesignPoint, Target, CLOCK, HW_K,
-    RTOS_CYCLES,
+    all_mappings, build_platform, build_platform_with, platform_cost, resolve_mapping, DesignPoint,
+    Target, CLOCK, HW_K, RTOS_CYCLES,
 };
 pub use pool::{run_indexed, PoolStats, WorkerPool};
-pub use sweep::{evaluate, format_summary, sweep, ProgStats, SweepConfig, SweepResult};
+pub use sweep::{
+    elaborate_cached, evaluate, format_summary, sweep, CachedRun, ProgStats, SweepConfig,
+    SweepResult,
+};

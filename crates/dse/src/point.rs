@@ -111,13 +111,26 @@ pub fn all_mappings() -> Vec<[Target; 5]> {
 }
 
 /// Builds the explored platform — two RISC processors sharing `table`
-/// and one accelerator — and returns it with the resource ids in
-/// [`Target::ALL`] order.
+/// and one accelerator, at the sweep's [`CLOCK`], [`RTOS_CYCLES`] and
+/// [`HW_K`] — and returns it with the resource ids in [`Target::ALL`]
+/// order.
 pub fn build_platform(table: &CostTable) -> (Platform, [ResourceId; 3]) {
+    build_platform_with(table, CLOCK, RTOS_CYCLES, HW_K)
+}
+
+/// [`build_platform`] with every resource on `clock`, `rtos_cycles` of
+/// RTOS overhead on both processors and time-area weight `hw_k` on the
+/// accelerator.
+pub fn build_platform_with(
+    table: &CostTable,
+    clock: Time,
+    rtos_cycles: f64,
+    hw_k: f64,
+) -> (Platform, [ResourceId; 3]) {
     let mut platform = Platform::new();
-    let cpu0 = platform.sequential("cpu0", CLOCK, table.clone(), RTOS_CYCLES);
-    let cpu1 = platform.sequential("cpu1", CLOCK, table.clone(), RTOS_CYCLES);
-    let hw = platform.parallel("hw", CLOCK, CostTable::asic_hw(), HW_K);
+    let cpu0 = platform.sequential("cpu0", clock, table.clone(), rtos_cycles);
+    let cpu1 = platform.sequential("cpu1", clock, table.clone(), rtos_cycles);
+    let hw = platform.parallel("hw", clock, CostTable::asic_hw(), hw_k);
     (platform, [cpu0, cpu1, hw])
 }
 

@@ -3,9 +3,11 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use scperf_core::{table_fingerprint, CostTable, SimConfig};
+use scperf_core::{
+    table_fingerprint, CostTable, Platform, Recorder, ResourceId, Session, SimConfig,
+};
 use scperf_obs::MetricsSnapshot;
-use scperf_workloads::vocoder::pipeline::{self, StageTrace, STAGE_NAMES};
+use scperf_workloads::vocoder::pipeline::{self, StageTrace, VocoderHandles, STAGE_NAMES};
 
 use crate::cache::{CacheStats, SegmentCostCache};
 use crate::pareto::pareto;
@@ -154,13 +156,8 @@ impl SweepResult {
     }
 }
 
-/// Simulates one mapping strict-timed and returns its design point.
-///
-/// With a cache, each stage first looks up a recorded per-segment cycle
-/// trace for `(stage, resource fingerprint, nframes)`; hit stages run in
-/// replay mode (plain implementations, recorded cycles — bit-identical
-/// timing, none of the annotation overhead), miss stages run annotated
-/// with trace recording on and publish their traces afterwards.
+/// Simulates one mapping strict-timed in a fresh session, through
+/// [`elaborate_cached`], and returns its design point.
 pub fn evaluate(
     table: &CostTable,
     mapping: [Target; 5],
@@ -177,57 +174,105 @@ fn evaluate_with(
     cache: Option<&SegmentCostCache>,
     prog: Option<&ProgCounters>,
 ) -> DesignPoint {
-    let (platform, ids) = build_platform(table);
-    let vm = resolve_mapping(mapping, ids);
-    let stage_resources = [vm.lsp, vm.lpc_int, vm.acb, vm.icb, vm.post];
-
-    let mut replays: [StageTrace; 5] = [None, None, None, None, None];
-    let mut fingerprints = [0_u64; 5];
-    if let Some(cache) = cache {
-        for (stage, &rid) in stage_resources.iter().enumerate() {
-            let fp = SegmentCostCache::fingerprint(platform.resource(rid), nframes);
-            fingerprints[stage] = fp;
-            replays[stage] = cache.get(stage, fp);
-        }
-    }
-    let missing: Vec<usize> = (0..5).filter(|&s| replays[s].is_none()).collect();
-
-    let mut config = SimConfig::new().platform(platform);
-    // Warm-start the segment-site cost programs from the shared set for
-    // the SW cost table (memoization only engages on sequential
-    // resources, and cpu0/cpu1 share `table`).
-    if let Some(cache) = cache {
-        if let Some(set) = cache.programs(table_fingerprint(table)) {
-            config = config.program_set(set);
-        }
-    }
-    let mut session = config.build();
-    let recorder = (cache.is_some() && !missing.is_empty()).then(|| session.recorder());
-    let (sim, model) = session.parts_mut();
-    let handles = pipeline::build_hybrid(sim, model, vm, nframes, replays);
+    let mut session = SimConfig::new().build();
+    let run = elaborate_cached(&mut session, build_platform(table), mapping, nframes, cache);
     let summary = session.run().expect("mapping simulates");
-
-    if let (Some(cache), Some(recorder)) = (cache, recorder) {
-        for &stage in &missing {
-            let trace = recorder
-                .replay(STAGE_NAMES[stage])
-                .expect("trace recorded for live stage");
-            cache.insert(stage, fingerprints[stage], trace);
-        }
-    }
-    if let Some(cache) = cache {
-        cache.publish_programs(&session.programs());
-    }
+    run.publish(&session);
     if let Some(prog) = prog {
         prog.absorb(&session.model().hot_stats());
     }
 
-    let checksum = handles.output.lock().expect("sink finished");
+    let checksum = run.handles.output.lock().expect("sink finished");
     DesignPoint {
         mapping,
         latency: summary.end_time,
         cost: platform_cost(&mapping),
         checksum,
+    }
+}
+
+/// A vocoder mapping elaborated into a session by [`elaborate_cached`],
+/// ready to run.
+#[derive(Debug)]
+pub struct CachedRun<'c> {
+    /// The elaborated pipeline; its output checksum is set by the run.
+    pub handles: VocoderHandles,
+    /// Stages elaborated in replay mode from a cached trace.
+    pub replayed_stages: usize,
+    cache: Option<&'c SegmentCostCache>,
+    /// `(stage, trace key)` of every stage that charges live.
+    missing: Vec<(usize, u64)>,
+    recorder: Option<Recorder>,
+}
+
+impl CachedRun<'_> {
+    /// Stores the traces of the stages that charged live and publishes
+    /// the cost programs the run compiled. Call after a successful run
+    /// of the session the mapping was elaborated into.
+    pub fn publish(&self, session: &Session) {
+        let Some(cache) = self.cache else { return };
+        if let Some(recorder) = &self.recorder {
+            for &(stage, fingerprint) in &self.missing {
+                let trace = recorder
+                    .replay(STAGE_NAMES[stage])
+                    .expect("trace recorded for live stage");
+                cache.insert(stage, fingerprint, trace);
+            }
+        }
+        cache.publish_programs(&session.programs());
+    }
+}
+
+/// Elaborates the vocoder, mapped by `mapping` onto `platform`, into the
+/// caller's `session` through the segment-cost cache: the one cached
+/// vocoder evaluation behind a sweep point and a serve request.
+///
+/// The session, fresh or a recycled pool slot, is reset onto `platform`.
+/// With a cache, each stage looks up the trace recorded for
+/// `(stage, resource fingerprint, nframes)`: a hit stage elaborates in
+/// replay mode (plain body, recorded cycles: bit-identical timing
+/// without the annotation overhead), a miss stage charges live with a
+/// recorder attached, warm-started from the shared cost programs of the
+/// processors' table (memoization engages only on sequential
+/// resources, and cpu0/cpu1 share one table). Run the session, then
+/// hand the result to [`CachedRun::publish`].
+pub fn elaborate_cached<'c>(
+    session: &mut Session,
+    (platform, ids): (Platform, [ResourceId; 3]),
+    mapping: [Target; 5],
+    nframes: usize,
+    cache: Option<&'c SegmentCostCache>,
+) -> CachedRun<'c> {
+    let vm = resolve_mapping(mapping, ids);
+    let mut replays: [StageTrace; 5] = Default::default();
+    let mut missing = Vec::new();
+    let mut programs = None;
+    if let Some(cache) = cache {
+        let stages = [vm.lsp, vm.lpc_int, vm.acb, vm.icb, vm.post];
+        for (stage, rid) in stages.into_iter().enumerate() {
+            let fingerprint = SegmentCostCache::fingerprint(platform.resource(rid), nframes);
+            replays[stage] = cache.get(stage, fingerprint);
+            if replays[stage].is_none() {
+                missing.push((stage, fingerprint));
+            }
+        }
+        programs = cache.programs(table_fingerprint(&platform.resource(ids[0]).costs));
+    }
+    let replayed_stages = replays.iter().filter(|r| r.is_some()).count();
+
+    session.reset_with_platform(platform);
+    if let Some(set) = programs {
+        session.model().warm_programs(set);
+    }
+    let recorder = (!missing.is_empty()).then(|| session.recorder());
+    let (sim, model) = session.parts_mut();
+    let handles = pipeline::build_hybrid(sim, model, vm, nframes, replays);
+    CachedRun {
+        handles,
+        replayed_stages,
+        cache,
+        missing,
+        recorder,
     }
 }
 

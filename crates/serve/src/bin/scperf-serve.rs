@@ -3,12 +3,8 @@
 //!
 //! ```text
 //! scperf-serve [--workers N] [--queue N] [--retry-after-ms N]
-//!              [--no-cache] [--flight-recorder N] [--pool-sessions N]
-//!              [--tcp ADDR] [--no-stdio]
+//!              [--flight-recorder N] [--tcp ADDR] [--no-stdio]
 //! ```
-//!
-//! `--pool-sessions 0` disables session pooling (each request builds a
-//! fresh session); without the flag the pool is sized to `workers + 1`.
 //!
 //! With `--tcp` both frontends run concurrently over one shared worker
 //! pool; EOF or a `shutdown` op on either side stops the whole service
@@ -28,8 +24,7 @@ struct Args {
 fn usage() -> ! {
     eprintln!(
         "usage: scperf-serve [--workers N] [--queue N] [--retry-after-ms N] \
-         [--no-cache] [--flight-recorder N] [--pool-sessions N] [--tcp ADDR] \
-         [--no-stdio]"
+         [--flight-recorder N] [--tcp ADDR] [--no-stdio]"
     );
     std::process::exit(2);
 }
@@ -60,11 +55,6 @@ fn parse_args() -> Args {
                     .parse()
                     .unwrap_or_else(|_| usage())
             }
-            "--no-cache" => args.config.use_cache = false,
-            "--pool-sessions" => {
-                args.config.pool_sessions =
-                    Some(value("--pool-sessions").parse().unwrap_or_else(|_| usage()))
-            }
             "--flight-recorder" => {
                 args.config.flight_recorder = value("--flight-recorder")
                     .parse()
@@ -94,15 +84,10 @@ fn main() -> ExitCode {
     let args = parse_args();
     let service = Arc::new(Service::new(args.config.clone()));
     eprintln!(
-        "scperf-serve: {} workers, queue capacity {}, cache {}, pool {}",
+        "scperf-serve: {} workers, queue capacity {}, {} pool slots",
         args.config.workers,
         args.config.queue_capacity,
-        if args.config.use_cache { "on" } else { "off" },
-        match args.config.pool_sessions {
-            Some(0) => "off".to_string(),
-            Some(n) => format!("{n} slots"),
-            None => format!("{} slots", args.config.workers + 1),
-        }
+        args.config.workers + 1
     );
 
     let mut tcp_thread = None;

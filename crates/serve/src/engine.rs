@@ -1,27 +1,26 @@
 //! Scenario execution: one validated request → one simulation run.
 //!
 //! The engine is the bridge between the protocol and the simulation
-//! stack: it builds the requested platform, wires the vocoder pipeline
-//! through [`scperf_core::SimConfig`]/[`Session`], reuses segment-cost
-//! traces from a shared [`SegmentCostCache`] (recording on miss,
-//! replaying bit-identically on hit), and — when the request carries a
-//! deadline — steps the simulation in growing simulated-time chunks so
-//! an expired wall-clock budget cancels the run *mid-simulation*
-//! instead of after it.
+//! stack: it builds the requested platform, runs the vocoder pipeline
+//! through [`scperf_dse::elaborate_cached`] in a pooled [`Session`] —
+//! reusing segment-cost traces from a shared [`SegmentCostCache`]
+//! (recording on miss, replaying bit-identically on hit) — and, when
+//! the request carries a deadline, steps the simulation in growing
+//! simulated-time chunks so an expired wall-clock budget cancels the
+//! run *mid-simulation* instead of after it.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::time::{Duration, Instant};
 
 use scperf_core::{
-    table_fingerprint, CostTable, EstHotStats, Platform, Report, Session, SessionPool, SimConfig,
+    CostTable, EstHotStats, InstanceLimits, Report, Session, SessionPool, SimConfig,
 };
-use scperf_dse::point::{platform_cost, resolve_mapping};
+use scperf_dse::point::{build_platform_with, platform_cost};
 use scperf_dse::SegmentCostCache;
 use scperf_kernel::{SimSummary, StopReason, Time, TraceMode};
 use scperf_obs::MetricsSnapshot;
-use scperf_workloads::vocoder::pipeline::{self, StageTrace, VocoderHandles, STAGE_NAMES};
 
-use crate::protocol::{ErrorCode, PlatformParams, RequestError, Scenario};
+use crate::protocol::{ErrorCode, RequestError, Scenario};
 
 /// Everything one successful scenario run produced.
 #[derive(Debug)]
@@ -49,26 +48,11 @@ pub struct Outcome {
     pub elapsed: Duration,
 }
 
-/// Builds the request's platform — two sequential processors sharing
-/// the software cost table plus one accelerator, all on the requested
-/// clock — and returns the resource ids in
-/// [`Target::ALL`](scperf_dse::point::Target::ALL) order.
-fn build_platform(params: &PlatformParams) -> (Platform, [scperf_core::ResourceId; 3]) {
-    let clock = Time::from_ns_f64(params.clock_ns);
-    let table = CostTable::risc_sw();
-    let mut platform = Platform::new();
-    let cpu0 = platform.sequential("cpu0", clock, table.clone(), params.rtos_cycles);
-    let cpu1 = platform.sequential("cpu1", clock, table, params.rtos_cycles);
-    let hw = platform.parallel("hw", clock, CostTable::asic_hw(), params.hw_k);
-    (platform, [cpu0, cpu1, hw])
-}
-
-/// The scenario-shape key used by the session pool's snapshot store:
-/// two scenarios with the same shape produce bit-identical simulations
-/// from the same warmed-up snapshot. The shape covers everything the
-/// recorded traces depend on — the per-stage mapping, the frame count
-/// and the exact platform parameter bits — and nothing they don't
-/// (deadline and output options vary freely within a shape).
+/// A key over everything that defines a scenario's simulation — the
+/// per-stage mapping, the frame count and the exact platform parameter
+/// bits — and nothing that doesn't (deadline and output options vary
+/// freely). The service itself keys nothing by it: the segment-cost
+/// cache keys each stage's trace by what that trace depends on.
 pub fn shape_key(sc: &Scenario) -> u64 {
     // FNV-1a over the shape-defining fields.
     let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -88,14 +72,12 @@ pub fn shape_key(sc: &Scenario) -> u64 {
 
 /// The session factory for a serve-side [`SessionPool`]: every slot
 /// shares the service's fixed knobs (attribution always on, the
-/// flight-recorder ring when armed) over a default platform. The
-/// per-scenario platform is stamped in at acquisition — by the
-/// snapshot fork on a pool hit, by [`Session::reset_with_platform`] on
-/// a miss — so one homogeneous factory serves every parameter set.
+/// flight-recorder ring when armed). The per-scenario platform is
+/// stamped in when the scenario is elaborated, so one homogeneous
+/// factory serves every parameter set.
 pub fn pool_factory(flight: usize) -> impl Fn() -> Session + Send + Sync + 'static {
     move || {
-        let (platform, _) = build_platform(&PlatformParams::default());
-        let mut config = SimConfig::new().platform(platform).attribution(true);
+        let mut config = SimConfig::new().attribution(true);
         if flight > 0 {
             config = config.tracing(TraceMode::Ring(flight));
         }
@@ -109,8 +91,9 @@ pub fn pool_factory(flight: usize) -> impl Fn() -> Session + Send + Sync + 'stat
 /// dozen resumes.
 const FIRST_CHUNK: Time = Time::us(1);
 
-/// Runs one scenario to completion (or deadline) against the shared
-/// trace cache.
+/// Runs one scenario to completion (or deadline) in a freshly built
+/// session: [`execute_pooled`] over a one-slot pool of its own. This is
+/// the reference run the pooled path is tested against.
 ///
 /// Attribution ([`SimConfig::attribution`]) is always on: it is
 /// measurement-only (simulated results are bit-identical either way —
@@ -134,82 +117,19 @@ pub fn execute(
     deadline: Option<Instant>,
     flight: usize,
 ) -> Result<Outcome, RequestError> {
-    let started = Instant::now();
-    if let Some(dl) = deadline {
-        if started >= dl {
-            return Err(RequestError {
-                code: ErrorCode::DeadlineExceeded,
-                field: None,
-                message: "deadline expired while queued".into(),
-            });
-        }
-    }
-
-    let (platform, ids) = build_platform(&sc.params);
-    let vm = resolve_mapping(sc.mapping, ids);
-    let stage_resources = [vm.lsp, vm.lpc_int, vm.acb, vm.icb, vm.post];
-
-    let mut replays: [StageTrace; 5] = [None, None, None, None, None];
-    let mut fingerprints = [0_u64; 5];
-    if let Some(cache) = cache {
-        for (stage, &rid) in stage_resources.iter().enumerate() {
-            let fp = SegmentCostCache::fingerprint(platform.resource(rid), sc.nframes);
-            fingerprints[stage] = fp;
-            replays[stage] = cache.get(stage, fp);
-        }
-    }
-    let missing: Vec<usize> = (0..5).filter(|&s| replays[s].is_none()).collect();
-    let replayed_stages = 5 - missing.len();
-
-    let mut config = SimConfig::new().platform(platform).attribution(true);
-    if flight > 0 {
-        config = config.tracing(TraceMode::Ring(flight));
-    }
-    // Warm-start the stages that still charge live from the shared
-    // compiled-program set (recorded by any earlier run against the
-    // same software cost table — the fingerprint gate makes a stale
-    // set a no-op, never a wrong answer).
-    if let Some(set) = cache.and_then(|c| c.programs(table_fingerprint(&CostTable::risc_sw()))) {
-        config = config.program_set(set);
-    }
-    let mut session = config.build();
-    let recorder = (cache.is_some() && !missing.is_empty()).then(|| session.recorder());
-    let (sim, model) = session.parts_mut();
-    let handles = pipeline::build_hybrid(sim, model, vm, sc.nframes, replays);
-
-    let summary = simulate(&mut session, deadline, flight)?;
-
-    if let Some(cache) = cache {
-        if let Some(recorder) = recorder {
-            for &stage in &missing {
-                let trace = recorder
-                    .replay(STAGE_NAMES[stage])
-                    .expect("trace recorded for live stage");
-                cache.insert(stage, fingerprints[stage], trace);
-            }
-        }
-        cache.publish_programs(&session.programs());
-    }
-
-    collect_outcome(
-        &mut session,
-        sc,
-        &handles,
-        summary,
-        replayed_stages,
-        started,
-    )
+    let limits = InstanceLimits {
+        max_sessions: 1,
+        ..InstanceLimits::default()
+    };
+    let pool = SessionPool::new(limits, pool_factory(flight));
+    execute_pooled(sc, &pool, cache, deadline, flight)
 }
 
-/// [`execute`] over a [`SessionPool`]: acquires a slot keyed by the
-/// scenario's shape instead of building a fresh session. On a snapshot
-/// hit the slot arrives pre-stamped with the shape's platform and every
-/// stage elaborates in replay mode — construction *and* warmup
-/// estimation are both skipped. On a first-of-shape miss the slot is
-/// reset onto the scenario's platform, the run records its traces (the
-/// shared [`SegmentCostCache`] still assists stage-by-stage), and the
-/// warmed-up snapshot is published for the shape before the slot is
-/// released.
+/// Runs one scenario in a slot acquired from `pool`, through the shared
+/// trace cache ([`scperf_dse::elaborate_cached`]): stages with a cached
+/// trace replay it, the others charge live and their traces are stored
+/// for the next request. The elaborated scenario is checked against the
+/// pool's [`InstanceLimits`] before it runs.
 ///
 /// # Errors
 ///
@@ -234,57 +154,20 @@ pub fn execute_pooled(
         }
     }
 
-    let shape = shape_key(sc);
-    let mut slot = pool.acquire_for_shape(shape).map_err(|e| RequestError {
+    let mut slot = pool.acquire().map_err(|e| RequestError {
         code: ErrorCode::PoolExhausted,
         field: None,
         message: e.to_string(),
     })?;
-
-    let (platform, ids) = build_platform(&sc.params);
-    let vm = resolve_mapping(sc.mapping, ids);
-    let stage_resources = [vm.lsp, vm.lpc_int, vm.acb, vm.icb, vm.post];
-
-    let snapshot = slot.forked_snapshot().cloned();
-    let mut replays: [StageTrace; 5] = [None, None, None, None, None];
-    let mut fingerprints = [0_u64; 5];
-    let mut missing: Vec<usize> = Vec::new();
-    match &snapshot {
-        Some(snap) => {
-            // Hit: the slot is already stamped with the snapshot's
-            // (identical) platform; every stage replays its trace.
-            for (stage, replay) in replays.iter_mut().enumerate() {
-                *replay = snap.replay(STAGE_NAMES[stage]);
-            }
-            debug_assert!(replays.iter().all(Option::is_some));
-        }
-        None => {
-            slot.reset_with_platform(platform.clone());
-            if let Some(cache) = cache {
-                // First-of-shape runs charge live wherever no stage
-                // trace exists yet — warm those from the cross-worker
-                // compiled-program set before elaboration.
-                if let Some(set) = cache.programs(table_fingerprint(&CostTable::risc_sw())) {
-                    slot.model().warm_programs(set);
-                }
-                for (stage, &rid) in stage_resources.iter().enumerate() {
-                    let fp = SegmentCostCache::fingerprint(platform.resource(rid), sc.nframes);
-                    fingerprints[stage] = fp;
-                    replays[stage] = cache.get(stage, fp);
-                }
-            }
-            missing = (0..5).filter(|&s| replays[s].is_none()).collect();
-        }
-    }
-    let replayed_stages = replays.iter().filter(|r| r.is_some()).count();
-
-    // On a miss the run records every stage's trace (stages replayed
-    // from the shared cache re-record identically), so the published
-    // snapshot always covers all five stages.
-    let recorder = snapshot.is_none().then(|| slot.recorder());
-
-    let (sim, model) = slot.parts_mut();
-    let handles = pipeline::build_hybrid(sim, model, vm, sc.nframes, replays);
+    // The sweep's platform, on the software cost table, at the
+    // requested clock, RTOS overhead and `k`.
+    let platform = build_platform_with(
+        &CostTable::risc_sw(),
+        Time::from_ns_f64(sc.params.clock_ns),
+        sc.params.rtos_cycles,
+        sc.params.hw_k,
+    );
+    let run = scperf_dse::elaborate_cached(&mut slot, platform, sc.mapping, sc.nframes, cache);
     slot.enforce_limits().map_err(|e| RequestError {
         code: ErrorCode::Sim,
         field: None,
@@ -292,21 +175,24 @@ pub fn execute_pooled(
     })?;
 
     let summary = simulate(&mut slot, deadline, flight)?;
-
-    if let Some(recorder) = recorder {
-        if let Some(cache) = cache {
-            for &stage in &missing {
-                let trace = recorder
-                    .replay(STAGE_NAMES[stage])
-                    .expect("trace recorded for live stage");
-                cache.insert(stage, fingerprints[stage], trace);
-            }
-            cache.publish_programs(&slot.programs());
-        }
-        pool.publish_snapshot(shape, Session::snapshot(&mut slot));
-    }
-
-    collect_outcome(&mut slot, sc, &handles, summary, replayed_stages, started)
+    run.publish(&slot);
+    let checksum = run.handles.output.lock().ok_or_else(|| RequestError {
+        code: ErrorCode::Sim,
+        field: None,
+        message: "pipeline finished without producing output".into(),
+    })?;
+    let sim_metrics = slot.metrics();
+    Ok(Outcome {
+        summary,
+        cost: platform_cost(&sc.mapping),
+        checksum,
+        replayed_stages: run.replayed_stages,
+        report: sc.want_report.then(|| slot.report()),
+        metrics: sc.want_metrics.then(|| sim_metrics.clone()),
+        sim_metrics,
+        hot: slot.model().hot_stats(),
+        elapsed: started.elapsed(),
+    })
 }
 
 /// Runs the elaborated session under the panic shield, dumping the
@@ -341,35 +227,6 @@ fn simulate(
             })
         }
     }
-}
-
-/// Assembles the response payload from a finished run.
-fn collect_outcome(
-    session: &mut Session,
-    sc: &Scenario,
-    handles: &VocoderHandles,
-    summary: SimSummary,
-    replayed_stages: usize,
-    started: Instant,
-) -> Result<Outcome, RequestError> {
-    let checksum = handles.output.lock().ok_or_else(|| RequestError {
-        code: ErrorCode::Sim,
-        field: None,
-        message: "pipeline finished without producing output".into(),
-    })?;
-
-    let sim_metrics = session.metrics();
-    Ok(Outcome {
-        summary,
-        cost: platform_cost(&sc.mapping),
-        checksum,
-        replayed_stages,
-        report: sc.want_report.then(|| session.report()),
-        metrics: sc.want_metrics.then(|| sim_metrics.clone()),
-        sim_metrics,
-        hot: session.model().hot_stats(),
-        elapsed: started.elapsed(),
-    })
 }
 
 /// Dumps the flight-recorder ring — the last trace events the kernel
@@ -469,7 +326,6 @@ fn next_step(prev: Time, sim_done: Time, host_spent: Duration, host_left: Durati
 mod tests {
     use super::*;
     use crate::protocol::PlatformParams;
-    use scperf_core::InstanceLimits;
     use scperf_dse::point::Target;
 
     fn scenario(mapping: [Target; 5], nframes: usize) -> Scenario {
@@ -708,6 +564,7 @@ mod tests {
     #[test]
     fn pooled_runs_match_the_unpooled_engine_bit_for_bit() {
         let pool = SessionPool::new(InstanceLimits::default(), pool_factory(0));
+        let cache = SegmentCostCache::new();
         let sc = scenario(
             [
                 Target::Cpu0,
@@ -719,36 +576,61 @@ mod tests {
             2,
         );
         let reference = execute(&sc, None, None, 0).expect("runs");
-        let first = execute_pooled(&sc, &pool, None, None, 0).expect("first-of-shape");
-        assert_eq!(first.summary.end_time, reference.summary.end_time);
+        let first = execute_pooled(&sc, &pool, Some(&cache), None, 0).expect("records");
+        assert_eq!(first.summary, reference.summary);
         assert_eq!(first.checksum, reference.checksum);
-        assert_eq!(first.replayed_stages, 0, "a miss runs fully annotated");
-        let second = execute_pooled(&sc, &pool, None, None, 0).expect("snapshot fork");
-        assert_eq!(second.summary.end_time, reference.summary.end_time);
+        assert_eq!(
+            first.replayed_stages, 0,
+            "a cold cache runs fully annotated"
+        );
+        let second = execute_pooled(&sc, &pool, Some(&cache), None, 0).expect("replays");
+        assert_eq!(second.summary, reference.summary);
         assert_eq!(second.checksum, reference.checksum);
-        assert_eq!(second.replayed_stages, 5, "a hit replays every stage");
-        assert_eq!(second.hot.fast_charges, 0, "forked runs charge nothing");
+        assert_eq!(second.replayed_stages, 5, "a repeat replays every stage");
+        assert_eq!(second.hot.fast_charges, 0, "replayed runs charge nothing");
         let stats = pool.stats();
-        assert_eq!((stats.hits, stats.misses, stats.forks), (1, 1, 1));
+        assert_eq!((stats.hits, stats.forks), (0, 0));
+        assert_eq!(stats.misses, 2, "every acquisition counts as a miss");
         assert_eq!(stats.resets, 2, "both slots were reset on release");
     }
 
     #[test]
-    fn each_scenario_shape_gets_its_own_snapshot() {
+    fn evicted_traces_re_record_bit_identically() {
+        // The trace cache is the only per-scenario state serve keeps,
+        // and it is bounded: more novel parameter tuples than it holds
+        // evict the first ones, which then record again and must still
+        // match the uncached reference bit for bit.
+        const CAPACITY: usize = 6;
         let pool = SessionPool::new(InstanceLimits::default(), pool_factory(0));
-        let a = scenario([Target::Cpu0; 5], 1);
-        let mut b = a.clone();
-        b.params.clock_ns = 20.0;
-        assert_ne!(shape_key(&a), shape_key(&b), "params are shape-defining");
-        let ra = execute_pooled(&a, &pool, None, None, 0).expect("runs");
-        let rb = execute_pooled(&b, &pool, None, None, 0).expect("runs");
-        assert!(rb.summary.end_time > ra.summary.end_time);
-        assert_eq!(rb.checksum, ra.checksum, "data must not change");
-        let ra2 = execute_pooled(&a, &pool, None, None, 0).expect("hit");
-        let rb2 = execute_pooled(&b, &pool, None, None, 0).expect("hit");
-        assert_eq!(ra2.summary.end_time, ra.summary.end_time);
-        assert_eq!(rb2.summary.end_time, rb.summary.end_time);
-        assert_eq!(pool.stats().hits, 2);
+        let cache = SegmentCostCache::with_capacity(CAPACITY);
+        let tuples: Vec<Scenario> = (0..4)
+            .map(|i| {
+                let mut sc = scenario(
+                    [
+                        Target::Cpu0,
+                        Target::Cpu1,
+                        Target::Hw,
+                        Target::Cpu0,
+                        Target::Cpu1,
+                    ],
+                    1,
+                );
+                sc.params.clock_ns = 10.0 + i as f64;
+                sc.params.rtos_cycles = 100.0 + 25.0 * i as f64;
+                sc.params.hw_k = 0.2 * i as f64;
+                sc
+            })
+            .collect();
+        for sc in tuples.iter().chain(&tuples[..2]) {
+            let reference = execute(sc, None, None, 0).expect("runs");
+            let got = execute_pooled(sc, &pool, Some(&cache), None, 0).expect("runs");
+            assert_eq!(got.summary, reference.summary, "{:?}", sc.params);
+            assert_eq!(got.checksum, reference.checksum);
+            assert_eq!(got.replayed_stages, 0, "every tuple is novel or evicted");
+        }
+        let stats = cache.stats();
+        assert!(stats.evictions > 0, "{stats:?}");
+        assert!(stats.entries <= CAPACITY, "{stats:?}");
     }
 
     #[test]

@@ -18,18 +18,16 @@
 //!   blocks until every accepted job has run and its response has been
 //!   delivered.
 //!
-//! Execution results are memoized through a shared
-//! [`SegmentCostCache`]: the first run of a `(stage, resource, nframes)`
-//! combination records per-segment cycle traces, later runs replay them
-//! bit-identically at a fraction of the host cost.
-//!
-//! Sessions themselves come from a [`SessionPool`] (unless disabled via
-//! [`ServiceConfig::pool_sessions`]): each request acquires a reusable
-//! slot keyed by its scenario *shape*, and repeat-shape traffic forks a
-//! warmed-up snapshot instead of rebuilding and re-estimating the
-//! pipeline — see [`engine::execute_pooled`]. When every slot is live
-//! the request is rejected with `pool_exhausted` plus a `retry_after_ms`
-//! hint derived from the observed p90 run duration.
+//! Each request runs in a slot of a [`SessionPool`] sized `workers + 1`,
+//! so a slot is always free while every worker is busy. Execution
+//! results are memoized through a shared, bounded [`SegmentCostCache`]:
+//! the first run of a `(stage, resource, nframes)` combination records
+//! per-segment cycle traces, later runs replay them bit-identically at a
+//! fraction of the host cost — repeat traffic replays every stage. When
+//! every slot is live (possible only when more threads than slots run
+//! requests inline through [`Service::handle_line_sync`]) the request
+//! is rejected with `pool_exhausted` plus a `retry_after_ms` hint
+//! derived from the observed p90 run duration.
 
 use std::io::Write;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -56,20 +54,11 @@ pub struct ServiceConfig {
     pub queue_capacity: usize,
     /// The `retry_after_ms` hint attached to `queue_full` rejections.
     pub retry_after_ms: u64,
-    /// Whether to memoize segment-cost traces across requests.
-    pub use_cache: bool,
     /// Flight-recorder depth: when non-zero, every run keeps roughly
     /// the last this-many kernel trace events in a ring, dumped to
     /// stderr if the run is cancelled by its deadline or panics.
     /// Zero (the default) disables tracing entirely.
     pub flight_recorder: usize,
-    /// Session-pool slots. `None` (the default) sizes the pool to
-    /// `workers + 1` — enough that a slot is always free while every
-    /// worker is busy, so normal traffic never sees `pool_exhausted`.
-    /// `Some(0)` disables pooling (every request builds a fresh
-    /// session, the pre-pool behaviour); `Some(n)` caps the pool at
-    /// `n` live sessions and rejects beyond that.
-    pub pool_sessions: Option<usize>,
 }
 
 impl Default for ServiceConfig {
@@ -78,9 +67,7 @@ impl Default for ServiceConfig {
             workers: 2,
             queue_capacity: 32,
             retry_after_ms: 50,
-            use_cache: true,
             flight_recorder: 0,
-            pool_sessions: None,
         }
     }
 }
@@ -241,10 +228,8 @@ impl Counters {
 }
 
 struct ServiceShared {
-    cache: Option<SegmentCostCache>,
-    /// Reusable sessions with per-shape warmed snapshots; `None` when
-    /// pooling is disabled (`pool_sessions: Some(0)`).
-    pool: Option<SessionPool>,
+    cache: SegmentCostCache,
+    pool: SessionPool,
     draining: AtomicBool,
     counters: Counters,
     flight_recorder: usize,
@@ -307,21 +292,17 @@ impl std::fmt::Debug for Service {
 impl Service {
     /// Starts a service with `config.workers` worker threads.
     pub fn new(config: ServiceConfig) -> Service {
-        let slots = config.pool_sessions.unwrap_or(config.workers.max(1) + 1);
-        let session_pool = (slots > 0).then(|| {
-            SessionPool::new(
-                InstanceLimits {
-                    max_sessions: slots,
-                    ..InstanceLimits::default()
-                },
-                engine::pool_factory(config.flight_recorder),
-            )
-        });
         Service {
             pool: WorkerPool::new("serve", config.workers),
             shared: Arc::new(ServiceShared {
-                cache: config.use_cache.then(SegmentCostCache::new),
-                pool: session_pool,
+                cache: SegmentCostCache::new(),
+                pool: SessionPool::new(
+                    InstanceLimits {
+                        max_sessions: config.workers.max(1) + 1,
+                        ..InstanceLimits::default()
+                    },
+                    engine::pool_factory(config.flight_recorder),
+                ),
                 draining: AtomicBool::new(false),
                 counters: Counters::default(),
                 flight_recorder: config.flight_recorder,
@@ -679,18 +660,14 @@ impl Service {
         m.set_counter("est.prog.misses", c.est_site_misses);
         m.set_counter("est.prog.warm_hits", c.est_prog_warm_hits);
         m.set_counter("est.prog.rejects", c.est_prog_rejects);
-        if let Some(pool) = &self.shared.pool {
-            m.merge(pool.metrics());
-        }
-        if let Some(cache) = &self.shared.cache {
-            let stats = cache.stats();
-            m.set_counter("serve.cache.hits", stats.hits);
-            m.set_counter("serve.cache.misses", stats.misses);
-            m.set_counter("serve.cache.entries", stats.entries as u64);
-            m.set_counter("serve.cache.evictions", stats.evictions);
-            m.set_gauge("serve.cache.hit_rate", stats.hit_rate());
-            m.set_counter("est.prog.published", stats.programs as u64);
-        }
+        m.merge(self.shared.pool.metrics());
+        let stats = self.shared.cache.stats();
+        m.set_counter("serve.cache.hits", stats.hits);
+        m.set_counter("serve.cache.misses", stats.misses);
+        m.set_counter("serve.cache.entries", stats.entries as u64);
+        m.set_counter("serve.cache.evictions", stats.evictions);
+        m.set_gauge("serve.cache.hit_rate", stats.hit_rate());
+        m.set_counter("est.prog.published", stats.programs as u64);
         for (hist, prefix) in [
             (&self.shared.latency, "serve.latency"),
             (&self.shared.queue_wait, "serve.queue_wait"),
@@ -748,7 +725,7 @@ impl Service {
 }
 
 /// Executes one scenario and maintains the shared counters, latency
-/// histograms and folded telemetry. Shared by the pooled (stdio) and
+/// histograms and folded telemetry. Shared by the queued (stdio) and
 /// inline (TCP) paths.
 fn run_scenario(
     shared: &ServiceShared,
@@ -763,21 +740,13 @@ fn run_scenario(
         .deadline_ms
         .map(|ms| admitted + Duration::from_millis(ms));
     let run_started = Instant::now();
-    let result = match &shared.pool {
-        Some(pool) => engine::execute_pooled(
-            scenario,
-            pool,
-            shared.cache.as_ref(),
-            deadline,
-            shared.flight_recorder,
-        ),
-        None => engine::execute(
-            scenario,
-            shared.cache.as_ref(),
-            deadline,
-            shared.flight_recorder,
-        ),
-    };
+    let result = engine::execute_pooled(
+        scenario,
+        &shared.pool,
+        Some(&shared.cache),
+        deadline,
+        shared.flight_recorder,
+    );
     let c = &shared.counters;
     match &result {
         Ok(out) => {
@@ -809,7 +778,7 @@ fn run_scenario(
         Err(err) => {
             c.failed.fetch_add(1, Ordering::Relaxed);
             // The engine converts a caught panic into a Sim error with
-            // this message prefix (see `engine::execute`).
+            // this message prefix (see `engine::execute_pooled`).
             if err.message.starts_with("worker panicked") {
                 c.panics.fetch_add(1, Ordering::Relaxed);
                 if shared.flight_recorder > 0 {

@@ -3,7 +3,8 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
-use std::sync::Arc;
+use std::sync::{Arc, Barrier};
+use std::thread;
 use std::time::{Duration, Instant};
 
 use scperf_serve::json::{parse, Json};
@@ -189,11 +190,12 @@ fn batches_are_bitwise_identical_across_worker_counts() {
 }
 
 #[test]
-fn repeated_scenarios_hit_the_pool_without_changing_results() {
-    let svc = service(2, 8);
+fn repeated_scenarios_replay_cached_traces_without_changing_results() {
+    let svc = service(1, 8);
     let (responder, lines) = Responder::collector();
     for i in 0..4 {
-        svc.handle_line(&sim_line(&format!("r{i}"), MIXED, 2, ""), &responder);
+        let line = sim_line(&format!("r{i}"), MIXED, 2, r#","timing":true"#);
+        svc.handle_line(&line, &responder);
     }
     svc.drain();
     let got = lines.lock().clone();
@@ -202,42 +204,23 @@ fn repeated_scenarios_hit_the_pool_without_changing_results() {
         .map(|l| field(&parse(l).unwrap(), "end_time_ps").as_u64().unwrap())
         .collect();
     assert!(times.windows(2).all(|w| w[0] == w[1]), "times: {times:?}");
+    let replayed: Vec<u64> = got
+        .iter()
+        .map(|l| {
+            field(&parse(l).unwrap(), "replayed_stages")
+                .as_u64()
+                .unwrap()
+        })
+        .collect();
+    // One worker runs the requests in order: the first records every
+    // stage, the repeats replay every stage from the trace cache.
+    assert_eq!(replayed, [0, 5, 5, 5], "{got:?}");
     let m = svc.metrics();
-    // The first-of-shape run publishes its snapshot before the worker
-    // picks up another job, so with 2 workers and 4 identical requests
-    // at least the last two fork the warmed snapshot instead of
-    // touching the trace cache.
-    assert!(m.counter("pool.hits").unwrap() >= 2, "{m}");
-    assert!(m.counter("pool.forks").unwrap() >= 2, "{m}");
+    assert_eq!(m.counter("serve.cache.hits"), Some(15), "{m}");
+    assert_eq!(m.counter("pool.misses"), Some(4), "one per request: {m}");
+    assert_eq!(m.counter("pool.hits"), Some(0), "{m}");
     assert_eq!(m.counter("pool.exhausted"), Some(0), "{m}");
     assert!(m.counter("serve.latency.count").is_some());
-}
-
-#[test]
-fn disabling_the_pool_restores_per_request_sessions() {
-    let mut config = ServiceConfig {
-        workers: 2,
-        queue_capacity: 8,
-        retry_after_ms: 25,
-        ..ServiceConfig::default()
-    };
-    config.pool_sessions = Some(0);
-    let svc = Service::new(config);
-    let (responder, lines) = Responder::collector();
-    for i in 0..3 {
-        svc.handle_line(&sim_line(&format!("r{i}"), MIXED, 2, ""), &responder);
-    }
-    svc.drain();
-    let got = lines.lock().clone();
-    let times: Vec<u64> = got
-        .iter()
-        .map(|l| field(&parse(l).unwrap(), "end_time_ps").as_u64().unwrap())
-        .collect();
-    assert!(times.windows(2).all(|w| w[0] == w[1]), "times: {times:?}");
-    let m = svc.metrics();
-    assert!(m.counter("pool.hits").is_none(), "no pool metrics: {m}");
-    // Per-request sessions still memoize segment traces.
-    assert!(m.counter("serve.cache.hits").unwrap() > 0, "{m}");
 }
 
 #[test]
@@ -305,9 +288,9 @@ fn tcp_frontend_serves_concurrent_connections() {
 
 #[test]
 fn stats_report_cost_program_sharing_across_scenario_shapes() {
-    // Two different frame counts are two scenario shapes: neither can
-    // reuse the other's stage traces or pooled snapshot, but the cost
-    // programs published by the first run warm-start the second. The
+    // Two different frame counts key different stage traces, so the
+    // second run cannot replay the first's, but the cost programs
+    // published by the first run warm-start the second. The
     // stats reply must carry the whole `est.prog.*` namespace.
     let svc = service(1, 8);
     let (responder, lines) = Responder::collector();
@@ -429,15 +412,14 @@ fn telemetry_op_exposes_prometheus_text_with_attribution_series() {
 
 #[test]
 fn multi_worker_runs_fold_into_one_telemetry_snapshot() {
-    // MetricsSnapshot::merge semantics end to end: with the trace
-    // cache off, every run of the same scenario is identical, so the
-    // 4-worker service's folded counters must be exactly 4x a
-    // single run's — counters sum across workers, they don't race or
-    // overwrite.
+    // MetricsSnapshot::merge semantics end to end: every run of the
+    // same scenario simulates identically, whether its stages charge
+    // live or replay cached traces, so the 4-worker service's folded
+    // kernel and resource counters must be exactly 4x a single run's —
+    // counters sum across workers, they don't race or overwrite.
     let config = |workers| ServiceConfig {
         workers,
         queue_capacity: 16,
-        use_cache: false,
         ..ServiceConfig::default()
     };
     let one = Service::new(config(1));
@@ -625,29 +607,36 @@ fn a_queue_full_client_retries_after_the_hint_and_succeeds() {
 
 #[test]
 fn an_exhausted_session_pool_rejects_with_a_retry_hint() {
-    // More workers than pool slots: concurrent requests contend for
-    // the single session, the losers get `pool_exhausted` with a retry
-    // hint, and a retry after the traffic clears succeeds.
-    let mut config = ServiceConfig {
-        workers: 2,
-        queue_capacity: 8,
-        retry_after_ms: 25,
-        ..ServiceConfig::default()
-    };
-    config.pool_sessions = Some(1);
-    let svc = Service::new(config);
-    let (responder, lines) = Responder::collector();
-    for i in 0..4 {
-        svc.handle_line(&sim_line(&format!("r{i}"), ALL_CPU0, 64, ""), &responder);
-    }
-    let got = wait_for_lines(&lines, 4);
+    // The pool holds `workers + 1` slots. More threads than that running
+    // requests inline through `handle_line_sync` contend for them: the
+    // losers get `pool_exhausted` with a retry hint, and a retry after
+    // the traffic clears succeeds.
+    const CALLERS: usize = 6;
+    let svc = service(1, 8);
+    let start = Barrier::new(CALLERS);
+    let got: Vec<String> = thread::scope(|scope| {
+        let callers: Vec<_> = (0..CALLERS)
+            .map(|i| {
+                let (svc, start) = (&svc, &start);
+                scope.spawn(move || {
+                    start.wait();
+                    let line = sim_line(&format!("r{i}"), ALL_CPU0, 64, "");
+                    svc.handle_line_sync(&line).0.expect("a reply")
+                })
+            })
+            .collect();
+        callers
+            .into_iter()
+            .map(|c| c.join().expect("caller thread"))
+            .collect()
+    });
     let exhausted: Vec<&String> = got
         .iter()
         .filter(|l| l.contains(r#""code":"pool_exhausted""#))
         .collect();
     assert!(
         !exhausted.is_empty(),
-        "two workers racing one slot must collide: {got:?}"
+        "{CALLERS} callers racing 2 slots must collide: {got:?}"
     );
     for line in &exhausted {
         let v = parse(line).unwrap();
@@ -655,20 +644,21 @@ fn an_exhausted_session_pool_rejects_with_a_retry_hint() {
     }
     // A rejected slot was never poisoned: a retry runs clean and
     // matches the successful runs bit for bit.
-    lines.lock().clear();
-    svc.handle_line(&sim_line("again", ALL_CPU0, 64, ""), &responder);
-    let retry = wait_for_lines(&lines, 1);
-    let v = parse(&retry[0]).unwrap();
-    assert_eq!(field(&v, "status").as_str(), Some("ok"), "{retry:?}");
+    let (retry, _) = svc.handle_line_sync(&sim_line("again", ALL_CPU0, 64, ""));
+    let v = parse(&retry.expect("a reply")).unwrap();
+    assert_eq!(field(&v, "status").as_str(), Some("ok"), "{v:?}");
     let expect = got
         .iter()
         .find(|l| l.contains(r#""status":"ok""#))
         .map(|l| field(&parse(l).unwrap(), "end_time_ps").as_u64().unwrap())
-        .expect("at least one of the four succeeded");
+        .expect("at least one caller got a slot");
     assert_eq!(field(&v, "end_time_ps").as_u64(), Some(expect));
-    svc.drain();
     let m = svc.metrics();
-    assert!(m.counter("pool.exhausted").unwrap() >= 1, "{m}");
+    assert_eq!(
+        m.counter("pool.exhausted"),
+        Some(exhausted.len() as u64),
+        "{m}"
+    );
 }
 
 #[test]

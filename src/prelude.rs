@@ -32,7 +32,7 @@
 // --- The session front door: configuration, lifecycle, record/replay.
 pub use scperf_core::{Recorder, Replay, Session, SimConfig};
 
-// --- Session pooling and snapshot/fork (serving hot path).
+// --- Session pooling (serving hot path).
 pub use scperf_core::{
     InstanceLimits, LimitExceeded, PoolExhausted, PoolStats, PooledSession, SessionPool, Snapshot,
 };
