@@ -155,11 +155,9 @@ fn ablation_dse_cache() {
         table,
         nframes: 1,
         jobs: 1,
-        kernel_jobs: 1,
         use_cache: true,
         limit: Some(27),
-        legacy_charging: false,
-        programs_in: None,
+        ..SweepConfig::default()
     };
     let cached = sweep(&config);
     let uncached = sweep(&SweepConfig {

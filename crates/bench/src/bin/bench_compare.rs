@@ -18,9 +18,9 @@
 //!   host times, so they move with the host; the problem sizes are
 //!   chosen so that `--quick` runs measure the same per-unit cost as
 //!   full ones.
-//! * **same-run ratios** (higher is better): `memoized_speedup`,
-//!   `prog_speedup` and `reuse_speedup`, each one code path against
-//!   another on the same machine in the same run.
+//! * **same-run ratios** (higher is better): `memoized_speedup` and
+//!   `reuse_speedup`, each one code path against another on the same
+//!   machine in the same run.
 //!
 //! Both kinds only mean something on the setup the baseline was taken
 //! on, so before scoring a pair the gate checks that the two documents
@@ -31,7 +31,10 @@
 //! (a same-CPU handoff costs a few µs; a cross-CPU wake-up costs several
 //! times that and varies run to run).
 //!
-//! For every shared metric the gate computes a score where 1.0 means
+//! Every gated metric of the baseline must be in the fresh run: a
+//! missing one **fails**, so a bench that stops emitting a key cannot
+//! drop out of the gate. For every metric the gate computes a score
+//! where 1.0 means
 //! the fresh run reproduces the baseline exactly and lower is worse:
 //! `current / baseline` for ratios, `baseline / current` for costs. The
 //! run **fails (exit 1)** when any score falls below `1 - threshold`
@@ -47,15 +50,14 @@ use scperf_bench::microbench::Spread;
 use scperf_serve::json::{parse, Json};
 
 /// Same-run ratio keys: higher is better.
-const RATIO_KEYS: [&str; 3] = ["memoized_speedup", "prog_speedup", "reuse_speedup"];
+const RATIO_KEYS: [&str; 2] = ["memoized_speedup", "reuse_speedup"];
 
 /// Per-unit cost keys (medians over reps): lower is better.
-const COST_KEYS: [&str; 5] = [
+const COST_KEYS: [&str; 4] = [
     "ns_per_activation",
     "ns_per_op",
     "live_ns_per_charge",
     "memoized_ns_per_charge",
-    "warm_ns_per_charge",
 ];
 
 fn usage() -> ! {
@@ -114,6 +116,43 @@ fn host_mismatch(base: &Json, cur: &Json) -> Option<String> {
     (b != c).then(|| format!("host_cpus {} vs {}", show(b), show(c)))
 }
 
+/// Scores every gated metric of `base` against `cur`, printing one line
+/// each. Returns the scores (1.0 reproduces the baseline, lower is
+/// worse) and a failure line for each metric that scored below `floor`
+/// or is missing from `cur`.
+fn score(base: &Json, cur: &Json, floor: f64) -> (Vec<f64>, Vec<String>) {
+    let mut scores = Vec::new();
+    let mut failures = Vec::new();
+    let cur_metrics = metrics(cur);
+    for m in metrics(base) {
+        let name = &m.name;
+        let Some(c) = cur_metrics.iter().find(|c| &c.name == name) else {
+            println!("  {name:<36} MISSING from the current run");
+            failures.push(format!("{name}: missing from the current run"));
+            continue;
+        };
+        let (b, c) = (m.value, c.value);
+        if b <= 0.0 || c <= 0.0 {
+            continue;
+        }
+        let (score, unit) = if m.lower_is_better {
+            (b / c, "ns")
+        } else {
+            (c / b, "x ")
+        };
+        scores.push(score);
+        let verdict = if score < floor { "REGRESSED" } else { "ok" };
+        println!(
+            "  {name:<36} baseline {b:>8.2}{unit}  current {c:>8.2}{unit}  \
+             score {score:>5.2}  {verdict}"
+        );
+        if score < floor {
+            failures.push(format!("{name}: {c:.2}{unit} vs committed {b:.2}{unit}"));
+        }
+    }
+    (scores, failures)
+}
+
 fn overhead_pct(doc: &Json) -> Option<f64> {
     doc.get("attribution")
         .and_then(|a| a.get("overhead_pct"))
@@ -144,7 +183,6 @@ fn main() -> ExitCode {
     let floor = 1.0 - threshold;
     let mut scores: Vec<f64> = Vec::new();
     let mut failures: Vec<String> = Vec::new();
-    let mut compared = 0usize;
 
     for pair in paths.chunks(2) {
         let (base_path, cur_path) = (&pair[0], &pair[1]);
@@ -160,38 +198,15 @@ fn main() -> ExitCode {
             continue;
         }
 
-        let cur_metrics = metrics(&cur);
-        for m in metrics(&base) {
-            let name = &m.name;
-            let Some(c) = cur_metrics.iter().find(|c| &c.name == name) else {
-                println!("  {name:<36} missing from current run (skipped)");
-                continue;
-            };
-            let (b, c) = (m.value, c.value);
-            if b <= 0.0 || c <= 0.0 {
-                continue;
-            }
-            let (score, unit) = if m.lower_is_better {
-                (b / c, "ns")
-            } else {
-                (c / b, "x ")
-            };
-            compared += 1;
-            scores.push(score);
-            let verdict = if score < floor { "REGRESSED" } else { "ok" };
-            println!(
-                "  {name:<36} baseline {b:>8.2}{unit}  current {c:>8.2}{unit}  \
-                 score {score:>5.2}  {verdict}"
-            );
-            if score < floor {
-                failures.push(format!("{name}: {c:.2}{unit} vs committed {b:.2}{unit}"));
-            }
-        }
+        let (pair_scores, pair_failures) = score(&base, &cur, floor);
+        scores.extend(pair_scores);
+        failures.extend(pair_failures);
         if let (Some(b), Some(c)) = (overhead_pct(&base), overhead_pct(&cur)) {
             println!("  attribution overhead: baseline {b:+.2}%  current {c:+.2}% (informational)");
         }
     }
 
+    let compared = scores.len();
     if compared == 0 && failures.is_empty() {
         eprintln!("no shared metrics found — wrong files?");
         return ExitCode::FAILURE;
@@ -223,6 +238,28 @@ mod tests {
 
     fn doc(text: &str) -> Json {
         parse(text).expect("test document parses")
+    }
+
+    #[test]
+    fn a_gated_key_missing_from_the_current_run_fails() {
+        let base =
+            doc(r#"{"benches":[{"name":"fir","memoized_speedup":5.0,"live_ns_per_charge":2.0}]}"#);
+        let same = score(&base, &base, 0.5);
+        assert_eq!(same, (vec![1.0, 1.0], Vec::<String>::new()));
+
+        let dropped = doc(r#"{"benches":[{"name":"fir","live_ns_per_charge":2.0}]}"#);
+        let (scores, failures) = score(&base, &dropped, 0.5);
+        assert_eq!(scores, vec![1.0]);
+        assert_eq!(
+            failures,
+            vec!["fir.memoized_speedup: missing from the current run"]
+        );
+
+        // Keys the gate does not know stay out of it.
+        let extra = doc(
+            r#"{"benches":[{"name":"fir","memoized_speedup":5.0,"live_ns_per_charge":2.0,"other":1.0}]}"#,
+        );
+        assert!(score(&base, &extra, 0.5).1.is_empty());
     }
 
     #[test]

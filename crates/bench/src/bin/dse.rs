@@ -6,8 +6,7 @@
 //!
 //! ```text
 //! cargo run -p scperf-bench --release --bin dse -- \
-//!     [--frames N] [--jobs N] [--bench] \
-//!     [--programs-in FILE] [--programs-out FILE]
+//!     [--frames N] [--jobs N] [--bench]
 //! ```
 //!
 //! * `--frames N`   frames per design point (default 2)
@@ -16,11 +15,6 @@
 //! * `--bench`      additionally run the sequential, uncached oracle,
 //!   verify the parallel frontier is bitwise identical, and write
 //!   speedup + cache stats to `BENCH_dse.json`
-//! * `--programs-in FILE`   warm-start segment-site cost programs from a
-//!   blob written by an earlier run (another process, even another
-//!   machine — the encoding is platform-independent)
-//! * `--programs-out FILE`  write the compiled program blob after the
-//!   sweep, for `--programs-in` of a later run
 
 use std::time::Instant;
 
@@ -31,8 +25,6 @@ struct Args {
     frames: usize,
     jobs: usize,
     bench: bool,
-    programs_in: Option<String>,
-    programs_out: Option<String>,
 }
 
 fn parse_args() -> Args {
@@ -40,8 +32,6 @@ fn parse_args() -> Args {
         frames: 2,
         jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
         bench: false,
-        programs_in: None,
-        programs_out: None,
     };
     let mut it = std::env::args().skip(1);
     while let Some(arg) = it.next() {
@@ -55,12 +45,6 @@ fn parse_args() -> Args {
             "--frames" => args.frames = num("--frames"),
             "--jobs" => args.jobs = num("--jobs"),
             "--bench" => args.bench = true,
-            "--programs-in" => {
-                args.programs_in = Some(it.next().expect("--programs-in expects a path"))
-            }
-            "--programs-out" => {
-                args.programs_out = Some(it.next().expect("--programs-out expects a path"))
-            }
             // Positional frame count, kept for the pre-PR-2 interface.
             n if n.parse::<usize>().is_ok() => args.frames = n.parse().unwrap(),
             other => panic!("unknown argument {other}"),
@@ -78,23 +62,13 @@ fn main() {
         cal.r_squared, args.frames, args.jobs
     );
 
-    let programs_in = args.programs_in.as_ref().map(|path| {
-        let blob = std::fs::read(path).expect("read --programs-in blob");
-        println!(
-            "warm-starting cost programs from {path} ({} bytes)",
-            blob.len()
-        );
-        blob
-    });
     let config = SweepConfig {
         table: cal.table,
         nframes: args.frames,
         jobs: args.jobs,
-        kernel_jobs: 1,
         use_cache: true,
         limit: None,
-        legacy_charging: false,
-        programs_in,
+        ..SweepConfig::default()
     };
     let start = Instant::now();
     let result = sweep(&config);
@@ -110,25 +84,13 @@ fn main() {
         result.points.len() as f64 / elapsed.as_secs_f64()
     );
     println!(
-        "cost programs: {} hits, {} misses, {} warm hits, {} imported, {} published",
-        result.prog.hits,
-        result.prog.misses,
-        result.prog.warm_hits,
-        result.prog.imported,
-        result.cache.programs
+        "segment-site memoization: {} hits, {} misses",
+        result.prog.hits, result.prog.misses
     );
     if !config.table.is_integral() {
         println!(
-            "  (calibrated table has fractional costs, so site memoization — \
-             and with it program recording — stays off: replay is only \
-             bit-exact for integer-valued tables)"
-        );
-    }
-    if let Some(path) = &args.programs_out {
-        std::fs::write(path, &result.programs_out).expect("write --programs-out blob");
-        println!(
-            "compiled programs -> {path} ({} bytes)",
-            result.programs_out.len()
+            "  (calibrated table has fractional costs, so site memoization \
+             stays off: replay is only bit-exact for integer-valued tables)"
         );
     }
 
@@ -184,8 +146,6 @@ fn main() {
         w.value_u64(result.prog.hits);
         w.key("prog_misses");
         w.value_u64(result.prog.misses);
-        w.key("prog_warm_hits");
-        w.value_u64(result.prog.warm_hits);
         w.key("pool_steals");
         w.value_u64(result.pool.steals);
         w.key("frontier");

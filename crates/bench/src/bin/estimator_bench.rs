@@ -1,6 +1,5 @@
-//! Estimator hot-path microbenchmarks: flat-TLS charging, segment-site
-//! memoization and warm-started cost programs, reported as absolute
-//! per-unit costs.
+//! Estimator hot-path microbenchmarks: flat-TLS charging and
+//! segment-site memoization, reported as absolute per-unit costs.
 //!
 //! Usage:
 //!
@@ -18,14 +17,12 @@
 //!   the purest measure of the charging fast path.
 //! * **fir** — the 64-tap/256-sample FIR workload, run live (no
 //!   memoization) and memoized (segment sites replay).
-//! * **vocoder** — the five-stage vocoder pipeline on one CPU, live,
-//!   memoized, and memoized from a warm program set shipped through the
-//!   wire encoding.
+//! * **vocoder** — the five-stage vocoder pipeline on one CPU, live and
+//!   memoized.
 //!
 //! Every configuration must produce bit-identical simulated time and
-//! checksums — the bench asserts this — so `memoized_speedup` and
-//! `prog_speedup` are host-time ratios over the live path at identical
-//! estimates. Live and memoized runs alternate, as do the attribution
+//! checksums — the bench asserts this — so `memoized_speedup` is a
+//! host-time ratio over the live path at identical estimates. Live and memoized runs alternate, as do the attribution
 //! off and on runs; the attribution overhead is the median of the
 //! per-pair ratios. `--quick` shrinks only the charge and plain-thread
 //! streams: fir and vocoder keep their sizes so that memoization
@@ -39,7 +36,7 @@ use std::time::{Duration, Instant};
 use scperf_bench::microbench::{
     host_cpus, interleave, min_secs, ns_per_unit, paired_overhead, BenchArgs, Spread,
 };
-use scperf_core::{charge_op, CostTable, MemoMode, Op, Platform, ProgramSet, SimConfig, G};
+use scperf_core::{charge_op, CostTable, MemoMode, Op, Platform, SimConfig, G};
 use scperf_kernel::Time;
 use scperf_obs::json::JsonWriter;
 use scperf_workloads::fir;
@@ -167,34 +164,6 @@ fn vocoder_run(config: Config, nframes: usize) -> Run {
     }
 }
 
-/// The memoized vocoder pipeline warm-started from a shared program
-/// set: every site replays from the first frame on. Returns the run and
-/// the number of programs fetched out of the warm set.
-fn vocoder_warm_run(set: Arc<ProgramSet>, nframes: usize) -> (Run, u64) {
-    let (platform, cpu) = sw_platform();
-    let mut session = Config::Memoized
-        .apply(SimConfig::new().platform(platform).program_set(set))
-        .build();
-    let handles = {
-        let (sim, model) = session.parts_mut();
-        pipeline::build(sim, model, VocoderMapping::all_on(cpu), nframes)
-    };
-    let start = Instant::now();
-    let summary = session.run().expect("warm vocoder runs");
-    let hot = session.model().hot_stats();
-    let checksum = handles.output.lock().expect("pipeline finished") as i64;
-    (
-        Run {
-            end_time_ps: summary.end_time.as_ps(),
-            checksum,
-            elapsed: start.elapsed(),
-            site_hits: hot.site_hits,
-            fast_charges: hot.fast_charges,
-        },
-        hot.prog_warm_hits,
-    )
-}
-
 /// Asserts that every run produced the same estimate and data.
 fn consistent(name: &str, runs: Vec<Run>) -> Vec<Run> {
     for r in &runs[1..] {
@@ -312,58 +281,6 @@ fn main() {
         attr_overhead * 100.0
     );
 
-    // Cross-process program sharing: harvest the memoized vocoder's
-    // compiled programs, round-trip them through the wire encoding, and
-    // warm-start fresh sessions from the decoded set — the serialize →
-    // ship → charge path `scperf-serve` and `scperf-dse` use.
-    let harvested = {
-        let (platform, cpu) = sw_platform();
-        let mut session = Config::Memoized
-            .apply(SimConfig::new().platform(platform))
-            .build();
-        {
-            let (sim, model) = session.parts_mut();
-            pipeline::build(sim, model, VocoderMapping::all_on(cpu), voc_frames);
-        }
-        session.run().expect("harvest vocoder runs");
-        session.programs()
-    };
-    let wire = harvested.to_bytes();
-    let decoded = Arc::new(ProgramSet::from_bytes(&wire).expect("program set round-trips"));
-    assert_eq!(
-        *decoded, harvested,
-        "wire round-trip changed the program set"
-    );
-    let warm_runs: Vec<(Run, u64)> = (0..args.reps)
-        .map(|_| vocoder_warm_run(Arc::clone(&decoded), voc_frames))
-        .collect();
-    let warm_hits = warm_runs[0].1;
-    let warm: Vec<Run> = warm_runs.into_iter().map(|(r, _)| r).collect();
-    let vocoder = &results[2];
-    for r in &warm {
-        assert_eq!(
-            vocoder.live[0].end_time_ps, r.end_time_ps,
-            "vocoder: warm-started programs changed the estimate"
-        );
-        assert_eq!(
-            vocoder.live[0].checksum, r.checksum,
-            "vocoder: warm-started programs changed the data"
-        );
-    }
-    assert!(
-        warm_hits > 0,
-        "warm run fetched nothing from the shared set"
-    );
-    let warm_cost = vocoder.cost(&warm);
-    let prog_speedup = min_secs(&times(&vocoder.live)) / min_secs(&times(&warm));
-    println!(
-        "    programs: {} bytes on the wire, warm {:>7.2} ns/charge ({:>5.2}x, {} warm fetches)",
-        wire.len(),
-        warm_cost.median,
-        prog_speedup,
-        warm_hits,
-    );
-
     let mut w = JsonWriter::new();
     w.begin_object();
     w.key("reps");
@@ -408,15 +325,6 @@ fn main() {
         w.value_f64(r.memo_speedup());
         w.key("site_hits");
         w.value_u64(r.memo[0].site_hits);
-        if r.name == "vocoder" {
-            warm_cost.write(&mut w, "warm_ns_per_charge");
-            w.key("prog_speedup");
-            w.value_f64(prog_speedup);
-            w.key("prog_warm_hits");
-            w.value_u64(warm_hits);
-            w.key("program_bytes");
-            w.value_u64(wire.len() as u64);
-        }
         w.key("estimates_identical");
         w.value_bool(true);
         w.end_object();

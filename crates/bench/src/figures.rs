@@ -3,7 +3,8 @@
 use std::fmt::Write as _;
 
 use scperf_core::{
-    g_i32, g_if, timed_wait, CostTable, Mode, Op, PerfModel, Platform, ProcessGraph, G,
+    g_call, g_i32, g_if, timed_wait, CostTable, GArr, Mode, Op, PerfModel, Platform, ProcessGraph,
+    G,
 };
 use scperf_kernel::{Simulator, Time};
 
@@ -147,6 +148,56 @@ pub fn figure3() -> String {
     );
     assert!((time - 75.8).abs() < 1e-9, "walk must total 75.8 cycles");
     out
+}
+
+/// The library's estimate of Figure 3's `ch1.read` → `ch2.read`
+/// segment, in cycles, with the code annotated as written in the
+/// figure: the paper's 75.8 under [`CostTable::figure3`].
+pub fn figure3_estimate() -> f64 {
+    /// `func` adds 40.4 cycles including its argument copy: 1 branch,
+    /// 1 comparison, 5 index and 4 assign operations.
+    fn func(x: G<i32>) -> G<i32> {
+        let scratch = GArr::<i32>::zeroed(8);
+        g_if!((x < 0) {});
+        let mut last = G::raw(0);
+        for i in 0..4 {
+            last.assign(scratch.at_raw(i));
+        }
+        let _ = scratch.at_raw(5);
+        last
+    }
+    let mut platform = Platform::new();
+    let cpu = platform.sequential("cpu", CLOCK, CostTable::figure3(), 0.0);
+    let mut sim = Simulator::new();
+    let model = PerfModel::new(platform, Mode::StrictTimed);
+    let ch1 = model.fifo::<i32>(&mut sim, "ch1", 1);
+    let ch2 = model.fifo::<i32>(&mut sim, "ch2", 1);
+    let (ch1_w, ch2_w) = (ch1.clone(), ch2.clone());
+    sim.spawn("env", move |ctx| {
+        ch1_w.raw().write(ctx, 0);
+        ch2_w.raw().write(ctx, 0);
+    });
+    model.spawn(&mut sim, "proc", cpu, move |ctx| {
+        let (mut i, c, d) = (G::raw(-1_i32), G::raw(20_i32), G::raw(22_i32));
+        let array = GArr::<i32>::from_vec(vec![7; 8]);
+        let (mut datai, mut datao) = (G::raw(0), G::raw(0));
+        let _ = ch1.read(ctx);
+        g_if!((i < 0) {
+            i.assign(c + d);
+        });
+        datai.assign(array.at_raw(0));
+        datao.assign(g_call!(func(datai)));
+        let _ = ch2.read(ctx);
+        let _ = datao;
+    });
+    sim.run().expect("figure 3 model runs");
+    model
+        .report()
+        .process("proc")
+        .and_then(|p| p.segment("ch1.read", "ch2.read"))
+        .expect("segment ch1.read -> ch2.read recorded")
+        .stats
+        .total_cycles
 }
 
 // ============================================================== Figure 4 ==

@@ -9,7 +9,6 @@ use scperf_sync::Mutex;
 
 use crate::cost::OpCounts;
 use crate::hw::{weighted_hw_cycles, Dfg};
-use crate::prog::{CostProgram, ProgramSet};
 use crate::resource::{Platform, ResourceId, ResourceKind};
 use crate::site::MemoMode;
 
@@ -135,19 +134,6 @@ pub(crate) struct EstInner {
     pub(crate) record_segment_costs: bool,
     /// Segment-site memoization policy handed to spawned processes.
     pub(crate) memo_mode: MemoMode,
-    /// Warm program set handed to spawned processes: compiled cost
-    /// programs recorded by an earlier run/process/worker, replayed on
-    /// local misses (see [`crate::ProgramSet`]).
-    pub(crate) warm_programs: Option<Arc<ProgramSet>>,
-    /// Programs recorded by this run's processes, merged for harvest
-    /// (`None` until the first named-site recording lands).
-    pub(crate) programs: Option<ProgramSet>,
-    /// Local site misses satisfied from the warm program set
-    /// (`est.prog.warm_hits`).
-    pub(crate) prog_warm_hits: u64,
-    /// Warm program sets rejected for a cost-table fingerprint mismatch
-    /// (`est.prog.rejects`).
-    pub(crate) prog_rejects: u64,
     /// Operations charged through the flat fast path (`est.charge.fast`).
     pub(crate) fast_charges: u64,
     /// Site-memo regions replayed from cache (`est.site_cache.hit`).
@@ -181,9 +167,8 @@ pub struct EstHotStats {
     pub site_misses: u64,
     /// Segments whose DFG node buffer was recycled instead of allocated.
     pub dfg_arena_reuse: u64,
-    /// Local site misses satisfied by compiling a warm-set program.
-    pub prog_warm_hits: u64,
-    /// Warm program sets rejected for a fingerprint mismatch.
+    /// Always 0. It counted shared program sets rejected for a
+    /// cost-table mismatch; no set is shared across runs any more.
     pub prog_rejects: u64,
 }
 
@@ -208,10 +193,6 @@ impl EstimatorShared {
                 record_dfgs: false,
                 record_segment_costs: false,
                 memo_mode: MemoMode::default(),
-                warm_programs: None,
-                programs: None,
-                prog_warm_hits: 0,
-                prog_rejects: 0,
                 fast_charges: 0,
                 site_hits: 0,
                 site_misses: 0,
@@ -222,36 +203,6 @@ impl EstimatorShared {
                 arbitration_waits: vec![0; n],
             }),
         })
-    }
-
-    /// Folds one process's program-store outcome back into the shared
-    /// estimator at uninstall: freshly recorded (named-site) programs
-    /// merge into the run's [`ProgramSet`] under the recording table's
-    /// fingerprint, and the warm-set counters accumulate. Programs
-    /// recorded under a *different* table than the set already holds are
-    /// skipped — one set, one table.
-    pub(crate) fn harvest_programs(
-        &self,
-        table_fp: u64,
-        fresh: Vec<(u64, u64, CostProgram)>,
-        warm_hits: u64,
-        rejects: u64,
-    ) {
-        let mut inner = self.inner.lock();
-        inner.prog_warm_hits += warm_hits;
-        inner.prog_rejects += rejects;
-        if fresh.is_empty() {
-            return;
-        }
-        let set = inner
-            .programs
-            .get_or_insert_with(|| ProgramSet::new(table_fp));
-        if set.table_fp() != table_fp {
-            return;
-        }
-        for (site, key, prog) in fresh {
-            set.insert(site, key, prog);
-        }
     }
 
     pub(crate) fn register_node(&self, label: impl Into<String>) -> u32 {
@@ -317,9 +268,6 @@ impl EstimatorShared {
         inner.site_hits = 0;
         inner.site_misses = 0;
         inner.dfg_arena_reuse = 0;
-        inner.programs = None;
-        inner.prog_warm_hits = 0;
-        inner.prog_rejects = 0;
         inner.captures.clear();
         inner.contention_total.clear();
         inner.contention_total.resize(n, Time::ZERO);
@@ -378,8 +326,16 @@ pub(crate) fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
     // live estimation of the same (code, data, cost table) produces.
     // Recorder-captured traces also carry the op counts and HW
     // extremes, so the replayed report matches the live one bit for bit
-    // (bare cycle vectors replay timing only).
+    // (bare cycle vectors replay timing only). A HW segment's cycles
+    // depend on the running resource's `k`, so they are rebuilt from
+    // the recorded extremes: a trace replays under any `k`.
     let (cycles, t_min, t_max, counts) = match replayed {
+        Some((_, Some(d))) if kind == ResourceKind::Parallel => (
+            weighted_hw_cycles(d.t_min, d.t_max, k),
+            d.t_min,
+            d.t_max,
+            d.counts,
+        ),
         Some((cycles, Some(d))) => (cycles, d.t_min, d.t_max, d.counts),
         Some((cycles, None)) => (cycles, 0.0, 0.0, counts),
         None => match kind {

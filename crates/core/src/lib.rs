@@ -101,7 +101,7 @@ pub use model::{timed_wait, timed_wait_labeled, PFifo, PRendezvous, PSignal, Per
 pub use pool::{
     InstanceLimits, LimitExceeded, PoolExhausted, PoolStats, PooledSession, SessionPool, Snapshot,
 };
-pub use prog::{table_fingerprint, CostProgram, Instr, ProgDecodeError, ProgramSet};
+pub use prog::{table_fingerprint, ProgramSet};
 pub use recorder::{Recorder, Replay};
 pub use report::{
     ChannelUtilization, ProcessContention, ProcessGraph, ProcessReport, Report, ResourceReport,

@@ -98,9 +98,7 @@ macro_rules! g_for {
 /// one compiled-program apply instead of per-op (or even per-iteration)
 /// charging. The trip count — taken from the range via
 /// [`ExactSizeIterator::len`] — is folded into the site key, so
-/// different trip counts compile into different programs; uniform
-/// bodies additionally collapse into a [`crate::Instr::Loop`]
-/// instruction when the program serializes.
+/// different trip counts compile into different programs.
 ///
 /// Charges exactly what [`g_for!`] charges — the loop bookkeeping
 /// ([`crate::Op::Assign`] + [`crate::Op::Add`] + [`crate::Op::Cmp`] +
@@ -134,10 +132,8 @@ macro_rules! g_loop {
             $crate::SegmentSite::named(concat!(file!(), ':', line!(), ':', column!()));
         let __scperf_iter = ::core::iter::IntoIterator::into_iter($range);
         let __scperf_trips = ::core::iter::ExactSizeIterator::len(&__scperf_iter) as u64;
-        let mut __scperf_guard =
-            $crate::site_enter_loop(&__SCPERF_SITE, $key, __scperf_trips);
+        let __scperf_guard = $crate::site_enter_loop(&__SCPERF_SITE, $key, __scperf_trips);
         for $i in __scperf_iter {
-            __scperf_guard.loop_iter();
             $crate::charge_op($crate::Op::Assign);
             $crate::charge_op($crate::Op::Add);
             $crate::charge_op($crate::Op::Cmp);

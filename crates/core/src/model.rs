@@ -15,7 +15,7 @@ use scperf_kernel::{Fifo, ProcCtx, ProcId, Rendezvous, Signal, Simulator, Time};
 use crate::capture::{CaptureList, CapturePoint};
 use crate::estimator::{end_segment, EstHotStats, EstimatorShared, Mode, NODE_WAIT};
 use crate::hw::Dfg;
-use crate::prog::{fingerprint_costs, ProgStore, ProgramSet};
+use crate::prog::{ProgStore, ProgramSet};
 use crate::recorder::{Recorder, Replay};
 use crate::report::Report;
 use crate::resource::{Platform, ResourceId};
@@ -100,25 +100,10 @@ impl PerfModel {
         self.est.inner.lock().memo_mode = mode;
     }
 
-    /// Hands processes spawned after this call a warm [`ProgramSet`]:
-    /// cost programs recorded by an earlier run (or another worker) are
-    /// compiled and replayed on local site misses instead of
-    /// re-recording. A set whose fingerprint does not match the
-    /// process's cost table is ignored (counted in `est.prog.rejects`)
-    /// and the run records afresh — a stale set can cost speed, never
-    /// correctness.
-    pub fn warm_programs(&self, set: Arc<ProgramSet>) {
-        self.est.inner.lock().warm_programs = Some(set);
-    }
-
-    /// The cost programs recorded by this run's processes at named
-    /// (`g_loop!`/`g_site!`) sites, merged across processes. Empty until
-    /// a run with memoization engaged has finished. Serialize it with
-    /// [`ProgramSet::to_bytes`] and warm-start a later run/process via
-    /// [`PerfModel::warm_programs`].
-    pub fn programs(&self) -> ProgramSet {
-        self.est.inner.lock().programs.clone().unwrap_or_default()
-    }
+    /// Has no effect. Cost programs no longer leave the run that
+    /// compiled them, so there is no warm set to hand to processes;
+    /// kept so existing callers still compile.
+    pub fn warm_programs(&self, _set: Arc<ProgramSet>) {}
 
     /// A clone of the model's platform (resources + cost tables).
     pub fn platform(&self) -> crate::resource::Platform {
@@ -133,8 +118,7 @@ impl PerfModel {
     }
 
     /// Snapshot of the hot-path counters: fast-path charges, site-cache
-    /// hits/misses, DFG arena reuses and warm-program accounting. Cheap
-    /// (one lock, six loads).
+    /// hits/misses and DFG arena reuses. Cheap (one lock, four loads).
     pub fn hot_stats(&self) -> EstHotStats {
         let inner = self.est.inner.lock();
         EstHotStats {
@@ -142,8 +126,7 @@ impl PerfModel {
             site_hits: inner.site_hits,
             site_misses: inner.site_misses,
             dfg_arena_reuse: inner.dfg_arena_reuse,
-            prog_warm_hits: inner.prog_warm_hits,
-            prog_rejects: inner.prog_rejects,
+            prog_rejects: 0,
         }
     }
 
@@ -222,7 +205,7 @@ impl PerfModel {
         let est = Arc::clone(&self.est);
         let reg_name = name.clone();
         let pid = sim.spawn(name, move |ctx| {
-            let (kind, costs, k, rtos_cycles, memo, record_dfgs, warm) = {
+            let (kind, costs, k, rtos_cycles, memo, record_dfgs) = {
                 let inner = est.inner.lock();
                 let r = inner.platform.resource(resource);
                 (
@@ -232,7 +215,6 @@ impl PerfModel {
                     r.rtos_cycles,
                     inner.memo_mode,
                     inner.record_dfgs,
-                    inner.warm_programs.clone(),
                 )
             };
             let record_dfgs =
@@ -256,9 +238,7 @@ impl PerfModel {
                     }
                 }),
                 memo,
-                progs: ProgStore::with_warm(warm),
-                rec_events: Vec::new(),
-                rec_depth: 0,
+                progs: ProgStore::default(),
                 dfg_spare: Vec::new(),
                 cp_scratch: Vec::new(),
             });
@@ -266,17 +246,7 @@ impl PerfModel {
             // The process-exit statement is a node (§2): flush the final
             // segment and back-annotate it.
             end_segment(ctx, crate::estimator::NODE_EXIT);
-            if let Some(mut t) = tls::uninstall() {
-                // Harvest the programs this process recorded (and its
-                // warm-set accounting) into the shared estimator, so the
-                // session can publish one merged set.
-                let fresh = t.progs.take_fresh();
-                let warm_hits = t.progs.warm_hits;
-                let rejects = t.progs.rejects;
-                if !fresh.is_empty() || warm_hits > 0 || rejects > 0 {
-                    est.harvest_programs(fingerprint_costs(&t.costs), fresh, warm_hits, rejects);
-                }
-            }
+            tls::uninstall();
         });
         self.est.register_process(pid.index(), reg_name, resource);
         pid
@@ -402,16 +372,9 @@ impl PerfModel {
         m.set_counter("est.site_cache.miss", inner.site_misses);
         m.set_counter("est.dfg.arena_reuse", inner.dfg_arena_reuse);
         // Cost-program namespace: hits/misses mirror the site cache (a
-        // replayed region IS a compiled-program apply), plus the
-        // cross-process warm-set accounting.
+        // replayed region IS a compiled-program apply).
         m.set_counter("est.prog.hits", inner.site_hits);
         m.set_counter("est.prog.misses", inner.site_misses);
-        m.set_counter("est.prog.warm_hits", inner.prog_warm_hits);
-        m.set_counter("est.prog.rejects", inner.prog_rejects);
-        m.set_counter(
-            "est.prog.compiled",
-            inner.programs.as_ref().map_or(0, |p| p.len()) as u64,
-        );
         for (id, r) in inner.platform.iter() {
             m.set_gauge(
                 format!("resource.{}.busy_ns", r.name),

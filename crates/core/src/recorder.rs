@@ -15,9 +15,12 @@
 //! methodology's data-independence assumption. A replayed process must
 //! perform the same sequence of channel accesses and waits as the
 //! recorded run; it is the caller's responsibility to key cached
-//! replays on everything the annotation depends on (process identity,
-//! workload size, resource kind, clock, cost table, `k`, RTOS
-//! overhead). `scperf_dse::SegmentCostCache` shows the canonical
+//! replays on everything the recorded cycles depend on: process
+//! identity, workload size, resource kind and cost table. The rest is
+//! applied at replay from the running resource: its clock turns cycles
+//! into time, its RTOS overhead is added at each node, and a HW
+//! segment's cycles are rebuilt from the recorded `T_min`/`T_max` with
+//! its `k`. `scperf_dse::SegmentCostCache` shows the canonical
 //! fingerprinting scheme.
 
 use std::sync::Arc;

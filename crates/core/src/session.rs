@@ -72,7 +72,6 @@ pub struct SimConfig {
     run_limit: Option<Time>,
     attribution: bool,
     tracing_mode: TraceMode,
-    programs: Option<Arc<ProgramSet>>,
 }
 
 impl Default for SimConfig {
@@ -95,20 +94,13 @@ impl SimConfig {
             run_limit: None,
             attribution: false,
             tracing_mode: TraceMode::Off,
-            programs: None,
         }
     }
 
-    /// Warm-starts segment-site memoization from a previously harvested
-    /// [`ProgramSet`] (see [`Session::programs`]): named `g_loop!` /
-    /// `g_site!` regions replay their compiled cost programs on *first*
-    /// execution instead of recording live. The set's
-    /// [`table_fingerprint`](crate::table_fingerprint) is validated
-    /// against each process's cost table when the process starts; on
-    /// mismatch the warm set is dropped for that process (counted in
-    /// `est.prog.rejects`) and recording proceeds live.
-    pub fn program_set(mut self, set: Arc<ProgramSet>) -> SimConfig {
-        self.programs = Some(set);
+    /// Has no effect. Cost programs no longer leave the run that
+    /// compiled them, so there is no warm set to start from; kept so
+    /// existing builder chains still compile.
+    pub fn program_set(self, _set: Arc<ProgramSet>) -> SimConfig {
         self
     }
 
@@ -210,9 +202,6 @@ impl SimConfig {
             model.record_dfgs();
         }
         model.site_memo(self.site_memo);
-        if let Some(set) = self.programs {
-            model.warm_programs(set);
-        }
         let recorder = self.record_costs.then(|| model.recorder());
         Session {
             sim,
@@ -379,14 +368,10 @@ impl Session {
         self.model.captures()
     }
 
-    /// The cost programs harvested from this session's processes (call
-    /// after [`Session::run`]): every named `g_loop!` / `g_site!` region
-    /// that compiled, keyed by stable site hash and caller/branch key.
-    /// Serialize with [`ProgramSet::to_bytes`] and feed the bytes into a
-    /// later [`SimConfig::program_set`] to warm-start another process —
-    /// or another machine, the encoding is platform-independent.
+    /// Always the empty [`ProgramSet`]: cost programs end with the run
+    /// that compiled them. Kept so existing callers still compile.
     pub fn programs(&self) -> ProgramSet {
-        self.model.programs()
+        ProgramSet
     }
 
     /// One merged metrics snapshot: kernel counters (deltas, context

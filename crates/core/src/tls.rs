@@ -33,7 +33,7 @@ use std::sync::Arc;
 use crate::cost::{CostTable, Op, OpCounts, OP_COUNT};
 use crate::estimator::EstimatorShared;
 use crate::hw::{Dfg, DfgNode, NO_NODE};
-use crate::prog::{fingerprint_costs, ProgStore, RecEvent};
+use crate::prog::ProgStore;
 use crate::resource::{ResourceId, ResourceKind};
 use crate::site::MemoMode;
 
@@ -145,14 +145,8 @@ pub(crate) struct ThreadCtx {
     /// integer-valued cost table (see [`CostTable::is_integral`]).
     pub(crate) memo: MemoMode,
     /// Compiled cost programs for memoized regions, keyed by
-    /// `(site id, caller key)`, plus the optional warm set shared across
-    /// processes/sessions.
+    /// `(site id, caller key)`; they end with the process.
     pub(crate) progs: ProgStore,
-    /// Nested-region events logged while an enclosing site records
-    /// (drained by the recording guard's drop).
-    pub(crate) rec_events: Vec<RecEvent>,
-    /// Number of site regions currently recording on this thread.
-    pub(crate) rec_depth: u32,
     /// Recycled DFG node buffer (arena reuse across segments).
     pub(crate) dfg_spare: Vec<DfgNode>,
     /// Scratch finish-time buffer for sealing DFG critical paths.
@@ -178,7 +172,7 @@ pub(crate) struct SegmentTake {
 }
 
 /// Installs the context for this process thread and arms the fast slots.
-pub(crate) fn install(mut ctx: ThreadCtx) {
+pub(crate) fn install(ctx: ThreadCtx) {
     let state = if ctx.replay.is_some() || ctx.kind == ResourceKind::Environment {
         S_PASSIVE
     } else {
@@ -202,15 +196,6 @@ pub(crate) fn install(mut ctx: ThreadCtx) {
     } else {
         MemoMode::Off as u8
     };
-    // A warm program set recorded under a different cost table must not
-    // replay: drop it (counted in `est.prog.rejects`) so every region
-    // records afresh against the installed table.
-    if let Some(warm) = ctx.progs.warm.as_ref() {
-        if memo == MEMO_OFF || warm.table_fp() != fingerprint_costs(&ctx.costs) {
-            ctx.progs.warm = None;
-            ctx.progs.rejects += 1;
-        }
-    }
     FAST.with(|f| {
         debug_assert_eq!(
             f.state.get(),
@@ -477,9 +462,7 @@ pub(crate) mod testutil {
             current_node: 0,
             replay: None,
             memo,
-            progs: ProgStore::new(),
-            rec_events: Vec::new(),
-            rec_depth: 0,
+            progs: ProgStore::default(),
             dfg_spare: Vec::new(),
             cp_scratch: Vec::new(),
         }

@@ -1,8 +1,9 @@
 //! Property tests for the estimator hot path: the flat-TLS fast path,
 //! segment-site memoization and verify mode are bit-identical to live
 //! estimation across random integral cost tables, hardware `k` values
-//! and both resource kinds; fractional tables never replay; and
-//! data-dependent keys miss separately.
+//! and both resource kinds, also for nested, branch-keyed regions;
+//! fractional tables never replay; and data-dependent keys miss
+//! separately.
 
 use std::collections::HashSet;
 
@@ -76,6 +77,42 @@ fn run_keyed(memo: MemoMode, values: Vec<i32>) -> (Report, EstHotStats) {
                     acc.assign(acc - x);
                 });
             });
+        }
+        std::hint::black_box(acc.get());
+    });
+    session.run().expect("session runs");
+    (session.report(), session.model().hot_stats())
+}
+
+/// Runs one session of a nested workload: per value, an outer site
+/// keyed by the value's sign encloses a `g_loop!` and a charged branch
+/// on that sign, followed by a timed wait — so programs nest, branch
+/// arms key separately and every value closes a segment.
+fn run_nested(
+    table: CostTable,
+    memo: MemoMode,
+    values: &[i32],
+    trips: usize,
+) -> (Report, EstHotStats) {
+    let mut platform = Platform::new();
+    let cpu = platform.sequential("cpu0", Time::ns(10), table, 25.0);
+    let mut session = SimConfig::new().platform(platform).site_memo(memo).build();
+    let values = values.to_vec();
+    session.spawn("w", cpu, move |ctx| {
+        let mut acc = G::raw(0_i64);
+        for &v in &values {
+            g_site!(((v >= 0) as u64) {
+                g_loop!(i in 0..trips => {
+                    acc.assign(acc + G::raw(i as i64) * G::raw(3));
+                });
+                let x = G::raw(v as i64);
+                g_if!((x >= 0) {
+                    acc.assign(acc + x * G::raw(2));
+                } else {
+                    acc.assign(acc - x);
+                });
+            });
+            timed_wait(ctx, Time::ns(50));
         }
         std::hint::black_box(acc.get());
     });
@@ -203,6 +240,28 @@ proptest! {
         prop_assert_eq!(u.total_time, s_on.end_time);
         let bottleneck = u.bottleneck().expect("cpu0 is sequential");
         prop_assert_eq!(&bottleneck.name, "cpu0");
+    }
+
+    /// Nested, branch-keyed regions: live, in-run memoized and verify
+    /// runs agree bit for bit. Each sign's outer region records once
+    /// and the nested loop records once, inside the first; every later
+    /// entry of either replays.
+    #[test]
+    fn nested_branch_keyed_regions_agree_across_modes(
+        costs in vec(0_u32..=15, OP_COUNT..=OP_COUNT),
+        values in vec(-100_i32..=100, 1..24),
+        trips in 1_usize..12,
+    ) {
+        let table = table_from(&costs, None);
+        let distinct: HashSet<bool> = values.iter().map(|&v| v >= 0).collect();
+        let (live, live_hot) = run_nested(table.clone(), MemoMode::Off, &values, trips);
+        let (memoized, memo_hot) = run_nested(table.clone(), MemoMode::Replay, &values, trips);
+        let (verified, _) = run_nested(table, MemoMode::Verify, &values, trips);
+        prop_assert_eq!(&memoized, &live, "in-run replay diverged from live");
+        prop_assert_eq!(&verified, &live, "verify diverged from live");
+        prop_assert_eq!(live_hot.site_hits, 0);
+        prop_assert_eq!(memo_hot.site_misses, distinct.len() as u64 + 1);
+        prop_assert_eq!(memo_hot.site_hits, values.len() as u64 - 1);
     }
 
     /// Data-dependent control flow, keyed correctly: each distinct key

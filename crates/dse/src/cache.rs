@@ -3,7 +3,7 @@
 //! The key soundness argument (and the reason DSE can go much faster
 //! than naively re-simulating 243 points): a vocoder stage's per-segment
 //! cycle trace is a pure function of the stage's code, its input data
-//! and the *cost model of the resource it is mapped to* — it does not
+//! and the *cost table of the resource it is mapped to* — it does not
 //! depend on where the other four stages are mapped, because inter-stage
 //! coupling happens only through the scheduler (when segments run), not
 //! through what each segment costs. Recording the trace once per
@@ -13,11 +13,14 @@
 //! every later evaluation bit-exactly while skipping all
 //! operator-overloading work.
 //!
-//! The fingerprint hashes everything the annotation depends on: resource
-//! kind, clock period, the dense per-operation cost table (bit pattern),
-//! the HW time-area weight `k`, the RTOS overhead and the frame count.
-//! Two processors sharing one cost table (cpu0/cpu1 here) fingerprint
-//! identically and share entries.
+//! The fingerprint hashes what the recorded cycles depend on: resource
+//! kind, the dense per-operation cost table (bit pattern) and the frame
+//! count. The rest of a resource is applied at replay (§3–4): its clock
+//! turns cycles into time, its RTOS overhead is added at each node, and
+//! a HW segment's cycles are rebuilt as `T_min + (T_max − T_min)·k`
+//! from the recorded extremes. So one trace serves every clock, RTOS
+//! overhead and `k`, and two processors sharing one cost table
+//! (cpu0/cpu1 here) share entries.
 //!
 //! The cache is **bounded**: beyond [`SegmentCostCache::capacity`]
 //! entries, an insert evicts the least-recently-used trace (counted in
@@ -25,19 +28,16 @@
 //! traffic cannot grow it without bound. Eviction is harmless for
 //! correctness — a re-recorded trace is bit-identical.
 //!
-//! Besides per-stage traces the cache also stores compiled
-//! [`ProgramSet`]s — the serializable segment-site cost programs of
-//! PR 10 — keyed by their cost-table fingerprint, so every sweep worker
-//! and pooled serve session warm-starts from one shared compiled set
-//! instead of re-recording per worker. Sets persist across processes via
-//! [`SegmentCostCache::export_programs`] /
-//! [`SegmentCostCache::import_programs`].
+//! Traces are the only thing the cache shares across runs: segment-site
+//! cost programs end with the run that compiled them.
+//! [`SegmentCostCache::programs`] and
+//! [`SegmentCostCache::publish_programs`] are kept as no-ops.
 
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use scperf_core::{ProgDecodeError, ProgramSet, Replay, Resource, ResourceKind};
+use scperf_core::{ProgramSet, Replay, Resource, ResourceKind};
 use scperf_obs::MetricsSnapshot;
 use scperf_sync::RwLock;
 
@@ -60,22 +60,13 @@ struct Slot {
     last_used: AtomicU64,
 }
 
-/// One stored program set plus its last-touch tick.
-#[derive(Debug)]
-struct ProgSlot {
-    set: Arc<ProgramSet>,
-    last_used: AtomicU64,
-}
-
 /// A concurrent map from `(stage, resource fingerprint)` to the recorded
-/// per-segment cycle trace (a cheap-to-clone [`Replay`]), plus a side
-/// store of compiled segment-site [`ProgramSet`]s keyed by cost-table
-/// fingerprint. Shared by all sweep workers — and by the `scperf-serve`
-/// request engine — behind an `Arc`.
+/// per-segment cycle trace (a cheap-to-clone [`Replay`]). Shared by all
+/// sweep workers — and by the `scperf-serve` request engine — behind an
+/// `Arc`.
 #[derive(Debug)]
 pub struct SegmentCostCache {
     map: RwLock<HashMap<CacheKey, Slot>>,
-    programs: RwLock<HashMap<u64, ProgSlot>>,
     capacity: usize,
     tick: AtomicU64,
     hits: AtomicU64,
@@ -100,9 +91,6 @@ pub struct CacheStats {
     pub entries: usize,
     /// Traces evicted to respect the capacity bound.
     pub evictions: u64,
-    /// Compiled segment-site programs currently stored (summed over
-    /// every cost-table fingerprint).
-    pub programs: usize,
 }
 
 impl CacheStats {
@@ -131,9 +119,6 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
     h
 }
 
-/// Magic prefix of the multi-set program export format.
-const EXPORT_MAGIC: &[u8; 4] = b"SCPC";
-
 impl SegmentCostCache {
     /// Creates an empty cache bounded at [`DEFAULT_CACHE_CAPACITY`]
     /// trace entries.
@@ -147,7 +132,6 @@ impl SegmentCostCache {
     pub fn with_capacity(capacity: usize) -> SegmentCostCache {
         SegmentCostCache {
             map: RwLock::new(HashMap::new()),
-            programs: RwLock::new(HashMap::new()),
             capacity: capacity.max(1),
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
@@ -162,21 +146,16 @@ impl SegmentCostCache {
     }
 
     /// Fingerprints everything a stage's recorded trace depends on
-    /// besides the stage itself: the resource's cost model and the
-    /// workload size.
+    /// besides the stage itself: the resource's kind and cost table and
+    /// the workload size. The clock, RTOS overhead and `k` are left
+    /// out, because replay applies them from the running resource.
     pub fn fingerprint(resource: &Resource, nframes: usize) -> u64 {
         let kind = match resource.kind {
             ResourceKind::Sequential => 1_u64,
             ResourceKind::Parallel => 2,
             ResourceKind::Environment => 3,
         };
-        let head = [
-            kind,
-            resource.clock.as_ps(),
-            resource.k.to_bits(),
-            resource.rtos_cycles.to_bits(),
-            nframes as u64,
-        ];
+        let head = [kind, nframes as u64];
         let costs = resource.costs.as_dense().iter().map(|c| c.to_bits());
         fnv1a(head.into_iter().chain(costs))
     }
@@ -225,109 +204,16 @@ impl SegmentCostCache {
         );
     }
 
-    /// The shared compiled program set for a cost-table fingerprint
-    /// (see [`scperf_core::table_fingerprint`]), if any worker published
-    /// one — feed it to `SimConfig::program_set` to warm-start a
-    /// session.
-    pub fn programs(&self, table_fp: u64) -> Option<Arc<ProgramSet>> {
-        let now = self.tick.fetch_add(1, Ordering::Relaxed);
-        self.programs.read().get(&table_fp).map(|slot| {
-            slot.last_used.store(now, Ordering::Relaxed);
-            Arc::clone(&slot.set)
-        })
+    /// Always `None`: no program set is shared across runs. Kept so
+    /// existing callers still compile.
+    pub fn programs(&self, _table_fp: u64) -> Option<Arc<ProgramSet>> {
+        None
     }
 
-    /// Merges a harvested program set into the shared store for its
-    /// fingerprint (copy-on-write: readers keep their `Arc`, and the
-    /// stored set is only copied when `set` brings programs it lacks).
-    /// Returns how many programs were actually new. Empty sets are
-    /// ignored.
-    pub fn publish_programs(&self, set: &ProgramSet) -> usize {
-        if set.is_empty() {
-            return 0;
-        }
-        let now = self.tick.fetch_add(1, Ordering::Relaxed);
-        let mut map = self.programs.write();
-        match map.get_mut(&set.table_fp()) {
-            Some(slot) => {
-                slot.last_used.store(now, Ordering::Relaxed);
-                if set
-                    .iter()
-                    .all(|(site, key, _)| slot.set.get(site, key).is_some())
-                {
-                    return 0;
-                }
-                let mut merged = (*slot.set).clone();
-                let added = merged.merge(set);
-                slot.set = Arc::new(merged);
-                added
-            }
-            None => {
-                let added = set.len();
-                map.insert(
-                    set.table_fp(),
-                    ProgSlot {
-                        set: Arc::new(set.clone()),
-                        last_used: AtomicU64::new(now),
-                    },
-                );
-                added
-            }
-        }
-    }
-
-    /// Serializes every stored program set into one blob (magic `SCPC`,
-    /// then each set's [`ProgramSet::to_bytes`] encoding, length-
-    /// prefixed). Deterministic: sets are emitted in fingerprint order.
-    pub fn export_programs(&self) -> Vec<u8> {
-        let map = self.programs.read();
-        let mut fps: Vec<u64> = map.keys().copied().collect();
-        fps.sort_unstable();
-        let mut out = Vec::new();
-        out.extend_from_slice(EXPORT_MAGIC);
-        out.extend_from_slice(&(fps.len() as u32).to_le_bytes());
-        for fp in fps {
-            let bytes = map[&fp].set.to_bytes();
-            out.extend_from_slice(&(bytes.len() as u32).to_le_bytes());
-            out.extend_from_slice(&bytes);
-        }
-        out
-    }
-
-    /// Loads program sets from an [`export_programs`] blob, merging
-    /// them into the store. Returns the number of programs added.
-    ///
-    /// [`export_programs`]: SegmentCostCache::export_programs
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying [`ProgDecodeError`] when the blob is
-    /// malformed: a bad magic, a truncated or corrupted set (each set
-    /// carries a checksum), or bytes after the last set. Nothing is
-    /// merged from a malformed blob.
-    pub fn import_programs(&self, bytes: &[u8]) -> Result<usize, ProgDecodeError> {
-        if bytes.len() < 8 || &bytes[..4] != EXPORT_MAGIC {
-            return Err(ProgDecodeError::BadMagic);
-        }
-        let count = u32::from_le_bytes(bytes[4..8].try_into().unwrap()) as usize;
-        let mut at = 8;
-        let mut sets = Vec::new();
-        for _ in 0..count {
-            if bytes.len() < at + 4 {
-                return Err(ProgDecodeError::Truncated);
-            }
-            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-            at += 4;
-            if bytes.len() < at + len {
-                return Err(ProgDecodeError::Truncated);
-            }
-            sets.push(ProgramSet::from_bytes(&bytes[at..at + len])?);
-            at += len;
-        }
-        if at != bytes.len() {
-            return Err(ProgDecodeError::BadStructure);
-        }
-        Ok(sets.iter().map(|set| self.publish_programs(set)).sum())
+    /// Has no effect and returns 0: no program set is shared across
+    /// runs. Kept so existing callers still compile.
+    pub fn publish_programs(&self, _set: &ProgramSet) -> usize {
+        0
     }
 
     /// Current hit/miss/entry counts.
@@ -337,14 +223,12 @@ impl SegmentCostCache {
             misses: self.misses.load(Ordering::Relaxed),
             entries: self.map.read().len(),
             evictions: self.evictions.load(Ordering::Relaxed),
-            programs: self.programs.read().values().map(|s| s.set.len()).sum(),
         }
     }
 
     /// The stats as observability counters/gauges
     /// (`dse.cache.hits`, `dse.cache.misses`, `dse.cache.entries`,
-    /// `dse.cache.hit_rate`, `est.cache.evictions`,
-    /// `est.prog.published`).
+    /// `dse.cache.hit_rate`, `est.cache.evictions`).
     pub fn metrics(&self) -> MetricsSnapshot {
         let stats = self.stats();
         let mut m = MetricsSnapshot::new();
@@ -353,7 +237,6 @@ impl SegmentCostCache {
         m.set_counter("dse.cache.entries", stats.entries as u64);
         m.set_gauge("dse.cache.hit_rate", stats.hit_rate());
         m.set_counter("est.cache.evictions", stats.evictions);
-        m.set_counter("est.prog.published", stats.programs as u64);
         m
     }
 }
@@ -361,13 +244,19 @@ impl SegmentCostCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scperf_core::{table_fingerprint, CostProgram, CostTable, Instr, Op, Platform};
+    use scperf_core::{CostTable, Platform};
     use scperf_kernel::Time;
 
-    fn resource(table: CostTable, rtos: f64) -> Resource {
+    fn resource(kind: ResourceKind, table: CostTable, clock: Time, rtos: f64, k: f64) -> Resource {
         let mut p = Platform::new();
-        let id = p.sequential("cpu", Time::ns(10), table, rtos);
-        p.resource(id).clone()
+        let id = match kind {
+            ResourceKind::Sequential => p.sequential("cpu", clock, table, rtos),
+            _ => p.parallel("hw", clock, table, k),
+        };
+        let mut r = p.resource(id).clone();
+        r.rtos_cycles = rtos;
+        r.k = k;
+        r
     }
 
     #[test]
@@ -400,30 +289,49 @@ mod tests {
 
     #[test]
     fn fingerprint_separates_cost_models_but_not_names() {
-        let base = resource(CostTable::risc_sw(), 150.0);
-        let same = {
-            let mut r = resource(CostTable::risc_sw(), 150.0);
-            r.name = "another-name".into();
-            r
+        use ResourceKind::{Parallel, Sequential};
+        let fp = |r: &Resource, nframes| SegmentCostCache::fingerprint(r, nframes);
+        let base = resource(Sequential, CostTable::risc_sw(), Time::ns(10), 150.0, 0.5);
+        let renamed = Resource {
+            name: "another-name".into(),
+            ..base.clone()
         };
         assert_eq!(
-            SegmentCostCache::fingerprint(&base, 4),
-            SegmentCostCache::fingerprint(&same, 4),
+            fp(&base, 4),
+            fp(&renamed, 4),
             "cpu0/cpu1 with one cost table must share entries"
         );
-        let other_table = resource(CostTable::asic_hw(), 150.0);
+        // Replay applies the clock, the RTOS overhead and `k` from the
+        // running resource, so none of them separates a trace.
+        for kind in [Sequential, Parallel] {
+            let r = resource(kind, CostTable::asic_hw(), Time::ns(10), 150.0, 0.5);
+            for other in [
+                resource(kind, CostTable::asic_hw(), Time::ns(7), 150.0, 0.5),
+                resource(kind, CostTable::asic_hw(), Time::ns(10), 0.0, 0.5),
+                resource(kind, CostTable::asic_hw(), Time::ns(10), 150.0, 0.9),
+            ] {
+                assert_eq!(fp(&r, 4), fp(&other, 4), "{other:?}");
+            }
+        }
+        // Kind, cost-table bits and workload size do.
+        let hw = resource(Parallel, CostTable::risc_sw(), Time::ns(10), 150.0, 0.5);
+        assert_ne!(fp(&base, 4), fp(&hw, 4), "resource kind is part of the key");
+        let other_table = resource(Sequential, CostTable::asic_hw(), Time::ns(10), 150.0, 0.5);
+        assert_ne!(fp(&base, 4), fp(&other_table, 4));
+        let nudged = {
+            let mut dense = *CostTable::risc_sw().as_dense();
+            dense[0] = f64::from_bits(dense[0].to_bits() + 1);
+            CostTable::from_dense(&dense)
+        };
+        let one_bit = resource(Sequential, nudged, Time::ns(10), 150.0, 0.5);
         assert_ne!(
-            SegmentCostCache::fingerprint(&base, 4),
-            SegmentCostCache::fingerprint(&other_table, 4)
+            fp(&base, 4),
+            fp(&one_bit, 4),
+            "cost bits are part of the key"
         );
-        let other_rtos = resource(CostTable::risc_sw(), 0.0);
         assert_ne!(
-            SegmentCostCache::fingerprint(&base, 4),
-            SegmentCostCache::fingerprint(&other_rtos, 4)
-        );
-        assert_ne!(
-            SegmentCostCache::fingerprint(&base, 4),
-            SegmentCostCache::fingerprint(&base, 5),
+            fp(&base, 4),
+            fp(&base, 5),
             "workload size is part of the key"
         );
     }
@@ -455,98 +363,5 @@ mod tests {
         // Re-inserting an existing key never evicts.
         cache.insert(0, 3, Replay::new(vec![9.0]));
         assert_eq!(cache.stats().evictions, 1);
-    }
-
-    fn one_prog_set(table: &CostTable, site: u64) -> ProgramSet {
-        let mut set = ProgramSet::new(table_fingerprint(table));
-        set.insert(
-            site,
-            0,
-            CostProgram::new(vec![Instr::ChargeRow {
-                op: Op::Add,
-                count: 3,
-            }]),
-        );
-        set
-    }
-
-    #[test]
-    fn program_sets_publish_merge_and_round_trip() {
-        let cache = SegmentCostCache::new();
-        let risc = CostTable::risc_sw();
-        let asic = CostTable::asic_hw();
-        assert_eq!(cache.publish_programs(&one_prog_set(&risc, 11)), 1);
-        let known = cache.programs(table_fingerprint(&risc)).expect("stored");
-        assert_eq!(
-            cache.publish_programs(&one_prog_set(&risc, 11)),
-            0,
-            "same program is not new"
-        );
-        assert!(
-            Arc::ptr_eq(
-                &known,
-                &cache.programs(table_fingerprint(&risc)).expect("stored")
-            ),
-            "republishing a known set must not replace the stored set"
-        );
-        assert_eq!(cache.publish_programs(&one_prog_set(&risc, 22)), 1);
-        assert_eq!(cache.publish_programs(&one_prog_set(&asic, 11)), 1);
-        assert_eq!(cache.stats().programs, 3);
-
-        let shared = cache.programs(table_fingerprint(&risc)).expect("stored");
-        assert_eq!(shared.len(), 2);
-        assert!(cache.programs(0xdead_beef).is_none());
-
-        // Export → import into a fresh cache reproduces the store.
-        let blob = cache.export_programs();
-        let other = SegmentCostCache::new();
-        assert_eq!(other.import_programs(&blob).expect("imports"), 3);
-        assert_eq!(other.stats().programs, 3);
-        assert_eq!(other.export_programs(), blob, "canonical encoding");
-        // Importing again adds nothing.
-        assert_eq!(other.import_programs(&blob).expect("imports"), 0);
-        assert!(other.import_programs(b"junkjunkjunk").is_err());
-    }
-
-    #[test]
-    fn every_single_byte_change_to_an_export_is_rejected() {
-        let cache = SegmentCostCache::new();
-        for (table, site) in [
-            (CostTable::risc_sw(), 11),
-            (CostTable::risc_sw(), 22),
-            (CostTable::asic_hw(), 33),
-        ] {
-            let mut set = ProgramSet::new(table_fingerprint(&table));
-            let instrs = vec![
-                Instr::Loop { n: 4, body: 1 },
-                Instr::ChargeRow {
-                    op: Op::Mul,
-                    count: 2,
-                },
-                Instr::Call { site: 5, key: 1 },
-                Instr::ChargeRow {
-                    op: Op::Add,
-                    count: 3,
-                },
-            ];
-            set.insert(site, 7, CostProgram::new(instrs));
-            cache.publish_programs(&set);
-        }
-        let blob = cache.export_programs();
-        let import = |bytes: &[u8]| SegmentCostCache::new().import_programs(bytes);
-        assert_eq!(import(&blob), Ok(3));
-        for at in 0..blob.len() {
-            for mask in 1..=u8::MAX {
-                let mut bad = blob.clone();
-                bad[at] ^= mask;
-                assert!(import(&bad).is_err(), "byte {at} ^ {mask:#04x} decoded");
-            }
-        }
-        for len in 0..blob.len() {
-            assert!(import(&blob[..len]).is_err(), "truncation to {len} decoded");
-        }
-        let mut trailing = blob;
-        trailing.push(0);
-        assert_eq!(import(&trailing), Err(ProgDecodeError::BadStructure));
     }
 }

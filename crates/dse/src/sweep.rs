@@ -3,9 +3,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use scperf_core::{
-    table_fingerprint, CostTable, Platform, Recorder, ResourceId, Session, SimConfig,
-};
+use scperf_core::{CostTable, Platform, Recorder, ResourceId, Session, SimConfig};
 use scperf_obs::MetricsSnapshot;
 use scperf_workloads::vocoder::pipeline::{self, StageTrace, VocoderHandles, STAGE_NAMES};
 
@@ -44,11 +42,10 @@ pub struct SweepConfig {
     /// sweep now charges through the one thread-local fast path. Kept so
     /// existing struct literals still compile.
     pub legacy_charging: bool,
-    /// A serialized program blob ([`SweepResult::programs_out`] from an
-    /// earlier sweep, possibly another process) to warm-start the
-    /// segment-site cost programs from. Ignored when `use_cache` is
-    /// off; a malformed blob is skipped (the sweep then records live,
-    /// which is always bit-identical).
+    /// Has no effect. It warm-started segment-site cost programs from a
+    /// blob exported by an earlier sweep; programs now end with the run
+    /// that compiled them, and traces are what a sweep shares. Kept so
+    /// existing struct literals still compile.
     pub programs_in: Option<Vec<u8>>,
 }
 
@@ -67,21 +64,14 @@ impl Default for SweepConfig {
     }
 }
 
-/// Aggregated segment-site cost-program accounting of one sweep (summed
-/// over every evaluated point's estimator; all zeros when the cache is
-/// off).
+/// Aggregated in-run segment-site memoization of one sweep (summed over
+/// every evaluated point's estimator).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ProgStats {
     /// Site regions satisfied by replaying a compiled program.
     pub hits: u64,
     /// Site regions that recorded a fresh program.
     pub misses: u64,
-    /// Local misses satisfied by compiling a shared warm-set program.
-    pub warm_hits: u64,
-    /// Warm sets rejected for a cost-table fingerprint mismatch.
-    pub rejects: u64,
-    /// Programs imported from [`SweepConfig::programs_in`].
-    pub imported: u64,
 }
 
 /// Thread-safe accumulator behind [`ProgStats`].
@@ -89,26 +79,18 @@ pub struct ProgStats {
 struct ProgCounters {
     hits: AtomicU64,
     misses: AtomicU64,
-    warm_hits: AtomicU64,
-    rejects: AtomicU64,
 }
 
 impl ProgCounters {
     fn absorb(&self, h: &scperf_core::EstHotStats) {
         self.hits.fetch_add(h.site_hits, Ordering::Relaxed);
         self.misses.fetch_add(h.site_misses, Ordering::Relaxed);
-        self.warm_hits
-            .fetch_add(h.prog_warm_hits, Ordering::Relaxed);
-        self.rejects.fetch_add(h.prog_rejects, Ordering::Relaxed);
     }
 
-    fn snapshot(&self, imported: u64) -> ProgStats {
+    fn snapshot(&self) -> ProgStats {
         ProgStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            warm_hits: self.warm_hits.load(Ordering::Relaxed),
-            rejects: self.rejects.load(Ordering::Relaxed),
-            imported,
         }
     }
 }
@@ -123,12 +105,8 @@ pub struct SweepResult {
     pub frontier: Vec<DesignPoint>,
     /// Segment-cost cache accounting (all zeros when the cache is off).
     pub cache: CacheStats,
-    /// Segment-site cost-program accounting.
+    /// Segment-site memoization accounting.
     pub prog: ProgStats,
-    /// The compiled program sets harvested across the sweep, serialized
-    /// for [`SweepConfig::programs_in`] of a later sweep — empty when
-    /// the cache is off. Stable across processes and machines.
-    pub programs_out: Vec<u8>,
     /// Worker and task counters from the pool.
     pub pool: PoolStats,
 }
@@ -149,9 +127,6 @@ impl SweepResult {
         m.set_counter("est.cache.evictions", self.cache.evictions);
         m.set_counter("est.prog.hits", self.prog.hits);
         m.set_counter("est.prog.misses", self.prog.misses);
-        m.set_counter("est.prog.warm_hits", self.prog.warm_hits);
-        m.set_counter("est.prog.rejects", self.prog.rejects);
-        m.set_counter("est.prog.published", self.cache.programs as u64);
         m
     }
 }
@@ -177,7 +152,7 @@ fn evaluate_with(
     let mut session = SimConfig::new().build();
     let run = elaborate_cached(&mut session, build_platform(table), mapping, nframes, cache);
     let summary = session.run().expect("mapping simulates");
-    run.publish(&session);
+    run.publish();
     if let Some(prog) = prog {
         prog.absorb(&session.model().hot_stats());
     }
@@ -206,20 +181,18 @@ pub struct CachedRun<'c> {
 }
 
 impl CachedRun<'_> {
-    /// Stores the traces of the stages that charged live and publishes
-    /// the cost programs the run compiled. Call after a successful run
-    /// of the session the mapping was elaborated into.
-    pub fn publish(&self, session: &Session) {
-        let Some(cache) = self.cache else { return };
-        if let Some(recorder) = &self.recorder {
-            for &(stage, fingerprint) in &self.missing {
-                let trace = recorder
-                    .replay(STAGE_NAMES[stage])
-                    .expect("trace recorded for live stage");
-                cache.insert(stage, fingerprint, trace);
-            }
+    /// Stores the traces of the stages that charged live. Call after a
+    /// successful run of the session the mapping was elaborated into.
+    pub fn publish(&self) {
+        let (Some(cache), Some(recorder)) = (self.cache, &self.recorder) else {
+            return;
+        };
+        for &(stage, fingerprint) in &self.missing {
+            let trace = recorder
+                .replay(STAGE_NAMES[stage])
+                .expect("trace recorded for live stage");
+            cache.insert(stage, fingerprint, trace);
         }
-        cache.publish_programs(&session.programs());
     }
 }
 
@@ -231,11 +204,10 @@ impl CachedRun<'_> {
 /// With a cache, each stage looks up the trace recorded for
 /// `(stage, resource fingerprint, nframes)`: a hit stage elaborates in
 /// replay mode (plain body, recorded cycles: bit-identical timing
-/// without the annotation overhead), a miss stage charges live with a
-/// recorder attached, warm-started from the shared cost programs of the
-/// processors' table (memoization engages only on sequential
-/// resources, and cpu0/cpu1 share one table). Run the session, then
-/// hand the result to [`CachedRun::publish`].
+/// without the annotation overhead, under this platform's clock, RTOS
+/// overhead and `k`), a miss stage charges live with a recorder
+/// attached. Run the session, then hand the result to
+/// [`CachedRun::publish`].
 pub fn elaborate_cached<'c>(
     session: &mut Session,
     (platform, ids): (Platform, [ResourceId; 3]),
@@ -246,7 +218,6 @@ pub fn elaborate_cached<'c>(
     let vm = resolve_mapping(mapping, ids);
     let mut replays: [StageTrace; 5] = Default::default();
     let mut missing = Vec::new();
-    let mut programs = None;
     if let Some(cache) = cache {
         let stages = [vm.lsp, vm.lpc_int, vm.acb, vm.icb, vm.post];
         for (stage, rid) in stages.into_iter().enumerate() {
@@ -256,14 +227,10 @@ pub fn elaborate_cached<'c>(
                 missing.push((stage, fingerprint));
             }
         }
-        programs = cache.programs(table_fingerprint(&platform.resource(ids[0]).costs));
     }
     let replayed_stages = replays.iter().filter(|r| r.is_some()).count();
 
     session.reset_with_platform(platform);
-    if let Some(set) = programs {
-        session.model().warm_programs(set);
-    }
     let recorder = (!missing.is_empty()).then(|| session.recorder());
     let (sim, model) = session.parts_mut();
     let handles = pipeline::build_hybrid(sim, model, vm, nframes, replays);
@@ -290,10 +257,6 @@ pub fn sweep(config: &SweepConfig) -> SweepResult {
         mappings.truncate(limit);
     }
     let cache = config.use_cache.then(SegmentCostCache::new);
-    let imported = match (&cache, &config.programs_in) {
-        (Some(cache), Some(blob)) => cache.import_programs(blob).unwrap_or(0) as u64,
-        _ => 0,
-    };
     let prog_counters = ProgCounters::default();
     let (points, pool) = run_indexed(config.jobs, mappings.len(), |i| {
         let _span = scperf_obs::profile::span("dse.evaluate");
@@ -325,13 +288,11 @@ pub fn sweep(config: &SweepConfig) -> SweepResult {
         misses: 0,
         entries: 0,
         evictions: 0,
-        programs: 0,
     };
     SweepResult {
         frontier,
         cache: cache.as_ref().map(|c| c.stats()).unwrap_or(empty),
-        prog: prog_counters.snapshot(imported),
-        programs_out: cache.map(|c| c.export_programs()).unwrap_or_default(),
+        prog: prog_counters.snapshot(),
         pool,
         points,
     }
@@ -483,43 +444,5 @@ mod tests {
             );
             assert_eq!(got.frontier, reference.frontier);
         }
-    }
-
-    /// The PR 10 acceptance scenario: a sweep warm-started from a
-    /// previous sweep's serialized program blob — the cross-process
-    /// persistence path — produces a bit-identical Pareto frontier
-    /// while replaying compiled programs instead of re-recording.
-    #[test]
-    fn warm_started_sweep_matches_cold_bit_for_bit() {
-        let base = SweepConfig {
-            nframes: 1,
-            jobs: 2,
-            use_cache: true,
-            limit: Some(10),
-            ..SweepConfig::default()
-        };
-        let cold = sweep(&base);
-        assert!(cold.prog.hits > 0, "memoized sites must replay");
-        assert!(cold.prog.misses > 0, "cold sweep records programs");
-        assert!(!cold.programs_out.is_empty(), "programs serialize");
-        assert!(cold.cache.programs > 0);
-
-        let warm = sweep(&SweepConfig {
-            programs_in: Some(cold.programs_out.clone()),
-            ..base
-        });
-        assert_eq!(warm.points, cold.points, "warm sweep changed a point");
-        assert_eq!(warm.frontier, cold.frontier, "frontier not bit-identical");
-        assert!(warm.prog.imported > 0, "blob imports");
-        assert!(warm.prog.warm_hits > 0, "warm programs must be used");
-        assert!(warm.prog.hits > 0);
-        assert!(
-            warm.prog.misses < cold.prog.misses,
-            "warm start must reduce recording"
-        );
-        assert_eq!(
-            warm.metrics().counter("est.prog.hits"),
-            Some(warm.prog.hits)
-        );
     }
 }

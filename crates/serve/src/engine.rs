@@ -175,7 +175,7 @@ pub fn execute_pooled(
     })?;
 
     let summary = simulate(&mut slot, deadline, flight)?;
-    run.publish(&slot);
+    run.publish();
     let checksum = run.handles.output.lock().ok_or_else(|| RequestError {
         code: ErrorCode::Sim,
         field: None,
@@ -374,29 +374,68 @@ mod tests {
     }
 
     #[test]
-    fn cost_programs_cross_scenario_shapes_through_the_cache() {
-        // A different frame count misses every stage-trace fingerprint,
-        // but the compiled cost programs published by the first run
-        // warm-start the second — fewer recording misses, bit-identical
-        // estimate.
+    fn novel_parameter_tuples_replay_cached_traces() {
+        // A trace is keyed by stage, resource kind, cost table and frame
+        // count only: a request with a new clock, RTOS overhead and `k`
+        // replays every stage, and still matches its own uncached run
+        // bit for bit, report included.
         let cache = SegmentCostCache::new();
-        let cold = execute(&scenario([Target::Cpu0; 5], 1), Some(&cache), None, 0).expect("runs");
-        assert!(cold.hot.site_misses > 0, "first run records programs");
-        assert_eq!(cold.hot.prog_warm_hits, 0, "nothing published yet");
-
-        let sc2 = scenario([Target::Cpu0; 5], 2);
-        let warm = execute(&sc2, Some(&cache), None, 0).expect("runs");
-        assert_eq!(warm.replayed_stages, 0, "new shape: no trace replays");
-        assert!(
-            warm.hot.prog_warm_hits > 0,
-            "published programs must satisfy local misses: {:?}",
-            warm.hot
+        let mapping = [
+            Target::Cpu0,
+            Target::Hw,
+            Target::Hw,
+            Target::Cpu1,
+            Target::Cpu0,
+        ];
+        let mut sc = scenario(mapping, 1);
+        sc.want_report = true;
+        let first = execute(&sc, Some(&cache), None, 0).expect("records");
+        assert_eq!(first.replayed_stages, 0);
+        sc.params.clock_ns = 7.5;
+        sc.params.rtos_cycles = 40.0;
+        sc.params.hw_k = 0.9;
+        let replayed = execute(&sc, Some(&cache), None, 0).expect("replays");
+        assert_eq!(
+            replayed.replayed_stages, 5,
+            "a new tuple reuses every trace"
         );
-        assert!(warm.sim_metrics.counter("est.prog.warm_hits").unwrap() > 0);
+        let reference = execute(&sc, None, None, 0).expect("runs");
+        assert_eq!(replayed.summary, reference.summary);
+        assert_eq!(replayed.checksum, reference.checksum);
+        assert_eq!(replayed.report, reference.report);
+        assert_ne!(replayed.summary.end_time, first.summary.end_time);
+    }
 
-        let reference = execute(&sc2, None, None, 0).expect("runs");
-        assert_eq!(warm.summary.end_time, reference.summary.end_time);
-        assert_eq!(warm.checksum, reference.checksum);
+    #[test]
+    fn trace_keys_are_collision_free_over_every_reachable_key() {
+        // Every key a request or a sweep can reach: both resource kinds
+        // over the tables in use, at every legal frame count. No
+        // request-controlled float is part of the key.
+        use crate::protocol::MAX_NFRAMES;
+        use scperf_core::{Platform, ResourceKind};
+        let tables = [
+            CostTable::risc_sw(),
+            CostTable::asic_hw(),
+            scperf_workloads::calibration::calibrate().table,
+        ];
+        let mut seen = std::collections::HashMap::new();
+        for table in tables {
+            for kind in [ResourceKind::Sequential, ResourceKind::Parallel] {
+                let mut p = Platform::new();
+                let id = match kind {
+                    ResourceKind::Sequential => p.sequential("r", Time::ns(10), table.clone(), 0.0),
+                    _ => p.parallel("r", Time::ns(10), table.clone(), 0.5),
+                };
+                for nframes in 1..=MAX_NFRAMES as usize {
+                    let key = (kind, table.as_dense().map(f64::to_bits), nframes);
+                    let fp = SegmentCostCache::fingerprint(p.resource(id), nframes);
+                    if let Some(other) = seen.insert(fp, key) {
+                        panic!("fingerprint {fp:#x} collides: {other:?} vs {key:?}");
+                    }
+                }
+            }
+        }
+        assert_eq!(seen.len(), 3 * 2 * MAX_NFRAMES as usize);
     }
 
     #[test]
@@ -597,9 +636,11 @@ mod tests {
     #[test]
     fn evicted_traces_re_record_bit_identically() {
         // The trace cache is the only per-scenario state serve keeps,
-        // and it is bounded: more novel parameter tuples than it holds
+        // and it is bounded: more frame counts than it holds traces for
         // evict the first ones, which then record again and must still
-        // match the uncached reference bit for bit.
+        // match the uncached reference bit for bit. (Clock, RTOS
+        // overhead and `k` are not part of a trace's key, so only the
+        // frame count forces a miss here.)
         const CAPACITY: usize = 6;
         let pool = SessionPool::new(InstanceLimits::default(), pool_factory(0));
         let cache = SegmentCostCache::with_capacity(CAPACITY);
@@ -613,10 +654,9 @@ mod tests {
                         Target::Cpu0,
                         Target::Cpu1,
                     ],
-                    1,
+                    1 + i,
                 );
                 sc.params.clock_ns = 10.0 + i as f64;
-                sc.params.rtos_cycles = 100.0 + 25.0 * i as f64;
                 sc.params.hw_k = 0.2 * i as f64;
                 sc
             })
@@ -624,9 +664,12 @@ mod tests {
         for sc in tuples.iter().chain(&tuples[..2]) {
             let reference = execute(sc, None, None, 0).expect("runs");
             let got = execute_pooled(sc, &pool, Some(&cache), None, 0).expect("runs");
-            assert_eq!(got.summary, reference.summary, "{:?}", sc.params);
+            assert_eq!(got.summary, reference.summary, "nframes {}", sc.nframes);
             assert_eq!(got.checksum, reference.checksum);
-            assert_eq!(got.replayed_stages, 0, "every tuple is novel or evicted");
+            assert_eq!(
+                got.replayed_stages, 0,
+                "every frame count is novel or evicted"
+            );
         }
         let stats = cache.stats();
         assert!(stats.evictions > 0, "{stats:?}");

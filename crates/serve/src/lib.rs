@@ -15,8 +15,10 @@
 //!   with admission control — saturation rejects immediately with
 //!   `queue_full` + `retry_after_ms` instead of queueing unboundedly;
 //! * segment-cost traces are memoized across requests through the
-//!   [`SegmentCostCache`](scperf_dse::SegmentCostCache), so repeated
-//!   scenarios replay bit-identically at a fraction of the host cost;
+//!   [`SegmentCostCache`](scperf_dse::SegmentCostCache), keyed by each
+//!   stage's resource kind, cost table and frame count, so a request
+//!   that repeats those replays bit-identically at a fraction of the
+//!   host cost, whatever its clock, RTOS overhead and `hw_k`;
 //! * per-request deadlines cancel runs mid-simulation;
 //! * batches fan out over the pool and reassemble deterministically —
 //!   the same batch renders bitwise-identical responses on one worker
@@ -27,7 +29,8 @@
 //!   estimation stack would assert on (NaN or negative costs,
 //!   time-area weights outside `[0, 1]`, non-positive clocks) is
 //!   rejected at the protocol boundary with a typed error naming the
-//!   field.
+//!   field, and a request line is read to at most
+//!   [`MAX_LINE_BYTES`](protocol::MAX_LINE_BYTES).
 //!
 //! ```text
 //! → {"id":"r1","mapping":["cpu0","cpu0","hw","cpu1","cpu0"],"nframes":4}

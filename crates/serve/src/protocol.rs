@@ -35,6 +35,10 @@ pub const MAX_NFRAMES: u64 = 4096;
 pub const MAX_BATCH: usize = 256;
 /// Upper bound on request id length.
 pub const MAX_ID_LEN: usize = 128;
+/// Upper bound on one request line, newline excluded, in bytes (1 MiB):
+/// far above a full [`MAX_BATCH`] batch. The frontends stop reading a
+/// longer line there, so no line is buffered without a bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Machine-readable error classes carried in the `"code"` field of
 /// error responses.

@@ -154,8 +154,6 @@ struct Counters {
     est_site_hits: AtomicU64,
     est_site_misses: AtomicU64,
     est_dfg_arena_reuse: AtomicU64,
-    est_prog_warm_hits: AtomicU64,
-    est_prog_rejects: AtomicU64,
 }
 
 /// One coherent reading of every counter, taken by [`Counters::read`].
@@ -181,8 +179,6 @@ struct CounterValues {
     est_site_hits: u64,
     est_site_misses: u64,
     est_dfg_arena_reuse: u64,
-    est_prog_warm_hits: u64,
-    est_prog_rejects: u64,
 }
 
 impl Counters {
@@ -221,8 +217,6 @@ impl Counters {
             est_site_hits: take(&self.est_site_hits),
             est_site_misses: take(&self.est_site_misses),
             est_dfg_arena_reuse: take(&self.est_dfg_arena_reuse),
-            est_prog_warm_hits: take(&self.est_prog_warm_hits),
-            est_prog_rejects: take(&self.est_prog_rejects),
         }
     }
 }
@@ -325,6 +319,25 @@ impl Service {
     /// Jobs accepted but not yet finished.
     pub fn pending(&self) -> usize {
         self.pool.pending()
+    }
+
+    /// The reply to a request line longer than
+    /// [`MAX_LINE_BYTES`](crate::protocol::MAX_LINE_BYTES), which the
+    /// frontends never buffer whole: an `invalid_request` error,
+    /// counted as received and invalid.
+    pub fn reject_long_line(&self) -> String {
+        let counters = &self.shared.counters;
+        counters.received.fetch_add(1, Ordering::Relaxed);
+        counters.invalid.fetch_add(1, Ordering::Relaxed);
+        let err = RequestError {
+            code: ErrorCode::InvalidRequest,
+            field: None,
+            message: format!(
+                "request line exceeds {} bytes",
+                crate::protocol::MAX_LINE_BYTES
+            ),
+        };
+        render::error(None, &err, None)
     }
 
     /// Handles one request line asynchronously: control ops are
@@ -651,15 +664,11 @@ impl Service {
         m.set_counter("est.site_cache.hit", c.est_site_hits);
         m.set_counter("est.site_cache.miss", c.est_site_misses);
         m.set_counter("est.dfg.arena_reuse", c.est_dfg_arena_reuse);
-        // Cost-program accounting, summed across completed runs. Hits
-        // and misses mirror the site cache (a replayed region *is* a
-        // compiled-program apply — see `scperf_core` model metrics);
-        // warm hits count misses satisfied by the cross-worker program
-        // set, rejects count fingerprint-mismatched warm sets.
+        // In-run cost-program accounting, summed across completed runs.
+        // Hits and misses mirror the site cache (a replayed region *is*
+        // a compiled-program apply — see `scperf_core` model metrics).
         m.set_counter("est.prog.hits", c.est_site_hits);
         m.set_counter("est.prog.misses", c.est_site_misses);
-        m.set_counter("est.prog.warm_hits", c.est_prog_warm_hits);
-        m.set_counter("est.prog.rejects", c.est_prog_rejects);
         m.merge(self.shared.pool.metrics());
         let stats = self.shared.cache.stats();
         m.set_counter("serve.cache.hits", stats.hits);
@@ -667,7 +676,6 @@ impl Service {
         m.set_counter("serve.cache.entries", stats.entries as u64);
         m.set_counter("serve.cache.evictions", stats.evictions);
         m.set_gauge("serve.cache.hit_rate", stats.hit_rate());
-        m.set_counter("est.prog.published", stats.programs as u64);
         for (hist, prefix) in [
             (&self.shared.latency, "serve.latency"),
             (&self.shared.queue_wait, "serve.queue_wait"),
@@ -759,10 +767,6 @@ fn run_scenario(
                 .fetch_add(out.hot.site_misses, Ordering::Relaxed);
             c.est_dfg_arena_reuse
                 .fetch_add(out.hot.dfg_arena_reuse, Ordering::Relaxed);
-            c.est_prog_warm_hits
-                .fetch_add(out.hot.prog_warm_hits, Ordering::Relaxed);
-            c.est_prog_rejects
-                .fetch_add(out.hot.prog_rejects, Ordering::Relaxed);
             shared.sim_metrics.lock().merge(out.sim_metrics.clone());
         }
         Err(err) if err.code == ErrorCode::DeadlineExceeded => {

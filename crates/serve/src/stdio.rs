@@ -6,17 +6,66 @@
 //! correlation. The loop ends on stdin EOF or a `shutdown` op; either
 //! way the service drains every accepted request before returning.
 
-use std::io::BufRead;
+use std::io::{self, BufRead};
 
+use crate::protocol::MAX_LINE_BYTES;
 use crate::service::{Disposition, Responder, Service};
 
+/// What one [`read_line_bounded`] call found.
+pub(crate) enum LineRead {
+    /// A whole line, or the last unterminated one before EOF.
+    Line,
+    /// A line longer than [`MAX_LINE_BYTES`]; its rest is still unread.
+    TooLong,
+    /// End of input.
+    Eof,
+}
+
+/// Appends the next request line of `reader`, newline included, to
+/// `buf`, reading at most `MAX_LINE_BYTES` bytes of it plus the newline.
+/// A read error (such as a socket timeout) keeps what was read in `buf`,
+/// so calling again continues the line.
+pub(crate) fn read_line_bounded(
+    reader: &mut impl BufRead,
+    buf: &mut Vec<u8>,
+) -> io::Result<LineRead> {
+    let room = (MAX_LINE_BYTES + 1).saturating_sub(buf.len()) as u64;
+    let n = io::Read::take(reader, room).read_until(b'\n', buf)?;
+    Ok(
+        if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            LineRead::TooLong
+        } else if n == 0 {
+            LineRead::Eof
+        } else {
+            LineRead::Line
+        },
+    )
+}
+
 /// Reads request lines from `reader`, answering through `responder`,
-/// until EOF or a `shutdown` op; then drains the service.
-pub fn serve_reader<R: BufRead>(service: &Service, reader: R, responder: &Responder) {
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
-        if service.handle_line(&line, responder) == Disposition::Shutdown {
-            break;
+/// until EOF or a `shutdown` op; then drains the service. A line longer
+/// than [`MAX_LINE_BYTES`] is answered with an error and skipped to its
+/// newline without being buffered.
+pub fn serve_reader<R: BufRead>(service: &Service, mut reader: R, responder: &Responder) {
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        match read_line_bounded(&mut reader, &mut line) {
+            Ok(LineRead::Line) => {
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    break;
+                };
+                if service.handle_line(text, responder) == Disposition::Shutdown {
+                    break;
+                }
+            }
+            Ok(LineRead::TooLong) => {
+                responder.send(&service.reject_long_line());
+                if reader.skip_until(b'\n').is_err() {
+                    break;
+                }
+            }
+            Ok(LineRead::Eof) | Err(_) => break,
         }
     }
     service.drain();

@@ -14,7 +14,7 @@
 //! order; concurrency comes from multiple connections (up to the
 //! worker count) being served at once.
 
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use std::io::{BufReader, ErrorKind, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -22,6 +22,7 @@ use std::time::Duration;
 
 use crate::render;
 use crate::service::{Disposition, Service};
+use crate::stdio::{read_line_bounded, LineRead};
 
 /// A bound TCP server; [`TcpServer::run`] accepts until stopped.
 pub struct TcpServer {
@@ -121,7 +122,9 @@ impl TcpServer {
 /// and drain flags at this interval and hang up when either is set.
 const IDLE_POLL: Duration = Duration::from_millis(100);
 
-/// Serves one connection inline on the current worker.
+/// Serves one connection inline on the current worker. A request line
+/// longer than [`MAX_LINE_BYTES`](crate::protocol::MAX_LINE_BYTES) is
+/// answered with an error and the connection closed, unread.
 fn handle_connection(service: &Service, stream: TcpStream, stop: &StopHandle) {
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -131,12 +134,19 @@ fn handle_connection(service: &Service, stream: TcpStream, stop: &StopHandle) {
     }
     let mut writer = stream;
     let mut reader = BufReader::new(read_half);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        match reader.read_line(&mut line) {
-            Ok(0) => break, // EOF
-            Ok(_) => {
-                let (reply, disposition) = service.handle_line_sync(&line);
+        match read_line_bounded(&mut reader, &mut line) {
+            Ok(LineRead::Eof) => break,
+            Ok(LineRead::TooLong) => {
+                let _ = writeln!(writer, "{}", service.reject_long_line());
+                break;
+            }
+            Ok(LineRead::Line) => {
+                let Ok(text) = std::str::from_utf8(&line) else {
+                    break;
+                };
+                let (reply, disposition) = service.handle_line_sync(text);
                 if let Some(reply) = reply {
                     if writeln!(writer, "{reply}").is_err() {
                         break;

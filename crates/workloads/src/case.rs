@@ -3,7 +3,7 @@
 
 use std::sync::{Arc, Mutex};
 
-use scperf_core::{CostTable, EstHotStats, MemoMode, Platform, ProgramSet, Report, SimConfig};
+use scperf_core::{CostTable, EstHotStats, MemoMode, Platform, Report, SimConfig};
 use scperf_kernel::Time;
 
 /// One sequential benchmark in the three matched forms the experiments
@@ -55,26 +55,16 @@ impl BenchCase {
 }
 
 /// Runs `body` as the single analyzed process of one session on a
-/// sequential RISC-SW resource under the given site-memoization mode,
-/// optionally warm-started from a previously harvested [`ProgramSet`].
-/// Returns the body's checksum, the report, the hot-path counters and
-/// the program set harvested from this run.
+/// sequential RISC-SW resource under the given site-memoization mode.
+/// Returns the body's checksum, the report and the hot-path counters.
 ///
 /// This is the harness the memoized Table 1 forms are compared under:
 /// [`MemoMode::Off`], [`MemoMode::Replay`] and [`MemoMode::Verify`]
 /// must produce bit-identical reports and checksums.
-pub fn run_memoized(
-    memo: MemoMode,
-    warm: Option<Arc<ProgramSet>>,
-    body: fn() -> i32,
-) -> (i32, Report, EstHotStats, ProgramSet) {
+pub fn run_memoized(memo: MemoMode, body: fn() -> i32) -> (i32, Report, EstHotStats) {
     let mut platform = Platform::new();
     let cpu = platform.sequential("cpu0", Time::ns(10), CostTable::risc_sw(), 25.0);
-    let mut config = SimConfig::new().platform(platform).site_memo(memo);
-    if let Some(set) = warm {
-        config = config.program_set(set);
-    }
-    let mut session = config.build();
+    let mut session = SimConfig::new().platform(platform).site_memo(memo).build();
     let out = Arc::new(Mutex::new(0_i32));
     let slot = Arc::clone(&out);
     session.spawn("bench", cpu, move |_ctx| {
@@ -82,12 +72,7 @@ pub fn run_memoized(
     });
     session.run().expect("bench session runs");
     let checksum = *out.lock().unwrap();
-    (
-        checksum,
-        session.report(),
-        session.model().hot_stats(),
-        session.programs(),
-    )
+    (checksum, session.report(), session.model().hot_stats())
 }
 
 /// The reference-ISS configuration shared by every experiment: the

@@ -95,9 +95,7 @@ pub fn case() -> crate::case::BenchCase {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
-    use scperf_core::{MemoMode, ProgramSet};
+    use scperf_core::MemoMode;
 
     use super::*;
     use crate::case::run_memoized;
@@ -111,37 +109,27 @@ mod tests {
     }
 
     #[test]
-    fn memoized_recursion_is_bit_identical_and_round_trips() {
-        let (live_v, live_r, live_h, _) = run_memoized(MemoMode::Off, None, memo);
+    fn memoized_recursion_is_bit_identical() {
+        let (live_v, live_r, live_h) = run_memoized(MemoMode::Off, memo);
         assert_eq!(live_v, 2584);
         assert_eq!(live_h.site_hits, 0);
 
         // The memoized form charges exactly what the plain annotated
         // form charges.
-        let (ann_v, ann_r, _, _) = run_memoized(MemoMode::Off, None, annotated);
+        let (ann_v, ann_r, _) = run_memoized(MemoMode::Off, annotated);
         assert_eq!(ann_v, 2584);
         assert_eq!(ann_r, live_r);
 
         // Replay: one recording miss per depth fib(0)..fib(18), every
         // other entry replays; bit-identical report.
-        let (memo_v, memo_r, memo_h, set) = run_memoized(MemoMode::Replay, None, memo);
+        let (memo_v, memo_r, memo_h) = run_memoized(MemoMode::Replay, memo);
         assert_eq!(memo_v, 2584);
         assert_eq!(memo_r, live_r, "replay diverged from live");
         assert_eq!(memo_h.site_misses, (N + 1) as u64, "one miss per depth");
         assert!(memo_h.site_hits > 0);
-        assert_eq!(set.len(), (N + 1) as usize, "one program per depth");
 
-        let (ver_v, ver_r, _, _) = run_memoized(MemoMode::Verify, None, memo);
+        let (ver_v, ver_r, _) = run_memoized(MemoMode::Verify, memo);
         assert_eq!(ver_v, 2584);
         assert_eq!(ver_r, live_r, "verify diverged from live");
-
-        // Warm start from the serialized set: the recursive Call chain
-        // resolves at compile time, so not a single depth records.
-        let warm = Arc::new(ProgramSet::from_bytes(&set.to_bytes()).expect("decodes"));
-        let (w_v, w_r, w_h, _) = run_memoized(MemoMode::Replay, Some(warm), memo);
-        assert_eq!(w_v, 2584);
-        assert_eq!(w_r, live_r, "warm replay diverged from live");
-        assert_eq!(w_h.site_misses, 0, "warm set covers every depth");
-        assert!(w_h.prog_warm_hits > 0);
     }
 }

@@ -337,9 +337,7 @@ pub fn bubble_case() -> crate::case::BenchCase {
 
 #[cfg(test)]
 mod tests {
-    use std::sync::Arc;
-
-    use scperf_core::{MemoMode, ProgramSet};
+    use scperf_core::MemoMode;
 
     use super::*;
     use crate::case::run_memoized;
@@ -368,68 +366,51 @@ mod tests {
 
     /// The adversarial data-dependent case: outcome-keyed sites keep
     /// quicksort's value-dependent recursion bit-identical across live,
-    /// replay, verify and warm-started runs.
+    /// replay and verify runs.
     #[test]
-    fn memoized_quicksort_is_bit_identical_and_round_trips() {
+    fn memoized_quicksort_is_bit_identical() {
         let mut reference = qsort_input();
         reference.sort_unstable();
         let expect = weighted_checksum(&reference);
 
-        let (live_v, live_r, live_h, _) = run_memoized(MemoMode::Off, None, qsort_memo_run);
+        let (live_v, live_r, live_h) = run_memoized(MemoMode::Off, qsort_memo_run);
         assert_eq!(live_v, expect);
         assert_eq!(live_h.site_hits, 0);
 
         // Off-mode memo form charges exactly what the annotated form
         // charges.
-        let (ann_v, ann_r, _, _) = run_memoized(MemoMode::Off, None, qsort_annotated_run);
+        let (ann_v, ann_r, _) = run_memoized(MemoMode::Off, qsort_annotated_run);
         assert_eq!(ann_v, expect);
         assert_eq!(ann_r, live_r);
 
-        let (memo_v, memo_r, memo_h, set) = run_memoized(MemoMode::Replay, None, qsort_memo_run);
+        let (memo_v, memo_r, memo_h) = run_memoized(MemoMode::Replay, qsort_memo_run);
         assert_eq!(memo_v, expect);
         assert_eq!(memo_r, live_r, "replay diverged from live");
         assert!(memo_h.site_hits > memo_h.site_misses * 10, "mostly hits");
-        assert!(!set.is_empty());
 
-        let (ver_v, ver_r, _, _) = run_memoized(MemoMode::Verify, None, qsort_memo_run);
+        let (ver_v, ver_r, _) = run_memoized(MemoMode::Verify, qsort_memo_run);
         assert_eq!(ver_v, expect);
         assert_eq!(ver_r, live_r, "verify diverged from live");
-
-        // Serialized warm start: every key was seen in the cold run, so
-        // nothing records.
-        let warm = Arc::new(ProgramSet::from_bytes(&set.to_bytes()).expect("decodes"));
-        let (w_v, w_r, w_h, _) = run_memoized(MemoMode::Replay, Some(warm), qsort_memo_run);
-        assert_eq!(w_v, expect);
-        assert_eq!(w_r, live_r, "warm replay diverged from live");
-        assert_eq!(w_h.site_misses, 0);
-        assert!(w_h.prog_warm_hits > 0);
     }
 
     #[test]
-    fn memoized_bubble_is_bit_identical_and_round_trips() {
+    fn memoized_bubble_is_bit_identical() {
         let mut reference = bubble_input();
         reference.sort_unstable();
         let expect = weighted_checksum(&reference);
 
-        let (live_v, live_r, _, _) = run_memoized(MemoMode::Off, None, bubble_memo_run);
+        let (live_v, live_r, _) = run_memoized(MemoMode::Off, bubble_memo_run);
         assert_eq!(live_v, expect);
 
-        let (memo_v, memo_r, memo_h, set) = run_memoized(MemoMode::Replay, None, bubble_memo_run);
+        let (memo_v, memo_r, memo_h) = run_memoized(MemoMode::Replay, bubble_memo_run);
         assert_eq!(memo_v, expect);
         assert_eq!(memo_r, live_r, "replay diverged from live");
         // Comparison site (2 keys) + checksum loop (1 key): 3 misses.
         assert_eq!(memo_h.site_misses, 3);
         assert!(memo_h.site_hits > 0);
 
-        let (ver_v, ver_r, _, _) = run_memoized(MemoMode::Verify, None, bubble_memo_run);
+        let (ver_v, ver_r, _) = run_memoized(MemoMode::Verify, bubble_memo_run);
         assert_eq!(ver_v, expect);
         assert_eq!(ver_r, live_r, "verify diverged from live");
-
-        let warm = Arc::new(ProgramSet::from_bytes(&set.to_bytes()).expect("decodes"));
-        let (w_v, w_r, w_h, _) = run_memoized(MemoMode::Replay, Some(warm), bubble_memo_run);
-        assert_eq!(w_v, expect);
-        assert_eq!(w_r, live_r, "warm replay diverged from live");
-        assert_eq!(w_h.site_misses, 0);
-        assert!(w_h.prog_warm_hits > 0);
     }
 }
