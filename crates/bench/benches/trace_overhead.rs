@@ -3,8 +3,8 @@
 //! Runs the same FIFO producer/consumer workload in three configurations
 //! and reports host time per simulated channel operation:
 //!
-//! 1. **off** — tracing disabled (the `AtomicBool` fast path; the record
-//!    path must not allocate at all),
+//! 1. **off** — tracing disabled (the lock-free `tracing` flag; the
+//!    record path must not allocate at all),
 //! 2. **ring** — structured events into a bounded [`MemorySink`] ring,
 //! 3. **legacy** — a sink that eagerly formats every event into the old
 //!    `String`-per-field [`TraceRecord`] shape, emulating the pre-obs
@@ -13,7 +13,7 @@
 //! Run with `cargo bench -p scperf-bench --bench trace_overhead`.
 
 use scperf_bench::microbench::{run_group, Case};
-use scperf_kernel::{Simulator, Time, TraceRecord};
+use scperf_kernel::{SimOptions, Time, TraceMode, TraceRecord};
 use scperf_obs::{Interner, Sym, TraceEvent, TraceSink};
 
 const ITEMS: u32 = 10_000;
@@ -47,9 +47,8 @@ impl TraceSink for LegacyStringSink {
     fn flush(&mut self) {}
 }
 
-fn fifo_workload(configure: impl FnOnce(&mut Simulator)) -> u64 {
-    let mut sim = Simulator::new();
-    configure(&mut sim);
+fn fifo_workload(options: SimOptions) -> u64 {
+    let mut sim = options.build();
     let f = sim.fifo::<u32>("ch", 16);
     let (w, r) = (f.clone(), f);
     sim.spawn("producer", move |ctx| {
@@ -71,20 +70,22 @@ fn fifo_workload(configure: impl FnOnce(&mut Simulator)) -> u64 {
 fn main() {
     let cases: Vec<Case> = vec![
         Case::new("tracing_off", || {
-            std::hint::black_box(fifo_workload(|_| {}));
+            std::hint::black_box(fifo_workload(SimOptions::new()));
         }),
         Case::new("tracing_ring", || {
-            std::hint::black_box(fifo_workload(|sim| {
-                sim.enable_tracing_ring(4096);
-            }));
+            std::hint::black_box(fifo_workload(
+                SimOptions::new().tracing(TraceMode::Ring(4096)),
+            ));
         }),
         Case::new("tracing_unbounded", || {
-            std::hint::black_box(fifo_workload(|sim| sim.enable_tracing()));
+            std::hint::black_box(fifo_workload(
+                SimOptions::new().tracing(TraceMode::Unbounded),
+            ));
         }),
         Case::new("tracing_legacy_strings", || {
-            std::hint::black_box(fifo_workload(|sim| {
-                sim.set_trace_sink(Box::new(LegacyStringSink::default()));
-            }));
+            std::hint::black_box(fifo_workload(
+                SimOptions::new().trace_sink(Box::new(LegacyStringSink::default())),
+            ));
         }),
     ];
     run_group(&format!("trace_overhead ({ITEMS} fifo items)"), &cases);
@@ -125,8 +126,7 @@ fn main() {
     run_group(&format!("record path ({RECORDS} events)"), &direct);
 
     // Sanity: the ring sink actually bounds memory.
-    let mut sim = Simulator::new();
-    sim.enable_tracing_ring(1024);
+    let mut sim = SimOptions::new().tracing(TraceMode::Ring(1024)).build();
     let f = sim.fifo::<u32>("ch", 16);
     let (w, r) = (f.clone(), f);
     sim.spawn("producer", move |ctx| {

@@ -6,7 +6,7 @@ use scperf_core::{
     g_call, g_i32, g_if, timed_wait, CostTable, GArr, Mode, Op, PerfModel, Platform, ProcessGraph,
     G,
 };
-use scperf_kernel::{Simulator, Time};
+use scperf_kernel::{SimOptions, Simulator, Time, TraceMode};
 
 use crate::harness::CLOCK;
 
@@ -318,8 +318,7 @@ pub fn figure5() -> (String, String) {
         let mut platform = Platform::new();
         let cpu = platform.sequential("cpu0 (SW)", CLOCK, CostTable::risc_sw(), 100.0);
         let hw = platform.parallel("res1 (HW)", CLOCK, CostTable::asic_hw(), 0.0);
-        let mut sim = Simulator::new();
-        sim.enable_tracing();
+        let mut sim = SimOptions::new().tracing(TraceMode::Unbounded).build();
         let model = PerfModel::new(platform, mode);
         let s1 = model.signal(&mut sim, "s1", 0_i32);
         let s2 = model.signal(&mut sim, "s2", 0_i32);

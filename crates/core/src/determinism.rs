@@ -10,7 +10,7 @@
 //! [`check`] runs the same model twice — once untimed, once strict-timed —
 //! and diffs the per-process functional traces.
 
-use scperf_kernel::{trace, SimError, Simulator, TraceRecord};
+use scperf_kernel::{trace, SimError, SimOptions, Simulator, TraceMode, TraceRecord};
 
 use crate::estimator::Mode;
 use crate::model::PerfModel;
@@ -66,8 +66,7 @@ where
     F: Fn(&mut Simulator, &PerfModel),
 {
     let run = |mode: Mode| -> Result<Vec<TraceRecord>, SimError> {
-        let mut sim = Simulator::new();
-        sim.enable_tracing();
+        let mut sim = SimOptions::new().tracing(TraceMode::Unbounded).build();
         let model = PerfModel::new(platform.clone(), mode);
         build(&mut sim, &model);
         sim.run()?;

@@ -241,39 +241,6 @@ impl EstimatorShared {
             },
         );
     }
-
-    /// Returns the estimator to its just-constructed state over
-    /// `platform`, keeping the configuration knobs (mode, recording
-    /// flags, memo policy, attribution) and discarding
-    /// everything a finished run accumulated: process records, node
-    /// registrations beyond the implicit three, capture lists,
-    /// per-resource busy/RTOS/contention accounting and the hot-path
-    /// counters. The backbone of [`crate::Session::reset`].
-    pub(crate) fn reset(&self, platform: Platform) {
-        let n = platform.len();
-        let mut inner = self.inner.lock();
-        inner.platform = platform;
-        inner.nodes.clear();
-        inner
-            .nodes
-            .extend(["entry".into(), "exit".into(), "wait".into()]);
-        inner.procs.clear();
-        inner.busy_until.clear();
-        inner.busy_until.resize(n, Time::ZERO);
-        inner.busy_total.clear();
-        inner.busy_total.resize(n, Time::ZERO);
-        inner.rtos_total.clear();
-        inner.rtos_total.resize(n, Time::ZERO);
-        inner.fast_charges = 0;
-        inner.site_hits = 0;
-        inner.site_misses = 0;
-        inner.dfg_arena_reuse = 0;
-        inner.captures.clear();
-        inner.contention_total.clear();
-        inner.contention_total.resize(n, Time::ZERO);
-        inner.arbitration_waits.clear();
-        inner.arbitration_waits.resize(n, 0);
-    }
 }
 
 /// Ends the current segment at `node` and performs the §4 back-annotation

@@ -55,7 +55,7 @@ use crate::tls;
 /// # Ok::<(), scperf_kernel::SimError>(())
 /// ```
 pub struct PerfModel {
-    est: Arc<EstimatorShared>,
+    pub(crate) est: Arc<EstimatorShared>,
 }
 
 impl PerfModel {
@@ -108,13 +108,6 @@ impl PerfModel {
     /// A clone of the model's platform (resources + cost tables).
     pub fn platform(&self) -> crate::resource::Platform {
         self.est.inner.lock().platform.clone()
-    }
-
-    /// Returns the estimator to its just-constructed state over
-    /// `platform`, keeping configuration knobs and discarding all run
-    /// state. Used by [`crate::Session::reset`].
-    pub(crate) fn reset_estimator(&self, platform: crate::resource::Platform) {
-        self.est.reset(platform);
     }
 
     /// Snapshot of the hot-path counters: fast-path charges, site-cache

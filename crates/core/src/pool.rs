@@ -1,45 +1,34 @@
-//! Session pooling.
+//! Session admission.
 //!
 //! The paper's workflow is "build the model once, evaluate many mapping
-//! scenarios" (§5). A long-running evaluation service pays full
-//! [`SimConfig`](crate::SimConfig) → [`Session`] construction — thread
-//! spawning, estimator registration — on every request unless something
-//! reuses that work. [`SessionPool`] is that reuse layer, modeled on
-//! wasmtime's pooling instance allocator (preallocate slots,
-//! reset-and-reuse instead of rebuild, admission limits instead of
-//! unbounded growth): up to [`InstanceLimits::max_sessions`] reusable
-//! session slots, built lazily by a factory and returned to the free
-//! list by [`Session::reset`] when the [`PooledSession`] guard drops.
-//! Admission beyond the cap fails fast with [`PoolExhausted`] so the
-//! caller can tell clients to back off.
-//!
-//! The pool keeps no per-scenario state. Skipping live estimation on a
-//! repeat scenario is the job of a bounded segment-cost trace cache
-//! (`scperf_dse::SegmentCostCache`), keyed by what a trace depends on.
+//! scenarios" (§5). Across scenarios, the work worth reusing is the
+//! recorded segment costs, and a bounded segment-cost trace cache
+//! (`scperf_dse::SegmentCostCache`, keyed by what a trace depends on)
+//! shares those. The session itself is single-use: building one costs a
+//! few microseconds against a run's hundreds, so [`SessionPool`] does
+//! not recycle sessions. What it does is admission, modeled on
+//! wasmtime's pooling instance allocator: at most
+//! [`InstanceLimits::max_sessions`] sessions are live at once, each
+//! built by a factory on acquisition and dropped on release. Admission
+//! beyond the cap fails fast with [`PoolExhausted`] so the caller can
+//! tell clients to back off, and [`PooledSession::enforce_limits`]
+//! bounds what one scenario may elaborate.
 //!
 //! # Slot lifecycle
 //!
 //! ```text
-//!          acquire()                 run + extract results
-//! (empty) ──────────▶ live ◀──────────────────────────────┐
-//!    ▲    factory      │ drop(PooledSession)              │
-//!    │                 ▼                                  │
-//!    └─ free list ◀─ reset()  ── acquire() ─▶ live ───────┘
-//!                    (joins threads, clears kernel+estimator state,
-//!                     keeps configuration)
+//!   acquire()            elaborate, enforce_limits(), run, read results
+//! ──────────▶ factory() ─────────────────────────────────────────────▶ drop
+//!   (admitted while                                        (joins threads,
+//!    live < max_sessions)                                   frees the slot)
 //! ```
 //!
-//! Reset-vs-fresh bit-identity is the correctness contract: a reused
-//! slot must be indistinguishable from a newly built session, verified
-//! by the tests below and the `pool_props` property tests. A process
-//! panic ([`scperf_kernel::SimError::ProcessPanic`]) does not poison the
-//! slot: reset clears the kernel's error latch.
+//! A process panic ([`scperf_kernel::SimError::ProcessPanic`]) ends with
+//! its session: the next acquisition builds a new one.
 
 use std::fmt;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
-
-use scperf_sync::Mutex;
 
 use crate::recorder::Replay;
 use crate::session::Session;
@@ -119,8 +108,6 @@ pub struct PoolStats {
     pub misses: u64,
     /// Always 0: the pool forks no snapshots.
     pub forks: u64,
-    /// Slots returned to reusable state by [`Session::reset`].
-    pub resets: u64,
     /// Acquisitions rejected because every slot was live.
     pub exhausted: u64,
 }
@@ -150,30 +137,22 @@ impl Snapshot {
     }
 }
 
-struct PoolInner {
-    free: Vec<Session>,
-    created: usize,
-}
-
-/// A preallocated set of reusable [`Session`] slots with
-/// [`InstanceLimits`] admission — the "build once, evaluate many
-/// scenarios" allocator for a simulation service. Slots are built
-/// lazily by the factory on first acquisition and thereafter recycled
-/// through [`Session::reset`] instead of rebuilt.
+/// Admission control over single-use [`Session`]s: at most
+/// [`InstanceLimits::max_sessions`] live at once, each built by the
+/// factory on acquisition and dropped on release.
 pub struct SessionPool {
     limits: InstanceLimits,
     build: Box<dyn Fn() -> Session + Send + Sync>,
-    inner: Mutex<PoolInner>,
+    live: AtomicUsize,
     misses: AtomicU64,
-    resets: AtomicU64,
     exhausted: AtomicU64,
 }
 
 impl SessionPool {
-    /// Creates a pool of up to `limits.max_sessions` slots, each built
-    /// on first use by `build`. The factory fixes the slots'
-    /// configuration (mode, attribution, tracing); the caller stamps in
-    /// per-scenario variation, such as the platform
+    /// Creates a pool admitting up to `limits.max_sessions` live
+    /// sessions, each built on acquisition by `build`. The factory fixes
+    /// the sessions' configuration (mode, attribution, tracing); the
+    /// caller stamps in per-scenario variation, such as the platform
     /// ([`Session::reset_with_platform`]).
     pub fn new(
         limits: InstanceLimits,
@@ -182,12 +161,8 @@ impl SessionPool {
         SessionPool {
             limits,
             build: Box::new(build),
-            inner: Mutex::new(PoolInner {
-                free: Vec::new(),
-                created: 0,
-            }),
+            live: AtomicUsize::new(0),
             misses: AtomicU64::new(0),
-            resets: AtomicU64::new(0),
             exhausted: AtomicU64::new(0),
         }
     }
@@ -197,36 +172,34 @@ impl SessionPool {
         self.limits
     }
 
-    /// Acquires a slot (building it if the pool has spare capacity).
-    /// The returned guard derefs to the slot's [`Session`], already
-    /// reset; dropping it resets the slot and returns it to the pool.
+    /// Admits one session and builds it. The returned guard derefs to
+    /// the new [`Session`]; dropping it drops the session and frees its
+    /// slot.
     ///
     /// # Errors
     ///
     /// [`PoolExhausted`] when `max_sessions` sessions are already live.
     pub fn acquire(&self) -> Result<PooledSession<'_>, PoolExhausted> {
-        let recycled = {
-            let mut inner = self.inner.lock();
-            match inner.free.pop() {
-                Some(s) => Some(s),
-                None if inner.created < self.limits.max_sessions => {
-                    inner.created += 1;
-                    None
-                }
-                None => {
-                    self.exhausted.fetch_add(1, Ordering::Relaxed);
-                    return Err(PoolExhausted);
-                }
-            }
-        };
+        let max = self.limits.max_sessions;
+        let admitted = self
+            .live
+            .fetch_update(Ordering::AcqRel, Ordering::Acquire, |n| {
+                (n < max).then_some(n + 1)
+            })
+            .is_ok();
+        if !admitted {
+            self.exhausted.fetch_add(1, Ordering::Relaxed);
+            return Err(PoolExhausted);
+        }
         self.misses.fetch_add(1, Ordering::Relaxed);
-        // Build outside the lock; the capacity reservation above keeps
-        // concurrent acquirers within `max_sessions`.
-        let session = recycled.unwrap_or_else(|| (self.build)());
-        Ok(PooledSession {
+        // The guard exists before the build, so a panicking factory
+        // still frees the slot.
+        let mut slot = PooledSession {
             pool: self,
-            session: Some(session),
-        })
+            session: None,
+        };
+        slot.session = Some((self.build)());
+        Ok(slot)
     }
 
     /// Acquires a slot exactly as [`SessionPool::acquire`] does; `shape`
@@ -245,19 +218,14 @@ impl SessionPool {
     pub fn publish_snapshot(&self, _shape: u64, _snapshot: Snapshot) {}
 
     /// Counter snapshot (`slots`, `live`, `hits`, `misses`, `forks`,
-    /// `resets`, `exhausted`).
+    /// `exhausted`).
     pub fn stats(&self) -> PoolStats {
-        let (created, free) = {
-            let inner = self.inner.lock();
-            (inner.created, inner.free.len())
-        };
         PoolStats {
             slots: self.limits.max_sessions as u64,
-            live: (created - free) as u64,
+            live: self.live.load(Ordering::Relaxed) as u64,
             hits: 0,
             misses: self.misses.load(Ordering::Relaxed),
             forks: 0,
-            resets: self.resets.load(Ordering::Relaxed),
             exhausted: self.exhausted.load(Ordering::Relaxed),
         }
     }
@@ -272,18 +240,8 @@ impl SessionPool {
         m.set_counter("pool.hits", s.hits);
         m.set_counter("pool.misses", s.misses);
         m.set_counter("pool.forks", s.forks);
-        m.set_counter("pool.resets", s.resets);
         m.set_counter("pool.exhausted", s.exhausted);
         m
-    }
-
-    fn release(&self, mut session: Session) {
-        // Reset on release (not on acquire): a panicked run must not
-        // leave a poisoned simulator in the free list, and acquire stays
-        // cheap.
-        session.reset();
-        self.resets.fetch_add(1, Ordering::Relaxed);
-        self.inner.lock().free.push(session);
     }
 }
 
@@ -296,9 +254,9 @@ impl fmt::Debug for SessionPool {
     }
 }
 
-/// RAII guard over an acquired pool slot: derefs to the slot's
-/// [`Session`]; dropping it resets the slot and returns it to the
-/// pool's free list.
+/// RAII guard over an admitted session: derefs to the [`Session`];
+/// dropping it drops the session (joining its process threads), then
+/// frees the admission slot.
 pub struct PooledSession<'a> {
     pool: &'a SessionPool,
     session: Option<Session>,
@@ -357,9 +315,10 @@ impl std::ops::DerefMut for PooledSession<'_> {
 
 impl Drop for PooledSession<'_> {
     fn drop(&mut self) {
-        if let Some(session) = self.session.take() {
-            self.pool.release(session);
-        }
+        drop(self.session.take());
+        // Release pairs with the Acquire in `acquire`: the freed slot is
+        // admitted again only after this session's threads are joined.
+        self.pool.live.fetch_sub(1, Ordering::Release);
     }
 }
 
@@ -400,38 +359,7 @@ mod tests {
     }
 
     #[test]
-    fn reset_session_is_bit_identical_to_fresh() {
-        use scperf_kernel::TraceMode;
-        let (platform, cpu) = one_cpu();
-        let fresh = {
-            let mut s = SimConfig::new()
-                .platform(platform.clone())
-                .tracing(TraceMode::Unbounded)
-                .build();
-            elaborate(&mut s, cpu);
-            let summary = s.run().unwrap();
-            let trace = s.take_events();
-            (summary, s.report(), trace)
-        };
-        // Same config, but run an unrelated scenario first, then reset.
-        let mut s = SimConfig::new()
-            .platform(platform)
-            .tracing(TraceMode::Unbounded)
-            .build();
-        s.spawn("other", cpu, |_ctx| {
-            let _ = g_i64(5) * g_i64(7);
-        });
-        s.run().unwrap();
-        s.reset();
-        elaborate(&mut s, cpu);
-        let summary = s.run().unwrap();
-        assert_eq!(summary, fresh.0);
-        assert_eq!(s.report(), fresh.1);
-        assert_eq!(s.take_events().events, fresh.2.events);
-    }
-
-    #[test]
-    fn pool_recycles_slots_and_counts_reuse() {
+    fn pool_admits_up_to_its_limit_and_counts_acquisitions() {
         let (platform, cpu) = one_cpu();
         let limits = InstanceLimits {
             max_sessions: 1,
@@ -457,11 +385,11 @@ mod tests {
             assert!(pool.acquire().is_err());
         }
 
-        // The recycled slot comes back reset; nothing was stored for
-        // the shape.
+        // Release freed the slot; nothing was stored for the shape.
         {
             let slot = pool.acquire_for_shape(shape).unwrap();
             assert!(slot.forked_snapshot().is_none());
+            assert_eq!(pool.stats().live, 1);
         }
 
         let stats = pool.stats();
@@ -469,7 +397,6 @@ mod tests {
         assert_eq!(stats.live, 0);
         assert_eq!((stats.hits, stats.forks), (0, 0));
         assert_eq!(stats.misses, 2, "every acquisition counts as a miss");
-        assert_eq!(stats.resets, 2);
         assert_eq!(stats.exhausted, 1);
         assert_eq!(pool.metrics().counter("pool.hits"), Some(0));
         assert_eq!(pool.metrics().counter("pool.misses"), Some(2));

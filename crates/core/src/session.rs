@@ -71,7 +71,6 @@ pub struct SimConfig {
     site_memo: MemoMode,
     run_limit: Option<Time>,
     attribution: bool,
-    tracing_mode: TraceMode,
 }
 
 impl Default for SimConfig {
@@ -93,7 +92,6 @@ impl SimConfig {
             site_memo: MemoMode::default(),
             run_limit: None,
             attribution: false,
-            tracing_mode: TraceMode::Off,
         }
     }
 
@@ -127,16 +125,13 @@ impl SimConfig {
         self
     }
 
-    /// Selects the kernel trace recording mode (replaces
-    /// `Simulator::enable_tracing` / `enable_tracing_ring`).
+    /// Selects the kernel trace recording mode.
     pub fn tracing(mut self, mode: TraceMode) -> SimConfig {
-        self.tracing_mode = mode;
         self.options = self.options.tracing(mode);
         self
     }
 
-    /// Installs a custom kernel [`TraceSink`] (replaces
-    /// `Simulator::set_trace_sink` wiring at elaboration time).
+    /// Installs a custom kernel [`TraceSink`].
     pub fn trace_sink(mut self, sink: Box<dyn TraceSink>) -> SimConfig {
         self.options = self.options.trace_sink(sink);
         self
@@ -208,7 +203,6 @@ impl SimConfig {
             model,
             recorder,
             run_limit: self.run_limit,
-            tracing: self.tracing_mode,
         }
     }
 }
@@ -217,7 +211,10 @@ impl SimConfig {
 /// processes, creating channels), execution, and result extraction
 /// (summary, report, metrics, captured traces).
 ///
-/// Built by [`SimConfig::build`]. The underlying [`Simulator`] and
+/// Built by [`SimConfig::build`]. A session is single-use: it is
+/// elaborated once, run (stepped or not) and dropped; the next scenario
+/// gets a new session ([`Session::reset_with_platform`] builds one with
+/// the same configuration). The underlying [`Simulator`] and
 /// [`PerfModel`] remain reachable ([`Session::sim`],
 /// [`Session::model`]) for testbench-level pieces such as raw kernel
 /// channels and events.
@@ -227,9 +224,6 @@ pub struct Session {
     model: PerfModel,
     recorder: Option<Recorder>,
     run_limit: Option<Time>,
-    /// The kernel trace mode, re-armed by [`Session::reset`] (which
-    /// clears the kernel's sink).
-    tracing: TraceMode,
 }
 
 impl Session {
@@ -389,34 +383,34 @@ impl Session {
         self.sim.take_events()
     }
 
-    /// Returns the session to its just-built state so a pooled slot can
-    /// be reused without rebuilding: process threads are joined, kernel
-    /// queues and the timer wheel are rebuilt, estimator records and
-    /// capture lists are cleared, and simulation time is back at zero.
-    /// Configuration (mode, recording flags, attribution, run limit,
-    /// tracing mode) is retained; a custom trace sink installed via
-    /// [`SimConfig::trace_sink`] is the one thing that cannot be
-    /// restored and is dropped. Elaborate the next
-    /// scenario (spawn processes, create channels) and run again — a
-    /// reset session produces bit-identical results to a freshly built
-    /// one.
-    pub fn reset(&mut self) {
-        let platform = self.model.platform();
-        self.reset_with_platform(platform);
-    }
-
-    /// [`Session::reset`] that also stamps a new [`Platform`] into the
-    /// slot — the reuse path when the next scenario's resource
-    /// parameters (clock, cost tables, `k`, RTOS overhead) differ from
-    /// the previous one's.
+    /// Replaces this session with a freshly built one on `platform`, with
+    /// the same configuration. Sessions are single-use, so this is the
+    /// one rebuild path: nothing is reset in place.
+    ///
+    /// The settings are read from the live session: the mode,
+    /// attribution, `record_instantaneous`, `record_dfgs`, the site-memo
+    /// policy and whether a recorder is attached come from the model (so
+    /// [`PerfModel`] setters called after the build carry over), the
+    /// trace mode from the kernel, and the run limit from the session. A
+    /// custom sink from [`SimConfig::trace_sink`] cannot be carried over
+    /// and is dropped. Handles taken from the old session (a
+    /// [`Recorder`], channels) stay bound to it.
     pub fn reset_with_platform(&mut self, platform: Platform) {
-        self.sim.reset();
-        match self.tracing {
-            TraceMode::Off => {}
-            TraceMode::Unbounded => self.sim.enable_tracing(),
-            TraceMode::Ring(n) => self.sim.enable_tracing_ring(n),
-        }
-        self.model.reset_estimator(platform);
+        let config = {
+            let est = self.model.est.inner.lock();
+            SimConfig {
+                options: SimOptions::new().tracing(self.sim.trace_mode()),
+                platform,
+                mode: est.mode,
+                record_instantaneous: est.record_instantaneous,
+                record_dfgs: est.record_dfgs,
+                record_costs: est.record_segment_costs,
+                site_memo: est.memo_mode,
+                run_limit: self.run_limit,
+                attribution: est.attribution,
+            }
+        };
+        *self = config.build();
     }
 
     /// Captures the segment-cost traces this session recorded, one per
@@ -662,5 +656,87 @@ mod tests {
         session.run().unwrap();
         let table = session.take_events();
         assert!(!table.events.is_empty());
+    }
+
+    #[test]
+    fn reset_with_platform_carries_every_setting_over() {
+        use std::sync::atomic::{AtomicU64, Ordering};
+
+        // Every setting away from its default. The recorder is attached
+        // after the build, through the session, as a cached run does.
+        let settings = |platform: Platform| {
+            SimConfig::new()
+                .platform(platform)
+                .mode(Mode::EstimateOnly)
+                .attribution(true)
+                .tracing(TraceMode::Ring(4))
+                .record_instantaneous()
+                .record_dfgs()
+                .site_memo(MemoMode::Verify)
+                .run_limit(Time::ns(7))
+        };
+        let mut platform = Platform::new();
+        let cpu = platform.sequential("cpu0", Time::ns(10), CostTable::risc_sw(), 50.0);
+        let hw = platform.parallel("hw", Time::ns(10), CostTable::asic_hw(), 0.5);
+
+        // What each setting shows: the mode, attribution and
+        // `record_instantaneous` in the report, the ring in the kernel
+        // events, `record_dfgs` in the DFGs, the run limit in the
+        // summary, the recorder in the replays, and the memo policy in
+        // which twin block ran (Verify re-runs the annotated one).
+        let scenario = |session: &mut Session| {
+            let annotated = Arc::new(AtomicU64::new(0));
+            let probe = Arc::clone(&annotated);
+            session.spawn("w", cpu, move |_ctx| {
+                for i in 0..3 {
+                    let ran = crate::g_twin!((0) {
+                        let _ = g_i64(i) + g_i64(1);
+                        1
+                    } native {
+                        0
+                    });
+                    probe.fetch_add(ran, Ordering::Relaxed);
+                }
+            });
+            session.spawn("h", hw, |_ctx| {
+                let _ = g_i64(3) * g_i64(4) + g_i64(5);
+            });
+            session.spawn_untimed("clock", |ctx| {
+                for i in 0..32 {
+                    ctx.emit_trace("tick", i.to_string());
+                }
+                ctx.wait(Time::us(1));
+            });
+            let summary = session.run().unwrap();
+            let table = session.take_events();
+            (
+                summary,
+                session.report(),
+                table.events,
+                table.dropped,
+                session.model().dfgs("h"),
+                session.recorder().replays(),
+                annotated.load(Ordering::Relaxed),
+            )
+        };
+
+        let mut fresh = settings(platform.clone()).build();
+        fresh.recorder();
+        let expected = scenario(&mut fresh);
+        assert_eq!(expected.0.reason, scperf_kernel::StopReason::TimeLimit);
+        assert!(expected.1.utilization.is_some());
+        assert!(expected.3 > 0, "the ring dropped events");
+        assert_eq!(expected.6, 3, "verify charges every repeat live");
+
+        // First life on another platform, with an unrelated scenario.
+        let (other, other_cpu) = one_cpu();
+        let mut session = settings(other).build();
+        session.recorder();
+        session.spawn("other", other_cpu, |_ctx| {
+            let _ = g_i64(5) * g_i64(7);
+        });
+        session.run().unwrap();
+        session.reset_with_platform(platform);
+        assert_eq!(scenario(&mut session), expected);
     }
 }

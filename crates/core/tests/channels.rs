@@ -5,7 +5,7 @@ use scperf_core::{
     charge_op, g_i32, timed_wait, timed_wait_labeled, CostTable, Mode, Op, PerfModel, Platform,
     ProcessGraph,
 };
-use scperf_kernel::{Simulator, Time};
+use scperf_kernel::{SimOptions, Simulator, Time, TraceMode};
 
 fn one_cpu_platform() -> (Platform, scperf_core::ResourceId) {
     let mut p = Platform::new();
@@ -184,8 +184,7 @@ fn instrumented_fifo_between_sw_and_hw_processes() {
 #[test]
 fn vcd_export_from_an_instrumented_model() {
     let (platform, cpu) = one_cpu_platform();
-    let mut sim = Simulator::new();
-    sim.enable_tracing();
+    let mut sim = SimOptions::new().tracing(TraceMode::Unbounded).build();
     let model = PerfModel::new(platform, Mode::StrictTimed);
     let s = model.signal(&mut sim, "beat", 0_i32);
     let sw = s.clone();

@@ -1,8 +1,10 @@
-//! Property tests for the session pool's determinism contract: a
-//! recycled (reset) slot, whether it charges live or replays recorded
-//! traces, must be bit-identical to a freshly built session — summary,
-//! report, trace and produced data — and an errored run must never
-//! poison the slot it ran in.
+//! Property tests for single-use sessions under the pool's admission
+//! control: a freshly built session, a session rebuilt by
+//! `reset_with_platform` after an unrelated run, and a pooled session
+//! replaying recorded traces must be bit-identical — summary, report,
+//! kernel trace and produced data — and a run that failed with a process
+//! panic must free its admission slot for a session that runs
+//! bit-identically to a fresh one.
 
 use std::sync::Arc;
 
@@ -124,31 +126,36 @@ fn observe(session: &mut Session, collected: &Mutex<Vec<i64>>) -> impl PartialEq
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
-    /// Fresh vs reset vs a recycled slot replaying recorded traces:
+    /// Fresh vs rebuilt vs a pooled session replaying recorded traces:
     /// identical down to the trace, for random workload sizes and seeds.
     #[test]
-    fn fresh_reset_and_replaying_slots_are_bit_identical(
+    fn fresh_rebuilt_and_replaying_sessions_are_bit_identical(
         nitems in 1usize..12,
         seed in -50_i64..50,
     ) {
-        let (_, cpu, hw) = platform();
+        let (platform, cpu, hw) = platform();
 
         let mut fresh = config().build();
         let data = elaborate(&mut fresh, cpu, hw, nitems, seed, &[]);
         let oracle = observe(&mut fresh, &data);
 
-        // Reset: run an unrelated scenario first so the slot is dirty.
-        let mut recycled = config().build();
-        recycled.spawn("other", cpu, |_ctx| {
+        // Rebuilt: run an unrelated scenario on another platform first.
+        let mut other = Platform::new();
+        let slow = other.sequential("slow", Time::ns(25), CostTable::risc_sw(), 0.0);
+        let mut rebuilt = SimConfig::new()
+            .platform(other)
+            .tracing(TraceMode::Unbounded)
+            .build();
+        rebuilt.spawn("other", slow, |_ctx| {
             let _ = g_i64(5) * g_i64(7);
         });
-        recycled.run().expect("warmup scenario");
-        recycled.reset();
-        let data = elaborate(&mut recycled, cpu, hw, nitems, seed, &[]);
-        prop_assert_eq!(&observe(&mut recycled, &data), &oracle);
+        rebuilt.run().expect("warmup scenario");
+        rebuilt.reset_with_platform(platform);
+        let data = elaborate(&mut rebuilt, cpu, hw, nitems, seed, &[]);
+        prop_assert_eq!(&observe(&mut rebuilt, &data), &oracle);
 
-        // Replayed: the one slot records live, then comes back recycled
-        // and replays the Recorder's traces.
+        // Replayed: one pooled session records live, the next one
+        // replays the Recorder's traces.
         let pool = SessionPool::new(
             InstanceLimits { max_sessions: 1, ..InstanceLimits::default() },
             || config().build(),
@@ -160,19 +167,19 @@ proptest! {
             prop_assert_eq!(&observe(&mut slot, &data), &oracle);
             recorder.replays()
         };
-        let mut slot = pool.acquire().expect("the slot was recycled");
+        let mut slot = pool.acquire().expect("release freed the slot");
         let data = elaborate(&mut slot, cpu, hw, nitems, seed, &replays);
         prop_assert_eq!(&observe(&mut slot, &data), &oracle);
-        prop_assert_eq!(pool.stats().resets, 1);
+        prop_assert_eq!(pool.stats().misses, 2);
     }
 }
 
 #[test]
-fn a_panicked_run_does_not_poison_its_slot() {
+fn a_panicked_run_frees_its_admission_slot() {
     // A process panic fails the run with ProcessPanic while another
-    // process is still blocked on a channel; the slot that hosted the
-    // failed run must come back from the pool reset and produce a run
-    // bit-identical to a fresh session.
+    // process is still blocked on a channel. Dropping the session must
+    // free the pool's only slot, and the next acquisition must run
+    // bit-identically to a fresh session.
     let (_, cpu, hw) = platform();
     let pool = SessionPool::new(
         InstanceLimits {
@@ -200,14 +207,20 @@ fn a_panicked_run_does_not_poison_its_slot() {
             Err(SimError::ProcessPanic { process, .. }) => assert_eq!(process, "bad"),
             other => panic!("expected ProcessPanic, got {other:?}"),
         }
+        assert!(
+            pool.acquire().is_err(),
+            "the failed run still holds the slot"
+        );
     }
+    assert_eq!(pool.stats().live, 0, "dropping the failed session freed it");
 
     let mut fresh = config().build();
     let data = elaborate(&mut fresh, cpu, hw, 6, 7, &[]);
     let oracle = observe(&mut fresh, &data);
 
-    let mut slot = pool.acquire().expect("the slot was recycled");
+    let mut slot = pool.acquire().expect("the slot was freed");
     let data = elaborate(&mut slot, cpu, hw, 6, 7, &[]);
     assert_eq!(observe(&mut slot, &data), oracle);
-    assert_eq!(pool.stats().resets, 1, "release after the failed run");
+    let stats = pool.stats();
+    assert_eq!((stats.misses, stats.exhausted), (2, 1));
 }

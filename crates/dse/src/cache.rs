@@ -22,19 +22,25 @@
 //! overhead and `k`, and two processors sharing one cost table
 //! (cpu0/cpu1 here) share entries.
 //!
-//! The cache is **bounded**: beyond [`SegmentCostCache::capacity`]
-//! entries, an insert evicts the least-recently-used trace (counted in
-//! [`CacheStats::evictions`] / `est.cache.evictions`), so diverse serve
-//! traffic cannot grow it without bound. Eviction is harmless for
-//! correctness — a re-recorded trace is bit-identical.
+//! The cache is **bounded by recorded segments**, the unit its memory
+//! grows in: a stored segment costs 8 B of cycles plus a 120 B
+//! `SegDetail` (13 op counts, `T_min`, `T_max`), and a vocoder stage's
+//! trace holds 2·nframes+1 of them. An insert that would push the stored
+//! total past [`SegmentCostCache::capacity`] segments first evicts
+//! least-recently-used traces (counted in [`CacheStats::evictions`] /
+//! `est.cache.evictions`), and a trace larger than the whole budget is
+//! not stored, so diverse serve traffic cannot grow the cache without
+//! bound. Eviction is harmless for correctness — a re-recorded trace is
+//! bit-identical.
 //!
 //! Traces are the only thing the cache shares across runs: segment-site
 //! cost programs end with the run that compiled them.
 //! [`SegmentCostCache::programs`] and
 //! [`SegmentCostCache::publish_programs`] are kept as no-ops.
 
-use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cmp::Reverse;
+use std::collections::{BinaryHeap, HashMap};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use scperf_core::{ProgramSet, Replay, Resource, ResourceKind};
@@ -47,10 +53,11 @@ type StageIndex = usize;
 /// Full cache key: the stage plus its resource fingerprint.
 type CacheKey = (StageIndex, u64);
 
-/// Default trace-entry bound of [`SegmentCostCache::new`]: generous for
-/// any one sweep (5 stages × a handful of distinct cost models) while
-/// keeping a long-lived serve process at a few MB of trace data.
-pub const DEFAULT_CACHE_CAPACITY: usize = 512;
+/// Default segment budget of [`SegmentCostCache::new`]: about 8 MiB of
+/// trace data (128 B per segment). A sweep or a serve stream at a few
+/// frames holds a few dozen segments per cost model; one 4096-frame
+/// stage trace holds 8193.
+pub const DEFAULT_CACHE_CAPACITY: usize = 65_536;
 
 /// One cached trace plus its last-touch tick (updated under the read
 /// lock on every hit, so lookups never serialize on the write lock).
@@ -67,6 +74,9 @@ struct Slot {
 #[derive(Debug)]
 pub struct SegmentCostCache {
     map: RwLock<HashMap<CacheKey, Slot>>,
+    /// Segments held by the traces in `map`; changed only under its
+    /// write lock.
+    segments: AtomicUsize,
     capacity: usize,
     tick: AtomicU64,
     hits: AtomicU64,
@@ -89,7 +99,10 @@ pub struct CacheStats {
     pub misses: u64,
     /// Distinct traces currently stored.
     pub entries: usize,
-    /// Traces evicted to respect the capacity bound.
+    /// Segments held by the stored traces (at most the cache's
+    /// [`capacity`](SegmentCostCache::capacity)).
+    pub segments: usize,
+    /// Traces evicted to respect the segment budget.
     pub evictions: u64,
 }
 
@@ -121,18 +134,20 @@ fn fnv1a(words: impl IntoIterator<Item = u64>) -> u64 {
 
 impl SegmentCostCache {
     /// Creates an empty cache bounded at [`DEFAULT_CACHE_CAPACITY`]
-    /// trace entries.
+    /// recorded segments.
     pub fn new() -> SegmentCostCache {
         SegmentCostCache::with_capacity(DEFAULT_CACHE_CAPACITY)
     }
 
-    /// Creates an empty cache bounded at `capacity` trace entries
-    /// (minimum 1). Inserts beyond the bound evict the
-    /// least-recently-used trace.
+    /// Creates an empty cache bounded at `capacity` recorded segments,
+    /// summed over its traces. Inserts beyond the budget evict
+    /// least-recently-used traces; a trace of more than `capacity`
+    /// segments is not stored.
     pub fn with_capacity(capacity: usize) -> SegmentCostCache {
         SegmentCostCache {
             map: RwLock::new(HashMap::new()),
-            capacity: capacity.max(1),
+            segments: AtomicUsize::new(0),
+            capacity,
             tick: AtomicU64::new(0),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
@@ -140,7 +155,7 @@ impl SegmentCostCache {
         }
     }
 
-    /// The trace-entry bound this cache evicts at.
+    /// The segment budget this cache evicts at.
     pub fn capacity(&self) -> usize {
         self.capacity
     }
@@ -175,26 +190,36 @@ impl SegmentCostCache {
         found
     }
 
-    /// Stores a recorded trace, evicting the least-recently-used entry
-    /// if the cache is at capacity. Racing inserts of the same key are
+    /// Stores a recorded trace, first evicting least-recently-used
+    /// traces until its segments fit the budget; a trace larger than the
+    /// whole budget is dropped. Racing inserts of the same key are
     /// benign: both workers recorded the same deterministic trace, so
     /// either copy is correct; the first one wins.
     pub fn insert(&self, stage: StageIndex, fingerprint: u64, trace: Replay) {
+        let size = trace.len();
+        if size > self.capacity {
+            return;
+        }
         let now = self.tick.fetch_add(1, Ordering::Relaxed);
         let mut map = self.map.write();
         if map.contains_key(&(stage, fingerprint)) {
             return;
         }
-        if map.len() >= self.capacity {
-            if let Some(&victim) = map
+        let mut held = self.segments.load(Ordering::Relaxed);
+        if held + size > self.capacity {
+            let mut by_age: BinaryHeap<_> = map
                 .iter()
-                .min_by_key(|(_, slot)| slot.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| k)
-            {
-                map.remove(&victim);
+                .map(|(k, slot)| Reverse((slot.last_used.load(Ordering::Relaxed), *k)))
+                .collect();
+            while held + size > self.capacity {
+                let Some(Reverse((_, victim))) = by_age.pop() else {
+                    break;
+                };
+                held -= map.remove(&victim).map_or(0, |slot| slot.trace.len());
                 self.evictions.fetch_add(1, Ordering::Relaxed);
             }
         }
+        self.segments.store(held + size, Ordering::Relaxed);
         map.insert(
             (stage, fingerprint),
             Slot {
@@ -216,25 +241,29 @@ impl SegmentCostCache {
         0
     }
 
-    /// Current hit/miss/entry counts.
+    /// Current hit/miss/entry/segment counts.
     pub fn stats(&self) -> CacheStats {
+        let map = self.map.read();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            entries: self.map.read().len(),
+            entries: map.len(),
+            segments: self.segments.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
         }
     }
 
     /// The stats as observability counters/gauges
     /// (`dse.cache.hits`, `dse.cache.misses`, `dse.cache.entries`,
-    /// `dse.cache.hit_rate`, `est.cache.evictions`).
+    /// `dse.cache.segments`, `dse.cache.hit_rate`,
+    /// `est.cache.evictions`).
     pub fn metrics(&self) -> MetricsSnapshot {
         let stats = self.stats();
         let mut m = MetricsSnapshot::new();
         m.set_counter("dse.cache.hits", stats.hits);
         m.set_counter("dse.cache.misses", stats.misses);
         m.set_counter("dse.cache.entries", stats.entries as u64);
+        m.set_counter("dse.cache.segments", stats.segments as u64);
         m.set_gauge("dse.cache.hit_rate", stats.hit_rate());
         m.set_counter("est.cache.evictions", stats.evictions);
         m
@@ -269,6 +298,7 @@ mod tests {
         assert!(cache.get(1, fp).is_none(), "stage is part of the key");
         let stats = cache.stats();
         assert_eq!((stats.hits, stats.misses, stats.entries), (1, 2, 1));
+        assert_eq!(stats.segments, 2);
         assert_eq!(stats.evictions, 0);
         assert!((stats.hit_rate() - 1.0 / 3.0).abs() < 1e-12);
     }
@@ -283,6 +313,7 @@ mod tests {
         assert_eq!(m.counter("dse.cache.hits"), Some(1));
         assert_eq!(m.counter("dse.cache.misses"), Some(1));
         assert_eq!(m.counter("dse.cache.entries"), Some(1));
+        assert_eq!(m.counter("dse.cache.segments"), Some(1));
         assert_eq!(m.counter("est.cache.evictions"), Some(0));
         assert_eq!(m.gauge("dse.cache.hit_rate"), Some(0.5));
     }
@@ -346,22 +377,65 @@ mod tests {
     }
 
     #[test]
-    fn capacity_bound_evicts_least_recently_used() {
-        let cache = SegmentCostCache::with_capacity(2);
-        cache.insert(0, 1, Replay::new(vec![1.0]));
-        cache.insert(0, 2, Replay::new(vec![2.0]));
+    fn segment_budget_evicts_least_recently_used_traces() {
+        let trace = |n: usize| Replay::new(vec![1.0; n]);
+        let cache = SegmentCostCache::with_capacity(10);
+        cache.insert(0, 1, trace(4));
+        cache.insert(0, 2, trace(4));
+        assert_eq!(cache.stats().segments, 8);
         // Touch (0,1) so (0,2) is the LRU victim.
         assert!(cache.get(0, 1).is_some());
-        cache.insert(0, 3, Replay::new(vec![3.0]));
+        cache.insert(0, 3, trace(3));
         let stats = cache.stats();
-        assert_eq!(stats.entries, 2);
-        assert_eq!(stats.evictions, 1);
-        assert!(cache.get(0, 1).is_some(), "recently used entry survives");
-        assert!(cache.get(0, 2).is_none(), "LRU entry evicted");
+        assert_eq!((stats.entries, stats.segments, stats.evictions), (2, 7, 1));
+        assert!(cache.get(0, 2).is_none(), "LRU trace evicted");
+        assert!(cache.get(0, 1).is_some(), "recently used trace survives");
         assert!(cache.get(0, 3).is_some());
-        assert_eq!(cache.metrics().counter("est.cache.evictions"), Some(1));
-        // Re-inserting an existing key never evicts.
-        cache.insert(0, 3, Replay::new(vec![9.0]));
-        assert_eq!(cache.stats().evictions, 1);
+        // A big trace evicts oldest first until it fits: (0,1), then (0,3).
+        cache.insert(0, 4, trace(9));
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.segments, stats.evictions), (1, 9, 3));
+        assert_eq!(cache.metrics().counter("est.cache.evictions"), Some(3));
+        assert_eq!(cache.metrics().counter("dse.cache.segments"), Some(9));
+        // A trace bigger than the whole budget is not stored and evicts
+        // nothing; re-inserting an existing key never evicts.
+        cache.insert(0, 5, trace(11));
+        cache.insert(0, 4, trace(9));
+        assert!(cache.get(0, 5).is_none());
+        let stats = cache.stats();
+        assert_eq!((stats.entries, stats.segments, stats.evictions), (1, 9, 3));
+    }
+
+    #[test]
+    fn inserts_past_the_budget_keep_the_newest_traces_within_it() {
+        // Without lookups, least recently used is least recently
+        // inserted: the cache must hold exactly the newest traces that
+        // fit the budget, whatever their sizes.
+        const BUDGET: usize = 64;
+        let cache = SegmentCostCache::with_capacity(BUDGET);
+        let mut model: std::collections::VecDeque<(u64, usize)> = Default::default();
+        let mut x: u64 = 7;
+        for key in 0..300_u64 {
+            x = x.wrapping_mul(6_364_136_223_846_793_005).wrapping_add(1);
+            let size = 1 + (x >> 60) as usize * 2; // 1..=31 segments
+            cache.insert(0, key, Replay::new(vec![0.5; size]));
+            model.push_back((key, size));
+            while model.iter().map(|&(_, n)| n).sum::<usize>() > BUDGET {
+                let (old, _) = model.pop_front().unwrap();
+                assert!(
+                    cache.get(0, old).is_none(),
+                    "trace {old} outlived newer ones"
+                );
+            }
+            let stats = cache.stats();
+            assert!(stats.segments <= BUDGET, "{stats:?}");
+            assert_eq!(stats.segments, model.iter().map(|&(_, n)| n).sum::<usize>());
+            assert_eq!(stats.entries, model.len());
+            // Oldest first, so the lookups keep the recency order.
+            for &(k, n) in &model {
+                assert_eq!(cache.get(0, k).map(|r| r.len()), Some(n));
+            }
+        }
+        assert!(cache.stats().evictions > 200);
     }
 }

@@ -3,7 +3,7 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use scperf_core::{CostTable, Platform, Recorder, ResourceId, Session, SimConfig};
+use scperf_core::{CostTable, Recorder, ResourceId, Session, SimConfig};
 use scperf_obs::MetricsSnapshot;
 use scperf_workloads::vocoder::pipeline::{self, StageTrace, VocoderHandles, STAGE_NAMES};
 
@@ -149,8 +149,9 @@ fn evaluate_with(
     cache: Option<&SegmentCostCache>,
     prog: Option<&ProgCounters>,
 ) -> DesignPoint {
-    let mut session = SimConfig::new().build();
-    let run = elaborate_cached(&mut session, build_platform(table), mapping, nframes, cache);
+    let (platform, ids) = build_platform(table);
+    let mut session = SimConfig::new().platform(platform).build();
+    let run = elaborate_cached(&mut session, ids, mapping, nframes, cache);
     let summary = session.run().expect("mapping simulates");
     run.publish();
     if let Some(prog) = prog {
@@ -196,11 +197,11 @@ impl CachedRun<'_> {
     }
 }
 
-/// Elaborates the vocoder, mapped by `mapping` onto `platform`, into the
-/// caller's `session` through the segment-cost cache: the one cached
-/// vocoder evaluation behind a sweep point and a serve request.
+/// Elaborates the vocoder, mapped by `mapping` onto the resources `ids`
+/// of the session's platform, into the caller's fresh `session` through
+/// the segment-cost cache: the one cached vocoder evaluation behind a
+/// sweep point and a serve request.
 ///
-/// The session, fresh or a recycled pool slot, is reset onto `platform`.
 /// With a cache, each stage looks up the trace recorded for
 /// `(stage, resource fingerprint, nframes)`: a hit stage elaborates in
 /// replay mode (plain body, recorded cycles: bit-identical timing
@@ -210,7 +211,7 @@ impl CachedRun<'_> {
 /// [`CachedRun::publish`].
 pub fn elaborate_cached<'c>(
     session: &mut Session,
-    (platform, ids): (Platform, [ResourceId; 3]),
+    ids: [ResourceId; 3],
     mapping: [Target; 5],
     nframes: usize,
     cache: Option<&'c SegmentCostCache>,
@@ -219,6 +220,7 @@ pub fn elaborate_cached<'c>(
     let mut replays: [StageTrace; 5] = Default::default();
     let mut missing = Vec::new();
     if let Some(cache) = cache {
+        let platform = session.model().platform();
         let stages = [vm.lsp, vm.lpc_int, vm.acb, vm.icb, vm.post];
         for (stage, rid) in stages.into_iter().enumerate() {
             let fingerprint = SegmentCostCache::fingerprint(platform.resource(rid), nframes);
@@ -230,7 +232,6 @@ pub fn elaborate_cached<'c>(
     }
     let replayed_stages = replays.iter().filter(|r| r.is_some()).count();
 
-    session.reset_with_platform(platform);
     let recorder = (!missing.is_empty()).then(|| session.recorder());
     let (sim, model) = session.parts_mut();
     let handles = pipeline::build_hybrid(sim, model, vm, nframes, replays);
@@ -287,6 +288,7 @@ pub fn sweep(config: &SweepConfig) -> SweepResult {
         hits: 0,
         misses: 0,
         entries: 0,
+        segments: 0,
         evictions: 0,
     };
     SweepResult {

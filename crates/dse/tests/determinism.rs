@@ -22,14 +22,14 @@ fn run_at(
     (clock_ps, rtos_tenths, k_pct): Tuple,
     cache: Option<&SegmentCostCache>,
 ) -> ((SimSummary, i32, Report), usize) {
-    let platform = build_platform_with(
+    let (platform, ids) = build_platform_with(
         &CostTable::risc_sw(),
         Time::ps(clock_ps),
         f64::from(rtos_tenths) / 10.0,
         f64::from(k_pct) / 100.0,
     );
-    let mut session = SimConfig::new().build();
-    let run = elaborate_cached(&mut session, platform, mapping, nframes, cache);
+    let mut session = SimConfig::new().platform(platform).build();
+    let run = elaborate_cached(&mut session, ids, mapping, nframes, cache);
     let summary = session.run().expect("mapping simulates");
     run.publish();
     let checksum = run.handles.output.lock().expect("sink finished");

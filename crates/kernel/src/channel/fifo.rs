@@ -274,6 +274,7 @@ impl<T> std::fmt::Debug for Fifo<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{SimOptions, TraceMode};
     use crate::time::Time;
     use std::sync::mpsc;
 
@@ -373,8 +374,7 @@ mod tests {
 
     #[test]
     fn tracing_records_channel_ops() {
-        let mut sim = Simulator::new();
-        sim.enable_tracing();
+        let mut sim = SimOptions::new().tracing(TraceMode::Unbounded).build();
         let f = sim.fifo::<u32>("ch", 1);
         let (w, r) = (f.clone(), f);
         sim.spawn("w", move |ctx| w.write(ctx, 9));

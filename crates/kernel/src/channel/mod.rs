@@ -8,17 +8,12 @@
 //!
 //! * [`Fifo`] — bounded blocking FIFO (`sc_fifo` semantics, KPN-style),
 //! * [`Signal`] — update-phase-committed state (`sc_signal` semantics, SR-style),
-//! * [`Rendezvous`] — unbuffered synchronous channel (CSP-style),
-//!
-//! plus the synchronization primitives [`SimMutex`] (`sc_mutex`) and
-//! [`SimSemaphore`] (`sc_semaphore`) for resource-arbitration testbenches.
+//! * [`Rendezvous`] — unbuffered synchronous channel (CSP-style).
 
 mod fifo;
 mod rendezvous;
 mod signal;
-mod sync;
 
 pub use fifo::Fifo;
 pub use rendezvous::Rendezvous;
 pub use signal::Signal;
-pub use sync::{SimMutex, SimSemaphore};

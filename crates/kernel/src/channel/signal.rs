@@ -140,6 +140,7 @@ impl<T> std::fmt::Debug for Signal<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{SimOptions, TraceMode};
     use crate::time::Time;
     use std::sync::mpsc;
 
@@ -193,8 +194,7 @@ mod tests {
 
     #[test]
     fn signal_update_is_traced() {
-        let mut sim = Simulator::new();
-        sim.enable_tracing();
+        let mut sim = SimOptions::new().tracing(TraceMode::Unbounded).build();
         let s = sim.signal("sig", false);
         let sw = s.clone();
         sim.spawn("w", move |ctx| sw.write(ctx, true));

@@ -1,13 +1,12 @@
 //! Kernel-side simulator configuration: the [`SimOptions`] builder.
 //!
-//! Historically the knobs of a [`Simulator`](crate::Simulator) were
-//! scattered over dedicated setters (`enable_tracing`,
-//! `enable_tracing_ring`, `set_trace_sink`). `SimOptions` folds them into
-//! one value that can be built up, passed around and handed to
-//! [`Simulator::with_options`](crate::Simulator::with_options) — it is
-//! also the kernel half of the full-stack `scperf_core::SimConfig`
-//! builder, which threads an options value through to the kernel when a
-//! session is built.
+//! A [`Simulator`](crate::Simulator)'s configuration — attribution and
+//! trace recording — is fixed when it is built: `SimOptions` collects it
+//! in one value that can be built up, passed around and handed to
+//! [`Simulator::with_options`](crate::Simulator::with_options). A built
+//! simulator has no setters. `SimOptions` is also the kernel half of the
+//! full-stack `scperf_core::SimConfig` builder, which threads an options
+//! value through to the kernel when a session is built.
 
 use scperf_obs::TraceSink;
 

@@ -66,7 +66,7 @@ pub mod trace;
 pub mod vcd;
 mod wheel;
 
-pub use channel::{Fifo, Rendezvous, Signal, SimMutex, SimSemaphore};
+pub use channel::{Fifo, Rendezvous, Signal};
 pub use config::{SimOptions, TraceMode};
 pub use event::Event;
 pub use process::{ProcCtx, ProcId};

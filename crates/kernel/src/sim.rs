@@ -106,6 +106,8 @@ pub struct Simulator {
     shared: Arc<Shared>,
     procs: Vec<ProcHandle>,
     errored: bool,
+    /// The trace mode this simulator was built with.
+    trace: TraceMode,
     /// Accumulated process→scheduler resume latency, exported through
     /// [`Simulator::metrics`].
     handoff_resume_nanos: u64,
@@ -116,34 +118,39 @@ impl Simulator {
     /// Creates an empty simulator with default options: no attribution,
     /// no tracing.
     pub fn new() -> Simulator {
+        Simulator::with_options(SimOptions::new())
+    }
+
+    /// Creates an empty simulator from a [`SimOptions`] value. Options
+    /// are fixed for the simulator's one life: a simulator is built,
+    /// elaborated, run and dropped, never re-armed. This is the
+    /// constructor the `scperf_core::SimConfig` session builder threads
+    /// its kernel half through.
+    pub fn with_options(options: SimOptions) -> Simulator {
         install_silent_kill_hook();
+        let sink: Option<Box<dyn TraceSink>> = match options.sink {
+            Some(sink) => Some(sink),
+            None => match options.trace {
+                TraceMode::Off => None,
+                TraceMode::Unbounded => Some(Box::new(MemorySink::new())),
+                TraceMode::Ring(n) => Some(Box::new(MemorySink::ring(n))),
+            },
+        };
         Simulator {
-            shared: Shared::new(),
+            shared: Shared::new(sink, options.attribution),
             procs: Vec::new(),
             errored: false,
+            trace: options.trace,
             handoff_resume_nanos: 0,
             handoff_resumes: 0,
         }
     }
 
-    /// Creates an empty simulator from a [`SimOptions`] value: the
-    /// attribution and trace-sink wiring, in one place. This is the
-    /// constructor the `scperf_core::SimConfig` session builder threads
-    /// its kernel half through.
-    pub fn with_options(options: SimOptions) -> Simulator {
-        let mut sim = Simulator::new();
-        if options.attribution {
-            sim.set_attribution(true);
-        }
-        match options.sink {
-            Some(sink) => sim.set_trace_sink(sink),
-            None => match options.trace {
-                TraceMode::Off => {}
-                TraceMode::Unbounded => sim.enable_tracing(),
-                TraceMode::Ring(n) => sim.enable_tracing_ring(n),
-            },
-        }
-        sim
+    /// The [`TraceMode`] this simulator was built with
+    /// ([`SimOptions::tracing`]); a custom sink from
+    /// [`SimOptions::trace_sink`] does not show here.
+    pub fn trace_mode(&self) -> TraceMode {
+        self.trace
     }
 
     /// Spawns a process (the analogue of `SC_THREAD`). The body runs when
@@ -199,32 +206,6 @@ impl Simulator {
     /// Creates a named event (for testbench components and channels).
     pub fn event(&mut self, name: impl Into<String>) -> Event {
         Event::new(Arc::clone(&self.shared), name)
-    }
-
-    /// Enables trace recording into an unbounded in-memory sink. Call
-    /// before `run`.
-    pub fn enable_tracing(&mut self) {
-        if !self.shared.tracing_fast() {
-            self.shared.set_sink(Some(Box::new(MemorySink::new())));
-        }
-    }
-
-    /// Enables trace recording into a ring buffer keeping roughly the
-    /// last `max_events` events — bounded memory for long simulations.
-    pub fn enable_tracing_ring(&mut self, max_events: usize) {
-        self.shared
-            .set_sink(Some(Box::new(MemorySink::ring(max_events))));
-    }
-
-    /// Installs a custom [`TraceSink`] (streaming writer, aggregator,
-    /// …). Replaces any previous sink.
-    pub fn set_trace_sink(&mut self, sink: Box<dyn TraceSink>) {
-        self.shared.set_sink(Some(sink));
-    }
-
-    /// Disables tracing and returns the installed sink, if any.
-    pub fn take_trace_sink(&mut self) -> Option<Box<dyn TraceSink>> {
-        self.shared.take_sink()
     }
 
     /// Takes the recorded trace as legacy string-based records (a view
@@ -283,22 +264,11 @@ impl Simulator {
         m
     }
 
-    /// Enables/disables scheduling-state attribution: per-process
-    /// waiting-time accounting and per-channel queue-depth/blocked-time
-    /// counters, all in *simulated* time. Attribution is
-    /// measurement-only — simulated behaviour is bit-identical whether
-    /// it is on or off. Usually set through
-    /// [`SimOptions::attribution`]; call before `run`.
-    pub fn set_attribution(&mut self, enable: bool) {
-        self.shared.set_attribution(enable);
-    }
-
     /// Snapshots the scheduling attribution: per-process activation and
     /// wait accounting plus per-channel access/contention counters.
     /// The time-valued fields are only populated when attribution was
-    /// enabled ([`SimOptions::attribution`] /
-    /// [`Simulator::set_attribution`]); the snapshot's `enabled` flag
-    /// records which.
+    /// enabled ([`SimOptions::attribution`]); the snapshot's `enabled`
+    /// flag records which.
     pub fn sched_stats(&self) -> SchedSnapshot {
         self.shared.with_state(|st| st.sched_snapshot())
     }
@@ -450,37 +420,6 @@ impl Simulator {
                 Err(SimError::ProcessPanic { process, message })
             }
         }
-    }
-
-    /// Returns this simulator to its just-constructed state so a pooled
-    /// slot can be reused without paying allocation and interner setup
-    /// again: every process thread is killed and joined, the kernel
-    /// state (time, queues, events, process table, metrics, channel
-    /// registries, trace sink) is cleared in place, and the error/poison
-    /// flag is cleared — a [`SimError::ProcessPanic`] in the previous
-    /// life does not poison the next one. The attribution flag is kept.
-    ///
-    /// After a reset the simulator behaves exactly like
-    /// `Simulator::with_options` with the same options: spawn processes,
-    /// create channels, run. Verified bit-identical to a fresh build by
-    /// the core pool determinism tests.
-    pub fn reset(&mut self) {
-        // Tear down the previous life's processes (same as Drop).
-        self.shared.with_state(|st| st.clear_update_hooks());
-        for proc in &mut self.procs {
-            proc.baton.kill();
-            if let Some(t) = proc.thread.take() {
-                let _ = t.join();
-            }
-        }
-        self.procs.clear();
-        // Drop the sink through `set_sink` so the lock-free tracing
-        // mirror stays in sync, then clear the state in place.
-        self.shared.set_sink(None);
-        self.shared.with_state(|st| st.reset());
-        self.errored = false;
-        self.handoff_resume_nanos = 0;
-        self.handoff_resumes = 0;
     }
 
     pub(crate) fn shared(&self) -> &Arc<Shared> {
@@ -661,8 +600,7 @@ mod tests {
 
     #[test]
     fn tracing_records_emitted_events() {
-        let mut sim = Simulator::new();
-        sim.enable_tracing();
+        let mut sim = SimOptions::new().tracing(TraceMode::Unbounded).build();
         sim.spawn("p", |ctx| {
             ctx.wait(Time::ns(1));
             ctx.emit_trace("custom", "hello");
@@ -780,59 +718,6 @@ mod tests {
             .channels
             .iter()
             .all(|c| c.max_depth == 0 && c.blocked == Time::ZERO));
-    }
-
-    fn elaborate_fifo_pair(sim: &mut Simulator) {
-        let f = sim.fifo::<u32>("ch", 2);
-        let (w, r) = (f.clone(), f);
-        sim.spawn("w", move |ctx| {
-            for i in 0..4 {
-                w.write(ctx, i);
-                ctx.wait(Time::ns(3));
-            }
-        });
-        sim.spawn("r", move |ctx| {
-            for _ in 0..4 {
-                let _ = r.read(ctx);
-                ctx.wait(Time::ns(5));
-            }
-        });
-    }
-
-    #[test]
-    fn reset_reuses_a_simulator_bit_identically() {
-        let mut fresh = Simulator::new();
-        fresh.enable_tracing();
-        elaborate_fifo_pair(&mut fresh);
-        let s_fresh = fresh.run().unwrap();
-        let t_fresh = fresh.take_trace();
-
-        // Run an unrelated model first, then reset and rebuild the same
-        // model: summary and full trace must match the fresh run.
-        let mut reused = Simulator::new();
-        reused.enable_tracing();
-        reused.spawn("other", |ctx| {
-            ctx.wait(Time::us(1));
-            ctx.emit_trace("leftover", "state that must not leak");
-        });
-        reused.run().unwrap();
-        reused.reset();
-        reused.enable_tracing();
-        elaborate_fifo_pair(&mut reused);
-        let s_reused = reused.run().unwrap();
-        assert_eq!(s_fresh, s_reused);
-        assert_eq!(t_fresh, reused.take_trace());
-    }
-
-    #[test]
-    fn reset_clears_the_poison_flag_after_a_panic() {
-        let mut sim = Simulator::new();
-        sim.spawn("bad", |_ctx| panic!("deliberate test panic"));
-        assert!(sim.run().is_err());
-        sim.reset();
-        sim.spawn("good", |ctx| ctx.wait(Time::ns(7)));
-        let s = sim.run().unwrap();
-        assert_eq!(s.end_time, Time::ns(7));
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! channels.
 
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use scperf_obs::{Interner, MetricsSnapshot, Payload, Sym, TraceEvent, TraceSink};
@@ -160,7 +160,7 @@ pub(crate) struct KernelState {
 }
 
 impl KernelState {
-    pub(crate) fn new() -> KernelState {
+    pub(crate) fn new(sink: Option<Box<dyn TraceSink>>, attribution: bool) -> KernelState {
         let mut interner = Interner::new();
         let labels = KernelLabels::new(&mut interner);
         KernelState {
@@ -175,14 +175,14 @@ impl KernelState {
             current: None,
             update_hooks: Vec::new(),
             update_requests: BTreeSet::new(),
-            sink: None,
+            sink,
             interner,
             labels,
             metrics: KernelMetrics::default(),
             chan_stats: Vec::new(),
             activations: 0,
             started: false,
-            attribution: false,
+            attribution,
         }
     }
 
@@ -217,38 +217,6 @@ impl KernelState {
         for h in &mut self.update_hooks {
             *h = None;
         }
-    }
-
-    /// Returns the state to its just-constructed condition so a pooled
-    /// simulator slot can be reused without rebuilding: time, delta
-    /// counter, ready queues, time wheel, events, process table, update
-    /// hooks, metrics and channel registries are all cleared, and the
-    /// interner is rebuilt. The five kernel labels are interned first
-    /// and in a fixed order, so the fresh interner assigns them the same
-    /// `Sym` ids as a fresh simulator's. The trace sink
-    /// is dropped (the caller re-syncs the lock-free tracing mirror and
-    /// reinstalls a sink if it wants one); the `attribution` flag keeps
-    /// its value, matching its lock-free mirror.
-    pub(crate) fn reset(&mut self) {
-        self.now = Time::ZERO;
-        self.delta = 0;
-        self.runnable.clear();
-        self.next_runnable.clear();
-        self.timed = TimerWheel::new();
-        self.seq = 0;
-        self.events.clear();
-        self.procs.clear();
-        self.current = None;
-        self.update_hooks.clear();
-        self.update_requests.clear();
-        self.sink = None;
-        let mut interner = Interner::new();
-        self.labels = KernelLabels::new(&mut interner);
-        self.interner = interner;
-        self.metrics = KernelMetrics::default();
-        self.chan_stats.clear();
-        self.activations = 0;
-        self.started = false;
     }
 
     pub(crate) fn request_update(&mut self, hook_id: usize) {
@@ -571,22 +539,23 @@ pub(crate) enum AdvanceOutcome {
 /// process context, event and channel.
 pub(crate) struct Shared {
     state: Mutex<KernelState>,
-    /// Mirror of `KernelState::tracing_enabled()`, readable without the
-    /// kernel lock so channels can skip payload capture entirely when
-    /// tracing is off (the zero-allocation disabled path).
-    tracing: AtomicBool,
+    /// Whether a trace sink is installed, readable without the kernel
+    /// lock so channels can skip payload capture entirely when tracing
+    /// is off (the zero-allocation disabled path). Fixed at
+    /// construction, like the sink itself.
+    tracing: bool,
     /// Mirror of `KernelState::attribution`, readable without the
     /// kernel lock so channels can skip wait-span timestamping and
     /// depth tracking entirely when attribution is off.
-    attribution: AtomicBool,
+    attribution: bool,
 }
 
 impl Shared {
-    pub(crate) fn new() -> Arc<Shared> {
+    pub(crate) fn new(sink: Option<Box<dyn TraceSink>>, attribution: bool) -> Arc<Shared> {
         Arc::new(Shared {
-            state: Mutex::new(KernelState::new()),
-            tracing: AtomicBool::new(false),
-            attribution: AtomicBool::new(false),
+            tracing: sink.is_some(),
+            attribution,
+            state: Mutex::new(KernelState::new(sink, attribution)),
         })
     }
 
@@ -596,39 +565,12 @@ impl Shared {
 
     /// Lock-free check used by channels before capturing payloads.
     pub(crate) fn tracing_fast(&self) -> bool {
-        self.tracing.load(Ordering::Relaxed)
+        self.tracing
     }
 
     /// Lock-free check used by channels before attribution accounting.
     pub(crate) fn attribution_fast(&self) -> bool {
-        self.attribution.load(Ordering::Relaxed)
-    }
-
-    /// Enables/disables attribution accounting, keeping the lock-free
-    /// mirror flag in sync.
-    pub(crate) fn set_attribution(&self, enable: bool) {
-        self.with_state(|st| {
-            self.attribution.store(enable, Ordering::Relaxed);
-            st.attribution = enable;
-        });
-    }
-
-    /// Installs (or removes) the trace sink, keeping the lock-free
-    /// mirror flag in sync.
-    pub(crate) fn set_sink(&self, sink: Option<Box<dyn TraceSink>>) {
-        self.with_state(|st| {
-            self.tracing.store(sink.is_some(), Ordering::Relaxed);
-            st.sink = sink;
-        });
-    }
-
-    /// Takes the current sink out (e.g. to drain a `MemorySink`),
-    /// leaving tracing disabled.
-    pub(crate) fn take_sink(&self) -> Option<Box<dyn TraceSink>> {
-        self.with_state(|st| {
-            self.tracing.store(false, Ordering::Relaxed);
-            st.sink.take()
-        })
+        self.attribution
     }
 }
 
@@ -637,7 +579,7 @@ mod tests {
     use super::*;
 
     fn state_with_procs(n: usize) -> KernelState {
-        let mut st = KernelState::new();
+        let mut st = KernelState::new(None, false);
         for i in 0..n {
             st.procs.push(ProcMeta::new(format!("p{i}")));
         }
@@ -701,30 +643,6 @@ mod tests {
         st.events[ev].waiters.insert(0);
         st.notify_event_immediate(ev);
         assert!(st.runnable.contains(&0));
-    }
-
-    #[test]
-    fn reset_reproduces_fresh_state_and_label_syms() {
-        let mut st = state_with_procs(2);
-        let fresh_labels = st.labels;
-        st.schedule(Time::ns(5), TimedAction::WakeProc(1));
-        let _ = st.new_event("e");
-        st.interner.intern("user-label-that-shifts-sym-ids");
-        st.activations = 7;
-        st.started = true;
-        st.reset();
-        assert_eq!(st.now, Time::ZERO);
-        assert_eq!(st.delta, 0);
-        assert!(st.runnable.is_empty() && st.next_runnable.is_empty());
-        assert_eq!(st.timed.len(), 0);
-        assert!(st.events.is_empty() && st.procs.is_empty());
-        assert_eq!(st.activations, 0);
-        assert!(!st.started);
-        // The fixed intern order reproduces a fresh state's label
-        // symbols, so a reused slot's trace matches a fresh one.
-        assert_eq!(st.labels.fifo_read, fresh_labels.fifo_read);
-        assert_eq!(st.labels.signal_update, fresh_labels.signal_update);
-        assert_eq!(st.labels.rendezvous_write, fresh_labels.rendezvous_write);
     }
 
     #[test]

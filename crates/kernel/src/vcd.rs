@@ -10,10 +10,9 @@
 //! # Examples
 //!
 //! ```
-//! use scperf_kernel::{vcd, Simulator, Time};
+//! use scperf_kernel::{vcd, SimOptions, Time, TraceMode};
 //!
-//! let mut sim = Simulator::new();
-//! sim.enable_tracing();
+//! let mut sim = SimOptions::new().tracing(TraceMode::Unbounded).build();
 //! let s = sim.signal("req", 0_i32);
 //! let sw = s.clone();
 //! sim.spawn("driver", move |ctx| {
@@ -239,7 +238,7 @@ pub fn trace_to_vcd_checked(trace: &[TraceRecord], timescale: &str) -> Result<St
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sim::Simulator;
+    use crate::config::{SimOptions, TraceMode};
 
     fn rec(time_ns: u64, detail: &str) -> TraceRecord {
         TraceRecord {
@@ -312,8 +311,7 @@ mod tests {
 
     #[test]
     fn end_to_end_simulation_export() {
-        let mut sim = Simulator::new();
-        sim.enable_tracing();
+        let mut sim = SimOptions::new().tracing(TraceMode::Unbounded).build();
         let s = sim.signal("clk_ish", 0_u32);
         let sw = s.clone();
         sim.spawn("drv", move |ctx| {

@@ -7,7 +7,7 @@
 //! blocking-channel pattern that would hang (and trip the harness
 //! timeout) if a wakeup were lost.
 
-use scperf_kernel::{Simulator, Time};
+use scperf_kernel::{SimOptions, Simulator, Time, TraceMode};
 
 /// Consumer blocks on an empty FIFO; the producer only writes after a
 /// timed wait, so every read requires a block → timed-wakeup → unblock
@@ -118,8 +118,7 @@ fn event_notification_wakes_waiter() {
 /// map; it must still fire, in order, interleaved with near-term waits.
 #[test]
 fn far_future_wait_crosses_wheel_span() {
-    let mut sim = Simulator::new();
-    sim.enable_tracing();
+    let mut sim = SimOptions::new().tracing(TraceMode::Unbounded).build();
     sim.spawn("near", |ctx| {
         for i in 0..4 {
             ctx.wait(Time::ms(10));

@@ -2,7 +2,7 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use scperf_kernel::{trace, Simulator, StopReason, Time};
+use scperf_kernel::{trace, SimOptions, Simulator, StopReason, Time, TraceMode};
 
 /// Builds a randomized multi-stage pipeline and returns its trace.
 fn run_pipeline(
@@ -10,8 +10,7 @@ fn run_pipeline(
     values: &[u32],
     capacity: usize,
 ) -> Vec<scperf_kernel::TraceRecord> {
-    let mut sim = Simulator::new();
-    sim.enable_tracing();
+    let mut sim = SimOptions::new().tracing(TraceMode::Unbounded).build();
     let n_stages = stage_delays.len();
     let mut fifos = Vec::new();
     for i in 0..=n_stages {

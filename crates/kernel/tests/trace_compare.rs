@@ -8,13 +8,12 @@
 //! FIFO) must be flagged.
 
 use scperf_kernel::trace::{compare_traces, functional_projection};
-use scperf_kernel::{Simulator, Time, TraceRecord};
+use scperf_kernel::{SimOptions, Time, TraceMode, TraceRecord};
 
 /// One producer → FIFO → one consumer. The producer's per-item delay is
 /// a parameter; the functional content never depends on it.
 fn run_deterministic(delay_ns: u64) -> Vec<TraceRecord> {
-    let mut sim = Simulator::new();
-    sim.enable_tracing();
+    let mut sim = SimOptions::new().tracing(TraceMode::Unbounded).build();
     let ch = sim.fifo::<u32>("ch", 2);
     let tx = ch.clone();
     sim.spawn("producer", move |ctx| {
@@ -43,8 +42,7 @@ fn run_deterministic(delay_ns: u64) -> Vec<TraceRecord> {
 /// `seed` picks the timing annotation, standing in for the reordering a
 /// timing back-annotation introduces.
 fn run_racy(seed: u64) -> Vec<TraceRecord> {
-    let mut sim = Simulator::new();
-    sim.enable_tracing();
+    let mut sim = SimOptions::new().tracing(TraceMode::Unbounded).build();
     let ch = sim.fifo::<u64>("shared", 4);
     for p in 0..2u64 {
         let tx = ch.clone();

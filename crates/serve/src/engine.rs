@@ -70,11 +70,11 @@ pub fn shape_key(sc: &Scenario) -> u64 {
     h
 }
 
-/// The session factory for a serve-side [`SessionPool`]: every slot
+/// The session factory for a serve-side [`SessionPool`]: every session
 /// shares the service's fixed knobs (attribution always on, the
-/// flight-recorder ring when armed). The per-scenario platform is
-/// stamped in when the scenario is elaborated, so one homogeneous
-/// factory serves every parameter set.
+/// flight-recorder ring when armed). [`execute_pooled`] rebuilds it on
+/// the scenario's platform ([`Session::reset_with_platform`]), so one
+/// homogeneous factory serves every parameter set.
 pub fn pool_factory(flight: usize) -> impl Fn() -> Session + Send + Sync + 'static {
     move || {
         let mut config = SimConfig::new().attribution(true);
@@ -161,13 +161,14 @@ pub fn execute_pooled(
     })?;
     // The sweep's platform, on the software cost table, at the
     // requested clock, RTOS overhead and `k`.
-    let platform = build_platform_with(
+    let (platform, ids) = build_platform_with(
         &CostTable::risc_sw(),
         Time::from_ns_f64(sc.params.clock_ns),
         sc.params.rtos_cycles,
         sc.params.hw_k,
     );
-    let run = scperf_dse::elaborate_cached(&mut slot, platform, sc.mapping, sc.nframes, cache);
+    slot.reset_with_platform(platform);
+    let run = scperf_dse::elaborate_cached(&mut slot, ids, sc.mapping, sc.nframes, cache);
     slot.enforce_limits().map_err(|e| RequestError {
         code: ErrorCode::Sim,
         field: None,
@@ -630,20 +631,22 @@ mod tests {
         let stats = pool.stats();
         assert_eq!((stats.hits, stats.forks), (0, 0));
         assert_eq!(stats.misses, 2, "every acquisition counts as a miss");
-        assert_eq!(stats.resets, 2, "both slots were reset on release");
+        assert_eq!(stats.live, 0, "both sessions were dropped on release");
     }
 
     #[test]
     fn evicted_traces_re_record_bit_identically() {
         // The trace cache is the only per-scenario state serve keeps,
-        // and it is bounded: more frame counts than it holds traces for
-        // evict the first ones, which then record again and must still
-        // match the uncached reference bit for bit. (Clock, RTOS
-        // overhead and `k` are not part of a trace's key, so only the
-        // frame count forces a miss here.)
-        const CAPACITY: usize = 6;
+        // and it is bounded in recorded segments: a stage trace holds
+        // 2·nframes+1 of them, so the 5 traces of a 4-frame run take 45
+        // of a 50-segment budget and evict every earlier frame count,
+        // which then records again and must still match the uncached
+        // reference bit for bit. (Clock, RTOS overhead and `k` are not
+        // part of a trace's key, so only the frame count forces a miss
+        // here.)
+        const BUDGET: usize = 50;
         let pool = SessionPool::new(InstanceLimits::default(), pool_factory(0));
-        let cache = SegmentCostCache::with_capacity(CAPACITY);
+        let cache = SegmentCostCache::with_capacity(BUDGET);
         let tuples: Vec<Scenario> = (0..4)
             .map(|i| {
                 let mut sc = scenario(
@@ -670,10 +673,13 @@ mod tests {
                 got.replayed_stages, 0,
                 "every frame count is novel or evicted"
             );
+            let stats = cache.stats();
+            assert!(stats.segments <= BUDGET, "{stats:?}");
+            if sc.nframes == 4 {
+                assert_eq!((stats.entries, stats.segments), (5, 45), "{stats:?}");
+            }
         }
-        let stats = cache.stats();
-        assert!(stats.evictions > 0, "{stats:?}");
-        assert!(stats.entries <= CAPACITY, "{stats:?}");
+        assert!(cache.stats().evictions > 0);
     }
 
     #[test]

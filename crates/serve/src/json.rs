@@ -127,6 +127,12 @@ pub fn parse(input: &str) -> Result<Json, ParseError> {
 /// worker's stack.
 const MAX_DEPTH: usize = 64;
 
+/// Member ceiling per object. A request has about 14 fields, and the
+/// duplicate-key check compares each key with every earlier one, so an
+/// unbounded object would cost quadratic time on the parsing thread (the
+/// stdio reader or a TCP worker).
+const MAX_MEMBERS: usize = 256;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
@@ -197,6 +203,9 @@ impl Parser<'_> {
             return Ok(Json::Obj(pairs));
         }
         loop {
+            if pairs.len() == MAX_MEMBERS {
+                return Err(self.err(format!("more than {MAX_MEMBERS} object members")));
+            }
             self.skip_ws();
             let key = self.string()?;
             if pairs.iter().any(|(k, _)| *k == key) {
@@ -306,15 +315,20 @@ impl Parser<'_> {
         }
     }
 
+    /// Exactly four ASCII hex digits (`from_str_radix` would also take
+    /// a leading `+`).
     fn hex4(&mut self) -> Result<u32, ParseError> {
-        let end = self.pos + 4;
-        if end > self.bytes.len() {
+        let Some(digits) = self.bytes.get(self.pos..self.pos + 4) else {
             return Err(self.err("truncated \\u escape"));
+        };
+        let mut v = 0;
+        for &b in digits {
+            let d = char::from(b)
+                .to_digit(16)
+                .ok_or_else(|| self.err("invalid \\u escape"))?;
+            v = v * 16 + d;
         }
-        let hex = std::str::from_utf8(&self.bytes[self.pos..end])
-            .map_err(|_| self.err("invalid \\u escape"))?;
-        let v = u32::from_str_radix(hex, 16).map_err(|_| self.err("invalid \\u escape"))?;
-        self.pos = end;
+        self.pos += 4;
         Ok(v)
     }
 
@@ -403,6 +417,25 @@ mod tests {
         ] {
             assert!(parse(bad).is_err(), "{bad:?} must not parse");
         }
+    }
+
+    #[test]
+    fn unicode_escapes_take_exactly_four_hex_digits() {
+        assert_eq!(parse(r#""\u0041\u00e9""#).unwrap(), Json::Str("Aé".into()));
+        for bad in [r#""\u+041""#, r#""\u 041""#, r#""\u004""#, r#""\u00é""#] {
+            assert!(parse(bad).is_err(), "{bad} must not parse");
+        }
+    }
+
+    #[test]
+    fn rejects_objects_with_too_many_members() {
+        let object = |n: usize| {
+            let members: Vec<String> = (0..n).map(|i| format!("\"k{i}\":{i}")).collect();
+            format!("{{{}}}", members.join(","))
+        };
+        assert!(parse(&object(MAX_MEMBERS)).is_ok());
+        let err = parse(&object(MAX_MEMBERS + 1)).unwrap_err();
+        assert!(err.message.contains("object members"), "{err}");
     }
 
     #[test]

@@ -674,6 +674,7 @@ impl Service {
         m.set_counter("serve.cache.hits", stats.hits);
         m.set_counter("serve.cache.misses", stats.misses);
         m.set_counter("serve.cache.entries", stats.entries as u64);
+        m.set_counter("serve.cache.segments", stats.segments as u64);
         m.set_counter("serve.cache.evictions", stats.evictions);
         m.set_gauge("serve.cache.hit_rate", stats.hit_rate());
         for (hist, prefix) in [

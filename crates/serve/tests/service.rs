@@ -105,9 +105,11 @@ fn queue_saturation_rejects_with_retry_after() {
 fn deadlines_expire_mid_run_and_in_queue() {
     let svc = service(1, 8);
     let (responder, lines) = Responder::collector();
-    // Long scenario, 1ms budget: expires mid-run.
+    // Long scenario (a live 128-frame run takes hundreds of ms), 25ms
+    // budget: a worker picks it up well within the budget even on a
+    // loaded host, and it expires mid-run.
     svc.handle_line(
-        &sim_line("dl", ALL_CPU0, 128, r#","deadline_ms":1"#),
+        &sim_line("dl", ALL_CPU0, 128, r#","deadline_ms":25"#),
         &responder,
     );
     // Queued behind it with a budget shorter than the head-of-line
