@@ -235,11 +235,11 @@ impl PerfModel {
                 dfg_spare: Vec::new(),
                 cp_scratch: Vec::new(),
             });
+            let _uninstall = tls::UninstallOnDrop;
             body(ctx);
             // The process-exit statement is a node (§2): flush the final
             // segment and back-annotate it.
             end_segment(ctx, crate::estimator::NODE_EXIT);
-            tls::uninstall();
         });
         self.est.register_process(pid.index(), reg_name, resource);
         pid

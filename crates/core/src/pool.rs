@@ -255,8 +255,8 @@ impl fmt::Debug for SessionPool {
 }
 
 /// RAII guard over an admitted session: derefs to the [`Session`];
-/// dropping it drops the session (joining its process threads), then
-/// frees the admission slot.
+/// dropping it drops the session (unwinding its suspended processes),
+/// then frees the admission slot.
 pub struct PooledSession<'a> {
     pool: &'a SessionPool,
     session: Option<Session>,

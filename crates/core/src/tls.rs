@@ -1,11 +1,18 @@
 //! Per-process estimation context.
 //!
 //! The paper's library works by *implicitly* intercepting every overloaded
-//! operator executed by the running process. Because this kernel runs each
-//! simulated process on its own OS thread, a `thread_local!` slot is the
-//! exact analogue: [`crate::PerfModel::spawn`] installs the context before
-//! the process body runs, the annotated [`crate::G`] types charge into it,
-//! and the channel wrappers drain it at every segment boundary.
+//! operator executed by the running process. The kernel runs every
+//! process as a coroutine on the thread that calls `Simulator::run`, so a
+//! thread-local is the running process's state only if it follows the
+//! process across switches. [`crate::PerfModel::spawn`] installs the
+//! process's context before the body runs, the annotated [`crate::G`]
+//! types charge into it, and the channel wrappers drain it at every
+//! segment boundary. The kernel keeps one word per process that it saves
+//! and restores around every dispatch (`scperf_kernel::process_slot`),
+//! and calls a hook with it at each switch: the context lives behind
+//! that word, and the hook swaps the process's fast slots in and out of
+//! the thread-local [`FAST`]. A body that suspends in the middle of a
+//! segment (a raw `ctx.wait`) therefore keeps its accumulators.
 //!
 //! # The two-tier layout
 //!
@@ -17,17 +24,24 @@
 //!   running accumulators (`acc`, `max_ready`), the dense cost table
 //!   (pre-ceiled for parallel resources) and the per-op counters.
 //!   [`charge`] reads the discriminant once and performs branch-predictable
-//!   arithmetic on the cells — no `RefCell` borrow, no `Option` unwrap.
-//!   On an un-instrumented thread the discriminant is [`S_ABSENT`] and the
-//!   whole call is a single flag test.
-//! * [`ThreadCtx`] — the full context behind a `RefCell<Option<…>>`,
-//!   touched only at segment boundaries (`take_segment`), at site-memo
-//!   region edges, and by DFG recording.
+//!   arithmetic on the cells — no `RefCell` borrow, no `Option` unwrap,
+//!   no pointer chase. Outside an analyzed process the discriminant is
+//!   [`S_ABSENT`] and the whole call is a single flag test.
+//! * [`ThreadCtx`] — the full context behind a `RefCell`, touched only
+//!   at segment boundaries (`take_segment`), at site-memo region edges,
+//!   and by DFG recording.
 //!
 //! `install` seeds the fast slots from the `ThreadCtx`; `take_segment`
-//! drains them at every segment boundary; `uninstall` disarms them.
+//! drains them at every segment boundary; `uninstall` restores what the
+//! thread-local held before `install`.
+//!
+//! The alternative, keeping the fast slots behind the process word and
+//! chasing that pointer on every charge, was measured slower on annotated
+//! workloads: a store through the pointer may alias the word itself, so
+//! the compiler reloads everything per operation.
 
 use std::cell::{Cell, RefCell};
+use std::ptr;
 use std::sync::Arc;
 
 use crate::cost::{CostTable, Op, OpCounts, OP_COUNT};
@@ -58,8 +72,8 @@ pub(crate) const MEMO_REPLAY: u8 = MemoMode::Replay as u8;
 pub(crate) const MEMO_VERIFY: u8 = MemoMode::Verify as u8;
 
 /// The flat per-op fast path: every field a [`Cell`], mutated without any
-/// `RefCell` borrow. One instance per thread; meaningful only while a
-/// [`ThreadCtx`] is installed.
+/// `RefCell` borrow. [`FAST`] holds the running process's; each switched-
+/// out process parks its own beside its [`ThreadCtx`].
 pub(crate) struct FastSlots {
     /// One of the `S_*` discriminants.
     pub(crate) state: Cell<u8>,
@@ -98,11 +112,54 @@ impl FastSlots {
             site_misses: Cell::new(0),
         }
     }
+
+    /// Exchanges every slot with `other`'s.
+    fn swap(&self, other: &FastSlots) {
+        self.state.swap(&other.state);
+        self.memo.swap(&other.memo);
+        self.seg_gen.swap(&other.seg_gen);
+        self.acc.swap(&other.acc);
+        self.max_ready.swap(&other.max_ready);
+        for (a, b) in self.costs.iter().zip(&other.costs) {
+            a.swap(b);
+        }
+        for (a, b) in self.counts.iter().zip(&other.counts) {
+            a.swap(b);
+        }
+        self.site_hits.swap(&other.site_hits);
+        self.site_misses.swap(&other.site_misses);
+    }
 }
 
 thread_local! {
-    static CTX: RefCell<Option<ThreadCtx>> = const { RefCell::new(None) };
     pub(crate) static FAST: FastSlots = const { FastSlots::new() };
+}
+
+/// One process's context, behind the kernel's process slot from
+/// `install` to `uninstall`. While the process runs, `parked` holds what
+/// [`FAST`] held before; while it is switched out, `parked` holds the
+/// process's own fast slots.
+struct Slots {
+    parked: FastSlots,
+    ctx: RefCell<ThreadCtx>,
+}
+
+/// The kernel's switch hook: swaps the process's parked fast slots with
+/// the thread's, on the way in and on the way out.
+fn swap_parked(slot: *mut ()) {
+    // SAFETY: the kernel passes a non-null process slot, which `install`
+    // set to a live `Slots` block.
+    let slots = unsafe { &*slot.cast::<Slots>() };
+    FAST.with(|f| f.swap(&slots.parked));
+}
+
+/// The running process's slots; `None` outside an analyzed process.
+#[inline]
+fn slots<'a>() -> Option<&'a Slots> {
+    // SAFETY: the slot holds null or the block `install` leaked, which
+    // stays valid until `uninstall` clears the slot. Callers use the
+    // reference only within one call that does not uninstall.
+    unsafe { scperf_kernel::process_slot().cast::<Slots>().as_ref() }
 }
 
 /// Cursor over a previously recorded per-segment cycle trace.
@@ -124,7 +181,7 @@ pub(crate) struct ReplayCursor {
     pub(crate) next: usize,
 }
 
-/// The running segment's accumulated state for one process thread.
+/// The running segment's accumulated state for one process.
 pub(crate) struct ThreadCtx {
     pub(crate) est: Arc<EstimatorShared>,
     pub(crate) pid: usize,
@@ -171,7 +228,7 @@ pub(crate) struct SegmentTake {
     pub(crate) arena_reuse: u64,
 }
 
-/// Installs the context for this process thread and arms the fast slots.
+/// Installs the context for the running process and arms its fast slots.
 pub(crate) fn install(ctx: ThreadCtx) {
     let state = if ctx.replay.is_some() || ctx.kind == ResourceKind::Environment {
         S_PASSIVE
@@ -196,54 +253,71 @@ pub(crate) fn install(ctx: ThreadCtx) {
     } else {
         MemoMode::Off as u8
     };
+    static HOOK: std::sync::Once = std::sync::Once::new();
+    HOOK.call_once(|| scperf_kernel::set_switch_hook(swap_parked));
+    debug_assert!(
+        scperf_kernel::process_slot().is_null(),
+        "estimation context installed twice"
+    );
+    let parked = FastSlots::new();
     FAST.with(|f| {
-        debug_assert_eq!(
-            f.state.get(),
-            S_ABSENT,
-            "estimation context installed twice"
-        );
+        f.swap(&parked);
         let par = matches!(state, S_PAR | S_PAR_DFG);
         for i in 0..OP_COUNT {
             let c = ctx.costs[i];
             f.costs[i].set(if par { c.ceil().max(0.0) } else { c });
-            f.counts[i].set(0);
         }
-        f.acc.set(0.0);
-        f.max_ready.set(0.0);
-        f.site_hits.set(0);
-        f.site_misses.set(0);
         f.memo.set(memo);
         f.state.set(state);
     });
-    CTX.with(|slot| {
-        let mut slot = slot.borrow_mut();
-        debug_assert!(slot.is_none(), "estimation context installed twice");
-        *slot = Some(ctx);
+    let slots = Box::new(Slots {
+        parked,
+        ctx: RefCell::new(ctx),
     });
+    // SAFETY: the slot's readers (`slots`, `swap_parked`, `uninstall`)
+    // expect this block, which lives until `uninstall` frees it.
+    unsafe { scperf_kernel::set_process_slot(Box::into_raw(slots).cast()) };
 }
 
 fn integral(costs: &[f64; OP_COUNT]) -> bool {
     costs.iter().all(|c| c.is_finite() && c.fract() == 0.0)
 }
 
-/// Removes the context (at process-body exit) and disarms the fast
-/// slots; `install` re-seeds them. Charges after the last segment
-/// boundary are discarded.
+/// Removes the running process's context (at process-body exit) and
+/// restores the fast slots `install` parked. Charges after the last
+/// segment boundary are discarded.
 pub(crate) fn uninstall() -> Option<ThreadCtx> {
-    let ctx = CTX.with(|slot| slot.borrow_mut().take())?;
-    FAST.with(|f| {
-        f.memo.set(MemoMode::Off as u8);
-        f.state.set(S_ABSENT);
-    });
-    Some(ctx)
+    let p = scperf_kernel::process_slot().cast::<Slots>();
+    if p.is_null() {
+        return None;
+    }
+    // SAFETY: null is always a valid slot value. `p` came from
+    // `Box::into_raw` in `install`; with the slot cleared this is its
+    // only owner.
+    let slots = unsafe {
+        scperf_kernel::set_process_slot(ptr::null_mut());
+        Box::from_raw(p)
+    };
+    FAST.with(|f| f.swap(&slots.parked));
+    Some(slots.ctx.into_inner())
+}
+
+/// Uninstalls the running process's context when dropped, so a body
+/// that unwinds (a panic, or the kernel's teardown) frees it too.
+pub(crate) struct UninstallOnDrop;
+
+impl Drop for UninstallOnDrop {
+    fn drop(&mut self) {
+        uninstall();
+    }
 }
 
 /// Runs `f` with the installed context, if any. Returns `None` when the
-/// calling thread is not an analyzed process (plain kernel processes,
-/// unit tests, environment code outside `PerfModel::spawn`).
+/// caller is not an analyzed process (plain kernel processes, unit
+/// tests, environment code outside `PerfModel::spawn`).
 #[inline]
 pub(crate) fn with<R>(f: impl FnOnce(&mut ThreadCtx) -> R) -> Option<R> {
-    CTX.with(|slot| slot.borrow_mut().as_mut().map(f))
+    slots().map(|s| f(&mut s.ctx.borrow_mut()))
 }
 
 /// Charges one operation with up to two data dependences through the flat
@@ -388,8 +462,8 @@ impl ThreadCtx {
 }
 
 /// Returns a no-longer-needed DFG's node buffer to the installed
-/// context's arena, to be reused by an upcoming segment. No-op on
-/// un-instrumented threads or for zero-capacity buffers.
+/// context's arena, to be reused by an upcoming segment. No-op outside
+/// an analyzed process or for zero-capacity buffers.
 pub(crate) fn recycle_dfg(dfg: Dfg) {
     let buf = dfg.into_buffer();
     if buf.capacity() == 0 {
@@ -608,7 +682,7 @@ mod tests {
 
     #[test]
     fn charging_without_context_is_a_noop() {
-        // Must not panic on an un-instrumented thread.
+        // Must not panic outside an analyzed process.
         charge_op(Op::Add);
         charge_branch();
         charge_call();

@@ -1,14 +1,17 @@
-//! Thread-coexistence audit for the estimator (PR 2 tentpole support).
+//! Coexistence audit for the estimator: concurrent models, nested
+//! simulations and processes sharing one thread.
 //!
 //! The design-space-exploration engine runs one `Simulator` + `PerfModel`
-//! per worker thread, many workers per process. These tests pin the
-//! invariants that makes that safe:
+//! per worker thread, many workers per process, and every process of a
+//! simulation runs as a coroutine on the thread that calls
+//! `Simulator::run`. These tests pin the invariants that make that safe:
 //!
 //! * all estimator state is per-`PerfModel` (`Arc<EstimatorShared>`), not
 //!   process-global, so concurrent models cannot observe each other;
-//! * the `thread_local!` estimation context is installed on the *process*
-//!   threads the kernel spawns (fresh per simulation), never on the
-//!   worker thread driving `Simulator::run`;
+//! * each process's estimation context follows it across context
+//!   switches: a process suspended mid-segment, or running an inner
+//!   simulation, keeps its own accumulators, and the worker thread
+//!   driving `Simulator::run` keeps none;
 //! * segment-cost replay ([`PerfModel::spawn_replaying`]) reproduces a
 //!   live run's strict-timed schedule bit-exactly.
 
@@ -78,8 +81,9 @@ fn concurrent_models_match_sequential_oracle() {
 fn nested_simulation_on_a_process_thread_is_isolated() {
     // A process body that itself constructs and runs an inner simulation
     // (as a DSE evaluation inside a larger harness might). The inner
-    // model's processes run on their own threads, so the outer process's
-    // estimation context must be untouched.
+    // model's processes run as coroutines on the outer process's stack,
+    // so the outer process's estimation context must survive their
+    // switches untouched.
     let table = CostTable::from_pairs([(Op::Add, 1.0)]);
     let mut platform = Platform::new();
     let cpu = platform.sequential("cpu", Time::ns(10), table, 0.0);
@@ -93,6 +97,29 @@ fn nested_simulation_on_a_process_thread_is_isolated() {
     });
     let stats = sim.run().unwrap();
     assert_eq!(stats.end_time, Time::ns(200), "20 cycles @ 10ns");
+}
+
+#[test]
+fn raw_wait_mid_segment_keeps_each_process_accumulators() {
+    // "a" suspends through a raw kernel wait, which is no segment
+    // boundary, with 10 cycles charged; "b" runs a whole segment of 1000
+    // cycles meanwhile. "a"'s segment must still come out as 10 + 10.
+    let table = CostTable::from_pairs([(Op::Add, 1.0)]);
+    let mut platform = Platform::new();
+    let cpu_a = platform.sequential("cpu_a", Time::ns(10), table.clone(), 0.0);
+    let cpu_b = platform.sequential("cpu_b", Time::ns(10), table, 0.0);
+    let mut sim = Simulator::new();
+    let model = PerfModel::new(platform, Mode::StrictTimed);
+    model.spawn(&mut sim, "a", cpu_a, |ctx| {
+        burn(10);
+        ctx.wait(Time::ns(1));
+        burn(10);
+    });
+    model.spawn(&mut sim, "b", cpu_b, |_ctx| burn(1000));
+    sim.run().unwrap();
+    let report = model.report();
+    assert_eq!(report.process("a").unwrap().total_cycles, 20.0);
+    assert_eq!(report.process("b").unwrap().total_cycles, 1000.0);
 }
 
 /// Runs the pipeline once while recording per-segment cycle traces,

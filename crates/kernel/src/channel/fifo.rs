@@ -174,10 +174,7 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
                     ctx.wait_event(&self.inner.data_ev);
                     if let Some(t0) = t0 {
                         let span = ctx.now().saturating_sub(t0).as_ps();
-                        self.inner
-                            .stats
-                            .blocked_ps
-                            .fetch_add(span, Ordering::Relaxed);
+                        self.inner.stats.add_blocked(span);
                     }
                 }
             }
@@ -199,10 +196,7 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
                     buf.q.push_back(v);
                     buf.written += 1;
                     if ctx.shared.attribution_fast() {
-                        self.inner
-                            .stats
-                            .max_depth
-                            .fetch_max(buf.q.len() as u64, Ordering::Relaxed);
+                        self.inner.stats.raise_max_depth(buf.q.len() as u64);
                     }
                     Some(payload)
                 } else {
@@ -227,10 +221,7 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
                     ctx.wait_event(&self.inner.space_ev);
                     if let Some(t0) = t0 {
                         let span = ctx.now().saturating_sub(t0).as_ps();
-                        self.inner
-                            .stats
-                            .blocked_ps
-                            .fetch_add(span, Ordering::Relaxed);
+                        self.inner.stats.add_blocked(span);
                     }
                 }
             }

@@ -149,10 +149,7 @@ impl<T: Send + std::fmt::Debug + 'static> Rendezvous<T> {
         ctx.wait_event(ev);
         if let Some(t0) = t0 {
             let span = ctx.now().saturating_sub(t0).as_ps();
-            self.inner
-                .stats
-                .blocked_ps
-                .fetch_add(span, Ordering::Relaxed);
+            self.inner.stats.add_blocked(span);
         }
     }
 }

@@ -17,10 +17,13 @@
 //! * deterministic execution: runnable processes within a delta execute in
 //!   spawn order, so the same model always produces the same trace.
 //!
-//! Each process runs on its own OS thread, but a run-baton guarantees that
-//! exactly one of {scheduler, one process} executes at any instant; this is
-//! behaviourally identical to SystemC's coroutines while letting process
-//! bodies be ordinary Rust closures with blocking channel calls.
+//! Each process is a stackful coroutine, as in SystemC: the whole
+//! simulation runs on the thread that calls [`Simulator::run`], and exactly
+//! one of {scheduler, one process} executes at any instant. Process bodies
+//! stay ordinary Rust closures with blocking channel calls. The context
+//! switch is x86_64 Linux code, so `x86_64-unknown-linux-gnu` is the only
+//! supported target; each process gets a 2 MiB stack, and overflowing it
+//! kills the program.
 //!
 //! # Examples
 //!
@@ -56,8 +59,8 @@
 
 mod channel;
 mod config;
+mod coro;
 mod event;
-mod handoff;
 mod process;
 mod sim;
 mod state;
@@ -68,6 +71,8 @@ mod wheel;
 
 pub use channel::{Fifo, Rendezvous, Signal};
 pub use config::{SimOptions, TraceMode};
+#[doc(hidden)]
+pub use coro::{process_slot, set_process_slot, set_switch_hook};
 pub use event::Event;
 pub use process::{ProcCtx, ProcId};
 pub use sim::{SimError, SimSummary, Simulator, StopReason};

@@ -3,8 +3,8 @@
 use std::fmt;
 use std::sync::Arc;
 
+use crate::coro::Coroutine;
 use crate::event::Event;
-use crate::handoff::DirectHandoff;
 use crate::state::{Shared, TimedAction};
 use crate::time::Time;
 
@@ -49,7 +49,8 @@ impl fmt::Display for ProcId {
 pub struct ProcCtx {
     pub(crate) pid: usize,
     pub(crate) shared: Arc<Shared>,
-    pub(crate) baton: Arc<DirectHandoff>,
+    /// The process's coroutine, boxed and owned by the simulator.
+    pub(crate) co: *const Coroutine,
 }
 
 impl ProcCtx {
@@ -65,7 +66,7 @@ impl ProcCtx {
 
     /// Current simulation time.
     pub fn now(&self) -> Time {
-        self.shared.with_state(|st| st.now)
+        self.shared.now()
     }
 
     /// Number of delta cycles executed so far.
@@ -81,7 +82,7 @@ impl ProcCtx {
     pub fn wait(&mut self, delay: Time) {
         self.shared
             .with_state(|st| st.schedule(delay, TimedAction::WakeProc(self.pid)));
-        self.baton.yield_to_scheduler();
+        self.suspend();
     }
 
     /// Suspends this process until `event` is notified.
@@ -92,7 +93,15 @@ impl ProcCtx {
         self.shared.with_state(|st| {
             st.events[event.id].waiters.insert(self.pid);
         });
-        self.baton.yield_to_scheduler();
+        self.suspend();
+    }
+
+    /// Switches back to the scheduler until this process is dispatched
+    /// again.
+    fn suspend(&self) {
+        // SAFETY: the simulator owns the boxed coroutine for as long as
+        // its body, which owns this context, can run.
+        unsafe { (*self.co).suspend() }
     }
 
     /// Appends a record to the simulator's trace (no-op when tracing is

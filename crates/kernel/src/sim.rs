@@ -1,23 +1,28 @@
 //! The simulator: elaboration (spawning processes, creating channels) and
-//! the scheduler loop.
+//! the scheduler loop. Processes are coroutines ([`crate::coro`]) that
+//! run on the thread calling [`Simulator::run`].
 
+use std::cell::Cell;
 use std::fmt;
-use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
-use std::thread::JoinHandle;
+use std::thread::{self, ThreadId};
 
 use scperf_obs::{MemorySink, MetricsSnapshot, TraceSink, TraceTable};
 
 use crate::config::{SimOptions, TraceMode};
+use crate::coro::{install_silent_kill_hook, Coroutine, RunState};
 use crate::event::Event;
-use crate::handoff::{
-    clear_panic_suppression, install_silent_kill_hook, panic_message, DirectHandoff, KillToken,
-    RunState,
-};
 use crate::process::{ProcCtx, ProcId};
 use crate::state::{AdvanceOutcome, ProcMeta, SchedSnapshot, Shared};
 use crate::time::Time;
 use crate::trace::TraceRecord;
+
+thread_local! {
+    /// This thread's id once it has run a simulation, so that `Drop` can
+    /// compare against it without `thread::current()`, which may be gone
+    /// while the thread's locals are torn down.
+    static THREAD_ID: Cell<Option<ThreadId>> = const { Cell::new(None) };
+}
 
 /// Why a call to [`Simulator::run`] / [`Simulator::run_until`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,18 +70,18 @@ impl fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-struct ProcHandle {
-    baton: Arc<DirectHandoff>,
-    thread: Option<JoinHandle<()>>,
-}
-
 /// A discrete-event simulator with SystemC semantics.
 ///
 /// Elaborate the model by spawning processes ([`Simulator::spawn`]) and
-/// creating channels, then call [`Simulator::run`]. Each process runs on its
-/// own OS thread but the kernel hands out a single run-baton, so execution
-/// is cooperative and deterministic: within a delta cycle, runnable
-/// processes execute in spawn order.
+/// creating channels, then call [`Simulator::run`]. Each process is a
+/// coroutine with its own stack, run on the thread that calls `run`, so
+/// execution is cooperative and deterministic: within a delta cycle,
+/// runnable processes execute in spawn order.
+///
+/// A simulator may be built on one thread and run on another, but once
+/// it has run it stays on that thread: a later `run_until` elsewhere
+/// panics, and a drop elsewhere leaks the suspended processes' stacks
+/// instead of unwinding them.
 ///
 /// # Examples
 ///
@@ -104,14 +109,16 @@ struct ProcHandle {
 /// ```
 pub struct Simulator {
     shared: Arc<Shared>,
-    procs: Vec<ProcHandle>,
+    /// Boxed: each process's body and `ProcCtx` point to its coroutine,
+    /// so it must not move when the vector grows.
+    #[allow(clippy::vec_box)]
+    procs: Vec<Box<Coroutine>>,
     errored: bool,
     /// The trace mode this simulator was built with.
     trace: TraceMode,
-    /// Accumulated process→scheduler resume latency, exported through
-    /// [`Simulator::metrics`].
-    handoff_resume_nanos: u64,
-    handoff_resumes: u64,
+    /// The thread the first run happened on; every later run must be
+    /// on it too.
+    thread: Option<ThreadId>,
 }
 
 impl Simulator {
@@ -141,8 +148,7 @@ impl Simulator {
             procs: Vec::new(),
             errored: false,
             trace: options.trace,
-            handoff_resume_nanos: 0,
-            handoff_resumes: 0,
+            thread: None,
         }
     }
 
@@ -169,37 +175,17 @@ impl Simulator {
                 !st.started,
                 "processes must be spawned before the simulation starts"
             );
-            st.procs.push(ProcMeta::new(name.clone()));
+            st.procs.push(ProcMeta::new(name));
             st.procs.len() - 1
         });
-        let baton = Arc::new(DirectHandoff::new());
+        let co = Box::new(Coroutine::new());
         let mut ctx = ProcCtx {
             pid,
             shared: Arc::clone(&self.shared),
-            baton: Arc::clone(&baton),
+            co: &*co,
         };
-        let thread_baton = Arc::clone(&baton);
-        let thread = std::thread::Builder::new()
-            .name(format!("scperf-proc-{name}"))
-            .spawn(move || {
-                if !thread_baton.wait_first_dispatch() {
-                    return; // killed before ever running
-                }
-                let result = catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-                clear_panic_suppression();
-                let msg = match result {
-                    Ok(()) => None,
-                    Err(payload) if payload.is::<KillToken>() => return,
-                    Err(payload) => Some(panic_message(payload.as_ref())),
-                };
-                thread_baton.finish(msg);
-            })
-            .expect("failed to spawn process thread");
-        baton.set_proc_thread(thread.thread().clone());
-        self.procs.push(ProcHandle {
-            baton,
-            thread: Some(thread),
-        });
+        co.set_body(Box::new(move || body(&mut ctx)));
+        self.procs.push(co);
         ProcId(pid)
     }
 
@@ -248,20 +234,10 @@ impl Simulator {
     /// notification counts, per-channel access counts, …). Available at
     /// any point, with or without tracing.
     ///
-    /// This includes the accumulated process→scheduler resume latency
-    /// (`kernel.handoff.*`): the host time from a process releasing the
-    /// baton to the scheduler observing it.
+    /// `kernel.handoff.resumes` counts the switches from the scheduler
+    /// into a process.
     pub fn metrics(&self) -> MetricsSnapshot {
-        let mut m = self.shared.with_state(|st| st.metrics_snapshot());
-        m.set_counter("kernel.handoff.resumes", self.handoff_resumes);
-        m.set_counter("kernel.handoff.resume_nanos", self.handoff_resume_nanos);
-        if self.handoff_resumes > 0 {
-            m.set_gauge(
-                "kernel.handoff.mean_resume_ns",
-                self.handoff_resume_nanos as f64 / self.handoff_resumes as f64,
-            );
-        }
-        m
+        self.shared.with_state(|st| st.metrics_snapshot())
     }
 
     /// Snapshots the scheduling attribution: per-process activation and
@@ -275,7 +251,7 @@ impl Simulator {
 
     /// Current simulation time.
     pub fn now(&self) -> Time {
-        self.shared.with_state(|st| st.now)
+        self.shared.now()
     }
 
     /// The name of a process.
@@ -315,15 +291,25 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns [`SimError::ProcessPanic`] if any process body panics.
+    ///
+    /// # Panics
+    ///
+    /// Panics when called on another thread than the simulator's first
+    /// run: a suspended process may hold that thread's thread-local
+    /// addresses, so its stack must not resume anywhere else.
     pub fn run_until(&mut self, limit: Time) -> Result<SimSummary, SimError> {
         assert!(!self.errored, "simulator is poisoned by an earlier error");
-        // Register this thread as the unpark target for process yields.
-        // Every process is parked (or not yet started) here, so the
-        // handoff cells are safe to write.
-        let scheduler = std::thread::current();
-        for proc in &self.procs {
-            proc.baton.set_scheduler(&scheduler);
-        }
+        let here = THREAD_ID.with(|id| {
+            let here = id.get().unwrap_or_else(|| thread::current().id());
+            id.set(Some(here));
+            here
+        });
+        let first = *self.thread.get_or_insert(here);
+        assert!(
+            first == here,
+            "a started simulator runs only on the thread that started it: its \
+             suspended processes may hold that thread's thread-local addresses"
+        );
         self.shared.with_state(|st| {
             if !st.started {
                 st.started = true;
@@ -366,7 +352,7 @@ impl Simulator {
                 continue;
             }
             // Timed notification phase.
-            match self.shared.with_state(|st| st.advance_time(limit)) {
+            match self.shared.advance_time(limit) {
                 AdvanceOutcome::Advanced => continue,
                 AdvanceOutcome::LimitReached => break StopReason::TimeLimit,
                 AdvanceOutcome::Exhausted => break StopReason::EventsExhausted,
@@ -381,11 +367,7 @@ impl Simulator {
     }
 
     fn dispatch(&mut self, pid: usize) -> Result<(), SimError> {
-        let (outcome, latency) = self.procs[pid].baton.dispatch();
-        if let Some(lat) = latency {
-            self.handoff_resume_nanos += lat.as_nanos() as u64;
-            self.handoff_resumes += 1;
-        }
+        let outcome = self.procs[pid].resume();
         let waiting = matches!(outcome, RunState::Waiting);
         self.shared.with_state(|st| {
             st.activations += 1;
@@ -403,9 +385,6 @@ impl Simulator {
             RunState::Waiting => Ok(()),
             RunState::Done(None) => {
                 self.shared.with_state(|st| st.procs[pid].alive = false);
-                if let Some(t) = self.procs[pid].thread.take() {
-                    let _ = t.join();
-                }
                 Ok(())
             }
             RunState::Done(Some(message)) => {
@@ -414,9 +393,6 @@ impl Simulator {
                     st.procs[pid].alive = false;
                     st.procs[pid].name.clone()
                 });
-                if let Some(t) = self.procs[pid].thread.take() {
-                    let _ = t.join();
-                }
                 Err(SimError::ProcessPanic { process, message })
             }
         }
@@ -437,11 +413,14 @@ impl Drop for Simulator {
     fn drop(&mut self) {
         // Break the kernel ↔ channel reference cycle.
         self.shared.with_state(|st| st.clear_update_hooks());
-        for proc in &mut self.procs {
-            proc.baton.kill();
-            if let Some(t) = proc.thread.take() {
-                let _ = t.join();
-            }
+        // Unwinding a suspended body is safe only on the thread it ran
+        // on, and not while this thread already unwinds (the kill token
+        // would panic inside a panic and abort); otherwise its stack
+        // leaks.
+        let unwind = !thread::panicking()
+            && (self.thread.is_none() || self.thread == THREAD_ID.with(Cell::get));
+        for co in &self.procs {
+            co.kill(unwind);
         }
     }
 }
@@ -596,6 +575,132 @@ mod tests {
         let s = sim.run().unwrap();
         assert_eq!(s.reason, StopReason::EventsExhausted);
         drop(sim); // must not hang or print panic noise
+    }
+
+    #[test]
+    fn drop_before_first_run_drops_captured_state() {
+        let probe = Arc::new(());
+        let mut sim = Simulator::new();
+        for name in ["a", "b", "c"] {
+            let p = Arc::clone(&probe);
+            sim.spawn(name, move |_ctx| drop(p));
+        }
+        assert_eq!(Arc::strong_count(&probe), 4);
+        drop(sim);
+        assert_eq!(Arc::strong_count(&probe), 1);
+    }
+
+    #[test]
+    fn drop_mid_body_drops_captured_state() {
+        let probe = Arc::new(());
+        let mut sim = Simulator::new();
+        let ev = sim.event("never");
+        for ns in 1..=3 {
+            let (p, ev) = (Arc::clone(&probe), ev.clone());
+            sim.spawn(format!("p{ns}"), move |ctx| {
+                // One count captured, one on the process's own stack.
+                let on_stack = Arc::clone(&p);
+                ctx.wait(Time::ns(ns));
+                ctx.wait_event(&ev);
+                unreachable!("{on_stack:?}");
+            });
+        }
+        sim.run_until(Time::ns(2)).unwrap();
+        assert_eq!(Arc::strong_count(&probe), 7);
+        drop(sim);
+        assert_eq!(Arc::strong_count(&probe), 1);
+    }
+
+    /// Re-runs this test binary with `var` set, on the one test `name`.
+    fn child(name: &str, var: &str, env: &[(&str, &str)]) -> std::process::Output {
+        std::process::Command::new(std::env::current_exe().unwrap())
+            .args([name, "--exact", "--nocapture", "--test-threads=1"])
+            .env(var, "1")
+            .envs(env.iter().copied())
+            .output()
+            .unwrap()
+    }
+
+    #[test]
+    fn stack_overflow_in_a_process_kills_the_program() {
+        #[allow(unconditional_recursion)]
+        fn deep(n: u64) -> u64 {
+            let frame = std::hint::black_box([n; 64]);
+            deep(std::hint::black_box(n + 1)) + frame[7]
+        }
+        if std::env::var_os("SCPERF_CHILD_OVERFLOW").is_some() {
+            let mut sim = Simulator::new();
+            sim.spawn("deep", |_ctx| {
+                deep(0);
+            });
+            let _ = sim.run();
+            std::process::exit(0);
+        }
+        let out = child(
+            "sim::tests::stack_overflow_in_a_process_kills_the_program",
+            "SCPERF_CHILD_OVERFLOW",
+            &[],
+        );
+        use std::os::unix::process::ExitStatusExt;
+        const SIGBUS: i32 = 7;
+        const SIGSEGV: i32 = 11;
+        assert!(
+            matches!(out.status.signal(), Some(SIGSEGV | SIGBUS)),
+            "child ended with {:?}: {}",
+            out.status,
+            String::from_utf8_lossy(&out.stderr)
+        );
+    }
+
+    #[test]
+    fn process_panic_backtrace_stays_on_the_process_stack() {
+        if std::env::var_os("SCPERF_CHILD_BACKTRACE").is_some() {
+            let mut sim = Simulator::new();
+            sim.spawn("bad", |ctx| {
+                ctx.wait(Time::ns(1));
+                panic!("deliberate backtrace panic");
+            });
+            let err = sim.run().unwrap_err();
+            assert!(matches!(err, SimError::ProcessPanic { ref process, .. } if process == "bad"));
+            return;
+        }
+        let out = child(
+            "sim::tests::process_panic_backtrace_stays_on_the_process_stack",
+            "SCPERF_CHILD_BACKTRACE",
+            &[("RUST_BACKTRACE", "full")],
+        );
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            out.status.success(),
+            "child ended with {:?}: {stderr}",
+            out.status
+        );
+        assert!(stderr.contains("deliberate backtrace panic"), "{stderr}");
+        assert!(stderr.contains("stack backtrace"), "{stderr}");
+    }
+
+    #[test]
+    fn running_on_another_thread_panics_and_leaks_on_drop() {
+        let probe = Arc::new(());
+        let mut sim = Simulator::new();
+        let p = Arc::clone(&probe);
+        sim.spawn("p", move |ctx| {
+            ctx.wait(Time::ns(10));
+            drop(p);
+        });
+        sim.run_until(Time::ns(1)).unwrap();
+        // The run panics and the unwind drops `sim` on that thread.
+        let payload = std::thread::spawn(move || sim.run().map(drop))
+            .join()
+            .unwrap_err();
+        let msg = payload
+            .downcast_ref::<&str>()
+            .map(|s| s.to_string())
+            .or_else(|| payload.downcast_ref::<String>().cloned())
+            .unwrap_or_default();
+        assert!(msg.contains("thread that started it"), "{msg}");
+        // The suspended body was neither resumed nor unwound there.
+        assert_eq!(Arc::strong_count(&probe), 2);
     }
 
     #[test]

@@ -83,6 +83,25 @@ pub(crate) struct ChanStats {
     pub(crate) blocked_ps: AtomicU64,
 }
 
+impl ChanStats {
+    /// Attribution: adds a span processes spent blocked on the channel.
+    /// Only processes update these counters, and a simulation's
+    /// processes all run on its thread, so a load and a store do without
+    /// a locked read-modify-write.
+    pub(crate) fn add_blocked(&self, ps: u64) {
+        let total = self.blocked_ps.load(Ordering::Relaxed) + ps;
+        self.blocked_ps.store(total, Ordering::Relaxed);
+    }
+
+    /// Attribution: raises the depth high-water mark (single writer, as
+    /// for [`ChanStats::add_blocked`]).
+    pub(crate) fn raise_max_depth(&self, depth: u64) {
+        if depth > self.max_depth.load(Ordering::Relaxed) {
+            self.max_depth.store(depth, Ordering::Relaxed);
+        }
+    }
+}
+
 pub(crate) struct ChanStatsEntry {
     pub(crate) name: String,
     pub(crate) stats: Arc<ChanStats>,
@@ -383,6 +402,8 @@ impl KernelState {
         let mut m = MetricsSnapshot::new();
         m.set_counter("kernel.delta_cycles", self.delta);
         m.set_counter("kernel.context_switches", self.activations);
+        // Every activation is one switch into a process.
+        m.set_counter("kernel.handoff.resumes", self.activations);
         m.set_counter("kernel.processes", self.procs.len() as u64);
         m.set_counter("kernel.events", self.events.len() as u64);
         m.set_counter(
@@ -539,6 +560,12 @@ pub(crate) enum AdvanceOutcome {
 /// process context, event and channel.
 pub(crate) struct Shared {
     state: Mutex<KernelState>,
+    /// Mirror of `KernelState::now` in picoseconds, readable without the
+    /// kernel lock: processes read the clock around every wait. Only
+    /// [`Shared::advance_time`] moves it. `Relaxed` suffices: it
+    /// publishes no other data, and it is written and read on the
+    /// simulation's thread.
+    now_ps: AtomicU64,
     /// Whether a trace sink is installed, readable without the kernel
     /// lock so channels can skip payload capture entirely when tracing
     /// is off (the zero-allocation disabled path). Fixed at
@@ -556,7 +583,22 @@ impl Shared {
             tracing: sink.is_some(),
             attribution,
             state: Mutex::new(KernelState::new(sink, attribution)),
+            now_ps: AtomicU64::new(0),
         })
+    }
+
+    /// Runs the timed-notification phase ([`KernelState::advance_time`])
+    /// and publishes the new simulated time.
+    pub(crate) fn advance_time(&self, limit: Time) -> AdvanceOutcome {
+        let mut st = self.state.lock();
+        let outcome = st.advance_time(limit);
+        self.now_ps.store(st.now.as_ps(), Ordering::Relaxed);
+        outcome
+    }
+
+    /// Current simulated time, without the kernel lock.
+    pub(crate) fn now(&self) -> Time {
+        Time::ps(self.now_ps.load(Ordering::Relaxed))
     }
 
     pub(crate) fn with_state<R>(&self, f: impl FnOnce(&mut KernelState) -> R) -> R {

@@ -1,11 +1,10 @@
 //! Lost-wakeup regression tests for the scheduler↔process handoff.
 //!
-//! The kernel hands the run-baton over with a lock-free park/unpark
-//! protocol. The classic failure mode of such protocols is a *lost
-//! wakeup*: the scheduler unparks a process an instant before the process
-//! parks, and the process then sleeps forever. Every test here drives a
-//! blocking-channel pattern that would hang (and trip the harness
-//! timeout) if a wakeup were lost.
+//! The kernel switches between the scheduler and each process's
+//! coroutine. The classic failure mode of a handoff is a *lost wakeup*:
+//! a process is notified but never made runnable again, and sleeps
+//! forever. Every test here drives a blocking-channel pattern that would
+//! hang or end early (and fail its count) if a wakeup were lost.
 
 use scperf_kernel::{SimOptions, Simulator, Time, TraceMode};
 

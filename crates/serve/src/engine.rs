@@ -283,7 +283,7 @@ fn run_with_deadline(
         let now = Instant::now();
         if now >= dl {
             // Abandoning the session here is safe: dropping the
-            // simulator kills and joins the parked process threads.
+            // simulator, on this thread, unwinds its suspended processes.
             return Err(RequestError {
                 code: ErrorCode::DeadlineExceeded,
                 field: None,

@@ -326,16 +326,29 @@ impl Service {
     /// frontends never buffer whole: an `invalid_request` error,
     /// counted as received and invalid.
     pub fn reject_long_line(&self) -> String {
+        self.reject_line(
+            ErrorCode::InvalidRequest,
+            format!(
+                "request line exceeds {} bytes",
+                crate::protocol::MAX_LINE_BYTES
+            ),
+        )
+    }
+
+    /// The reply to a request line that is not valid UTF-8: a
+    /// `parse_error`, counted as received and invalid.
+    pub fn reject_non_utf8_line(&self) -> String {
+        self.reject_line(ErrorCode::Parse, "request line is not valid UTF-8".into())
+    }
+
+    fn reject_line(&self, code: ErrorCode, message: String) -> String {
         let counters = &self.shared.counters;
         counters.received.fetch_add(1, Ordering::Relaxed);
         counters.invalid.fetch_add(1, Ordering::Relaxed);
         let err = RequestError {
-            code: ErrorCode::InvalidRequest,
+            code,
             field: None,
-            message: format!(
-                "request line exceeds {} bytes",
-                crate::protocol::MAX_LINE_BYTES
-            ),
+            message,
         };
         render::error(None, &err, None)
     }

@@ -45,7 +45,8 @@ pub(crate) fn read_line_bounded(
 /// Reads request lines from `reader`, answering through `responder`,
 /// until EOF or a `shutdown` op; then drains the service. A line longer
 /// than [`MAX_LINE_BYTES`] is answered with an error and skipped to its
-/// newline without being buffered.
+/// newline without being buffered; a line that is not UTF-8 is answered
+/// with a `parse_error`.
 pub fn serve_reader<R: BufRead>(service: &Service, mut reader: R, responder: &Responder) {
     let mut line = Vec::new();
     loop {
@@ -53,7 +54,8 @@ pub fn serve_reader<R: BufRead>(service: &Service, mut reader: R, responder: &Re
         match read_line_bounded(&mut reader, &mut line) {
             Ok(LineRead::Line) => {
                 let Ok(text) = std::str::from_utf8(&line) else {
-                    break;
+                    responder.send(&service.reject_non_utf8_line());
+                    continue;
                 };
                 if service.handle_line(text, responder) == Disposition::Shutdown {
                     break;

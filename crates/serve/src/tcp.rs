@@ -124,7 +124,8 @@ const IDLE_POLL: Duration = Duration::from_millis(100);
 
 /// Serves one connection inline on the current worker. A request line
 /// longer than [`MAX_LINE_BYTES`](crate::protocol::MAX_LINE_BYTES) is
-/// answered with an error and the connection closed, unread.
+/// answered with an error and the connection closed, unread; a line that
+/// is not UTF-8 is answered with a `parse_error`.
 fn handle_connection(service: &Service, stream: TcpStream, stop: &StopHandle) {
     let Ok(read_half) = stream.try_clone() else {
         return;
@@ -143,10 +144,10 @@ fn handle_connection(service: &Service, stream: TcpStream, stop: &StopHandle) {
                 break;
             }
             Ok(LineRead::Line) => {
-                let Ok(text) = std::str::from_utf8(&line) else {
-                    break;
+                let (reply, disposition) = match std::str::from_utf8(&line) {
+                    Ok(text) => service.handle_line_sync(text),
+                    Err(_) => (Some(service.reject_non_utf8_line()), Disposition::Continue),
                 };
-                let (reply, disposition) = service.handle_line_sync(text);
                 if let Some(reply) = reply {
                     if writeln!(writer, "{reply}").is_err() {
                         break;

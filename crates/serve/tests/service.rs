@@ -105,11 +105,12 @@ fn queue_saturation_rejects_with_retry_after() {
 fn deadlines_expire_mid_run_and_in_queue() {
     let svc = service(1, 8);
     let (responder, lines) = Responder::collector();
-    // Long scenario (a live 128-frame run takes hundreds of ms), 25ms
-    // budget: a worker picks it up well within the budget even on a
-    // loaded host, and it expires mid-run.
+    // Long scenario (a live 4096-frame run takes ~600 ms in a release
+    // build, 128 frames only ~20 ms), 25ms budget: a worker picks it up
+    // well within the budget even on a loaded host, and it expires
+    // mid-run.
     svc.handle_line(
-        &sim_line("dl", ALL_CPU0, 128, r#","deadline_ms":25"#),
+        &sim_line("dl", ALL_CPU0, 4096, r#","deadline_ms":25"#),
         &responder,
     );
     // Queued behind it with a budget shorter than the head-of-line
@@ -303,6 +304,52 @@ fn tcp_frontend_closes_a_connection_that_sends_an_oversized_line() {
     let mut reply = String::new();
     BufReader::new(conn).read_line(&mut reply).unwrap();
     assert!(reply.contains("\"pong\""), "{reply}");
+    stop.stop();
+    server_thread.join().expect("server thread");
+}
+
+/// A request line that is not UTF-8, then a ping.
+const NON_UTF8_THEN_PING: &[u8] =
+    b"{\"op\":\"ping\",\"id\":\"\xff\xfe\"}\n{\"op\":\"ping\",\"id\":\"after\"}\n";
+
+#[test]
+fn stdio_frontend_answers_a_non_utf8_line_and_keeps_serving() {
+    let svc = service(1, 8);
+    let (responder, lines) = Responder::collector();
+    scperf_serve::stdio::serve_reader(&svc, BufReader::new(NON_UTF8_THEN_PING), &responder);
+    let got = lines.lock().clone();
+    assert_eq!(got.len(), 2, "{got:?}");
+    let err = parse(&got[0]).unwrap();
+    assert_eq!(field(&err, "code").as_str(), Some("parse_error"));
+    assert!(got[1].contains("\"pong\"") && got[1].contains("\"after\""));
+}
+
+#[test]
+fn tcp_frontend_answers_a_non_utf8_line_and_keeps_serving() {
+    let svc = Arc::new(service(1, 8));
+    let server = TcpServer::bind("127.0.0.1:0", Arc::clone(&svc)).expect("bind");
+    let addr = server.local_addr();
+    let stop = server.stop_handle();
+    let server_thread = thread::spawn(move || server.run());
+
+    let mut conn = TcpStream::connect(addr).expect("connect");
+    conn.set_read_timeout(Some(Duration::from_secs(10)))
+        .unwrap();
+    conn.write_all(NON_UTF8_THEN_PING).unwrap();
+    let mut reader = BufReader::new(conn);
+    let mut replies = Vec::new();
+    for _ in 0..2 {
+        let mut reply = String::new();
+        if reader.read_line(&mut reply).unwrap_or(0) == 0 {
+            break;
+        }
+        replies.push(reply);
+    }
+    assert_eq!(replies.len(), 2, "{replies:?}");
+    let err = parse(replies[0].trim()).unwrap();
+    assert_eq!(field(&err, "code").as_str(), Some("parse_error"));
+    assert!(replies[1].contains("\"pong\"") && replies[1].contains("\"after\""));
+    drop(reader);
     stop.stop();
     server_thread.join().expect("server thread");
 }

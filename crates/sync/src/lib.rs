@@ -5,9 +5,8 @@
 //! returns the guard directly (no `Result`), a [`RwLock`] with the same
 //! no-poison contract for read-mostly shared state, and a [`Condvar`]
 //! that waits on a `&mut MutexGuard`. Lock poisoning is ignored: a panicking
-//! holder does not prevent other threads from making progress, which is
-//! the behaviour the simulation kernel's run-baton protocol relies on
-//! when a process panics mid-simulation.
+//! holder does not prevent others from making progress, which the
+//! simulation kernel relies on when a process panics mid-simulation.
 //!
 //! The workspace builds in fully offline environments, so these
 //! primitives are implemented in-tree rather than pulled from a
