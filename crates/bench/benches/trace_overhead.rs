@@ -3,8 +3,8 @@
 //! Runs the same FIFO producer/consumer workload in three configurations
 //! and reports host time per simulated channel operation:
 //!
-//! 1. **off** — tracing disabled (the lock-free `tracing` flag; the
-//!    record path must not allocate at all),
+//! 1. **off** — tracing disabled (one flag test; the record path must
+//!    not allocate at all),
 //! 2. **ring** — structured events into a bounded [`MemorySink`] ring,
 //! 3. **legacy** — a sink that eagerly formats every event into the old
 //!    `String`-per-field [`TraceRecord`] shape, emulating the pre-obs
@@ -90,9 +90,10 @@ fn main() {
     ];
     run_group(&format!("trace_overhead ({ITEMS} fifo items)"), &cases);
 
-    // The workload above is dominated by thread handoffs (~µs each), so
-    // the per-record cost drowns in scheduling noise. Measure the record
-    // path itself too: 1M events straight into each sink.
+    // The workload above is dominated by scheduling (context switches
+    // and channel bookkeeping), so the per-record cost drowns in it.
+    // Measure the record path itself too: 1M events straight into each
+    // sink.
     let mut interner = Interner::new();
     let label = interner.intern("fifo.write");
     let chan = interner.intern("ch");

@@ -15,9 +15,11 @@
 //!
 //! * **per-unit costs** (lower is better): `ns_per_activation`,
 //!   `ns_per_op` and the `*_ns_per_charge` medians. They are absolute
-//!   host times, so they move with the host; the problem sizes are
-//!   chosen so that `--quick` runs measure the same per-unit cost as
-//!   full ones.
+//!   host times, so they move with the host. They also move with the
+//!   problem size: a `--quick` run spreads per-run costs (building the
+//!   simulator, mapping process stacks) over a tenth of the rounds and
+//!   reads higher per-unit costs than a full one, so compare a quick run
+//!   with a quick baseline (`BENCH_kernel_quick.json`).
 //! * **same-run ratios** (higher is better): `memoized_speedup` and
 //!   `reuse_speedup`, each one code path against another on the same
 //!   machine in the same run.
@@ -27,9 +29,7 @@
 //! agree on the top-level `host_cpus`. A pair that differs **fails** as
 //! a baseline host mismatch and is not scored. Baselines and gate runs
 //! are therefore taken the same way: pinned to one CPU with
-//! `taskset -c 0`, which also keeps the handoff-dominated costs steady
-//! (a same-CPU handoff costs a few µs; a cross-CPU wake-up costs several
-//! times that and varies run to run).
+//! `taskset -c 0`, so the OS does not migrate a run between CPUs.
 //!
 //! Every gated metric of the baseline must be in the fresh run: a
 //! missing one **fails**, so a bench that stops emitting a key cannot

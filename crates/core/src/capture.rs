@@ -8,12 +8,13 @@
 //! associate values of internal signals of the system to these time
 //! values."
 
+use std::cell::RefCell;
 use std::fmt::Write as _;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use scperf_kernel::{ProcCtx, Time};
 
-use crate::estimator::EstimatorShared;
+use crate::estimator::EstInner;
 
 /// One captured event: when it happened and the associated value.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -109,7 +110,7 @@ impl CaptureList {
 /// [`crate::PerfModel::capture_point`]; cheap to clone into process bodies.
 #[derive(Clone)]
 pub struct CapturePoint {
-    pub(crate) est: Arc<EstimatorShared>,
+    pub(crate) est: Rc<RefCell<EstInner>>,
     pub(crate) index: usize,
 }
 
@@ -140,8 +141,7 @@ impl CapturePoint {
     }
 
     fn push(&self, at: Time, value: Option<f64>) {
-        let mut inner = self.est.inner.lock();
-        inner.captures[self.index]
+        self.est.borrow_mut().captures[self.index]
             .events
             .push(CaptureEvent { at, value });
     }

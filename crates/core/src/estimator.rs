@@ -2,10 +2,9 @@
 //! and strict-timed back-annotation (§4 of the paper).
 
 use std::collections::BTreeMap;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use scperf_kernel::{ProcCtx, Time};
-use scperf_sync::Mutex;
 
 use crate::cost::OpCounts;
 use crate::hw::{weighted_hw_cycles, Dfg};
@@ -114,6 +113,9 @@ pub(crate) struct ProcRecord {
     pub(crate) resource_waits: u64,
 }
 
+/// One [`crate::PerfModel`]'s estimator state, shared as
+/// `Rc<RefCell<EstInner>>` with its processes, recorders and capture
+/// points; a simulation runs on one thread, so no lock guards it.
 pub(crate) struct EstInner {
     pub(crate) platform: Platform,
     pub(crate) mode: Mode,
@@ -172,56 +174,47 @@ pub struct EstHotStats {
     pub prog_rejects: u64,
 }
 
-/// Shared estimator state (one per [`crate::PerfModel`]).
-pub(crate) struct EstimatorShared {
-    pub(crate) inner: Mutex<EstInner>,
-}
-
-impl EstimatorShared {
-    pub(crate) fn new(platform: Platform, mode: Mode) -> Arc<EstimatorShared> {
+impl EstInner {
+    pub(crate) fn new(platform: Platform, mode: Mode) -> EstInner {
         let n = platform.len();
-        Arc::new(EstimatorShared {
-            inner: Mutex::new(EstInner {
-                platform,
-                mode,
-                nodes: vec!["entry".into(), "exit".into(), "wait".into()],
-                procs: BTreeMap::new(),
-                busy_until: vec![Time::ZERO; n],
-                busy_total: vec![Time::ZERO; n],
-                rtos_total: vec![Time::ZERO; n],
-                record_instantaneous: false,
-                record_dfgs: false,
-                record_segment_costs: false,
-                memo_mode: MemoMode::default(),
-                fast_charges: 0,
-                site_hits: 0,
-                site_misses: 0,
-                dfg_arena_reuse: 0,
-                captures: Vec::new(),
-                attribution: false,
-                contention_total: vec![Time::ZERO; n],
-                arbitration_waits: vec![0; n],
-            }),
-        })
+        EstInner {
+            platform,
+            mode,
+            nodes: vec!["entry".into(), "exit".into(), "wait".into()],
+            procs: BTreeMap::new(),
+            busy_until: vec![Time::ZERO; n],
+            busy_total: vec![Time::ZERO; n],
+            rtos_total: vec![Time::ZERO; n],
+            record_instantaneous: false,
+            record_dfgs: false,
+            record_segment_costs: false,
+            memo_mode: MemoMode::default(),
+            fast_charges: 0,
+            site_hits: 0,
+            site_misses: 0,
+            dfg_arena_reuse: 0,
+            captures: Vec::new(),
+            attribution: false,
+            contention_total: vec![Time::ZERO; n],
+            arbitration_waits: vec![0; n],
+        }
     }
 
-    pub(crate) fn register_node(&self, label: impl Into<String>) -> u32 {
-        let mut inner = self.inner.lock();
+    pub(crate) fn register_node(&mut self, label: impl Into<String>) -> u32 {
         let label = label.into();
-        if let Some(i) = inner.nodes.iter().position(|n| *n == label) {
+        if let Some(i) = self.nodes.iter().position(|n| *n == label) {
             return i as u32;
         }
-        inner.nodes.push(label);
-        (inner.nodes.len() - 1) as u32
+        self.nodes.push(label);
+        (self.nodes.len() - 1) as u32
     }
 
-    pub(crate) fn register_process(&self, pid: usize, name: String, resource: ResourceId) {
-        let mut inner = self.inner.lock();
+    pub(crate) fn register_process(&mut self, pid: usize, name: String, resource: ResourceId) {
         assert!(
-            resource.index() < inner.platform.len(),
+            resource.index() < self.platform.len(),
             "resource id out of range for this platform"
         );
-        inner.procs.insert(
+        self.procs.insert(
             pid,
             ProcRecord {
                 name,
@@ -259,7 +252,7 @@ pub(crate) fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
             t.current_node = node;
             let replayed = t.pop_replay();
             (
-                Arc::clone(&t.est),
+                Rc::clone(&t.est),
                 t.pid,
                 t.resource,
                 t.kind,
@@ -320,8 +313,8 @@ pub(crate) fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
     // Phase 3: record statistics and convert to time.
     let now = ctx.now();
     let (seg_time, rtos_time, mode, spare_dfg) = {
-        let mut inner = est.inner.lock();
-        let res = inner.platform.resource(resource).clone();
+        let mut inner = est.borrow_mut();
+        let res = inner.platform.resource(resource);
         let seg_time = res.cycles_to_time(cycles);
         let rtos_time = if kind == ResourceKind::Sequential {
             res.cycles_to_time(rtos_cycles)
@@ -382,8 +375,8 @@ pub(crate) fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
             }
         }
         inner.rtos_total[resource.index()] += rtos_time;
-        // Hot-path counters, folded in under the lock already held for
-        // the segment statistics (zero cost on the charge path itself).
+        // Hot-path counters, folded in with the segment statistics (zero
+        // cost on the charge path itself).
         inner.fast_charges += fast_ops;
         inner.site_hits += site_hits;
         inner.site_misses += site_misses;
@@ -399,18 +392,14 @@ pub(crate) fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
     match (mode, kind) {
         (Mode::EstimateOnly, _) => {
             // Untimed run: account busy time but do not sleep.
-            let mut inner = est.inner.lock();
-            inner.busy_total[resource.index()] += total;
+            est.borrow_mut().busy_total[resource.index()] += total;
         }
         (Mode::StrictTimed, ResourceKind::Parallel) => {
             // Parallel resources: the process resumes at
             // max(previous segment end, waking event) — which is exactly
             // `now` here, since host execution is instantaneous — and then
             // sleeps the estimated time.
-            {
-                let mut inner = est.inner.lock();
-                inner.busy_total[resource.index()] += total;
-            }
+            est.borrow_mut().busy_total[resource.index()] += total;
             if !total.is_zero() {
                 ctx.wait(total);
             }
@@ -422,14 +411,14 @@ pub(crate) fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
             // the arbitration loop of §4), then occupy it.
             loop {
                 let now = ctx.now();
-                let free_at = est.inner.lock().busy_until[resource.index()];
+                let free_at = est.borrow().busy_until[resource.index()];
                 if free_at <= now {
                     break;
                 }
                 ctx.wait(free_at - now);
             }
             {
-                let mut inner = est.inner.lock();
+                let mut inner = est.borrow_mut();
                 let resumed = ctx.now();
                 let until = resumed + total;
                 inner.busy_until[resource.index()] = until;

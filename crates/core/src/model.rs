@@ -8,12 +8,14 @@
 //! types, and the same model runs untimed ([`Mode::EstimateOnly`]) or
 //! strict-timed ([`Mode::StrictTimed`]) — no other change.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use scperf_kernel::{Fifo, ProcCtx, ProcId, Rendezvous, Signal, Simulator, Time};
 
 use crate::capture::{CaptureList, CapturePoint};
-use crate::estimator::{end_segment, EstHotStats, EstimatorShared, Mode, NODE_WAIT};
+use crate::estimator::{end_segment, EstHotStats, EstInner, Mode, NODE_WAIT};
 use crate::hw::Dfg;
 use crate::prog::{ProgStore, ProgramSet};
 use crate::recorder::{Recorder, Replay};
@@ -54,33 +56,44 @@ use crate::tls;
 /// assert!(report.processes[0].total_cycles > 0.0);
 /// # Ok::<(), scperf_kernel::SimError>(())
 /// ```
+///
+/// The estimation state is single-threaded, like the simulation it
+/// annotates: a model is `!Send`, so moving one to another thread does
+/// not compile.
+///
+/// ```compile_fail
+/// use scperf_core::{Mode, PerfModel, Platform};
+///
+/// let model = PerfModel::new(Platform::new(), Mode::StrictTimed);
+/// std::thread::spawn(move || model.mode());
+/// ```
 pub struct PerfModel {
-    pub(crate) est: Arc<EstimatorShared>,
+    pub(crate) est: Rc<RefCell<EstInner>>,
 }
 
 impl PerfModel {
     /// Creates a model for `platform` operating in `mode`.
     pub fn new(platform: Platform, mode: Mode) -> PerfModel {
         PerfModel {
-            est: EstimatorShared::new(platform, mode),
+            est: Rc::new(RefCell::new(EstInner::new(platform, mode))),
         }
     }
 
     /// The model's mode.
     pub fn mode(&self) -> Mode {
-        self.est.inner.lock().mode
+        self.est.borrow().mode
     }
 
     /// Record one `(time, cycles)` sample per segment execution (the
     /// paper's "instantaneous estimated parameters"). Off by default.
     pub fn record_instantaneous(&self) {
-        self.est.inner.lock().record_instantaneous = true;
+        self.est.borrow_mut().record_instantaneous = true;
     }
 
     /// Record the dataflow graph of each hardware segment's first
     /// execution, for export to the HLS scheduler. Off by default.
     pub fn record_dfgs(&self) {
-        self.est.inner.lock().record_dfgs = true;
+        self.est.borrow_mut().record_dfgs = true;
     }
 
     /// Enables/disables resource-contention attribution: per-resource
@@ -89,7 +102,7 @@ impl PerfModel {
     /// the strict-timed schedule are bit-identical either way. Off by
     /// default.
     pub fn attribution(&self, enable: bool) {
-        self.est.inner.lock().attribution = enable;
+        self.est.borrow_mut().attribution = enable;
     }
 
     /// Sets the segment-site memoization policy for processes spawned
@@ -97,7 +110,7 @@ impl PerfModel {
     /// actually engages for live estimation on sequential resources with
     /// integer-valued cost tables — see [`crate::g_loop!`].
     pub fn site_memo(&self, mode: MemoMode) {
-        self.est.inner.lock().memo_mode = mode;
+        self.est.borrow_mut().memo_mode = mode;
     }
 
     /// Has no effect. Cost programs no longer leave the run that
@@ -107,13 +120,13 @@ impl PerfModel {
 
     /// A clone of the model's platform (resources + cost tables).
     pub fn platform(&self) -> crate::resource::Platform {
-        self.est.inner.lock().platform.clone()
+        self.est.borrow().platform.clone()
     }
 
     /// Snapshot of the hot-path counters: fast-path charges, site-cache
-    /// hits/misses and DFG arena reuses. Cheap (one lock, four loads).
+    /// hits/misses and DFG arena reuses. Cheap (one borrow, four loads).
     pub fn hot_stats(&self) -> EstHotStats {
-        let inner = self.est.inner.lock();
+        let inner = self.est.borrow();
         EstHotStats {
             fast_charges: inner.fast_charges,
             site_hits: inner.site_hits,
@@ -147,7 +160,7 @@ impl PerfModel {
         body: F,
     ) -> ProcId
     where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
+        F: FnOnce(&mut ProcCtx) + 'static,
     {
         self.spawn_inner(sim, name.into(), resource, None, body)
     }
@@ -179,7 +192,7 @@ impl PerfModel {
         body: F,
     ) -> ProcId
     where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
+        F: FnOnce(&mut ProcCtx) + 'static,
     {
         self.spawn_inner(sim, name.into(), resource, Some(replay), body)
     }
@@ -193,13 +206,13 @@ impl PerfModel {
         body: F,
     ) -> ProcId
     where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
+        F: FnOnce(&mut ProcCtx) + 'static,
     {
-        let est = Arc::clone(&self.est);
+        let est = Rc::clone(&self.est);
         let reg_name = name.clone();
         let pid = sim.spawn(name, move |ctx| {
             let (kind, costs, k, rtos_cycles, memo, record_dfgs) = {
-                let inner = est.inner.lock();
+                let inner = est.borrow();
                 let r = inner.platform.resource(resource);
                 (
                     r.kind,
@@ -213,7 +226,7 @@ impl PerfModel {
             let record_dfgs =
                 replay.is_none() && record_dfgs && kind == crate::resource::ResourceKind::Parallel;
             tls::install(tls::ThreadCtx {
-                est: Arc::clone(&est),
+                est: Rc::clone(&est),
                 pid: ctx.pid().index(),
                 resource,
                 kind,
@@ -241,21 +254,23 @@ impl PerfModel {
             // segment and back-annotate it.
             end_segment(ctx, crate::estimator::NODE_EXIT);
         });
-        self.est.register_process(pid.index(), reg_name, resource);
+        self.est
+            .borrow_mut()
+            .register_process(pid.index(), reg_name, resource);
         pid
     }
 
     /// Creates an instrumented FIFO channel: both endpoints are segment
     /// boundaries for analyzed processes.
-    pub fn fifo<T: Send + std::fmt::Debug + 'static>(
+    pub fn fifo<T: std::fmt::Debug + 'static>(
         &self,
         sim: &mut Simulator,
         name: impl Into<String>,
         capacity: usize,
     ) -> PFifo<T> {
         let name = name.into();
-        let read_node = self.est.register_node(format!("{name}.read"));
-        let write_node = self.est.register_node(format!("{name}.write"));
+        let read_node = self.est.borrow_mut().register_node(format!("{name}.read"));
+        let write_node = self.est.borrow_mut().register_node(format!("{name}.write"));
         PFifo {
             inner: sim.fifo(name, capacity),
             read_node,
@@ -266,10 +281,10 @@ impl PerfModel {
     /// Creates an instrumented signal.
     pub fn signal<T>(&self, sim: &mut Simulator, name: impl Into<String>, initial: T) -> PSignal<T>
     where
-        T: Send + Clone + PartialEq + std::fmt::Debug + 'static,
+        T: Clone + PartialEq + std::fmt::Debug + 'static,
     {
         let name = name.into();
-        let write_node = self.est.register_node(format!("{name}.write"));
+        let write_node = self.est.borrow_mut().register_node(format!("{name}.write"));
         PSignal {
             inner: sim.signal(name, initial),
             write_node,
@@ -277,14 +292,14 @@ impl PerfModel {
     }
 
     /// Creates an instrumented rendezvous channel.
-    pub fn rendezvous<T: Send + std::fmt::Debug + 'static>(
+    pub fn rendezvous<T: std::fmt::Debug + 'static>(
         &self,
         sim: &mut Simulator,
         name: impl Into<String>,
     ) -> PRendezvous<T> {
         let name = name.into();
-        let read_node = self.est.register_node(format!("{name}.read"));
-        let write_node = self.est.register_node(format!("{name}.write"));
+        let read_node = self.est.borrow_mut().register_node(format!("{name}.read"));
+        let write_node = self.est.borrow_mut().register_node(format!("{name}.write"));
         PRendezvous {
             inner: sim.rendezvous(name),
             read_node,
@@ -295,25 +310,25 @@ impl PerfModel {
     /// Registers a capture point (§4). The returned handle is cheap to
     /// clone into process bodies.
     pub fn capture_point(&self, name: impl Into<String>) -> CapturePoint {
-        let mut inner = self.est.inner.lock();
+        let mut inner = self.est.borrow_mut();
         inner.captures.push(CaptureList {
             name: name.into(),
             events: Vec::new(),
         });
         CapturePoint {
-            est: Arc::clone(&self.est),
+            est: Rc::clone(&self.est),
             index: inner.captures.len() - 1,
         }
     }
 
     /// The recorded capture lists (clone; call after `sim.run()`).
     pub fn captures(&self) -> Vec<CaptureList> {
-        self.est.inner.lock().captures.clone()
+        self.est.borrow().captures.clone()
     }
 
     /// Builds the full performance report (call after `sim.run()`).
     pub fn report(&self) -> Report {
-        Report::build(&self.est.inner.lock())
+        Report::build(&self.est.borrow())
     }
 
     /// Builds the utilization & contention attribution for a run whose
@@ -322,7 +337,7 @@ impl PerfModel {
     /// channel section is left empty here — `Session::report` fills it
     /// from the kernel's channel accounting.
     pub fn utilization_report(&self, total_time: Time) -> Option<crate::UtilizationReport> {
-        let inner = self.est.inner.lock();
+        let inner = self.est.borrow();
         inner
             .attribution
             .then(|| Report::build_utilization(&inner, total_time))
@@ -334,7 +349,7 @@ impl PerfModel {
     /// [`Simulator::metrics`]; merge the two snapshots for a full
     /// picture of one run.
     pub fn metrics_snapshot(&self) -> scperf_obs::MetricsSnapshot {
-        let inner = self.est.inner.lock();
+        let inner = self.est.borrow();
         let mut m = scperf_obs::MetricsSnapshot::new();
         m.set_counter("est.processes", inner.procs.len() as u64);
         let mut segments = 0_u64;
@@ -403,7 +418,7 @@ impl PerfModel {
     /// before the run; load the written JSON in Perfetto or
     /// `chrome://tracing`.
     pub fn chrome_trace(&self) -> scperf_obs::chrome::ChromeTrace {
-        let inner = self.est.inner.lock();
+        let inner = self.est.borrow();
         let mut t = scperf_obs::chrome::ChromeTrace::new();
         // Own process group so a merge with the kernel trace (pid 1)
         // cannot put estimator spans on a kernel instant track.
@@ -437,7 +452,7 @@ impl PerfModel {
     /// The label of a node id (used with
     /// [`crate::ProcessReport::instantaneous_csv`]).
     pub fn node_label(&self, node: u32) -> String {
-        let inner = self.est.inner.lock();
+        let inner = self.est.borrow();
         inner
             .nodes
             .get(node as usize)
@@ -448,7 +463,7 @@ impl PerfModel {
     /// The recorded DFG of a hardware segment, identified by process name
     /// and `(from, to)` node labels. Requires [`PerfModel::record_dfgs`].
     pub fn dfg(&self, process: &str, from: &str, to: &str) -> Option<Dfg> {
-        let inner = self.est.inner.lock();
+        let inner = self.est.borrow();
         let from = inner.nodes.iter().position(|n| n == from)? as u32;
         let to = inner.nodes.iter().position(|n| n == to)? as u32;
         inner
@@ -462,7 +477,7 @@ impl PerfModel {
 
     /// All recorded DFGs of a process, keyed by `(from, to)` node labels.
     pub fn dfgs(&self, process: &str) -> Vec<((String, String), Dfg)> {
-        let inner = self.est.inner.lock();
+        let inner = self.est.borrow();
         let Some(rec) = inner.procs.values().find(|p| p.name == process) else {
             return Vec::new();
         };
@@ -483,7 +498,7 @@ impl PerfModel {
 
 impl std::fmt::Debug for PerfModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.est.inner.lock();
+        let inner = self.est.borrow();
         f.debug_struct("PerfModel")
             .field("mode", &inner.mode)
             .field("resources", &inner.platform.len())
@@ -504,8 +519,8 @@ pub fn timed_wait(ctx: &mut ProcCtx, delay: Time) {
 /// Like [`timed_wait`] but with a distinct node label, so different wait
 /// sites appear as different nodes in the process graph.
 pub fn timed_wait_labeled(ctx: &mut ProcCtx, delay: Time, label: &str) {
-    let node = match tls::with(|t| Arc::clone(&t.est)) {
-        Some(est) => est.register_node(format!("wait:{label}")),
+    let node = match tls::with(|t| Rc::clone(&t.est)) {
+        Some(est) => est.borrow_mut().register_node(format!("wait:{label}")),
         None => NODE_WAIT,
     };
     end_segment(ctx, node);
@@ -530,7 +545,7 @@ impl<T> Clone for PFifo<T> {
     }
 }
 
-impl<T: Send + std::fmt::Debug + 'static> PFifo<T> {
+impl<T: std::fmt::Debug + 'static> PFifo<T> {
     /// Blocking read; ends the current segment first.
     pub fn read(&self, ctx: &mut ProcCtx) -> T {
         end_segment(ctx, self.read_node);
@@ -567,7 +582,7 @@ impl<T> Clone for PSignal<T> {
     }
 }
 
-impl<T: Send + Clone + PartialEq + std::fmt::Debug + 'static> PSignal<T> {
+impl<T: Clone + PartialEq + std::fmt::Debug + 'static> PSignal<T> {
     /// Reads the committed value (never blocks, not a segment boundary).
     pub fn read(&self) -> T {
         self.inner.read()
@@ -603,7 +618,7 @@ impl<T> Clone for PRendezvous<T> {
     }
 }
 
-impl<T: Send + std::fmt::Debug + 'static> PRendezvous<T> {
+impl<T: std::fmt::Debug + 'static> PRendezvous<T> {
     /// Blocking read; ends the current segment first.
     pub fn read(&self, ctx: &mut ProcCtx) -> T {
         end_segment(ctx, self.read_node);

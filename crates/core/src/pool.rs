@@ -19,7 +19,7 @@
 //! ```text
 //!   acquire()            elaborate, enforce_limits(), run, read results
 //! ──────────▶ factory() ─────────────────────────────────────────────▶ drop
-//!   (admitted while                                        (joins threads,
+//!   (admitted while                                  (unwinds processes,
 //!    live < max_sessions)                                   frees the slot)
 //! ```
 //!
@@ -317,7 +317,7 @@ impl Drop for PooledSession<'_> {
     fn drop(&mut self) {
         drop(self.session.take());
         // Release pairs with the Acquire in `acquire`: the freed slot is
-        // admitted again only after this session's threads are joined.
+        // admitted again only after this session is dropped.
         self.pool.live.fetch_sub(1, Ordering::Release);
     }
 }

@@ -23,10 +23,12 @@
 //! its `k`. `scperf_dse::SegmentCostCache` shows the canonical
 //! fingerprinting scheme.
 
+use std::cell::RefCell;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::cost::OpCounts;
-use crate::estimator::EstimatorShared;
+use crate::estimator::EstInner;
 
 /// Per-segment bookkeeping captured alongside the cycle trace: the
 /// operation counts and (for parallel resources) the `T_min`/`T_max`
@@ -146,16 +148,16 @@ impl Replay {
 /// ```
 #[derive(Clone)]
 pub struct Recorder {
-    est: Arc<EstimatorShared>,
+    est: Rc<RefCell<EstInner>>,
 }
 
 impl Recorder {
     /// Creates the handle and switches segment-cost recording on for
     /// every process the estimator runs from now on.
-    pub(crate) fn attach(est: &Arc<EstimatorShared>) -> Recorder {
-        est.inner.lock().record_segment_costs = true;
+    pub(crate) fn attach(est: &Rc<RefCell<EstInner>>) -> Recorder {
+        est.borrow_mut().record_segment_costs = true;
         Recorder {
-            est: Arc::clone(est),
+            est: Rc::clone(est),
         }
     }
 
@@ -163,7 +165,7 @@ impl Recorder {
     /// the process is unknown to the estimator; an empty replay when
     /// the process closed no segments.
     pub fn replay(&self, process: &str) -> Option<Replay> {
-        let inner = self.est.inner.lock();
+        let inner = self.est.borrow();
         inner.procs.values().find(|p| p.name == process).map(|p| {
             Replay::with_detail(
                 Arc::new(p.cost_trace.clone()),
@@ -175,7 +177,7 @@ impl Recorder {
     /// All captured traces, as `(process name, replay)` pairs in
     /// process-registration order.
     pub fn replays(&self) -> Vec<(String, Replay)> {
-        let inner = self.est.inner.lock();
+        let inner = self.est.borrow();
         inner
             .procs
             .values()
@@ -194,7 +196,7 @@ impl Recorder {
 
 impl std::fmt::Debug for Recorder {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let inner = self.est.inner.lock();
+        let inner = self.est.borrow();
         f.debug_struct("Recorder")
             .field("processes", &inner.procs.len())
             .finish()

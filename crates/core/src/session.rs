@@ -218,6 +218,15 @@ impl SimConfig {
 /// [`PerfModel`] remain reachable ([`Session::sim`],
 /// [`Session::model`]) for testbench-level pieces such as raw kernel
 /// channels and events.
+///
+/// A session is `!Send`: it is built, run and dropped on one thread, and
+/// its process bodies may share `Rc<RefCell<_>>` state. Moving one to
+/// another thread does not compile:
+///
+/// ```compile_fail
+/// let session = scperf_core::SimConfig::new().build();
+/// std::thread::spawn(move || session.now());
+/// ```
 #[derive(Debug)]
 pub struct Session {
     sim: Simulator,
@@ -231,7 +240,7 @@ impl Session {
     /// (see [`PerfModel::spawn`]).
     pub fn spawn<F>(&mut self, name: impl Into<String>, resource: ResourceId, body: F) -> ProcId
     where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
+        F: FnOnce(&mut ProcCtx) + 'static,
     {
         self.model.spawn(&mut self.sim, name, resource, body)
     }
@@ -246,7 +255,7 @@ impl Session {
         body: F,
     ) -> ProcId
     where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
+        F: FnOnce(&mut ProcCtx) + 'static,
     {
         self.model
             .spawn_replaying(&mut self.sim, name, resource, replay, body)
@@ -256,14 +265,14 @@ impl Session {
     /// the kernel: no resource mapping, no charging.
     pub fn spawn_untimed<F>(&mut self, name: impl Into<String>, body: F) -> ProcId
     where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
+        F: FnOnce(&mut ProcCtx) + 'static,
     {
         self.sim.spawn(name, body)
     }
 
     /// Creates an instrumented FIFO channel (both endpoints are segment
     /// boundaries for analyzed processes).
-    pub fn fifo<T: Send + std::fmt::Debug + 'static>(
+    pub fn fifo<T: std::fmt::Debug + 'static>(
         &mut self,
         name: impl Into<String>,
         capacity: usize,
@@ -274,13 +283,13 @@ impl Session {
     /// Creates an instrumented signal.
     pub fn signal<T>(&mut self, name: impl Into<String>, initial: T) -> PSignal<T>
     where
-        T: Send + Clone + PartialEq + std::fmt::Debug + 'static,
+        T: Clone + PartialEq + std::fmt::Debug + 'static,
     {
         self.model.signal(&mut self.sim, name, initial)
     }
 
     /// Creates an instrumented rendezvous channel.
-    pub fn rendezvous<T: Send + std::fmt::Debug + 'static>(
+    pub fn rendezvous<T: std::fmt::Debug + 'static>(
         &mut self,
         name: impl Into<String>,
     ) -> PRendezvous<T> {
@@ -369,8 +378,8 @@ impl Session {
     }
 
     /// One merged metrics snapshot: kernel counters (deltas, context
-    /// switches, channel accesses, handoff latency) plus estimator
-    /// counters (segments, annotated ops, busy/RTOS time).
+    /// switches, channel accesses) plus estimator counters (segments,
+    /// annotated ops, busy/RTOS time).
     pub fn metrics(&self) -> MetricsSnapshot {
         let mut m = self.sim.metrics();
         m.merge(self.model.metrics_snapshot());
@@ -397,7 +406,7 @@ impl Session {
     /// [`Recorder`], channels) stay bound to it.
     pub fn reset_with_platform(&mut self, platform: Platform) {
         let config = {
-            let est = self.model.est.inner.lock();
+            let est = self.model.est.borrow();
             SimConfig {
                 options: SimOptions::new().tracing(self.sim.trace_mode()),
                 platform,
@@ -483,6 +492,33 @@ mod tests {
         let metrics = session.metrics();
         assert!(metrics.counter("kernel.delta_cycles").is_some());
         assert_eq!(metrics.counter("est.processes"), Some(1));
+    }
+
+    #[test]
+    fn bodies_share_single_thread_state() {
+        use std::cell::RefCell;
+        use std::rc::Rc;
+        let (platform, cpu) = one_cpu();
+        let mut session = SimConfig::new().platform(platform).build();
+        let log = Rc::new(RefCell::new(Vec::new()));
+        for (name, n) in [("long", 40), ("short", 10)] {
+            let log = Rc::clone(&log);
+            session.spawn(name, cpu, move |ctx| {
+                let mut acc = g_i64(0);
+                for i in 0..n {
+                    acc = acc + g_i64(i);
+                }
+                crate::model::timed_wait(ctx, Time::ZERO);
+                log.borrow_mut().push((name, ctx.now()));
+            });
+        }
+        session.run().unwrap();
+        // Both segments end at time zero on one CPU: "long" (spawned
+        // first) holds it, and "short" runs after it.
+        let log = log.borrow();
+        assert_eq!(log.len(), 2);
+        assert_eq!((log[0].0, log[1].0), ("long", "short"));
+        assert!(Time::ZERO < log[0].1 && log[0].1 < log[1].1, "{log:?}");
     }
 
     #[test]

@@ -42,10 +42,11 @@
 
 use std::cell::{Cell, RefCell};
 use std::ptr;
+use std::rc::Rc;
 use std::sync::Arc;
 
 use crate::cost::{CostTable, Op, OpCounts, OP_COUNT};
-use crate::estimator::EstimatorShared;
+use crate::estimator::EstInner;
 use crate::hw::{Dfg, DfgNode, NO_NODE};
 use crate::prog::ProgStore;
 use crate::resource::{ResourceId, ResourceKind};
@@ -183,7 +184,7 @@ pub(crate) struct ReplayCursor {
 
 /// The running segment's accumulated state for one process.
 pub(crate) struct ThreadCtx {
-    pub(crate) est: Arc<EstimatorShared>,
+    pub(crate) est: Rc<RefCell<EstInner>>,
     pub(crate) pid: usize,
     pub(crate) resource: ResourceId,
     pub(crate) kind: ResourceKind,
@@ -525,7 +526,10 @@ pub(crate) mod testutil {
             ResourceKind::Environment => platform.environment("env"),
         };
         ThreadCtx {
-            est: EstimatorShared::new(platform, crate::Mode::EstimateOnly),
+            est: Rc::new(RefCell::new(EstInner::new(
+                platform,
+                crate::Mode::EstimateOnly,
+            ))),
             pid: 0,
             resource,
             kind,

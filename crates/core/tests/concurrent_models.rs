@@ -6,8 +6,8 @@
 //! simulation runs as a coroutine on the thread that calls
 //! `Simulator::run`. These tests pin the invariants that make that safe:
 //!
-//! * all estimator state is per-`PerfModel` (`Arc<EstimatorShared>`), not
-//!   process-global, so concurrent models cannot observe each other;
+//! * all estimator state is per-`PerfModel` (`Rc<RefCell<EstInner>>`),
+//!   not process-global, so concurrent models cannot observe each other;
 //! * each process's estimation context follows it across context
 //!   switches: a process suspended mid-segment, or running an inner
 //!   simulation, keeps its own accumulators, and the worker thread

@@ -6,14 +6,14 @@
 //! panic must free its admission slot for a session that runs
 //! bit-identically to a fresh one.
 
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use proptest::prelude::*;
 use scperf_core::{
     g_i64, CostTable, InstanceLimits, Platform, Replay, ResourceId, Session, SessionPool, SimConfig,
 };
 use scperf_kernel::{SimError, Time, TraceMode};
-use scperf_sync::Mutex;
 
 fn platform() -> (Platform, ResourceId, ResourceId) {
     let mut p = Platform::new();
@@ -40,7 +40,7 @@ fn elaborate(
     nitems: usize,
     seed: i64,
     replays: &[(String, Replay)],
-) -> Arc<Mutex<Vec<i64>>> {
+) -> Rc<RefCell<Vec<i64>>> {
     let replay = |name: &str| {
         replays
             .iter()
@@ -49,7 +49,7 @@ fn elaborate(
     };
     let mid = session.fifo::<i64>("mid", 2);
     let out = session.fifo::<i64>("out", 2);
-    let collected: Arc<Mutex<Vec<i64>>> = Arc::new(Mutex::new(Vec::new()));
+    let collected = Rc::new(RefCell::new(Vec::new()));
 
     let gen_value = move |i: usize| -> i64 {
         let mut acc = seed;
@@ -102,24 +102,27 @@ fn elaborate(
         }
     }
 
-    let sink = Arc::clone(&collected);
+    let sink = Rc::clone(&collected);
     session.spawn_untimed("sink", move |ctx| {
         for _ in 0..nitems {
             let v = out.read(ctx);
-            sink.lock().push(v);
+            sink.borrow_mut().push(v);
         }
     });
     collected
 }
 
 /// Everything a run must reproduce bit for bit.
-fn observe(session: &mut Session, collected: &Mutex<Vec<i64>>) -> impl PartialEq + std::fmt::Debug {
+fn observe(
+    session: &mut Session,
+    collected: &RefCell<Vec<i64>>,
+) -> impl PartialEq + std::fmt::Debug {
     let summary = session.run().expect("determinate pipeline");
     (
         summary,
         session.report(),
         session.take_events().events,
-        collected.lock().clone(),
+        collected.borrow().clone(),
     )
 }
 

@@ -2,6 +2,9 @@
 //! sequential-resource serialization (Figure 5's sg1/sg2), parallel
 //! overlap (sg4 ∥ sg5), and RTOS overhead accounting.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use scperf_core::{
     charge_op, g_i64, timed_wait, CostTable, Mode, Op, PerfModel, Platform, ResourceId,
 };
@@ -61,18 +64,18 @@ fn two_processes_on_one_cpu_serialize() {
     let (platform, cpu) = platform_cpu(0.0);
     let mut sim = Simulator::new();
     let model = PerfModel::new(platform, Mode::StrictTimed);
-    let done = std::sync::Arc::new(scperf_sync::Mutex::new(Vec::new()));
+    let done = Rc::new(RefCell::new(Vec::new()));
     for (name, cycles) in [("p2", 300_u64), ("p3", 500_u64)] {
-        let done = std::sync::Arc::clone(&done);
+        let done = Rc::clone(&done);
         model.spawn(&mut sim, name, cpu, move |ctx| {
             burn(cycles);
             timed_wait(ctx, Time::ZERO); // node: back-annotate here
-            done.lock().push((name, ctx.now()));
+            done.borrow_mut().push((name, ctx.now()));
         });
     }
     let s = sim.run().unwrap();
     // p2 occupies [0, 3us); p3 must wait and occupies [3us, 8us).
-    let order = done.lock().clone();
+    let order = done.borrow().clone();
     assert_eq!(order[0], ("p2", Time::us(3)));
     assert_eq!(order[1], ("p3", Time::us(8)));
     assert_eq!(s.end_time, Time::us(8));
@@ -126,13 +129,13 @@ fn arbitration_loop_handles_resource_stealing() {
     let (platform, cpu) = platform_cpu(0.0);
     let mut sim = Simulator::new();
     let model = PerfModel::new(platform, Mode::StrictTimed);
-    let spans = std::sync::Arc::new(scperf_sync::Mutex::new(Vec::new()));
+    let spans = Rc::new(RefCell::new(Vec::new()));
     for (i, cycles) in [700_u64, 200, 400].into_iter().enumerate() {
-        let spans = std::sync::Arc::clone(&spans);
+        let spans = Rc::clone(&spans);
         model.spawn(&mut sim, format!("p{i}"), cpu, move |ctx| {
             burn(cycles);
             timed_wait(ctx, Time::ZERO);
-            spans.lock().push((ctx.now(), cycles));
+            spans.borrow_mut().push((ctx.now(), cycles));
         });
     }
     let s = sim.run().unwrap();
@@ -140,7 +143,7 @@ fn arbitration_loop_handles_resource_stealing() {
     assert_eq!(s.end_time, Time::us(13));
     // End times must be cumulative sums in pid order (all were runnable at
     // time zero, so the CPU serves them in deterministic spawn order).
-    let spans = spans.lock().clone();
+    let spans = spans.borrow().clone();
     assert_eq!(spans[0].0, Time::us(7));
     assert_eq!(spans[1].0, Time::us(9));
     assert_eq!(spans[2].0, Time::us(13));

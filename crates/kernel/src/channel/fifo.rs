@@ -6,17 +6,16 @@
 //! is what keeps an untimed model deterministic regardless of the order in
 //! which runnable processes execute within a delta.
 
+use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use scperf_obs::{Payload, Sym};
-use scperf_sync::Mutex;
 
 use crate::event::Event;
 use crate::process::ProcCtx;
 use crate::sim::Simulator;
-use crate::state::{ChanStats, KernelState, UpdateHook};
+use crate::state::{bump, ChanStats, KernelState, UpdateHook};
 
 struct FifoBuf<T> {
     q: VecDeque<T>,
@@ -33,15 +32,15 @@ struct FifoInner<T> {
     /// The channel name interned in the kernel's symbol table.
     name_sym: Sym,
     capacity: usize,
-    buf: Mutex<FifoBuf<T>>,
+    buf: RefCell<FifoBuf<T>>,
     data_ev: Event,
     space_ev: Event,
-    stats: Arc<ChanStats>,
+    stats: Rc<ChanStats>,
 }
 
-impl<T: Send + std::fmt::Debug> UpdateHook for FifoInner<T> {
+impl<T: std::fmt::Debug> UpdateHook for FifoInner<T> {
     fn update(&self, st: &mut KernelState) {
-        let mut buf = self.buf.lock();
+        let mut buf = self.buf.borrow_mut();
         buf.readable = buf.q.len();
         if buf.written > 0 {
             buf.written = 0;
@@ -60,15 +59,24 @@ impl<T: Send + std::fmt::Debug> UpdateHook for FifoInner<T> {
 /// Reads block while the FIFO is empty; writes block while it is full.
 /// Handles are cheap to clone; typically one clone goes to the producer and
 /// one to the consumer.
+///
+/// Like the simulator it belongs to, a handle is `!Send`; moving one to
+/// another thread does not compile:
+///
+/// ```compile_fail
+/// let mut sim = scperf_kernel::Simulator::new();
+/// let fifo = sim.fifo::<u32>("data", 1);
+/// std::thread::spawn(move || fifo.capacity());
+/// ```
 pub struct Fifo<T> {
-    inner: Arc<FifoInner<T>>,
+    inner: Rc<FifoInner<T>>,
     hook_id: usize,
 }
 
 impl<T> Clone for Fifo<T> {
     fn clone(&self) -> Fifo<T> {
         Fifo {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
             hook_id: self.hook_id,
         }
     }
@@ -81,7 +89,7 @@ impl Simulator {
     ///
     /// Panics if `capacity` is zero (use [`Simulator::rendezvous`] for
     /// unbuffered synchronous communication).
-    pub fn fifo<T: Send + std::fmt::Debug + 'static>(
+    pub fn fifo<T: std::fmt::Debug + 'static>(
         &mut self,
         name: impl Into<String>,
         capacity: usize,
@@ -90,14 +98,14 @@ impl Simulator {
         let name = name.into();
         let data_ev = self.event(format!("{name}.data"));
         let space_ev = self.event(format!("{name}.space"));
-        let shared = Arc::clone(self.shared());
+        let shared = Rc::clone(self.shared());
         let (name_sym, stats) =
             shared.with_state(|st| (st.interner.intern(&name), st.register_chan_stats(&name)));
-        let inner = Arc::new(FifoInner {
+        let inner = Rc::new(FifoInner {
             name,
             name_sym,
             capacity,
-            buf: Mutex::new(FifoBuf {
+            buf: RefCell::new(FifoBuf {
                 q: VecDeque::with_capacity(capacity),
                 readable: 0,
                 written: 0,
@@ -108,12 +116,12 @@ impl Simulator {
             stats,
         });
         let hook_id = shared
-            .with_state(|st| st.register_update_hook(Arc::clone(&inner) as Arc<dyn UpdateHook>));
+            .with_state(|st| st.register_update_hook(Rc::clone(&inner) as Rc<dyn UpdateHook>));
         Fifo { inner, hook_id }
     }
 }
 
-impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
+impl<T: std::fmt::Debug + 'static> Fifo<T> {
     /// The channel's name.
     pub fn name(&self) -> &str {
         &self.inner.name
@@ -126,13 +134,13 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
 
     /// Number of committed items currently readable.
     pub fn num_available(&self) -> usize {
-        let buf = self.inner.buf.lock();
+        let buf = self.inner.buf.borrow();
         buf.readable - buf.read
     }
 
     /// Number of free slots visible to writers.
     pub fn num_free(&self) -> usize {
-        let buf = self.inner.buf.lock();
+        let buf = self.inner.buf.borrow();
         self.inner.capacity - buf.readable - buf.written
     }
 
@@ -141,7 +149,7 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
     pub fn read(&self, ctx: &mut ProcCtx) -> T {
         loop {
             let taken = {
-                let mut buf = self.inner.buf.lock();
+                let mut buf = self.inner.buf.borrow_mut();
                 if buf.readable > buf.read {
                     let v = buf.q.pop_front().expect("readable item present");
                     buf.read += 1;
@@ -152,11 +160,11 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
             };
             match taken {
                 Some(v) => {
-                    self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
-                    // Capture the payload outside the kernel lock, and only
-                    // when a sink is installed: with tracing off the read
-                    // path performs no allocation at all.
-                    let payload = ctx.shared.tracing_fast().then(|| Payload::capture(&v));
+                    bump(&self.inner.stats.reads, 1);
+                    // Capture the payload only when a sink is installed:
+                    // with tracing off the read path performs no
+                    // allocation at all.
+                    let payload = ctx.shared.tracing().then(|| Payload::capture(&v));
                     ctx.shared.with_state(|st| {
                         st.request_update(self.hook_id);
                         if let Some(payload) = payload {
@@ -166,17 +174,7 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
                     });
                     return v;
                 }
-                None => {
-                    self.inner.stats.blocks.fetch_add(1, Ordering::Relaxed);
-                    // Attribution: measure the blocked span in simulated
-                    // time (lock-free gate; off = no extra kernel calls).
-                    let t0 = ctx.shared.attribution_fast().then(|| ctx.now());
-                    ctx.wait_event(&self.inner.data_ev);
-                    if let Some(t0) = t0 {
-                        let span = ctx.now().saturating_sub(t0).as_ps();
-                        self.inner.stats.add_blocked(span);
-                    }
-                }
+                None => ctx.block_on(&self.inner.data_ev, &self.inner.stats),
             }
         }
     }
@@ -187,27 +185,28 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
         let mut value = Some(value);
         loop {
             let wrote = {
-                let mut buf = self.inner.buf.lock();
+                let mut buf = self.inner.buf.borrow_mut();
                 if self.inner.capacity - buf.readable - buf.written > 0 {
                     let v = value.take().expect("value still pending");
                     // Only snapshot the value when tracing is live — the
                     // legacy path built a `String` here unconditionally.
-                    let payload = ctx.shared.tracing_fast().then(|| Payload::capture(&v));
+                    let payload = ctx.shared.tracing().then(|| Payload::capture(&v));
                     buf.q.push_back(v);
                     buf.written += 1;
-                    if ctx.shared.attribution_fast() {
-                        self.inner.stats.raise_max_depth(buf.q.len() as u64);
-                    }
-                    Some(payload)
+                    Some((payload, buf.q.len() as u64))
                 } else {
                     None
                 }
             };
             match wrote {
-                Some(payload) => {
-                    self.inner.stats.writes.fetch_add(1, Ordering::Relaxed);
+                Some((payload, depth)) => {
+                    bump(&self.inner.stats.writes, 1);
                     ctx.shared.with_state(|st| {
                         st.request_update(self.hook_id);
+                        if st.attribution {
+                            let max = &self.inner.stats.max_depth;
+                            max.set(max.get().max(depth));
+                        }
                         if let Some(payload) = payload {
                             let label = st.labels.fifo_write;
                             st.record_event(Some(ctx.pid), label, self.inner.name_sym, payload);
@@ -215,15 +214,7 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
                     });
                     return;
                 }
-                None => {
-                    self.inner.stats.blocks.fetch_add(1, Ordering::Relaxed);
-                    let t0 = ctx.shared.attribution_fast().then(|| ctx.now());
-                    ctx.wait_event(&self.inner.space_ev);
-                    if let Some(t0) = t0 {
-                        let span = ctx.now().saturating_sub(t0).as_ps();
-                        self.inner.stats.add_blocked(span);
-                    }
-                }
+                None => ctx.block_on(&self.inner.space_ev, &self.inner.stats),
             }
         }
     }
@@ -231,7 +222,7 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
     /// Non-blocking read; `None` when no committed value is available.
     pub fn try_read(&self, ctx: &mut ProcCtx) -> Option<T> {
         let taken = {
-            let mut buf = self.inner.buf.lock();
+            let mut buf = self.inner.buf.borrow_mut();
             if buf.readable > buf.read {
                 let v = buf.q.pop_front().expect("readable item present");
                 buf.read += 1;
@@ -241,7 +232,7 @@ impl<T: Send + std::fmt::Debug + 'static> Fifo<T> {
             }
         };
         if taken.is_some() {
-            self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
+            bump(&self.inner.stats.reads, 1);
             ctx.shared.with_state(|st| st.request_update(self.hook_id));
         }
         taken

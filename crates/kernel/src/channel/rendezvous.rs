@@ -7,44 +7,43 @@
 //!
 //! The channel is intended for exactly one writer and one reader process.
 
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use scperf_obs::{Payload, Sym};
-use scperf_sync::Mutex;
 
 use crate::event::Event;
 use crate::process::ProcCtx;
 use crate::sim::Simulator;
-use crate::state::ChanStats;
+use crate::state::{bump, ChanStats};
 
 struct RendezvousInner<T> {
     name: String,
     /// The channel name interned in the kernel's symbol table.
     name_sym: Sym,
-    slot: Mutex<Option<T>>,
+    slot: RefCell<Option<T>>,
     data_ev: Event,
     consumed_ev: Event,
-    stats: Arc<ChanStats>,
+    stats: Rc<ChanStats>,
 }
 
 /// A cloneable handle to a rendezvous channel. Create with
 /// [`Simulator::rendezvous`].
 pub struct Rendezvous<T> {
-    inner: Arc<RendezvousInner<T>>,
+    inner: Rc<RendezvousInner<T>>,
 }
 
 impl<T> Clone for Rendezvous<T> {
     fn clone(&self) -> Rendezvous<T> {
         Rendezvous {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
         }
     }
 }
 
 impl Simulator {
     /// Creates a rendezvous (unbuffered, fully synchronous) channel.
-    pub fn rendezvous<T: Send + std::fmt::Debug + 'static>(
+    pub fn rendezvous<T: std::fmt::Debug + 'static>(
         &mut self,
         name: impl Into<String>,
     ) -> Rendezvous<T> {
@@ -55,10 +54,10 @@ impl Simulator {
             .shared()
             .with_state(|st| (st.interner.intern(&name), st.register_chan_stats(&name)));
         Rendezvous {
-            inner: Arc::new(RendezvousInner {
+            inner: Rc::new(RendezvousInner {
                 name,
                 name_sym,
-                slot: Mutex::new(None),
+                slot: RefCell::new(None),
                 data_ev,
                 consumed_ev,
                 stats,
@@ -67,7 +66,7 @@ impl Simulator {
     }
 }
 
-impl<T: Send + std::fmt::Debug + 'static> Rendezvous<T> {
+impl<T: std::fmt::Debug + 'static> Rendezvous<T> {
     /// The channel's name.
     pub fn name(&self) -> &str {
         &self.inner.name
@@ -79,12 +78,12 @@ impl<T: Send + std::fmt::Debug + 'static> Rendezvous<T> {
         let mut value = Some(value);
         loop {
             let placed = {
-                let mut slot = self.inner.slot.lock();
+                let mut slot = self.inner.slot.borrow_mut();
                 if slot.is_none() {
                     let v = value.take().expect("value still pending");
                     // Snapshot the value only when tracing is live — the
                     // legacy path formatted a `String` for every write.
-                    let payload = ctx.shared.tracing_fast().then(|| Payload::capture(&v));
+                    let payload = ctx.shared.tracing().then(|| Payload::capture(&v));
                     *slot = Some(v);
                     Some(payload)
                 } else {
@@ -93,7 +92,7 @@ impl<T: Send + std::fmt::Debug + 'static> Rendezvous<T> {
             };
             match placed {
                 Some(payload) => {
-                    self.inner.stats.writes.fetch_add(1, Ordering::Relaxed);
+                    bump(&self.inner.stats.writes, 1);
                     if let Some(payload) = payload {
                         ctx.shared.with_state(|st| {
                             let label = st.labels.rendezvous_write;
@@ -103,16 +102,12 @@ impl<T: Send + std::fmt::Debug + 'static> Rendezvous<T> {
                     self.inner.data_ev.notify_delta();
                     break;
                 }
-                None => {
-                    self.inner.stats.blocks.fetch_add(1, Ordering::Relaxed);
-                    self.timed_wait(ctx, &self.inner.consumed_ev);
-                }
+                None => ctx.block_on(&self.inner.consumed_ev, &self.inner.stats),
             }
         }
         // Block until the reader takes the value (the rendezvous itself).
-        while self.inner.slot.lock().is_some() {
-            self.inner.stats.blocks.fetch_add(1, Ordering::Relaxed);
-            self.timed_wait(ctx, &self.inner.consumed_ev);
+        while self.inner.slot.borrow().is_some() {
+            ctx.block_on(&self.inner.consumed_ev, &self.inner.stats);
         }
     }
 
@@ -120,11 +115,11 @@ impl<T: Send + std::fmt::Debug + 'static> Rendezvous<T> {
     /// writer.
     pub fn read(&self, ctx: &mut ProcCtx) -> T {
         loop {
-            let taken = self.inner.slot.lock().take();
+            let taken = self.inner.slot.borrow_mut().take();
             match taken {
                 Some(v) => {
-                    self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
-                    if ctx.shared.tracing_fast() {
+                    bump(&self.inner.stats.reads, 1);
+                    if ctx.shared.tracing() {
                         let payload = Payload::capture(&v);
                         ctx.shared.with_state(|st| {
                             let label = st.labels.rendezvous_read;
@@ -134,22 +129,8 @@ impl<T: Send + std::fmt::Debug + 'static> Rendezvous<T> {
                     self.inner.consumed_ev.notify_delta();
                     return v;
                 }
-                None => {
-                    self.inner.stats.blocks.fetch_add(1, Ordering::Relaxed);
-                    self.timed_wait(ctx, &self.inner.data_ev);
-                }
+                None => ctx.block_on(&self.inner.data_ev, &self.inner.stats),
             }
-        }
-    }
-
-    /// Waits on `ev`, charging the blocked span (in simulated time) to
-    /// this channel when attribution is on.
-    fn timed_wait(&self, ctx: &mut ProcCtx, ev: &Event) {
-        let t0 = ctx.shared.attribution_fast().then(|| ctx.now());
-        ctx.wait_event(ev);
-        if let Some(t0) = t0 {
-            let span = ctx.now().saturating_sub(t0).as_ps();
-            self.inner.stats.add_blocked(span);
         }
     }
 }

@@ -1,16 +1,15 @@
 //! Signal channel with `sc_signal` semantics: writes are committed in the
 //! update phase and a value-changed event fires one delta later.
 
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
+use std::cell::RefCell;
+use std::rc::Rc;
 
 use scperf_obs::{Payload, Sym};
-use scperf_sync::Mutex;
 
 use crate::event::Event;
 use crate::process::ProcCtx;
 use crate::sim::Simulator;
-use crate::state::{ChanStats, KernelState, UpdateHook};
+use crate::state::{bump, ChanStats, KernelState, UpdateHook};
 
 struct SignalBuf<T> {
     current: T,
@@ -21,14 +20,14 @@ struct SignalInner<T> {
     name: String,
     /// The signal name interned in the kernel's symbol table.
     name_sym: Sym,
-    buf: Mutex<SignalBuf<T>>,
+    buf: RefCell<SignalBuf<T>>,
     changed_ev: Event,
-    stats: Arc<ChanStats>,
+    stats: Rc<ChanStats>,
 }
 
-impl<T: Send + Clone + PartialEq + std::fmt::Debug + 'static> UpdateHook for SignalInner<T> {
+impl<T: Clone + PartialEq + std::fmt::Debug + 'static> UpdateHook for SignalInner<T> {
     fn update(&self, st: &mut KernelState) {
-        let mut buf = self.buf.lock();
+        let mut buf = self.buf.borrow_mut();
         if let Some(next) = buf.next.take() {
             if next != buf.current {
                 buf.current = next;
@@ -55,14 +54,14 @@ impl<T: Send + Clone + PartialEq + std::fmt::Debug + 'static> UpdateHook for Sig
 /// the last write (in execution order) wins — as in SystemC, well-formed
 /// models have a single driver per signal.
 pub struct Signal<T> {
-    inner: Arc<SignalInner<T>>,
+    inner: Rc<SignalInner<T>>,
     hook_id: usize,
 }
 
 impl<T> Clone for Signal<T> {
     fn clone(&self) -> Signal<T> {
         Signal {
-            inner: Arc::clone(&self.inner),
+            inner: Rc::clone(&self.inner),
             hook_id: self.hook_id,
         }
     }
@@ -72,17 +71,17 @@ impl Simulator {
     /// Creates a signal initialized to `initial`.
     pub fn signal<T>(&mut self, name: impl Into<String>, initial: T) -> Signal<T>
     where
-        T: Send + Clone + PartialEq + std::fmt::Debug + 'static,
+        T: Clone + PartialEq + std::fmt::Debug + 'static,
     {
         let name = name.into();
         let changed_ev = self.event(format!("{name}.changed"));
-        let shared = Arc::clone(self.shared());
+        let shared = Rc::clone(self.shared());
         let (name_sym, stats) =
             shared.with_state(|st| (st.interner.intern(&name), st.register_chan_stats(&name)));
-        let inner = Arc::new(SignalInner {
+        let inner = Rc::new(SignalInner {
             name,
             name_sym,
-            buf: Mutex::new(SignalBuf {
+            buf: RefCell::new(SignalBuf {
                 current: initial,
                 next: None,
             }),
@@ -90,12 +89,12 @@ impl Simulator {
             stats,
         });
         let hook_id = shared
-            .with_state(|st| st.register_update_hook(Arc::clone(&inner) as Arc<dyn UpdateHook>));
+            .with_state(|st| st.register_update_hook(Rc::clone(&inner) as Rc<dyn UpdateHook>));
         Signal { inner, hook_id }
     }
 }
 
-impl<T: Send + Clone + PartialEq + std::fmt::Debug + 'static> Signal<T> {
+impl<T: Clone + PartialEq + std::fmt::Debug + 'static> Signal<T> {
     /// The signal's name.
     pub fn name(&self) -> &str {
         &self.inner.name
@@ -103,15 +102,15 @@ impl<T: Send + Clone + PartialEq + std::fmt::Debug + 'static> Signal<T> {
 
     /// The committed value.
     pub fn read(&self) -> T {
-        self.inner.stats.reads.fetch_add(1, Ordering::Relaxed);
-        self.inner.buf.lock().current.clone()
+        bump(&self.inner.stats.reads, 1);
+        self.inner.buf.borrow().current.clone()
     }
 
     /// Schedules `value` to be committed in the update phase of the current
     /// delta cycle.
     pub fn write(&self, ctx: &mut ProcCtx, value: T) {
-        self.inner.stats.writes.fetch_add(1, Ordering::Relaxed);
-        self.inner.buf.lock().next = Some(value);
+        bump(&self.inner.stats.writes, 1);
+        self.inner.buf.borrow_mut().next = Some(value);
         ctx.shared.with_state(|st| st.request_update(self.hook_id));
     }
 

@@ -16,9 +16,11 @@
 //!   its stack to a per-thread free list of at most [`KEEP`] stacks; the
 //!   rest, and the whole list at thread exit, are unmapped.
 //! * **One thread.** A suspended body may hold a thread-local's address
-//!   in a register across its switch, so a coroutine that has run is
-//!   only ever resumed on the thread it ran on; [`crate::Simulator`]
-//!   enforces this.
+//!   in a register across its switch, so a coroutine that has run must
+//!   only ever be resumed on the thread it ran on. A `Coroutine` is
+//!   `!Send` (it holds raw pointers), and so is the
+//!   [`crate::Simulator`] that owns it: moving one to another thread
+//!   does not compile.
 //! * **Teardown.** A suspended coroutine is resumed with [`KILL`]: its
 //!   pending wait unwinds with [`KillToken`], dropping the body's state,
 //!   and the entry frame catches the unwind like any panic.
@@ -217,15 +219,6 @@ pub(crate) struct Coroutine {
     slot: Cell<*mut ()>,
     panic: Cell<Option<String>>,
 }
-
-// SAFETY: before its first dispatch a coroutine holds only `body`, an
-// `F: Send` closure plus a `ProcCtx` nothing uses yet; `stack`, `sp`,
-// `caller_sp` and `slot` are empty and `panic` is a plain `String`. From
-// the first dispatch on, the stack, the saved stack pointers and the
-// process slot may refer to that thread's state, and the simulator
-// touches them only on that thread: it resumes a started coroutine
-// nowhere else and leaks it when dropped elsewhere.
-unsafe impl Send for Coroutine {}
 
 impl Coroutine {
     /// A coroutine with no body yet; its address must stay fixed (it is

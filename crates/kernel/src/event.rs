@@ -6,7 +6,7 @@
 //! directly* — they interact exclusively through channels and timed waits —
 //! but channels and testbench components are built from them.
 
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::state::{Shared, TimedAction};
 use crate::time::Time;
@@ -19,11 +19,11 @@ use crate::time::Time;
 #[derive(Clone)]
 pub struct Event {
     pub(crate) id: usize,
-    pub(crate) shared: Arc<Shared>,
+    pub(crate) shared: Rc<Shared>,
 }
 
 impl Event {
-    pub(crate) fn new(shared: Arc<Shared>, name: impl Into<String>) -> Event {
+    pub(crate) fn new(shared: Rc<Shared>, name: impl Into<String>) -> Event {
         let id = shared.with_state(|st| st.new_event(name));
         Event { id, shared }
     }

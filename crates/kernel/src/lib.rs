@@ -25,6 +25,12 @@
 //! supported target; each process gets a 2 MiB stack, and overflowing it
 //! kills the program.
 //!
+//! Because a simulation never leaves its thread, its state is
+//! single-threaded by type: `RefCell`s and `Cell`s behind `Rc`s, no lock
+//! and no atomic. [`Simulator`], [`Event`], [`ProcCtx`] and the channels
+//! are therefore `!Send`, and [`Simulator::spawn`] takes bodies that need
+//! not be `Send`, so they may share `Rc<RefCell<_>>` state.
+//!
 //! # Examples
 //!
 //! A two-process producer/consumer with a timed producer:

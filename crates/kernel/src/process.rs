@@ -1,11 +1,11 @@
 //! Process identity and the per-process execution context.
 
 use std::fmt;
-use std::sync::Arc;
+use std::rc::Rc;
 
 use crate::coro::Coroutine;
 use crate::event::Event;
-use crate::state::{Shared, TimedAction};
+use crate::state::{bump, ChanStats, Shared, TimedAction};
 use crate::time::Time;
 
 /// Identifies a process within one simulator. Ordered by spawn order; the
@@ -48,7 +48,7 @@ impl fmt::Display for ProcId {
 /// ```
 pub struct ProcCtx {
     pub(crate) pid: usize,
-    pub(crate) shared: Arc<Shared>,
+    pub(crate) shared: Rc<Shared>,
     /// The process's coroutine, boxed and owned by the simulator.
     pub(crate) co: *const Coroutine,
 }
@@ -96,6 +96,21 @@ impl ProcCtx {
         self.suspend();
     }
 
+    /// A channel's blocking wait on `event`: counts the block in `stats`
+    /// and, when attribution is on, adds the blocked span in simulated
+    /// time.
+    pub(crate) fn block_on(&mut self, event: &Event, stats: &ChanStats) {
+        bump(&stats.blocks, 1);
+        let since = self.shared.with_state(|st| {
+            st.events[event.id].waiters.insert(self.pid);
+            st.attribution.then_some(st.now)
+        });
+        self.suspend();
+        if let Some(since) = since {
+            bump(&stats.blocked_ps, self.now().saturating_sub(since).as_ps());
+        }
+    }
+
     /// Switches back to the scheduler until this process is dispatched
     /// again.
     fn suspend(&self) {
@@ -107,7 +122,7 @@ impl ProcCtx {
     /// Appends a record to the simulator's trace (no-op when tracing is
     /// disabled). `label` classifies the record; `detail` carries values.
     pub fn emit_trace(&mut self, label: &str, detail: impl Into<String>) {
-        if !self.shared.tracing_fast() {
+        if !self.shared.tracing() {
             return;
         }
         let pid = self.pid;

@@ -2,10 +2,9 @@
 //! the scheduler loop. Processes are coroutines ([`crate::coro`]) that
 //! run on the thread calling [`Simulator::run`].
 
-use std::cell::Cell;
 use std::fmt;
-use std::sync::Arc;
-use std::thread::{self, ThreadId};
+use std::rc::Rc;
+use std::thread;
 
 use scperf_obs::{MemorySink, MetricsSnapshot, TraceSink, TraceTable};
 
@@ -16,13 +15,6 @@ use crate::process::{ProcCtx, ProcId};
 use crate::state::{AdvanceOutcome, ProcMeta, SchedSnapshot, Shared};
 use crate::time::Time;
 use crate::trace::TraceRecord;
-
-thread_local! {
-    /// This thread's id once it has run a simulation, so that `Drop` can
-    /// compare against it without `thread::current()`, which may be gone
-    /// while the thread's locals are torn down.
-    static THREAD_ID: Cell<Option<ThreadId>> = const { Cell::new(None) };
-}
 
 /// Why a call to [`Simulator::run`] / [`Simulator::run_until`] returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -78,10 +70,16 @@ impl std::error::Error for SimError {}
 /// execution is cooperative and deterministic: within a delta cycle,
 /// runnable processes execute in spawn order.
 ///
-/// A simulator may be built on one thread and run on another, but once
-/// it has run it stays on that thread: a later `run_until` elsewhere
-/// panics, and a drop elsewhere leaks the suspended processes' stacks
-/// instead of unwinding them.
+/// A simulator and every handle into it ([`Event`], the channels,
+/// [`ProcCtx`]) are `!Send`: the simulation is built, run and dropped on
+/// one thread, so its state needs no lock, and process bodies may
+/// capture `Rc<RefCell<_>>` state. Moving a simulator to another thread
+/// does not compile:
+///
+/// ```compile_fail
+/// let mut sim = scperf_kernel::Simulator::new();
+/// std::thread::spawn(move || sim.run());
+/// ```
 ///
 /// # Examples
 ///
@@ -108,7 +106,7 @@ impl std::error::Error for SimError {}
 /// # Ok::<(), scperf_kernel::SimError>(())
 /// ```
 pub struct Simulator {
-    shared: Arc<Shared>,
+    shared: Rc<Shared>,
     /// Boxed: each process's body and `ProcCtx` point to its coroutine,
     /// so it must not move when the vector grows.
     #[allow(clippy::vec_box)]
@@ -116,9 +114,6 @@ pub struct Simulator {
     errored: bool,
     /// The trace mode this simulator was built with.
     trace: TraceMode,
-    /// The thread the first run happened on; every later run must be
-    /// on it too.
-    thread: Option<ThreadId>,
 }
 
 impl Simulator {
@@ -148,7 +143,6 @@ impl Simulator {
             procs: Vec::new(),
             errored: false,
             trace: options.trace,
-            thread: None,
         }
     }
 
@@ -167,7 +161,7 @@ impl Simulator {
     /// Panics if called after the simulation has started.
     pub fn spawn<F>(&mut self, name: impl Into<String>, body: F) -> ProcId
     where
-        F: FnOnce(&mut ProcCtx) + Send + 'static,
+        F: FnOnce(&mut ProcCtx) + 'static,
     {
         let name = name.into();
         let pid = self.shared.with_state(|st| {
@@ -181,7 +175,7 @@ impl Simulator {
         let co = Box::new(Coroutine::new());
         let mut ctx = ProcCtx {
             pid,
-            shared: Arc::clone(&self.shared),
+            shared: Rc::clone(&self.shared),
             co: &*co,
         };
         co.set_body(Box::new(move || body(&mut ctx)));
@@ -191,7 +185,7 @@ impl Simulator {
 
     /// Creates a named event (for testbench components and channels).
     pub fn event(&mut self, name: impl Into<String>) -> Event {
-        Event::new(Arc::clone(&self.shared), name)
+        Event::new(Rc::clone(&self.shared), name)
     }
 
     /// Takes the recorded trace as legacy string-based records (a view
@@ -291,25 +285,8 @@ impl Simulator {
     /// # Errors
     ///
     /// Returns [`SimError::ProcessPanic`] if any process body panics.
-    ///
-    /// # Panics
-    ///
-    /// Panics when called on another thread than the simulator's first
-    /// run: a suspended process may hold that thread's thread-local
-    /// addresses, so its stack must not resume anywhere else.
     pub fn run_until(&mut self, limit: Time) -> Result<SimSummary, SimError> {
         assert!(!self.errored, "simulator is poisoned by an earlier error");
-        let here = THREAD_ID.with(|id| {
-            let here = id.get().unwrap_or_else(|| thread::current().id());
-            id.set(Some(here));
-            here
-        });
-        let first = *self.thread.get_or_insert(here);
-        assert!(
-            first == here,
-            "a started simulator runs only on the thread that started it: its \
-             suspended processes may hold that thread's thread-local addresses"
-        );
         self.shared.with_state(|st| {
             if !st.started {
                 st.started = true;
@@ -352,7 +329,7 @@ impl Simulator {
                 continue;
             }
             // Timed notification phase.
-            match self.shared.advance_time(limit) {
+            match self.shared.with_state(|st| st.advance_time(limit)) {
                 AdvanceOutcome::Advanced => continue,
                 AdvanceOutcome::LimitReached => break StopReason::TimeLimit,
                 AdvanceOutcome::Exhausted => break StopReason::EventsExhausted,
@@ -398,7 +375,7 @@ impl Simulator {
         }
     }
 
-    pub(crate) fn shared(&self) -> &Arc<Shared> {
+    pub(crate) fn shared(&self) -> &Rc<Shared> {
         &self.shared
     }
 }
@@ -413,12 +390,10 @@ impl Drop for Simulator {
     fn drop(&mut self) {
         // Break the kernel ↔ channel reference cycle.
         self.shared.with_state(|st| st.clear_update_hooks());
-        // Unwinding a suspended body is safe only on the thread it ran
-        // on, and not while this thread already unwinds (the kill token
-        // would panic inside a panic and abort); otherwise its stack
-        // leaks.
-        let unwind = !thread::panicking()
-            && (self.thread.is_none() || self.thread == THREAD_ID.with(Cell::get));
+        // Unwinding a suspended body is unsafe while this thread already
+        // unwinds (the kill token would panic inside a panic and abort),
+        // so then its stack leaks.
+        let unwind = !thread::panicking();
         for co in &self.procs {
             co.kill(unwind);
         }
@@ -476,6 +451,33 @@ mod tests {
         sim.run().unwrap();
         let order: Vec<_> = rx.try_iter().collect();
         assert_eq!(order, vec![("b", Time::ns(5)), ("a", Time::ns(10))]);
+    }
+
+    #[test]
+    fn bodies_share_single_thread_state() {
+        use std::cell::RefCell;
+        let log = Rc::new(RefCell::new(Vec::new()));
+        let mut sim = Simulator::new();
+        for (name, ns) in [("a", 10), ("b", 5), ("c", 5)] {
+            let log = Rc::clone(&log);
+            sim.spawn(name, move |ctx| {
+                log.borrow_mut().push((name, ctx.now()));
+                ctx.wait(Time::ns(ns));
+                log.borrow_mut().push((name, ctx.now()));
+            });
+        }
+        sim.run().unwrap();
+        assert_eq!(
+            *log.borrow(),
+            [
+                ("a", Time::ZERO),
+                ("b", Time::ZERO),
+                ("c", Time::ZERO),
+                ("b", Time::ns(5)),
+                ("c", Time::ns(5)),
+                ("a", Time::ns(10)),
+            ]
+        );
     }
 
     #[test]
@@ -579,36 +581,36 @@ mod tests {
 
     #[test]
     fn drop_before_first_run_drops_captured_state() {
-        let probe = Arc::new(());
+        let probe = Rc::new(());
         let mut sim = Simulator::new();
         for name in ["a", "b", "c"] {
-            let p = Arc::clone(&probe);
+            let p = Rc::clone(&probe);
             sim.spawn(name, move |_ctx| drop(p));
         }
-        assert_eq!(Arc::strong_count(&probe), 4);
+        assert_eq!(Rc::strong_count(&probe), 4);
         drop(sim);
-        assert_eq!(Arc::strong_count(&probe), 1);
+        assert_eq!(Rc::strong_count(&probe), 1);
     }
 
     #[test]
     fn drop_mid_body_drops_captured_state() {
-        let probe = Arc::new(());
+        let probe = Rc::new(());
         let mut sim = Simulator::new();
         let ev = sim.event("never");
         for ns in 1..=3 {
-            let (p, ev) = (Arc::clone(&probe), ev.clone());
+            let (p, ev) = (Rc::clone(&probe), ev.clone());
             sim.spawn(format!("p{ns}"), move |ctx| {
                 // One count captured, one on the process's own stack.
-                let on_stack = Arc::clone(&p);
+                let on_stack = Rc::clone(&p);
                 ctx.wait(Time::ns(ns));
                 ctx.wait_event(&ev);
                 unreachable!("{on_stack:?}");
             });
         }
         sim.run_until(Time::ns(2)).unwrap();
-        assert_eq!(Arc::strong_count(&probe), 7);
+        assert_eq!(Rc::strong_count(&probe), 7);
         drop(sim);
-        assert_eq!(Arc::strong_count(&probe), 1);
+        assert_eq!(Rc::strong_count(&probe), 1);
     }
 
     /// Re-runs this test binary with `var` set, on the one test `name`.
@@ -677,30 +679,6 @@ mod tests {
         );
         assert!(stderr.contains("deliberate backtrace panic"), "{stderr}");
         assert!(stderr.contains("stack backtrace"), "{stderr}");
-    }
-
-    #[test]
-    fn running_on_another_thread_panics_and_leaks_on_drop() {
-        let probe = Arc::new(());
-        let mut sim = Simulator::new();
-        let p = Arc::clone(&probe);
-        sim.spawn("p", move |ctx| {
-            ctx.wait(Time::ns(10));
-            drop(p);
-        });
-        sim.run_until(Time::ns(1)).unwrap();
-        // The run panics and the unwind drops `sim` on that thread.
-        let payload = std::thread::spawn(move || sim.run().map(drop))
-            .join()
-            .unwrap_err();
-        let msg = payload
-            .downcast_ref::<&str>()
-            .map(|s| s.to_string())
-            .or_else(|| payload.downcast_ref::<String>().cloned())
-            .unwrap_or_default();
-        assert!(msg.contains("thread that started it"), "{msg}");
-        // The suspended body was neither resumed nor unwound there.
-        assert_eq!(Arc::strong_count(&probe), 2);
     }
 
     #[test]

@@ -4,12 +4,11 @@
 //! [`crate::Simulator`], [`crate::ProcCtx`], [`crate::Event`] and the
 //! channels.
 
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeSet;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::rc::Rc;
 
 use scperf_obs::{Interner, MetricsSnapshot, Payload, Sym, TraceEvent, TraceSink};
-use scperf_sync::Mutex;
 
 use crate::time::Time;
 use crate::wheel::{TimerWheel, WheelPop};
@@ -19,7 +18,7 @@ use crate::wheel::{TimerWheel, WheelPop};
 /// `update` is called by the scheduler between the evaluate phase and delta
 /// notification, with exclusive access to the kernel state so it can post
 /// delta notifications.
-pub(crate) trait UpdateHook: Send + Sync {
+pub(crate) trait UpdateHook {
     fn update(&self, st: &mut KernelState);
 }
 
@@ -67,47 +66,33 @@ impl ProcMeta {
     }
 }
 
-/// Always-on per-channel access counters. Channels bump these with
-/// relaxed atomics on their own hot path (no kernel lock, no
-/// allocation); the kernel owns a registry of them for snapshots.
+/// Always-on per-channel access counters. Channels bump these on their
+/// own hot path (no kernel borrow, no allocation); the kernel owns a
+/// registry of them for snapshots.
 #[derive(Debug, Default)]
 pub(crate) struct ChanStats {
-    pub(crate) reads: AtomicU64,
-    pub(crate) writes: AtomicU64,
-    pub(crate) blocks: AtomicU64,
+    pub(crate) reads: Cell<u64>,
+    pub(crate) writes: Cell<u64>,
+    pub(crate) blocks: Cell<u64>,
     /// Attribution: high-water mark of the buffered element count
     /// (FIFOs only; stays 0 elsewhere and when attribution is off).
-    pub(crate) max_depth: AtomicU64,
+    pub(crate) max_depth: Cell<u64>,
     /// Attribution: total simulated picoseconds processes spent blocked
     /// on this channel (0 when attribution is off).
-    pub(crate) blocked_ps: AtomicU64,
+    pub(crate) blocked_ps: Cell<u64>,
 }
 
-impl ChanStats {
-    /// Attribution: adds a span processes spent blocked on the channel.
-    /// Only processes update these counters, and a simulation's
-    /// processes all run on its thread, so a load and a store do without
-    /// a locked read-modify-write.
-    pub(crate) fn add_blocked(&self, ps: u64) {
-        let total = self.blocked_ps.load(Ordering::Relaxed) + ps;
-        self.blocked_ps.store(total, Ordering::Relaxed);
-    }
-
-    /// Attribution: raises the depth high-water mark (single writer, as
-    /// for [`ChanStats::add_blocked`]).
-    pub(crate) fn raise_max_depth(&self, depth: u64) {
-        if depth > self.max_depth.load(Ordering::Relaxed) {
-            self.max_depth.store(depth, Ordering::Relaxed);
-        }
-    }
+/// Adds `n` to a channel counter.
+pub(crate) fn bump(counter: &Cell<u64>, n: u64) {
+    counter.set(counter.get() + n);
 }
 
 pub(crate) struct ChanStatsEntry {
     pub(crate) name: String,
-    pub(crate) stats: Arc<ChanStats>,
+    pub(crate) stats: Rc<ChanStats>,
 }
 
-/// Scheduler-internal counters, updated under the kernel lock.
+/// Scheduler-internal counters.
 #[derive(Debug, Default)]
 pub(crate) struct KernelMetrics {
     pub(crate) immediate_notifications: u64,
@@ -162,7 +147,7 @@ pub(crate) struct KernelState {
     /// Strong references: channels must outlive every process handle so a
     /// pending update is never lost. The resulting `Shared` ↔ channel
     /// reference cycle is broken in `Simulator::drop`.
-    update_hooks: Vec<Option<Arc<dyn UpdateHook>>>,
+    update_hooks: Vec<Option<Rc<dyn UpdateHook>>>,
     update_requests: BTreeSet<usize>,
     /// Structured trace sink; `None` disables tracing entirely.
     pub(crate) sink: Option<Box<dyn TraceSink>>,
@@ -173,8 +158,7 @@ pub(crate) struct KernelState {
     pub(crate) chan_stats: Vec<ChanStatsEntry>,
     pub(crate) activations: u64,
     pub(crate) started: bool,
-    /// Attribution accounting toggle (mirrored lock-free in
-    /// [`Shared::attribution_fast`] for channel hot paths).
+    /// Attribution accounting toggle, fixed at construction.
     pub(crate) attribution: bool,
 }
 
@@ -225,7 +209,7 @@ impl KernelState {
         id
     }
 
-    pub(crate) fn register_update_hook(&mut self, hook: Arc<dyn UpdateHook>) -> usize {
+    pub(crate) fn register_update_hook(&mut self, hook: Rc<dyn UpdateHook>) -> usize {
         let id = self.update_hooks.len();
         self.update_hooks.push(Some(hook));
         id
@@ -293,7 +277,7 @@ impl KernelState {
             self.metrics.update_phases += 1;
         }
         while let Some(id) = self.update_requests.pop_first() {
-            // Clone the Arc out so the hook may itself mutate kernel state.
+            // Clone the `Rc` out so the hook may itself mutate kernel state.
             let hook = self.update_hooks[id].clone();
             if let Some(hook) = hook {
                 hook.update(self);
@@ -386,12 +370,12 @@ impl KernelState {
     }
 
     /// Registers a channel's always-on access counters; returns the
-    /// handle the channel bumps from its own lock.
-    pub(crate) fn register_chan_stats(&mut self, name: &str) -> Arc<ChanStats> {
-        let stats = Arc::new(ChanStats::default());
+    /// handle the channel bumps.
+    pub(crate) fn register_chan_stats(&mut self, name: &str) -> Rc<ChanStats> {
+        let stats = Rc::new(ChanStats::default());
         self.chan_stats.push(ChanStatsEntry {
             name: name.to_owned(),
-            stats: Arc::clone(&stats),
+            stats: Rc::clone(&stats),
         });
         stats
     }
@@ -430,26 +414,14 @@ impl KernelState {
         m.set_gauge("kernel.sim_time_ns", self.now.as_ps() as f64 / 1e3);
         for entry in &self.chan_stats {
             let base = format!("channel.{}", entry.name);
-            m.set_counter(
-                format!("{base}.reads"),
-                entry.stats.reads.load(Ordering::Relaxed),
-            );
-            m.set_counter(
-                format!("{base}.writes"),
-                entry.stats.writes.load(Ordering::Relaxed),
-            );
-            m.set_counter(
-                format!("{base}.blocks"),
-                entry.stats.blocks.load(Ordering::Relaxed),
-            );
+            m.set_counter(format!("{base}.reads"), entry.stats.reads.get());
+            m.set_counter(format!("{base}.writes"), entry.stats.writes.get());
+            m.set_counter(format!("{base}.blocks"), entry.stats.blocks.get());
             if self.attribution {
-                m.set_counter(
-                    format!("{base}.max_depth"),
-                    entry.stats.max_depth.load(Ordering::Relaxed),
-                );
+                m.set_counter(format!("{base}.max_depth"), entry.stats.max_depth.get());
                 m.set_counter(
                     format!("{base}.blocked_ns"),
-                    entry.stats.blocked_ps.load(Ordering::Relaxed) / 1_000,
+                    entry.stats.blocked_ps.get() / 1_000,
                 );
             }
         }
@@ -484,11 +456,11 @@ impl KernelState {
                 .iter()
                 .map(|e| ChannelSchedStats {
                     name: e.name.clone(),
-                    reads: e.stats.reads.load(Ordering::Relaxed),
-                    writes: e.stats.writes.load(Ordering::Relaxed),
-                    blocks: e.stats.blocks.load(Ordering::Relaxed),
-                    max_depth: e.stats.max_depth.load(Ordering::Relaxed),
-                    blocked: Time::ps(e.stats.blocked_ps.load(Ordering::Relaxed)),
+                    reads: e.stats.reads.get(),
+                    writes: e.stats.writes.get(),
+                    blocks: e.stats.blocks.get(),
+                    max_depth: e.stats.max_depth.get(),
+                    blocked: Time::ps(e.stats.blocked_ps.get()),
                 })
                 .collect(),
         }
@@ -556,63 +528,34 @@ pub(crate) enum AdvanceOutcome {
     Exhausted,
 }
 
-/// The shared handle: one `Arc<Shared>` per simulator, cloned into every
-/// process context, event and channel.
+/// The shared handle: one `Rc<Shared>` per simulator, cloned into every
+/// process context, event and channel. A simulation runs on one thread,
+/// so a `RefCell` serializes access; no borrow is held across a context
+/// switch.
 pub(crate) struct Shared {
-    state: Mutex<KernelState>,
-    /// Mirror of `KernelState::now` in picoseconds, readable without the
-    /// kernel lock: processes read the clock around every wait. Only
-    /// [`Shared::advance_time`] moves it. `Relaxed` suffices: it
-    /// publishes no other data, and it is written and read on the
-    /// simulation's thread.
-    now_ps: AtomicU64,
-    /// Whether a trace sink is installed, readable without the kernel
-    /// lock so channels can skip payload capture entirely when tracing
-    /// is off (the zero-allocation disabled path). Fixed at
-    /// construction, like the sink itself.
-    tracing: bool,
-    /// Mirror of `KernelState::attribution`, readable without the
-    /// kernel lock so channels can skip wait-span timestamping and
-    /// depth tracking entirely when attribution is off.
-    attribution: bool,
+    state: RefCell<KernelState>,
 }
 
 impl Shared {
-    pub(crate) fn new(sink: Option<Box<dyn TraceSink>>, attribution: bool) -> Arc<Shared> {
-        Arc::new(Shared {
-            tracing: sink.is_some(),
-            attribution,
-            state: Mutex::new(KernelState::new(sink, attribution)),
-            now_ps: AtomicU64::new(0),
+    pub(crate) fn new(sink: Option<Box<dyn TraceSink>>, attribution: bool) -> Rc<Shared> {
+        Rc::new(Shared {
+            state: RefCell::new(KernelState::new(sink, attribution)),
         })
     }
 
-    /// Runs the timed-notification phase ([`KernelState::advance_time`])
-    /// and publishes the new simulated time.
-    pub(crate) fn advance_time(&self, limit: Time) -> AdvanceOutcome {
-        let mut st = self.state.lock();
-        let outcome = st.advance_time(limit);
-        self.now_ps.store(st.now.as_ps(), Ordering::Relaxed);
-        outcome
-    }
-
-    /// Current simulated time, without the kernel lock.
+    /// Current simulated time.
     pub(crate) fn now(&self) -> Time {
-        Time::ps(self.now_ps.load(Ordering::Relaxed))
+        self.state.borrow().now
     }
 
     pub(crate) fn with_state<R>(&self, f: impl FnOnce(&mut KernelState) -> R) -> R {
-        f(&mut self.state.lock())
+        f(&mut self.state.borrow_mut())
     }
 
-    /// Lock-free check used by channels before capturing payloads.
-    pub(crate) fn tracing_fast(&self) -> bool {
-        self.tracing
-    }
-
-    /// Lock-free check used by channels before attribution accounting.
-    pub(crate) fn attribution_fast(&self) -> bool {
-        self.attribution
+    /// Whether a trace sink is installed; channels skip payload capture
+    /// entirely when it is not (the zero-allocation disabled path).
+    pub(crate) fn tracing(&self) -> bool {
+        self.state.borrow().tracing_enabled()
     }
 }
 

@@ -1,5 +1,8 @@
 //! Property-based and scenario tests for the simulation kernel.
 
+use std::cell::RefCell;
+use std::rc::Rc;
+
 use proptest::collection::vec;
 use proptest::prelude::*;
 use scperf_kernel::{trace, SimOptions, Simulator, StopReason, Time, TraceMode};
@@ -168,15 +171,15 @@ fn many_processes_contend_on_one_fifo() {
         });
     }
     let rx = f.clone();
-    let got = std::sync::Arc::new(scperf_sync::Mutex::new(Vec::new()));
-    let sink = std::sync::Arc::clone(&got);
+    let got = Rc::new(RefCell::new(Vec::new()));
+    let sink = Rc::clone(&got);
     sim.spawn("reader", move |ctx| {
         for _ in 0..n {
-            sink.lock().push(rx.read(ctx));
+            sink.borrow_mut().push(rx.read(ctx));
         }
     });
     sim.run().unwrap();
-    let mut values = got.lock().clone();
+    let mut values = got.borrow().clone();
     values.sort_unstable();
     assert_eq!(values, (0..n).collect::<Vec<_>>());
 }

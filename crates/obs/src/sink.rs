@@ -16,8 +16,8 @@ use crate::intern::Interner;
 /// aggregators) can resolve symbols without owning the table; an
 /// in-memory sink can ignore it and resolve at drain time.
 pub trait TraceSink: Send {
-    /// Records one event. Called with the kernel lock held — must not
-    /// re-enter the simulator.
+    /// Records one event. Called while the kernel state is borrowed, so
+    /// it must not re-enter the simulator.
     fn record(&mut self, interner: &Interner, event: &TraceEvent);
 
     /// Flushes buffered output (no-op by default).

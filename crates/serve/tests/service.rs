@@ -806,3 +806,15 @@ fn retry_hints_derive_from_observed_run_durations() {
         "a real run duration must beat the sentinel: {m}"
     );
 }
+
+#[test]
+fn types_shared_across_workers_stay_send_and_sync() {
+    // Simulations are single-threaded (`Session`, `Simulator` and
+    // `PerfModel` are `!Send`); what workers share must still cross
+    // threads.
+    fn send_sync<T: Send + Sync>() {}
+    send_sync::<scperf_core::Replay>();
+    send_sync::<scperf_core::SessionPool>();
+    send_sync::<scperf_dse::SegmentCostCache>();
+    send_sync::<Service>();
+}
