@@ -108,7 +108,9 @@ fn plain_thread(ops: u64) -> Duration {
         let one = G::raw(1_i64);
         let start = Instant::now();
         for _ in 0..ops {
-            x.assign(x + one);
+            // An opaque operand keeps the loop from folding away, so
+            // every op pays the absent-context flag test.
+            x.assign(x + std::hint::black_box(one));
         }
         std::hint::black_box(x.get());
         start.elapsed()

@@ -17,8 +17,8 @@
 //!   with many waiters; measures wakeup batching through the evaluate
 //!   phase.
 //! * **timer_storm** — many processes issuing dense `wait(time)` calls
-//!   with colliding deadlines (plus a far-future tail beyond the time
-//!   wheel's span); stresses the timed queue, not the handoff.
+//!   with colliding deadlines (plus one far-future wait each, tens of
+//!   milliseconds out); stresses the timed queue, not the handoff.
 //!
 //! Every repetition of a kernel must produce the *same* [`SimSummary`]
 //! — the bench asserts this — so the costs are measured at identical
@@ -90,8 +90,8 @@ fn fanout(procs: usize, rounds: u64) -> (SimSummary, Duration) {
 }
 
 /// `procs` processes each issue `waits` timed waits with colliding
-/// xorshift-derived deadlines, plus one far-future wait past the time
-/// wheel's ~68.7 ms span to exercise the overflow path.
+/// xorshift-derived deadlines, then one far-future wait of 80 ms or more,
+/// so the queue also holds entries far beyond the dense instants.
 fn timer_storm(procs: usize, waits: u64) -> (SimSummary, Duration) {
     let mut sim = Simulator::new();
     for p in 0..procs {
@@ -104,7 +104,7 @@ fn timer_storm(procs: usize, waits: u64) -> (SimSummary, Duration) {
                 // 0..=999 ps: dense, frequently colliding deadlines.
                 ctx.wait(Time::ps(x % 1_000));
             }
-            ctx.wait(Time::ms(80 + p as u64)); // overflow-map tail
+            ctx.wait(Time::ms(80 + p as u64)); // far-future tail
         });
     }
     let start = Instant::now();

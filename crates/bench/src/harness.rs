@@ -98,8 +98,8 @@ pub fn time_plain(body: fn() -> i32) -> (Duration, i32) {
 }
 
 /// Host wall-clock time of an execution on the reference ISS (the
-/// cycle-stepped pipeline model with 4 KiB I/D caches). Compilation is not
-/// timed. Returns `(host_time, cycles, checksum)`.
+/// cycle-stepped pipeline model with an 8 KiB I-cache and a 32 KiB
+/// D-cache). Compilation is not timed. Returns `(host_time, cycles, checksum)`.
 pub fn time_iss(minic_src: &str) -> (Duration, u64, i32) {
     let compiled = scperf_iss::minic::compile(minic_src).expect("benchmark compiles");
     let mut m = scperf_workloads::case::reference_machine();

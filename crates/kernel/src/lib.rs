@@ -73,7 +73,6 @@ mod state;
 mod time;
 pub mod trace;
 pub mod vcd;
-mod wheel;
 
 pub use channel::{Fifo, Rendezvous, Signal};
 pub use config::{SimOptions, TraceMode};

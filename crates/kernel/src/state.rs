@@ -5,13 +5,13 @@
 //! channels.
 
 use std::cell::{Cell, RefCell};
-use std::collections::BTreeSet;
+use std::cmp::Reverse;
+use std::collections::{BTreeSet, BinaryHeap};
 use std::rc::Rc;
 
 use scperf_obs::{Interner, MetricsSnapshot, Payload, Sym, TraceEvent, TraceSink};
 
 use crate::time::Time;
-use crate::wheel::{TimerWheel, WheelPop};
 
 /// A channel that participates in the update phase (e.g. signals, FIFOs).
 ///
@@ -137,8 +137,9 @@ pub(crate) struct KernelState {
     pub(crate) runnable: BTreeSet<usize>,
     /// Processes woken for the next delta cycle.
     pub(crate) next_runnable: BTreeSet<usize>,
-    /// Timed notifications, fired in (time, sequence number) order.
-    pub(crate) timed: TimerWheel,
+    /// Timed notifications as `(picoseconds, sequence number, action)`,
+    /// fired in (time, sequence number) order.
+    pub(crate) timed: BinaryHeap<Reverse<(u64, u64, TimedAction)>>,
     seq: u64,
     pub(crate) events: Vec<EventState>,
     pub(crate) procs: Vec<ProcMeta>,
@@ -171,7 +172,7 @@ impl KernelState {
             delta: 0,
             runnable: BTreeSet::new(),
             next_runnable: BTreeSet::new(),
-            timed: TimerWheel::new(),
+            timed: BinaryHeap::new(),
             seq: 0,
             events: Vec::new(),
             procs: Vec::new(),
@@ -231,7 +232,7 @@ impl KernelState {
         let at = self.now.saturating_add(delay);
         self.seq += 1;
         self.metrics.timed_scheduled += 1;
-        self.timed.push(at.as_ps(), self.seq, action);
+        self.timed.push(Reverse((at.as_ps(), self.seq, action)));
     }
 
     /// Immediate notification: wakes waiters into the *current* evaluate
@@ -285,22 +286,25 @@ impl KernelState {
         }
     }
 
-    /// Outcome of [`KernelState::advance_time`].
+    /// Fires every timed action at the earliest pending instant, if it
+    /// is not past `limit`; see [`AdvanceOutcome`].
     pub(crate) fn advance_time(&mut self, limit: Time) -> AdvanceOutcome {
         loop {
-            // Fire everything scheduled for the earliest pending instant.
-            let (t, actions) = match self.timed.pop_next(limit.as_ps()) {
-                WheelPop::Empty => return AdvanceOutcome::Exhausted,
-                WheelPop::Beyond => {
-                    self.now = limit;
-                    self.timed.fast_forward(limit.as_ps());
-                    return AdvanceOutcome::LimitReached;
-                }
-                WheelPop::Fired { time, actions } => (Time::ps(time), actions),
+            let Some(&Reverse((t, _, _))) = self.timed.peek() else {
+                return AdvanceOutcome::Exhausted;
             };
-            self.now = t;
+            if t > limit.as_ps() {
+                self.now = limit;
+                return AdvanceOutcome::LimitReached;
+            }
+            self.now = Time::ps(t);
             self.delta += 1;
-            for (_, action) in actions {
+            // Fire everything scheduled for `t`, in sequence order.
+            while let Some(&Reverse((at, _, action))) = self.timed.peek() {
+                if at != t {
+                    break;
+                }
+                self.timed.pop();
                 self.metrics.timed_fired += 1;
                 match action {
                     TimedAction::WakeProc(pid) => {
@@ -401,12 +405,6 @@ impl KernelState {
         m.set_counter("kernel.timed.scheduled", self.metrics.timed_scheduled);
         m.set_counter("kernel.timed.fired", self.metrics.timed_fired);
         m.set_counter("kernel.timed.moot_wakes", self.metrics.moot_wakes);
-        m.set_counter("kernel.wheel.pushes", self.timed.stats.pushes);
-        m.set_counter(
-            "kernel.wheel.overflow_pushes",
-            self.timed.stats.overflow_pushes,
-        );
-        m.set_counter("kernel.wheel.scan_steps", self.timed.stats.scan_steps);
         m.set_gauge("kernel.timed.pending", self.timed.len() as f64);
         m.set_counter("kernel.update_phases", self.metrics.update_phases);
         m.set_counter("kernel.ready_queue.peak", self.metrics.ready_peak as u64);

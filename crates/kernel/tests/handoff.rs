@@ -113,8 +113,9 @@ fn event_notification_wakes_waiter() {
     assert_eq!(summary.end_time, Time::ns(100));
 }
 
-/// A wait far beyond the time wheel's ~68.7 ms span lands in the overflow
-/// map; it must still fire, in order, interleaved with near-term waits.
+/// A wait far in the future (100 ms, beyond 2^36 ps, the span of the
+/// kernel's former time wheel) must still fire, in order, interleaved
+/// with near-term waits.
 #[test]
 fn far_future_wait_crosses_wheel_span() {
     let mut sim = SimOptions::new().tracing(TraceMode::Unbounded).build();
@@ -125,7 +126,7 @@ fn far_future_wait_crosses_wheel_span() {
         }
     });
     sim.spawn("far", |ctx| {
-        ctx.wait(Time::ms(100)); // > 2^36 ps wheel span → overflow path
+        ctx.wait(Time::ms(100)); // > 2^36 ps
         ctx.emit_trace("tick", "far");
     });
     let summary = sim.run().expect("runs");

@@ -1,11 +1,12 @@
 //! Property-based and scenario tests for the simulation kernel.
 
 use std::cell::RefCell;
+use std::collections::BTreeMap;
 use std::rc::Rc;
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use scperf_kernel::{trace, SimOptions, Simulator, StopReason, Time, TraceMode};
+use scperf_kernel::{trace, SimOptions, SimSummary, Simulator, StopReason, Time, TraceMode};
 
 /// Builds a randomized multi-stage pipeline and returns its trace.
 fn run_pipeline(
@@ -48,6 +49,78 @@ fn run_pipeline(
     });
     sim.run().expect("pipeline must not panic");
     sim.take_trace()
+}
+
+/// A `wait` delay in picoseconds: mostly 0–999 so that instants of
+/// different processes collide, sometimes zero (a wake one delta later at
+/// the same instant), sometimes beyond 2^36 ps (far future).
+fn delay_ps() -> impl Strategy<Value = u64> {
+    (0_u8..16, 0_u64..1000, 0_u64..1 << 20).prop_map(|(kind, near, far)| match kind {
+        0 => 0,
+        1 => (1 << 36) + far,
+        _ => near,
+    })
+}
+
+/// A `run_until` step in picoseconds: mostly short, so limits land on and
+/// between colliding instants, sometimes long enough to pass a far wait.
+fn step_ps() -> impl Strategy<Value = u64> {
+    (0_u8..8, 0_u64..1000, 0_u64..1 << 37).prop_map(|(kind, near, far)| match kind {
+        0 => far,
+        _ => near,
+    })
+}
+
+/// `(wake time, delta count, process index)`, one per completed `wait`.
+type WakeLog = Vec<(Time, u64, usize)>;
+
+/// The instants a process waiting out `delays` in turn wakes at: the
+/// running sums of its delays.
+fn wake_times(delays: &[u64]) -> Vec<Time> {
+    delays
+        .iter()
+        .scan(0, |at, d| {
+            *at += d;
+            Some(Time::ps(*at))
+        })
+        .collect()
+}
+
+/// Runs one process per delay list, each waiting out its delays in turn
+/// and logging every wake. With `steps`, the run first pauses at every
+/// running sum of `steps` through `run_until`, and each pause must have
+/// fired exactly the wakes due by its limit; then it finishes with `run`.
+fn run_waits(delays: &[Vec<u64>], steps: &[u64]) -> (WakeLog, SimSummary) {
+    let log = Rc::new(RefCell::new(Vec::new()));
+    let mut sim = Simulator::new();
+    for (pid, ds) in delays.iter().enumerate() {
+        let (ds, log) = (ds.clone(), Rc::clone(&log));
+        sim.spawn(format!("p{pid}"), move |ctx| {
+            for d in ds {
+                ctx.wait(Time::ps(d));
+                log.borrow_mut().push((ctx.now(), ctx.delta_count(), pid));
+            }
+        });
+    }
+    let mut limit = Time::ZERO;
+    for &step in steps {
+        limit += Time::ps(step);
+        let paused = sim.run_until(limit).expect("step");
+        assert!(paused.end_time <= limit);
+        let due = delays
+            .iter()
+            .flat_map(|ds| wake_times(ds))
+            .filter(|&t| t <= limit)
+            .count();
+        assert_eq!(
+            log.borrow().len(),
+            due,
+            "wakes fired by a pause at {limit:?}"
+        );
+    }
+    let summary = sim.run().expect("runs");
+    let log = log.borrow().clone();
+    (log, summary)
 }
 
 proptest! {
@@ -105,6 +178,38 @@ proptest! {
         let expect: u64 = waits.iter().map(|ws| ws.iter().sum()).max().unwrap();
         prop_assert_eq!(summary.end_time, Time::ns(expect));
         prop_assert_eq!(summary.reason, StopReason::EventsExhausted);
+    }
+
+    /// Timed wakes fire at each process's running wait sums, in
+    /// (time, delta, process) order, one delta per timed step, and
+    /// pausing at arbitrary `run_until` limits changes neither the wakes
+    /// nor the summary.
+    #[test]
+    fn timed_wakes_follow_wait_sums_in_order(
+        delays in vec(vec(delay_ps(), 0..10), 1..9),
+        steps in vec(step_ps(), 1..16),
+    ) {
+        let (log, summary) = run_waits(&delays, &[]);
+        let mut step_delta = BTreeMap::new();
+        for (pid, ds) in delays.iter().enumerate() {
+            let wakes: Vec<_> = log.iter().filter(|w| w.2 == pid).collect();
+            let times: Vec<Time> = wakes.iter().map(|w| w.0).collect();
+            prop_assert_eq!(times, wake_times(ds));
+            let mut prev_delta = 0;
+            for (&&(t, delta, _), &d) in wakes.iter().zip(ds) {
+                if d == 0 {
+                    // A zero wait is one more timed step at the same instant.
+                    prop_assert_eq!(delta, prev_delta + 1);
+                } else {
+                    // One timed step fires every nonzero wait ending at `t`.
+                    prop_assert_eq!(*step_delta.entry(t).or_insert(delta), delta);
+                }
+                prev_delta = delta;
+            }
+        }
+        prop_assert!(log.windows(2).all(|w| w[0] < w[1]), "wakes out of order: {log:?}");
+        let stepped = run_waits(&delays, &steps);
+        prop_assert_eq!((log, summary), stepped);
     }
 
     /// Simulation time never decreases along a trace.
