@@ -36,7 +36,7 @@ use std::time::{Duration, Instant};
 use scperf_bench::microbench::{
     host_cpus, interleave, min_secs, ns_per_unit, paired_overhead, BenchArgs, Spread,
 };
-use scperf_core::{charge_op, CostTable, MemoMode, Op, Platform, SimConfig, G};
+use scperf_core::{charge_op, Annotated, CostTable, MemoMode, Op, Platform, SimConfig, G};
 use scperf_kernel::Time;
 use scperf_obs::json::JsonWriter;
 use scperf_workloads::fir;
@@ -128,7 +128,7 @@ fn fir_run(config: Config, iters: usize) -> Run {
     session.spawn("fir", cpu, move |_ctx| {
         let mut acc = 0_i64;
         for _ in 0..iters {
-            acc = acc.wrapping_add(fir::annotated() as i64);
+            acc = acc.wrapping_add(fir::run::<Annotated>() as i64);
         }
         *sink.lock().expect("sink") = acc;
     });

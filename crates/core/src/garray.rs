@@ -3,12 +3,15 @@
 //! Rust cannot hook cost collection into `Index` for plain slices (the
 //! trait returns a reference, not a value we can tag), so annotated code
 //! uses [`GArr`] with explicit `at`/`set` accessors — the equivalent of the
-//! paper's overloaded `operator[]` with its `t_[]` cost (Figure 3).
+//! paper's overloaded `operator[]` with its `t_[]` cost (Figure 3). The
+//! array is plain storage; an access charges in the domain of the values
+//! it reads or writes (see [`Domain`]).
+
+use std::fmt;
 
 use crate::cost::Op;
+use crate::domain::Domain;
 use crate::gval::{IndexValue, G};
-use crate::hw::NO_NODE;
-use crate::tls;
 
 /// An annotated array of scalars. Every element access through
 /// [`GArr::at`] / [`GArr::set`] charges one [`Op::Index`] (plus the
@@ -23,9 +26,16 @@ use crate::tls;
 /// a.set(g_usize(2), 7.into());
 /// assert_eq!(a.at(g_usize(2)).get(), 7);
 /// ```
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Clone, PartialEq, Default)]
 pub struct GArr<T> {
     data: Vec<T>,
+}
+
+impl<T: fmt::Debug> fmt::Debug for GArr<T> {
+    /// The elements, formatted as a `Vec` of them is.
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        self.data.fmt(f)
+    }
 }
 
 impl<T: Copy + Default> GArr<T> {
@@ -61,27 +71,27 @@ impl<T: Copy> GArr<T> {
         self.data.is_empty()
     }
 
-    /// Charged element read: `a[i]`.
+    /// Charged element read: `a[i]`. The index's domain is the
+    /// element's: a [`Native`](crate::Native) read charges nothing.
     ///
     /// # Panics
     ///
     /// Panics if the index is out of bounds.
     #[inline]
-    pub fn at<I: IndexValue>(&self, i: G<I>) -> G<T> {
-        let (iv, iready, inode) = i.parts();
-        let (ready, node) = tls::charge(Op::Index, iready, inode, 0.0, NO_NODE);
-        G::from_parts(self.data[iv.as_index()], ready, node)
+    pub fn at<I: IndexValue, D: Domain>(&self, i: G<I, D>) -> G<T, D> {
+        let dep = D::charge(Op::Index, i.dep(), D::NONE);
+        G::with_dep(self.data[i.get().as_index()], dep)
     }
 
-    /// Charged element read with an untracked index.
+    /// Charged element read with an untracked index. Generic kernels
+    /// write `a.at(D::raw(i))`, which charges the same.
     ///
     /// # Panics
     ///
     /// Panics if the index is out of bounds.
     #[inline]
     pub fn at_raw(&self, i: usize) -> G<T> {
-        let (ready, node) = tls::charge(Op::Index, 0.0, NO_NODE, 0.0, NO_NODE);
-        G::from_parts(self.data[i], ready, node)
+        self.at(G::raw(i))
     }
 
     /// Charged element write: `a[i] = v` (one `[]` plus one `=`).
@@ -90,18 +100,9 @@ impl<T: Copy> GArr<T> {
     ///
     /// Panics if the index is out of bounds.
     #[inline]
-    pub fn set<I: IndexValue>(&mut self, i: G<I>, v: G<T>) {
-        let (iv, iready, inode) = i.parts();
-        let (vv, vready, vnode) = v.parts();
-        let (r1, n1) = tls::charge(Op::Index, iready, inode, 0.0, NO_NODE);
-        let _ = tls::charge(
-            Op::Assign,
-            vready.max(r1),
-            if vnode != NO_NODE { vnode } else { n1 },
-            r1,
-            n1,
-        );
-        self.data[iv.as_index()] = vv;
+    pub fn set<I: IndexValue, D: Domain>(&mut self, i: G<I, D>, v: G<T, D>) {
+        D::store(Some(i.dep()), v.dep());
+        self.data[i.get().as_index()] = v.get();
     }
 
     /// Charged element write with an untracked index.
@@ -110,11 +111,9 @@ impl<T: Copy> GArr<T> {
     ///
     /// Panics if the index is out of bounds.
     #[inline]
-    pub fn set_raw(&mut self, i: usize, v: G<T>) {
-        let (vv, vready, vnode) = v.parts();
-        let (r1, n1) = tls::charge(Op::Index, 0.0, NO_NODE, 0.0, NO_NODE);
-        let _ = tls::charge(Op::Assign, vready.max(r1), vnode, r1, n1);
-        self.data[i] = vv;
+    pub fn set_raw<D: Domain>(&mut self, i: usize, v: G<T, D>) {
+        D::store(None, v.dep());
+        self.data[i] = v.get();
     }
 
     /// Uncharged read (plumbing/verification code outside the measured
@@ -159,7 +158,7 @@ mod tests {
     fn reads_and_writes_round_trip() {
         let mut a = GArr::<i64>::zeroed(3);
         a.set(g_usize(0), 10.into());
-        a.set_raw(1, 20.into());
+        a.set_raw(1, G::raw(20));
         a.poke(2, 30);
         assert_eq!(a.at(g_usize(0)).get(), 10);
         assert_eq!(a.at_raw(1).get(), 20);

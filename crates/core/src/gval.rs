@@ -22,11 +22,11 @@
 use std::cmp::Ordering;
 
 use crate::cost::Op;
-use crate::hw::NO_NODE;
-use crate::tls;
+use crate::domain::{Annotated, Domain};
 
 /// An annotated value: behaves like `T`, charges operation costs as it is
-/// used.
+/// used. In the [`Native`](crate::Native) domain it is the plain word
+/// and charges nothing (see [`Domain`]).
 ///
 /// # Examples
 ///
@@ -40,40 +40,38 @@ use crate::tls;
 /// assert!(a < b);
 /// ```
 #[derive(Debug, Clone, Copy, Default)]
-pub struct G<T> {
+pub struct G<T, D: Domain = Annotated> {
     v: T,
-    ready: f64,
-    node: u32,
-}
-
-#[inline]
-fn charge2(op: Op, a: f64, an: u32, b: f64, bn: u32) -> (f64, u32) {
-    // Flat fast path: on un-instrumented threads this is a single
-    // thread-local flag test, so plain-thread `G<T>` use is near-free.
-    tls::charge(op, a, an, b, bn)
+    dep: D::Dep,
 }
 
 impl<T: Copy> G<T> {
     /// Wraps a value **without charging anything** — for constants that a
     /// compiler would fold, function parameters already materialized, and
-    /// plumbing code outside the measured algorithm.
+    /// plumbing code outside the measured algorithm. Generic kernels
+    /// write [`Domain::raw`].
     #[inline]
     pub fn raw(v: T) -> G<T> {
-        G {
-            v,
-            ready: 0.0,
-            node: NO_NODE,
-        }
+        Annotated::raw(v)
     }
 
     /// Wraps a value, charging one [`Op::Assign`] (a variable
-    /// initialization, `int x = …;`).
+    /// initialization, `int x = …;`). Generic kernels write
+    /// [`Domain::init`].
     #[inline]
     pub fn init(v: T) -> G<T> {
-        let (ready, node) = charge2(Op::Assign, 0.0, NO_NODE, 0.0, NO_NODE);
-        G { v, ready, node }
+        Annotated::init(v)
     }
 
+    /// The dataflow ready time (cycles) of this value — non-zero only
+    /// inside a process mapped to a parallel resource.
+    #[inline]
+    pub fn ready_cycles(self) -> f64 {
+        self.dep.0
+    }
+}
+
+impl<T: Copy, D: Domain> G<T, D> {
     /// The wrapped value.
     #[inline]
     pub fn get(self) -> T {
@@ -83,44 +81,33 @@ impl<T: Copy> G<T> {
     /// Assignment (`x = expr;`): charges one [`Op::Assign`] and, on HW
     /// resources, makes this value depend on `rhs`.
     #[inline]
-    pub fn assign(&mut self, rhs: G<T>) {
-        let (ready, node) = charge2(Op::Assign, rhs.ready, rhs.node, 0.0, NO_NODE);
+    pub fn assign(&mut self, rhs: G<T, D>) {
+        self.dep = D::charge(Op::Assign, rhs.dep, D::NONE);
         self.v = rhs.v;
-        self.ready = ready;
-        self.node = node;
     }
 
     /// Assignment from an untracked value.
     #[inline]
     pub fn assign_raw(&mut self, v: T) {
-        let (ready, node) = charge2(Op::Assign, 0.0, NO_NODE, 0.0, NO_NODE);
+        self.dep = D::charge(Op::Assign, D::NONE, D::NONE);
         self.v = v;
-        self.ready = ready;
-        self.node = node;
     }
 
-    /// The dataflow ready time (cycles) of this value — non-zero only
-    /// inside a process mapped to a parallel resource.
-    #[inline]
-    pub fn ready_cycles(self) -> f64 {
-        self.ready
+    pub(crate) fn dep(self) -> D::Dep {
+        self.dep
     }
 
-    pub(crate) fn parts(self) -> (T, f64, u32) {
-        (self.v, self.ready, self.node)
-    }
-
-    pub(crate) fn from_parts(v: T, ready: f64, node: u32) -> G<T> {
-        G { v, ready, node }
+    pub(crate) fn with_dep(v: T, dep: D::Dep) -> G<T, D> {
+        G { v, dep }
     }
 }
 
-impl<T: Copy> From<T> for G<T> {
+impl<T: Copy, D: Domain> From<T> for G<T, D> {
     /// Equivalent to [`G::raw`] (no cost): lets untracked scalars flow into
     /// annotated expressions.
     #[inline]
-    fn from(v: T) -> G<T> {
-        G::raw(v)
+    fn from(v: T) -> G<T, D> {
+        D::raw(v)
     }
 }
 
@@ -144,39 +131,36 @@ impl_index_value!(i8, i16, i32, i64, u8, u16, u32, u64, usize, isize);
 
 macro_rules! impl_binop {
     ($t:ty, $trait:ident, $method:ident, $op:expr, $apply:expr) => {
-        impl std::ops::$trait for G<$t> {
-            type Output = G<$t>;
+        impl<D: Domain> std::ops::$trait for G<$t, D> {
+            type Output = G<$t, D>;
             #[inline]
-            fn $method(self, rhs: G<$t>) -> G<$t> {
-                let (ready, node) = charge2($op, self.ready, self.node, rhs.ready, rhs.node);
+            fn $method(self, rhs: G<$t, D>) -> G<$t, D> {
+                let dep = D::charge($op, self.dep, rhs.dep);
                 G {
                     v: ($apply)(self.v, rhs.v),
-                    ready,
-                    node,
+                    dep,
                 }
             }
         }
-        impl std::ops::$trait<$t> for G<$t> {
-            type Output = G<$t>;
+        impl<D: Domain> std::ops::$trait<$t> for G<$t, D> {
+            type Output = G<$t, D>;
             #[inline]
-            fn $method(self, rhs: $t) -> G<$t> {
-                let (ready, node) = charge2($op, self.ready, self.node, 0.0, NO_NODE);
+            fn $method(self, rhs: $t) -> G<$t, D> {
+                let dep = D::charge($op, self.dep, D::NONE);
                 G {
                     v: ($apply)(self.v, rhs),
-                    ready,
-                    node,
+                    dep,
                 }
             }
         }
-        impl std::ops::$trait<G<$t>> for $t {
-            type Output = G<$t>;
+        impl<D: Domain> std::ops::$trait<G<$t, D>> for $t {
+            type Output = G<$t, D>;
             #[inline]
-            fn $method(self, rhs: G<$t>) -> G<$t> {
-                let (ready, node) = charge2($op, rhs.ready, rhs.node, 0.0, NO_NODE);
+            fn $method(self, rhs: G<$t, D>) -> G<$t, D> {
+                let dep = D::charge($op, rhs.dep, D::NONE);
                 G {
                     v: ($apply)(self, rhs.v),
-                    ready,
-                    node,
+                    dep,
                 }
             }
         }
@@ -185,31 +169,31 @@ macro_rules! impl_binop {
 
 macro_rules! impl_cmp {
     ($t:ty) => {
-        impl PartialEq for G<$t> {
+        impl<D: Domain> PartialEq for G<$t, D> {
             #[inline]
-            fn eq(&self, other: &G<$t>) -> bool {
-                let _ = charge2(Op::Cmp, self.ready, self.node, other.ready, other.node);
+            fn eq(&self, other: &G<$t, D>) -> bool {
+                let _ = D::charge(Op::Cmp, self.dep, other.dep);
                 self.v == other.v
             }
         }
-        impl PartialEq<$t> for G<$t> {
+        impl<D: Domain> PartialEq<$t> for G<$t, D> {
             #[inline]
             fn eq(&self, other: &$t) -> bool {
-                let _ = charge2(Op::Cmp, self.ready, self.node, 0.0, NO_NODE);
+                let _ = D::charge(Op::Cmp, self.dep, D::NONE);
                 self.v == *other
             }
         }
-        impl PartialOrd for G<$t> {
+        impl<D: Domain> PartialOrd for G<$t, D> {
             #[inline]
-            fn partial_cmp(&self, other: &G<$t>) -> Option<Ordering> {
-                let _ = charge2(Op::Cmp, self.ready, self.node, other.ready, other.node);
+            fn partial_cmp(&self, other: &G<$t, D>) -> Option<Ordering> {
+                let _ = D::charge(Op::Cmp, self.dep, other.dep);
                 self.v.partial_cmp(&other.v)
             }
         }
-        impl PartialOrd<$t> for G<$t> {
+        impl<D: Domain> PartialOrd<$t> for G<$t, D> {
             #[inline]
             fn partial_cmp(&self, other: &$t) -> Option<Ordering> {
-                let _ = charge2(Op::Cmp, self.ready, self.node, 0.0, NO_NODE);
+                let _ = D::charge(Op::Cmp, self.dep, D::NONE);
                 self.v.partial_cmp(other)
             }
         }
@@ -232,16 +216,12 @@ macro_rules! impl_int_type {
             .wrapping_shr(b as u32));
         impl_cmp!($t);
 
-        impl std::ops::Not for G<$t> {
-            type Output = G<$t>;
+        impl<D: Domain> std::ops::Not for G<$t, D> {
+            type Output = G<$t, D>;
             #[inline]
-            fn not(self) -> G<$t> {
-                let (ready, node) = charge2(Op::Logic, self.ready, self.node, 0.0, NO_NODE);
-                G {
-                    v: !self.v,
-                    ready,
-                    node,
-                }
+            fn not(self) -> G<$t, D> {
+                let dep = D::charge(Op::Logic, self.dep, D::NONE);
+                G { v: !self.v, dep }
             }
         }
 
@@ -255,15 +235,14 @@ macro_rules! impl_int_type {
 
 macro_rules! impl_signed_neg {
     ($t:ty) => {
-        impl std::ops::Neg for G<$t> {
-            type Output = G<$t>;
+        impl<D: Domain> std::ops::Neg for G<$t, D> {
+            type Output = G<$t, D>;
             #[inline]
-            fn neg(self) -> G<$t> {
-                let (ready, node) = charge2(Op::Add, self.ready, self.node, 0.0, NO_NODE);
+            fn neg(self) -> G<$t, D> {
+                let dep = D::charge(Op::Add, self.dep, D::NONE);
                 G {
                     v: self.v.wrapping_neg(),
-                    ready,
-                    node,
+                    dep,
                 }
             }
         }
@@ -278,16 +257,12 @@ macro_rules! impl_float_type {
         impl_binop!($t, Div, div, Op::FDiv, |a: $t, b: $t| a / b);
         impl_cmp!($t);
 
-        impl std::ops::Neg for G<$t> {
-            type Output = G<$t>;
+        impl<D: Domain> std::ops::Neg for G<$t, D> {
+            type Output = G<$t, D>;
             #[inline]
-            fn neg(self) -> G<$t> {
-                let (ready, node) = charge2(Op::FAdd, self.ready, self.node, 0.0, NO_NODE);
-                G {
-                    v: -self.v,
-                    ready,
-                    node,
-                }
+            fn neg(self) -> G<$t, D> {
+                let dep = D::charge(Op::FAdd, self.dep, D::NONE);
+                G { v: -self.v, dep }
             }
         }
 
@@ -315,15 +290,14 @@ impl_float_type!(f64, g_f64);
 
 macro_rules! impl_casts {
     ($t:ty => $($method:ident -> $to:ty),* $(,)?) => {
-        impl G<$t> {
+        impl<D: Domain> G<$t, D> {
             $(
                 /// Free type cast of the wrapped value (register move).
                 #[inline]
-                pub fn $method(self) -> G<$to> {
+                pub fn $method(self) -> G<$to, D> {
                     G {
                         v: self.v as $to,
-                        ready: self.ready,
-                        node: self.node,
+                        dep: self.dep,
                     }
                 }
             )*

@@ -16,7 +16,9 @@
 //!    against the annotated [`G`] types ([`g_i32`], [`g_f64`], …),
 //!    [`GArr`] arrays and the [`g_if!`]/[`g_while!`]/[`g_for!`]/[`g_call!`]
 //!    macros makes every elementary operation charge its per-resource
-//!    [`CostTable`] cost as it executes. On parallel (HW) resources the
+//!    [`CostTable`] cost as it executes. Written generic over a
+//!    [`Domain`], the same source is also the plain program
+//!    ([`Native`]), as §3's `#define` type swap makes it. On parallel (HW) resources the
 //!    library tracks both extremes — critical path `T_min` and single-ALU
 //!    `T_max` — and annotates `T_min + (T_max − T_min)·k`.
 //! 3. **Strict-timed back-annotation** (§4): in [`Mode::StrictTimed`] each
@@ -73,6 +75,7 @@
 mod capture;
 mod cost;
 pub mod determinism;
+mod domain;
 mod estimator;
 mod garray;
 mod gval;
@@ -91,6 +94,7 @@ mod tls;
 
 pub use capture::{CaptureEvent, CaptureList, CapturePoint};
 pub use cost::{CostTable, Op, OpCounts, ALL_OPS, OP_COUNT};
+pub use domain::{Annotated, Carry, Domain, Native};
 pub use estimator::{EstHotStats, InstSample, Mode, SegStats, NODE_ENTRY, NODE_EXIT, NODE_WAIT};
 pub use garray::GArr;
 pub use gval::{
@@ -109,5 +113,5 @@ pub use report::{
 };
 pub use resource::{Platform, Resource, ResourceId, ResourceKind};
 pub use session::{Session, SimConfig};
-pub use site::{site_enter, site_enter_loop, site_try_native, MemoMode, SegmentSite, SiteGuard};
+pub use site::{site_enter, site_enter_loop, MemoMode, SegmentSite, SiteGuard};
 pub use tls::{charge_branch, charge_call, charge_op};

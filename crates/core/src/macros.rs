@@ -5,6 +5,12 @@
 //! flow, so annotated code spells the marks with these macros; each charges
 //! the corresponding [`crate::Op`] cost before executing the ordinary Rust
 //! construct, leaving semantics untouched.
+//!
+//! Every macro takes an optional first argument, `D;`, naming the
+//! [`Domain`](crate::Domain) of a kernel written generically: in the
+//! [`Native`](crate::Native) domain the marks charge nothing and expand
+//! to the plain construct. Without it the domain is
+//! [`Annotated`](crate::Annotated).
 
 /// An annotated `if`: charges one [`crate::Op::Branch`], then evaluates the
 /// condition (whose own comparisons charge their [`crate::Op::Cmp`] costs)
@@ -24,12 +30,18 @@
 /// ```
 #[macro_export]
 macro_rules! g_if {
-    (($cond:expr) $then:block else $else_:block) => {{
-        $crate::charge_branch();
+    (($cond:expr) $then:block else $else_:block) => {
+        $crate::g_if!($crate::Annotated; ($cond) $then else $else_)
+    };
+    (($cond:expr) $then:block) => {
+        $crate::g_if!($crate::Annotated; ($cond) $then)
+    };
+    ($d:ty; ($cond:expr) $then:block else $else_:block) => {{
+        <$d as $crate::Domain>::op($crate::Op::Branch);
         if $cond $then else $else_
     }};
-    (($cond:expr) $then:block) => {{
-        $crate::charge_branch();
+    ($d:ty; ($cond:expr) $then:block) => {{
+        <$d as $crate::Domain>::op($crate::Op::Branch);
         if $cond $then
     }};
 }
@@ -51,8 +63,11 @@ macro_rules! g_if {
 #[macro_export]
 macro_rules! g_while {
     (($cond:expr) $body:block) => {
+        $crate::g_while!($crate::Annotated; ($cond) $body)
+    };
+    ($d:ty; ($cond:expr) $body:block) => {
         loop {
-            $crate::charge_branch();
+            <$d as $crate::Domain>::op($crate::Op::Branch);
             #[allow(clippy::neg_cmp_op_on_partial_ord)]
             let cond = $cond;
             if !cond {
@@ -82,11 +97,14 @@ macro_rules! g_while {
 #[macro_export]
 macro_rules! g_for {
     ($i:ident in $range:expr => $body:block) => {
+        $crate::g_for!($crate::Annotated; $i in $range => $body)
+    };
+    ($d:ty; $i:ident in $range:expr => $body:block) => {
         for $i in $range {
-            $crate::charge_op($crate::Op::Assign);
-            $crate::charge_op($crate::Op::Add);
-            $crate::charge_op($crate::Op::Cmp);
-            $crate::charge_branch();
+            <$d as $crate::Domain>::op($crate::Op::Assign);
+            <$d as $crate::Domain>::op($crate::Op::Add);
+            <$d as $crate::Domain>::op($crate::Op::Cmp);
+            <$d as $crate::Domain>::op($crate::Op::Branch);
             $body
         }
     };
@@ -109,7 +127,8 @@ macro_rules! g_for {
 /// count and the key (no data-dependent `g_if!` arms or early exits
 /// that depend on element values). If the stream depends on a value you
 /// can name, fold it into the key with the keyed form — the key
-/// expression is evaluated **once**, before the first iteration;
+/// expression is evaluated at most **once**, before the first iteration,
+/// and only when the region can memoize;
 /// [`crate::MemoMode::Verify`] re-charges every hit live and asserts
 /// bit-equality, catching misuse.
 ///
@@ -125,21 +144,23 @@ macro_rules! g_for {
 #[macro_export]
 macro_rules! g_loop {
     ($i:ident in $range:expr => $body:block) => {
-        $crate::g_loop!($i in $range, key = 0u64 => $body)
+        $crate::g_loop!($crate::Annotated; $i in $range, key = 0u64 => $body)
     };
-    ($i:ident in $range:expr, key = $key:expr => $body:block) => {{
+    ($i:ident in $range:expr, key = $key:expr => $body:block) => {
+        $crate::g_loop!($crate::Annotated; $i in $range, key = $key => $body)
+    };
+    ($d:ty; $i:ident in $range:expr => $body:block) => {
+        $crate::g_loop!($d; $i in $range, key = 0u64 => $body)
+    };
+    ($d:ty; $i:ident in $range:expr, key = $key:expr => $body:block) => {{
         static __SCPERF_SITE: $crate::SegmentSite =
             $crate::SegmentSite::named(concat!(file!(), ':', line!(), ':', column!()));
         let __scperf_iter = ::core::iter::IntoIterator::into_iter($range);
         let __scperf_trips = ::core::iter::ExactSizeIterator::len(&__scperf_iter) as u64;
-        let __scperf_guard = $crate::site_enter_loop(&__SCPERF_SITE, $key, __scperf_trips);
-        for $i in __scperf_iter {
-            $crate::charge_op($crate::Op::Assign);
-            $crate::charge_op($crate::Op::Add);
-            $crate::charge_op($crate::Op::Cmp);
-            $crate::charge_branch();
-            $body
-        }
+        let __scperf_guard = <$d as $crate::Domain>::enter(&__SCPERF_SITE, || {
+            $crate::SegmentSite::loop_key($key, __scperf_trips)
+        });
+        $crate::g_for!($d; $i in __scperf_iter => $body);
         drop(__scperf_guard);
     }};
 }
@@ -164,63 +185,72 @@ macro_rules! g_loop {
 /// ```
 #[macro_export]
 macro_rules! g_site {
-    (($key:expr) $body:block) => {{
+    (($key:expr) $body:block) => {
+        $crate::g_site!($crate::Annotated; ($key) $body)
+    };
+    ($body:block) => {
+        $crate::g_site!($crate::Annotated; (0u64) $body)
+    };
+    ($d:ty; ($key:expr) $body:block) => {{
         static __SCPERF_SITE: $crate::SegmentSite =
             $crate::SegmentSite::named(concat!(file!(), ':', line!(), ':', column!()));
-        let __scperf_guard = $crate::site_enter(&__SCPERF_SITE, $key);
+        let __scperf_guard = <$d as $crate::Domain>::enter(&__SCPERF_SITE, || $key);
         let __scperf_value = $body;
         drop(__scperf_guard);
         __scperf_value
     }};
-    ($body:block) => {
-        $crate::g_site!((0u64) $body)
+    ($d:ty; $body:block) => {
+        $crate::g_site!($d; (0u64) $body)
     };
 }
 
-/// A memoized region with a **native twin**: once the region's cost
-/// program is compiled, repeat executions charge the program in one
-/// step and run the `native` block — plain, uncharged Rust mirroring
-/// the annotated block's data effects — instead of the annotated body.
+/// A memoized region with a **native twin**: the region is a function
+/// generic over the [`Domain`](crate::Domain), called with its
+/// arguments. Once the region's cost program is compiled, repeat
+/// executions charge the program in one step and run the function's
+/// [`Native`](crate::Native) instantiation instead of the annotated one.
 /// This is the host-compiled simulation move the paper's single-source
 /// methodology enables: functionality at native speed, timing from the
-/// pre-compiled cost program.
+/// pre-compiled cost program, and the plain program is the same source.
 ///
-/// The two blocks **must be data-equivalent**: same stores, same
-/// wrapping arithmetic, and the native block must not charge or wait.
-/// The annotated block runs on the first execution per key (recording
-/// the program), in [`MemoMode::Off`](crate::MemoMode) and
+/// Arguments and the result cross between the domains through
+/// [`Carry`](crate::Carry): a [`G`](crate::G) keeps its word, storage
+/// and plain scalars pass as they are. The region must not wait or cross
+/// a segment boundary. The annotated instantiation runs on the first
+/// execution per key (recording the program), in
+/// [`MemoMode::Off`](crate::MemoMode) and
 /// [`MemoMode::Verify`](crate::MemoMode) and on non-sequential
-/// resources — so the annotated semantics remain the source of truth,
-/// and verify mode still checks programs against live charging.
+/// resources, so verify mode still checks programs against live
+/// charging. The key is computed only when the region can memoize.
 ///
 /// ```
-/// use scperf_core::{g_for, g_twin, GArr};
+/// use scperf_core::{g_for, g_twin, Domain, GArr};
+///
+/// fn squares<D: Domain>(sq: &mut GArr<i32>) {
+///     g_for!(D; i in 0..sq.len() => {
+///         sq.set_raw(i, D::raw(i as i32) * D::raw(i as i32));
+///     });
+/// }
 ///
 /// let mut sq = GArr::<i32>::zeroed(8);
-/// g_twin!((sq.len() as u64) {
-///     g_for!(i in 0..sq.len() => {
-///         sq.set_raw(i, (scperf_core::G::raw(i as i32) * scperf_core::G::raw(i as i32)));
-///     });
-/// } native {
-///     for i in 0..sq.len() {
-///         sq.poke(i, (i as i32).wrapping_mul(i as i32));
-///     }
-/// });
+/// g_twin!((sq.len() as u64) squares(&mut sq));
 /// assert_eq!(sq.peek(7), 49);
 /// ```
 #[macro_export]
 macro_rules! g_twin {
-    (($key:expr) $annotated:block native $native:block) => {{
+    (($key:expr) $f:ident ( $($arg:expr),* $(,)? )) => {
+        $crate::g_twin!($crate::Annotated; ($key) $f($($arg),*))
+    };
+    ($d:ty; ($key:expr) $f:ident ( $($arg:expr),* $(,)? )) => {{
         static __SCPERF_SITE: $crate::SegmentSite =
             $crate::SegmentSite::named(concat!(file!(), ':', line!(), ':', column!()));
-        let __scperf_key: u64 = $key;
-        if $crate::site_try_native(&__SCPERF_SITE, __scperf_key) {
-            $native
-        } else {
-            let __scperf_guard = $crate::site_enter(&__SCPERF_SITE, __scperf_key);
-            let __scperf_value = $annotated;
-            drop(__scperf_guard);
-            __scperf_value
+        match <$d as $crate::Domain>::twin(&__SCPERF_SITE, || $key) {
+            None => $crate::Carry::carry($f::<$crate::Native>($($crate::Carry::carry($arg)),*)),
+            Some(__scperf_guard) => {
+                let __scperf_value = $f::<$d>($($arg),*);
+                drop(__scperf_guard);
+                __scperf_value
+            }
         }
     }};
 }
@@ -242,14 +272,12 @@ macro_rules! g_twin {
 /// ```
 #[macro_export]
 macro_rules! g_call {
-    ($f:ident ( $($arg:expr),* $(,)? )) => {{
-        $crate::charge_call();
-        $( $crate::charge_op($crate::Op::Assign); let _ = stringify!($arg); )*
-        $f($($arg),*)
-    }};
-    ($($f:ident)::+ ( $($arg:expr),* $(,)? )) => {{
-        $crate::charge_call();
-        $( $crate::charge_op($crate::Op::Assign); let _ = stringify!($arg); )*
+    ($($f:ident)::+ ( $($arg:expr),* $(,)? )) => {
+        $crate::g_call!($crate::Annotated; $($f)::+($($arg),*))
+    };
+    ($d:ty; $($f:ident)::+ ( $($arg:expr),* $(,)? )) => {{
+        <$d as $crate::Domain>::op($crate::Op::Call);
+        $( <$d as $crate::Domain>::op($crate::Op::Assign); let _ = stringify!($arg); )*
         $($f)::+($($arg),*)
     }};
 }

@@ -460,9 +460,12 @@ impl Session {
 
 #[cfg(test)]
 mod tests {
+    use std::any::TypeId;
+
     use super::*;
     use crate::cost::CostTable;
-    use crate::gval::g_i64;
+    use crate::domain::{Annotated, Domain};
+    use crate::gval::{g_i64, G};
 
     fn one_cpu() -> (Platform, ResourceId) {
         let mut p = Platform::new();
@@ -694,6 +697,13 @@ mod tests {
         assert!(!table.events.is_empty());
     }
 
+    /// A twin region that reports which instantiation ran: 1 for the
+    /// annotated one, 0 for the native one.
+    fn which_ran<D: Domain>(i: G<i64, D>) -> u64 {
+        let _ = D::init(i.get()) + D::init(1_i64);
+        u64::from(TypeId::of::<D>() == TypeId::of::<Annotated>())
+    }
+
     #[test]
     fn reset_with_platform_carries_every_setting_over() {
         use std::sync::atomic::{AtomicU64, Ordering};
@@ -725,12 +735,7 @@ mod tests {
             let probe = Arc::clone(&annotated);
             session.spawn("w", cpu, move |_ctx| {
                 for i in 0..3 {
-                    let ran = crate::g_twin!((0) {
-                        let _ = g_i64(i) + g_i64(1);
-                        1
-                    } native {
-                        0
-                    });
+                    let ran = crate::g_twin!((0) which_ran(G::raw(i)));
                     probe.fetch_add(ran, Ordering::Relaxed);
                 }
             });

@@ -158,54 +158,47 @@ pub struct SiteGuard {
 /// directly.
 #[must_use]
 pub fn site_enter(site: &SegmentSite, key: u64) -> SiteGuard {
-    enter(site, key)
+    enter(site, || key)
 }
 
 /// [`site_enter`] for a whole `g_loop!`: the trip count is mixed into
 /// the effective key, so different trip counts are different programs.
 #[must_use]
 pub fn site_enter_loop(site: &SegmentSite, key: u64, trips: u64) -> SiteGuard {
-    enter(site, mix_key(key, trips))
+    enter(site, || SegmentSite::loop_key(key, trips))
 }
 
-/// Attempts a *native replay* of the memoized region at `site`: when a
-/// compiled cost program exists for `(site, key)` and the session is in
-/// [`MemoMode::Replay`], the program is charged to the flat TLS slots in
-/// one step and `true` is returned — the caller then runs the region's
-/// **native twin** (plain, uncharged Rust mirroring the annotated
-/// body's data effects) instead of the annotated body. Repeat
-/// executions thus run at native speed with *zero* per-op work, not
-/// even the parked-state flag test that passive replay pays. `false`
-/// means the caller must run the annotated body under [`site_enter`]
-/// (which records, charges live, or verifies, depending on mode).
-///
-/// The caller owns twin equivalence: the native block must produce
-/// exactly the data the annotated block would (same wrapping
-/// arithmetic, same stores), must not charge, and must not cross a
-/// segment boundary. [`g_twin!`](crate::g_twin) wires the two blocks
-/// together. [`MemoMode::Verify`] always takes the annotated path, so
-/// verify runs still validate recorded programs against live charging.
-#[must_use]
-pub fn site_try_native(site: &SegmentSite, key: u64) -> bool {
+/// Enters a [`g_twin!`](crate::g_twin) region. Returns `None` when the
+/// region's native instantiation may run instead of the annotated one:
+/// charging is absent or parked under an enclosing replayed region (the
+/// annotated body would charge nothing), or the session is in
+/// [`MemoMode::Replay`] and a compiled program for `(site, key)` was
+/// just charged to the flat TLS slots in one step. Repeat executions
+/// thus run at native speed with *zero* per-op work. `Some` carries the
+/// guard the annotated instantiation runs under (which records, charges
+/// live, or verifies, depending on mode); [`MemoMode::Verify`] always
+/// takes it, so verify runs still validate recorded programs against
+/// live charging. The key is computed only when the region can memoize.
+pub(crate) fn twin(site: &SegmentSite, key: impl FnOnce() -> u64) -> Option<SiteGuard> {
     let (memo, state) = FAST.with(|f| (f.memo.get(), f.state.get()));
     if state <= S_PASSIVE {
-        // Charging is absent or parked under an enclosing replayed
-        // region: the annotated body would charge nothing, so the
-        // native twin is equivalent and cheaper regardless of mode.
-        return true;
+        return None;
     }
     if memo != MEMO_REPLAY || state != S_SEQ {
-        return false;
+        return Some(enter(site, key));
     }
+    let key = key();
     let site_id = site.id();
-    tls::with(|c| {
-        let Some(idx) = c.progs.lookup(site_id, key) else {
-            return false;
-        };
+    let hit = tls::with(|c| {
+        let idx = c.progs.lookup(site_id, key)?;
         apply(c.progs.compiled(idx));
-        true
+        Some(())
     })
-    .unwrap_or(false)
+    .flatten();
+    match hit {
+        Some(()) => None,
+        None => Some(enter(site, || key)),
+    }
 }
 
 /// Charges a compiled program to the fast slots: one `f64` add plus
@@ -221,22 +214,28 @@ fn apply(prog: &CompiledProg) {
     });
 }
 
-/// Pure deterministic mix of a caller key and a trip count
-/// (splitmix64-style finalizer).
-fn mix_key(key: u64, trips: u64) -> u64 {
-    let mut x = key
-        .wrapping_mul(0x9E37_79B9_7F4A_7C15)
-        .wrapping_add(trips)
-        .wrapping_add(0x243F_6A88_85A3_08D3);
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^= x >> 31;
-    x
+impl SegmentSite {
+    /// The effective key of a `g_loop!` region of `trips` iterations
+    /// under the caller's `key`: a pure deterministic mix
+    /// (splitmix64-style finalizer).
+    #[must_use]
+    pub fn loop_key(key: u64, trips: u64) -> u64 {
+        let mut x = key
+            .wrapping_mul(0x9E37_79B9_7F4A_7C15)
+            .wrapping_add(trips)
+            .wrapping_add(0x243F_6A88_85A3_08D3);
+        x ^= x >> 30;
+        x = x.wrapping_mul(0xBF58_476D_1CE4_E5B9);
+        x ^= x >> 27;
+        x = x.wrapping_mul(0x94D0_49BB_1331_11EB);
+        x ^= x >> 31;
+        x
+    }
 }
 
-fn enter(site: &SegmentSite, key: u64) -> SiteGuard {
+/// Enters a memoized region; the key is computed only when the region
+/// can memoize.
+pub(crate) fn enter(site: &SegmentSite, key: impl FnOnce() -> u64) -> SiteGuard {
     let (memo, state, gen0, acc0) =
         FAST.with(|f| (f.memo.get(), f.state.get(), f.seg_gen.get(), f.acc.get()));
     // Engaged only for live sequential charging with memoization on:
@@ -247,6 +246,7 @@ fn enter(site: &SegmentSite, key: u64) -> SiteGuard {
             action: Action::Inactive,
         };
     }
+    let key = key();
     let site_id = site.id();
     let action = tls::with(|c| match c.progs.lookup(site_id, key) {
         Some(idx) if memo == MEMO_REPLAY => {

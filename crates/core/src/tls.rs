@@ -336,22 +336,27 @@ pub(crate) fn with<R>(f: impl FnOnce(&mut ThreadCtx) -> R) -> Option<R> {
 /// operation; a property test holds the two bit-identical.
 #[inline]
 pub(crate) fn charge(op: Op, a_ready: f64, a_node: u32, b_ready: f64, b_node: u32) -> (f64, u32) {
-    FAST.with(|f| {
-        let state = f.state.get();
-        if state <= S_PASSIVE {
-            return (0.0, NO_NODE);
-        }
-        if state == S_SEQ {
+    // One small closure per state keeps every `with` inlinable at each
+    // of the many call sites.
+    let state = FAST.with(|f| f.state.get());
+    if state <= S_PASSIVE {
+        return (0.0, NO_NODE);
+    }
+    if state == S_SEQ {
+        FAST.with(move |f| {
             let i = op.index();
             f.acc.set(f.acc.get() + f.costs[i].get());
             f.counts[i].set(f.counts[i].get() + 1);
-            return (0.0, NO_NODE);
-        }
-        if state == S_PAR {
-            return (charge_par(f, op, a_ready, b_ready), NO_NODE);
-        }
-        charge_dfg(f, op, a_ready, a_node, b_ready, b_node)
-    })
+        });
+        return (0.0, NO_NODE);
+    }
+    if state == S_PAR {
+        return (
+            FAST.with(move |f| charge_par(f, op, a_ready, b_ready)),
+            NO_NODE,
+        );
+    }
+    FAST.with(move |f| charge_dfg(f, op, a_ready, a_node, b_ready, b_node))
 }
 
 /// Parallel-resource arithmetic shared by the [`S_PAR`] and [`S_PAR_DFG`]

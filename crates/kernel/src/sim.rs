@@ -411,6 +411,8 @@ impl fmt::Debug for Simulator {
 
 #[cfg(test)]
 mod tests {
+    use std::cell::RefCell;
+
     use super::*;
 
     #[test]
@@ -509,6 +511,26 @@ mod tests {
         let s = sim.run().unwrap();
         assert_eq!(s.reason, StopReason::EventsExhausted);
         assert_eq!(s.end_time, Time::ns(100));
+    }
+
+    #[test]
+    fn run_until_an_earlier_limit_does_not_rewind_the_clock() {
+        let wakes = Rc::new(RefCell::new(Vec::new()));
+        let seen = Rc::clone(&wakes);
+        let mut sim = Simulator::new();
+        sim.spawn("p", move |ctx| {
+            ctx.wait(Time::ns(5));
+            seen.borrow_mut().push(ctx.now());
+            ctx.wait(Time::ns(15));
+            seen.borrow_mut().push(ctx.now());
+        });
+        assert_eq!(sim.run_until(Time::ns(10)).unwrap().end_time, Time::ns(10));
+        let s = sim.run_until(Time::ns(2)).unwrap();
+        assert_eq!(s.reason, StopReason::TimeLimit);
+        assert_eq!(s.end_time, Time::ns(10));
+        assert_eq!(sim.now(), Time::ns(10));
+        assert_eq!(sim.run().unwrap().end_time, Time::ns(20));
+        assert_eq!(*wakes.borrow(), [Time::ns(5), Time::ns(20)]);
     }
 
     #[test]

@@ -294,7 +294,8 @@ impl KernelState {
                 return AdvanceOutcome::Exhausted;
             };
             if t > limit.as_ps() {
-                self.now = limit;
+                // A limit behind the clock pauses without rewinding it.
+                self.now = self.now.max(limit);
                 return AdvanceOutcome::LimitReached;
             }
             self.now = Time::ps(t);

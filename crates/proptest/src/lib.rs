@@ -357,6 +357,7 @@ pub mod runner {
 /// Declares property tests. Mirrors the real `proptest!` item form:
 ///
 /// ```ignore
+/// # use proptest::{prop_assert_eq, proptest, ProptestConfig};
 /// proptest! {
 ///     #![proptest_config(ProptestConfig::with_cases(32))]
 ///     #[test]

@@ -1,7 +1,7 @@
 //! Array-operations benchmark (Table 1 row "Array"): three element-wise
 //! vector kernels plus a reduction over 256-element vectors.
 
-use scperf_core::{g_for, g_i32, GArr, G};
+use scperf_core::{g_for, Annotated, Domain, GArr, Native};
 
 use crate::data::{minic_initializer, signed_values};
 
@@ -18,43 +18,24 @@ pub fn vec_b() -> Vec<i32> {
     signed_values(0xA2, N, 4096)
 }
 
-/// Reference implementation.
-pub fn plain() -> i32 {
-    let a = vec_a();
-    let b = vec_b();
-    let mut c = vec![0_i32; N];
-    let mut d = vec![0_i32; N];
-    for i in 0..N {
-        c[i] = a[i].wrapping_mul(b[i]) >> 6;
-    }
-    for i in 0..N {
-        d[i] = c[i].wrapping_add(a[i]).wrapping_sub(b[i]);
-    }
-    let mut s = 0_i32;
-    for i in 0..N {
-        s = s.wrapping_add(d[i] ^ (c[i] & b[i]));
-    }
-    s
-}
-
-/// Cost-annotated implementation (mirrors the minic source).
-pub fn annotated() -> i32 {
+/// The kernels, mirroring the minic source statement by statement.
+pub fn run<D: Domain>() -> i32 {
     let a = GArr::from_vec(vec_a());
     let b = GArr::from_vec(vec_b());
     let mut c = GArr::<i32>::zeroed(N);
     let mut d = GArr::<i32>::zeroed(N);
-    g_for!(i in 0..N => {
+    g_for!(D; i in 0..N => {
         // c[i] = (a[i] * b[i]) >> 6;
-        c.set_raw(i, (a.at_raw(i) * b.at_raw(i)) >> G::raw(6));
+        c.set_raw(i, (a.at(D::raw(i)) * b.at(D::raw(i))) >> D::raw(6));
     });
-    g_for!(i in 0..N => {
+    g_for!(D; i in 0..N => {
         // d[i] = c[i] + a[i] - b[i];
-        d.set_raw(i, c.at_raw(i) + a.at_raw(i) - b.at_raw(i));
+        d.set_raw(i, c.at(D::raw(i)) + a.at(D::raw(i)) - b.at(D::raw(i)));
     });
-    let mut s = g_i32(0); // s = 0;
-    g_for!(i in 0..N => {
+    let mut s = D::init(0_i32); // s = 0;
+    g_for!(D; i in 0..N => {
         // s = s + (d[i] ^ (c[i] & b[i]));
-        s.assign(s + (d.at_raw(i) ^ (c.at_raw(i) & b.at_raw(i))));
+        s.assign(s + (d.at(D::raw(i)) ^ (c.at(D::raw(i)) & b.at(D::raw(i)))));
     });
     s.get()
 }
@@ -85,8 +66,8 @@ pub fn minic() -> String {
 pub fn case() -> crate::case::BenchCase {
     crate::case::BenchCase {
         name: "Array",
-        plain,
-        annotated,
+        plain: run::<Native>,
+        annotated: run::<Annotated>,
         minic: minic(),
     }
 }
@@ -97,8 +78,8 @@ mod tests {
 
     #[test]
     fn three_forms_agree() {
-        let p = plain();
-        assert_eq!(p, annotated());
+        let p = run::<Native>();
+        assert_eq!(p, run::<Annotated>());
         let (iss, _) = case().run_iss();
         assert_eq!(p, iss);
     }

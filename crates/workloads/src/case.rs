@@ -1,26 +1,25 @@
-//! The uniform three-form benchmark interface used by the Table 1/3
-//! harnesses.
+//! The uniform benchmark interface used by the Table 1/3 harnesses.
 
 use std::sync::{Arc, Mutex};
 
 use scperf_core::{CostTable, EstHotStats, MemoMode, Platform, Report, SimConfig};
 use scperf_kernel::Time;
 
-/// One sequential benchmark in the three matched forms the experiments
-/// need:
+/// One sequential benchmark: one generic source in its two meanings,
+/// plus `minic`:
 ///
-/// * `plain` — ordinary Rust, the reference result and the "original
-///   SystemC specification" timing baseline;
-/// * `annotated` — the same algorithm written against the `scperf-core`
-///   annotated types (charges costs when run inside a
-///   [`scperf_core::PerfModel`] process, behaves exactly like `plain`
-///   otherwise);
+/// * `plain` — the kernel's [`Native`](scperf_core::Native)
+///   instantiation, the reference result and the "original SystemC
+///   specification" timing baseline;
+/// * `annotated` — the same source's
+///   [`Annotated`](scperf_core::Annotated) instantiation (charges costs
+///   when run inside a [`scperf_core::PerfModel`] process);
 /// * `minic` — the same algorithm in `minic` source, compiled and executed
 ///   on the reference ISS. The program must leave its checksum in a global
 ///   named `result`.
 ///
-/// All three forms must produce the same checksum on the same embedded
-/// input data.
+/// All three must produce the same checksum on the same embedded input
+/// data.
 #[derive(Debug, Clone)]
 pub struct BenchCase {
     /// Benchmark name, matching the paper's Table 1 rows where possible.
@@ -58,7 +57,7 @@ impl BenchCase {
 /// sequential RISC-SW resource under the given site-memoization mode.
 /// Returns the body's checksum, the report and the hot-path counters.
 ///
-/// This is the harness the memoized Table 1 forms are compared under:
+/// This is the harness the memoized Table 1 kernels are compared under:
 /// [`MemoMode::Off`], [`MemoMode::Replay`] and [`MemoMode::Verify`]
 /// must produce bit-identical reports and checksums.
 pub fn run_memoized(memo: MemoMode, body: fn() -> i32) -> (i32, Report, EstHotStats) {

@@ -2,8 +2,10 @@
 //!
 //! A 64-tap direct-form FIR over 256 samples in Q12 fixed point:
 //! `y[n] = (Σ_k h[k]·x[n+k]) >> 12`, checksum = Σ `y[n]` (wrapping).
+//! Written once, generic over the value domain: [`run`]`::<Native>` is
+//! the reference, [`run`]`::<Annotated>` charges its costs.
 
-use scperf_core::{g_for, g_i32, g_loop, GArr, G};
+use scperf_core::{g_for, g_loop, Annotated, Domain, GArr, Native, G};
 
 use crate::data::{minic_initializer, signed_values};
 
@@ -22,43 +24,33 @@ pub fn coefficients() -> Vec<i32> {
     signed_values(0xF2, TAPS, 1024)
 }
 
-/// Reference implementation.
-pub fn plain() -> i32 {
-    let x = input_samples();
-    let h = coefficients();
-    let mut checksum = 0_i32;
-    for n in 0..SAMPLES {
-        let mut acc = 0_i32;
-        for k in 0..TAPS {
-            acc = acc.wrapping_add(h[k].wrapping_mul(x[n + k]));
-        }
-        checksum = checksum.wrapping_add(acc >> 12);
-    }
-    checksum
-}
-
-/// Cost-annotated implementation (identical algorithm and results,
-/// mirroring the minic source statement by statement).
-pub fn annotated() -> i32 {
+/// The filter, mirroring the minic source statement by statement.
+pub fn run<D: Domain>() -> i32 {
     let x = GArr::from_vec(input_samples());
     let h = GArr::from_vec(coefficients());
-    let mut checksum = g_i32(0); // checksum = 0;
-    let mut acc = G::raw(0_i32);
+    let mut checksum = D::init(0_i32); // checksum = 0;
+
     // The outer sample loop is fully straight-line (no data-dependent
     // control flow), so it is a memoizable segment site: on sequential
     // resources with integer cost tables only the first sample charges
     // per-op; the remaining SAMPLES-1 replay the recorded delta.
-    g_loop!(n in 0..SAMPLES => {
-        acc.assign(G::raw(0)); // acc = 0;
-        g_for!(k in 0..TAPS => {
-            // acc = acc + h[k] * x[n + k];
-            let idx = G::raw(n) + G::raw(k);
-            acc.assign(acc + h.at_raw(k) * x.at(idx));
-        });
+    g_loop!(D; n in 0..SAMPLES => {
         // checksum = checksum + (acc >> 12);
-        checksum.assign(checksum + (acc >> G::raw(12)));
+        checksum.assign(checksum + sample(&x, &h, n));
     });
     checksum.get()
+}
+
+/// Output sample `n` before accumulation: `acc = 0;` the tap loop
+/// `acc = acc + h[k] * x[n + k];`, then `acc >> 12`.
+fn sample<D: Domain>(x: &GArr<i32>, h: &GArr<i32>, n: usize) -> G<i32, D> {
+    let mut acc = D::init(0_i32); // acc = 0;
+    g_for!(D; k in 0..TAPS => {
+        // acc = acc + h[k] * x[n + k];
+        let idx = D::raw(n) + D::raw(k);
+        acc.assign(acc + h.at(D::raw(k)) * x.at(idx));
+    });
+    acc >> D::raw(12)
 }
 
 /// One output sample as a standalone annotated kernel: the hardware
@@ -67,12 +59,7 @@ pub fn annotated() -> i32 {
 pub fn annotated_one_sample(n: usize) -> i32 {
     let x = GArr::from_vec(input_samples());
     let h = GArr::from_vec(coefficients());
-    let mut acc = g_i32(0);
-    g_for!(k in 0..TAPS => {
-        let idx = G::raw(n) + G::raw(k);
-        acc.assign(acc + h.at_raw(k) * x.at(idx));
-    });
-    (acc >> G::raw(12)).get()
+    sample::<Annotated>(&x, &h, n).get()
 }
 
 /// `minic` source computing the same checksum into `result`.
@@ -106,8 +93,8 @@ pub fn minic() -> String {
 pub fn case() -> crate::case::BenchCase {
     crate::case::BenchCase {
         name: "FIR",
-        plain,
-        annotated,
+        plain: run::<Native>,
+        annotated: run::<Annotated>,
         minic: minic(),
     }
 }
@@ -118,8 +105,8 @@ mod tests {
 
     #[test]
     fn three_forms_agree() {
-        let p = plain();
-        assert_eq!(p, annotated());
+        let p = run::<Native>();
+        assert_eq!(p, run::<Annotated>());
         let (iss, stats) = case().run_iss();
         assert_eq!(p, iss);
         assert!(stats.instructions > 10_000);

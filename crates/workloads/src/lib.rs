@@ -1,14 +1,19 @@
 //! # scperf-workloads — the DATE 2004 evaluation workloads
 //!
-//! Every benchmark of the paper's §5, each in **three matched forms** that
-//! must produce bit-identical results:
+//! Every benchmark of the paper's §5 as **one generic source in two
+//! meanings, plus `minic`**, all producing bit-identical results. As §3
+//! swaps types with `#define`, each kernel is written once against the
+//! `scperf-core` value types, generic over a
+//! [`Domain`](scperf_core::Domain), and mirrors its `minic` source
+//! statement by statement:
 //!
-//! 1. plain Rust (the reference result and the untimed-simulation
+//! 1. the [`Native`](scperf_core::Native) instantiation is the plain
+//!    program (the reference result and the untimed-simulation
 //!    baseline),
-//! 2. annotated with the `scperf-core` estimation types (the library
-//!    path), and
-//! 3. `minic` source compiled to the `scperf-iss` reference processor (the
-//!    ISS path).
+//! 2. the [`Annotated`](scperf_core::Annotated) instantiation charges
+//!    every operation (the library path), and
+//! 3. the `minic` source compiles to the `scperf-iss` reference processor
+//!    (the ISS path).
 //!
 //! | Paper artifact | Module |
 //! |----------------|--------|

@@ -3,9 +3,13 @@
 //!
 //! Both sort the same deterministic data and use as checksum
 //! `Σ (i+1)·a[i]` over the sorted array (wrapping), which is sensitive to
-//! ordering mistakes.
+//! ordering mistakes. Each is written once, generic over the value domain
+//! and marked for segment-site memoization; the marks are inert outside
+//! memoizing runs.
 
-use scperf_core::{g_call, g_for, g_i32, g_if, g_loop, g_site, g_while, GArr, G};
+use scperf_core::{
+    g_call, g_for, g_if, g_loop, g_site, g_while, Annotated, Domain, GArr, Native, G,
+};
 
 use crate::data::{minic_initializer, signed_values};
 
@@ -24,234 +28,100 @@ pub fn bubble_input() -> Vec<i32> {
     signed_values(0x51, BUBBLE_N, 10_000)
 }
 
-fn weighted_checksum(a: &[i32]) -> i32 {
-    let mut s = 0_i32;
-    for (i, &v) in a.iter().enumerate() {
-        s = s.wrapping_add((i as i32 + 1).wrapping_mul(v));
-    }
-    s
+/// `s = 0; for (i = 0; i < n; i = i + 1) s = s + (i + 1) * a[i];` — a
+/// whole-loop memoized region.
+fn weighted_checksum<D: Domain>(a: &GArr<i32>) -> i32 {
+    let mut s = D::init(0_i32); // s = 0;
+    g_loop!(D; i in 0..a.len() => {
+        // s = s + (i + 1) * a[i];
+        let w = D::raw(i as i32) + D::raw(1);
+        s.assign(s + w * a.at(D::raw(i)));
+    });
+    s.get()
 }
-
-// ---------------------------------------------------------------- plain --
-
-fn qsort_plain(a: &mut [i32], lo: i32, hi: i32) {
-    if lo >= hi {
-        return;
-    }
-    // Lomuto partition, pivot = a[hi].
-    let pivot = a[hi as usize];
-    let mut i = lo - 1;
-    let mut j = lo;
-    while j < hi {
-        if a[j as usize] < pivot {
-            i += 1;
-            a.swap(i as usize, j as usize);
-        }
-        j += 1;
-    }
-    a.swap((i + 1) as usize, hi as usize);
-    let p = i + 1;
-    qsort_plain(a, lo, p - 1);
-    qsort_plain(a, p + 1, hi);
-}
-
-/// Reference quicksort.
-pub fn qsort() -> i32 {
-    let mut a = qsort_input();
-    qsort_plain(&mut a, 0, QSORT_N as i32 - 1);
-    weighted_checksum(&a)
-}
-
-/// Reference bubble sort.
-pub fn bubble() -> i32 {
-    let mut a = bubble_input();
-    let n = a.len();
-    for i in 0..n {
-        for j in 0..n - 1 - i {
-            if a[j] > a[j + 1] {
-                a.swap(j, j + 1);
-            }
-        }
-    }
-    weighted_checksum(&a)
-}
-
-// ------------------------------------------------------------ annotated --
 
 /// Mirrors the minic `qsort(int p, int lo, int hi)` statement by
-/// statement.
-fn qsort_annotated(a: &mut GArr<i32>, lo: G<i32>, hi: G<i32>) {
-    let mut stop = false;
-    g_if!((lo >= hi) { stop = true; }); // if (lo >= hi) return 0;
-    if stop {
-        return;
-    }
-    let mut pivot = G::raw(0_i32);
-    pivot.assign(a.at_raw(hi.get() as usize)); // pivot = p[hi];
-    let mut i = G::raw(0_i32);
-    i.assign(lo - 1); // i = lo - 1;
-    let mut j = G::raw(0_i32);
-    j.assign(lo); // j = lo;
-    g_while!((j < hi) {
-        g_if!((a.at_raw(j.get() as usize) < pivot) {
-            i.assign(i + 1); // i = i + 1;
-            let mut t = G::raw(0_i32);
-            t.assign(a.at_raw(i.get() as usize)); // t = p[i];
-            a.set_raw(i.get() as usize, a.at_raw(j.get() as usize)); // p[i] = p[j];
-            a.set_raw(j.get() as usize, t); // p[j] = t;
-        });
-        j.assign(j + 1); // j = j + 1;
-    });
-    let mut t = G::raw(0_i32);
-    t.assign(a.at((i + 1).cast_usize())); // t = p[i + 1];
-    a.set((i + 1).cast_usize(), a.at_raw(hi.get() as usize)); // p[i + 1] = p[hi];
-    a.set_raw(hi.get() as usize, t); // p[hi] = t;
-    g_call!(qsort_annotated(a, lo, i)); // qsort(p, lo, i);
-    let hi2 = i + 2;
-    g_call!(qsort_annotated(a, hi2, hi)); // qsort(p, i + 2, hi);
-}
-
-/// Annotated quicksort.
-pub fn qsort_annotated_run() -> i32 {
-    let mut a = GArr::from_vec(qsort_input());
-    g_call!(qsort_annotated(&mut a, g_i32(0), g_i32(QSORT_N as i32 - 1)));
-    let mut s = g_i32(0); // s = 0;
-    g_for!(i in 0..QSORT_N => {
-        // s = s + (i + 1) * a[i];
-        let w = G::raw(i as i32) + G::raw(1);
-        s.assign(s + w * a.at_raw(i));
-    });
-    s.get()
-}
-
-/// Annotated bubble sort (the minic form hoists the inner bound:
-/// `m = N - 1 - i;`).
-pub fn bubble_annotated_run() -> i32 {
-    let mut a = GArr::from_vec(bubble_input());
-    let n = BUBBLE_N;
-    let mut m = G::raw(0_i32);
-    g_for!(i in 0..n => {
-        m.assign(G::raw(n as i32) - G::raw(1) - G::raw(i as i32)); // m = N - 1 - i;
-        g_for!(j in 0..(n - 1 - i) => {
-            let _ = &m;
-            // if (a[j] > a[j + 1]) { ... }
-            let jp = G::raw(j) + G::raw(1);
-            g_if!((a.at_raw(j) > a.at(jp)) {
-                let mut t = G::raw(0_i32);
-                t.assign(a.at_raw(j)); // t = a[j];
-                let jp2 = G::raw(j) + G::raw(1);
-                a.set_raw(j, a.at(jp2)); // a[j] = a[j + 1];
-                let jp3 = G::raw(j) + G::raw(1);
-                a.set(jp3, t); // a[j + 1] = t;
-            });
-        });
-    });
-    let mut s = g_i32(0); // s = 0;
-    g_for!(i in 0..n => {
-        // s = s + (i + 1) * a[i];
-        let w = G::raw(i as i32) + G::raw(1);
-        s.assign(s + w * a.at_raw(i));
-    });
-    s.get()
-}
-
-// ----------------------------------------------------------- memoized --
-
-/// [`qsort_annotated`] with segment-site memoization — the adversarial
-/// case for cost-program keying: the recursion's extent and the
-/// partition's swap pattern both depend on element *values*, so no key
-/// derived from `(lo, hi)` is sound. Instead every data-dependent
-/// branch is its own region keyed by the branch outcome (computed
-/// uncharged via [`GArr::peek`]), and the straight-line stretches
-/// between them are unkeyed regions; the charge stream within each
-/// region is then fully determined by its key.
-fn qsort_memo(a: &mut GArr<i32>, lo: G<i32>, hi: G<i32>) {
-    let stop = lo.get() >= hi.get();
-    g_site!((stop as u64) {
-        g_if!((lo >= hi) {});
+/// statement, marked for segment-site memoization — the adversarial case
+/// for cost-program keying: the recursion's extent and the partition's
+/// swap pattern both depend on element *values*, so no key derived from
+/// `(lo, hi)` is sound. Instead every data-dependent branch is its own
+/// region keyed by the branch outcome (computed uncharged via
+/// [`GArr::peek`]), and the straight-line stretches between them are
+/// unkeyed regions; the charge stream within each region is then fully
+/// determined by its key.
+fn quicksort<D: Domain>(a: &mut GArr<i32>, lo: G<i32, D>, hi: G<i32, D>) {
+    let stop = g_site!(D; ((lo.get() >= hi.get()) as u64) {
+        let mut stop = false;
+        g_if!(D; (lo >= hi) { stop = true; }); // if (lo >= hi) return 0;
+        stop
     });
     if stop {
         return;
     }
-    let mut pivot = G::raw(0_i32);
-    let mut i = G::raw(0_i32);
-    let mut j = G::raw(0_i32);
-    g_site!({
-        pivot.assign(a.at_raw(hi.get() as usize)); // pivot = p[hi];
+    let mut pivot = D::raw(0_i32);
+    let mut i = D::raw(0_i32);
+    let mut j = D::raw(0_i32);
+    g_site!(D; {
+        pivot.assign(a.at(D::raw(hi.get() as usize))); // pivot = p[hi];
         i.assign(lo - 1); // i = lo - 1;
         j.assign(lo); // j = lo;
     });
-    g_while!((j < hi) {
-        let take = a.peek(j.get() as usize) < pivot.get();
-        g_site!((take as u64) {
-            g_if!((a.at_raw(j.get() as usize) < pivot) {
+    g_while!(D; (j < hi) {
+        g_site!(D; ((a.peek(j.get() as usize) < pivot.get()) as u64) {
+            g_if!(D; (a.at(D::raw(j.get() as usize)) < pivot) {
                 i.assign(i + 1); // i = i + 1;
-                let mut t = G::raw(0_i32);
-                t.assign(a.at_raw(i.get() as usize)); // t = p[i];
-                a.set_raw(i.get() as usize, a.at_raw(j.get() as usize)); // p[i] = p[j];
+                let mut t = D::raw(0_i32);
+                t.assign(a.at(D::raw(i.get() as usize))); // t = p[i];
+                a.set_raw(i.get() as usize, a.at(D::raw(j.get() as usize))); // p[i] = p[j];
                 a.set_raw(j.get() as usize, t); // p[j] = t;
             });
             j.assign(j + 1); // j = j + 1;
         });
     });
-    g_site!({
-        let mut t = G::raw(0_i32);
+    g_site!(D; {
+        let mut t = D::raw(0_i32);
         t.assign(a.at((i + 1).cast_usize())); // t = p[i + 1];
-        a.set((i + 1).cast_usize(), a.at_raw(hi.get() as usize)); // p[i + 1] = p[hi];
+        a.set((i + 1).cast_usize(), a.at(D::raw(hi.get() as usize))); // p[i + 1] = p[hi];
         a.set_raw(hi.get() as usize, t); // p[hi] = t;
     });
-    g_call!(qsort_memo(a, lo, i)); // qsort(p, lo, i);
+    g_call!(D; quicksort(a, lo, i)); // qsort(p, lo, i);
     let hi2 = i + 2;
-    g_call!(qsort_memo(a, hi2, hi)); // qsort(p, i + 2, hi);
+    g_call!(D; quicksort(a, hi2, hi)); // qsort(p, i + 2, hi);
 }
 
-/// Memoized quicksort (charges exactly what [`qsort_annotated_run`]
-/// charges when memoization is off).
-pub fn qsort_memo_run() -> i32 {
+/// Quicksort (Table 1 row "Quick sort"), mirroring the minic `main`.
+pub fn qsort<D: Domain>() -> i32 {
     let mut a = GArr::from_vec(qsort_input());
-    g_call!(qsort_memo(&mut a, g_i32(0), g_i32(QSORT_N as i32 - 1)));
-    let mut s = g_i32(0); // s = 0;
-    g_loop!(i in 0..QSORT_N => {
-        // s = s + (i + 1) * a[i];
-        let w = G::raw(i as i32) + G::raw(1);
-        s.assign(s + w * a.at_raw(i));
-    });
-    s.get()
+    g_call!(D; quicksort(&mut a, D::init(0), D::init(QSORT_N as i32 - 1)));
+    weighted_checksum::<D>(&a)
 }
 
-/// Memoized bubble sort: the inner-pass comparison is a region keyed by
-/// the swap outcome (the only data-dependent branch), the checksum loop
-/// is a whole-loop region.
-pub fn bubble_memo_run() -> i32 {
+/// Bubble sort (Table 1 row "Bubble"; the minic form hoists the inner
+/// bound: `m = N - 1 - i;`). The comparison is a memoized region keyed
+/// by the swap outcome, the only data-dependent branch.
+pub fn bubble<D: Domain>() -> i32 {
     let mut a = GArr::from_vec(bubble_input());
     let n = BUBBLE_N;
-    let mut m = G::raw(0_i32);
-    g_for!(i in 0..n => {
-        m.assign(G::raw(n as i32) - G::raw(1) - G::raw(i as i32)); // m = N - 1 - i;
-        g_for!(j in 0..(n - 1 - i) => {
+    let mut m = D::raw(0_i32);
+    g_for!(D; i in 0..n => {
+        m.assign(D::raw(n as i32) - D::raw(1) - D::raw(i as i32)); // m = N - 1 - i;
+        g_for!(D; j in 0..(n - 1 - i) => {
             let _ = &m;
-            let take = a.peek(j) > a.peek(j + 1);
-            g_site!((take as u64) {
+            g_site!(D; ((a.peek(j) > a.peek(j + 1)) as u64) {
                 // if (a[j] > a[j + 1]) { ... }
-                let jp = G::raw(j) + G::raw(1);
-                g_if!((a.at_raw(j) > a.at(jp)) {
-                    let mut t = G::raw(0_i32);
-                    t.assign(a.at_raw(j)); // t = a[j];
-                    let jp2 = G::raw(j) + G::raw(1);
+                let jp = D::raw(j) + D::raw(1);
+                g_if!(D; (a.at(D::raw(j)) > a.at(jp)) {
+                    let mut t = D::raw(0_i32);
+                    t.assign(a.at(D::raw(j))); // t = a[j];
+                    let jp2 = D::raw(j) + D::raw(1);
                     a.set_raw(j, a.at(jp2)); // a[j] = a[j + 1];
-                    let jp3 = G::raw(j) + G::raw(1);
+                    let jp3 = D::raw(j) + D::raw(1);
                     a.set(jp3, t); // a[j + 1] = t;
                 });
             });
         });
     });
-    let mut s = g_i32(0); // s = 0;
-    g_loop!(i in 0..n => {
-        // s = s + (i + 1) * a[i];
-        let w = G::raw(i as i32) + G::raw(1);
-        s.assign(s + w * a.at_raw(i));
-    });
-    s.get()
+    weighted_checksum::<D>(&a)
 }
 
 // ---------------------------------------------------------------- minic --
@@ -319,8 +189,8 @@ pub fn bubble_minic() -> String {
 pub fn qsort_case() -> crate::case::BenchCase {
     crate::case::BenchCase {
         name: "Quick sort",
-        plain: qsort,
-        annotated: qsort_annotated_run,
+        plain: qsort::<Native>,
+        annotated: qsort::<Annotated>,
         minic: qsort_minic(),
     }
 }
@@ -329,8 +199,8 @@ pub fn qsort_case() -> crate::case::BenchCase {
 pub fn bubble_case() -> crate::case::BenchCase {
     crate::case::BenchCase {
         name: "Bubble",
-        plain: bubble,
-        annotated: bubble_annotated_run,
+        plain: bubble::<Native>,
+        annotated: bubble::<Annotated>,
         minic: bubble_minic(),
     }
 }
@@ -342,24 +212,26 @@ mod tests {
     use super::*;
     use crate::case::run_memoized;
 
+    /// The checksum of `input` sorted by the standard library.
+    fn sorted_checksum(mut input: Vec<i32>) -> i32 {
+        input.sort_unstable();
+        weighted_checksum::<Native>(&GArr::from_vec(input))
+    }
+
     #[test]
     fn quicksort_forms_agree_and_sort() {
-        let mut reference = qsort_input();
-        reference.sort_unstable();
-        let expect = weighted_checksum(&reference);
-        assert_eq!(qsort(), expect);
-        assert_eq!(qsort_annotated_run(), expect);
+        let expect = sorted_checksum(qsort_input());
+        assert_eq!(qsort::<Native>(), expect);
+        assert_eq!(qsort::<Annotated>(), expect);
         let (iss, _) = qsort_case().run_iss();
         assert_eq!(iss, expect);
     }
 
     #[test]
     fn bubble_forms_agree_and_sort() {
-        let mut reference = bubble_input();
-        reference.sort_unstable();
-        let expect = weighted_checksum(&reference);
-        assert_eq!(bubble(), expect);
-        assert_eq!(bubble_annotated_run(), expect);
+        let expect = sorted_checksum(bubble_input());
+        assert_eq!(bubble::<Native>(), expect);
+        assert_eq!(bubble::<Annotated>(), expect);
         let (iss, _) = bubble_case().run_iss();
         assert_eq!(iss, expect);
     }
@@ -369,47 +241,37 @@ mod tests {
     /// replay and verify runs.
     #[test]
     fn memoized_quicksort_is_bit_identical() {
-        let mut reference = qsort_input();
-        reference.sort_unstable();
-        let expect = weighted_checksum(&reference);
+        let expect = sorted_checksum(qsort_input());
 
-        let (live_v, live_r, live_h) = run_memoized(MemoMode::Off, qsort_memo_run);
+        let (live_v, live_r, live_h) = run_memoized(MemoMode::Off, qsort::<Annotated>);
         assert_eq!(live_v, expect);
         assert_eq!(live_h.site_hits, 0);
 
-        // Off-mode memo form charges exactly what the annotated form
-        // charges.
-        let (ann_v, ann_r, _) = run_memoized(MemoMode::Off, qsort_annotated_run);
-        assert_eq!(ann_v, expect);
-        assert_eq!(ann_r, live_r);
-
-        let (memo_v, memo_r, memo_h) = run_memoized(MemoMode::Replay, qsort_memo_run);
+        let (memo_v, memo_r, memo_h) = run_memoized(MemoMode::Replay, qsort::<Annotated>);
         assert_eq!(memo_v, expect);
         assert_eq!(memo_r, live_r, "replay diverged from live");
         assert!(memo_h.site_hits > memo_h.site_misses * 10, "mostly hits");
 
-        let (ver_v, ver_r, _) = run_memoized(MemoMode::Verify, qsort_memo_run);
+        let (ver_v, ver_r, _) = run_memoized(MemoMode::Verify, qsort::<Annotated>);
         assert_eq!(ver_v, expect);
         assert_eq!(ver_r, live_r, "verify diverged from live");
     }
 
     #[test]
     fn memoized_bubble_is_bit_identical() {
-        let mut reference = bubble_input();
-        reference.sort_unstable();
-        let expect = weighted_checksum(&reference);
+        let expect = sorted_checksum(bubble_input());
 
-        let (live_v, live_r, _) = run_memoized(MemoMode::Off, bubble_memo_run);
+        let (live_v, live_r, _) = run_memoized(MemoMode::Off, bubble::<Annotated>);
         assert_eq!(live_v, expect);
 
-        let (memo_v, memo_r, memo_h) = run_memoized(MemoMode::Replay, bubble_memo_run);
+        let (memo_v, memo_r, memo_h) = run_memoized(MemoMode::Replay, bubble::<Annotated>);
         assert_eq!(memo_v, expect);
         assert_eq!(memo_r, live_r, "replay diverged from live");
         // Comparison site (2 keys) + checksum loop (1 key): 3 misses.
         assert_eq!(memo_h.site_misses, 3);
         assert!(memo_h.site_hits > 0);
 
-        let (ver_v, ver_r, _) = run_memoized(MemoMode::Verify, bubble_memo_run);
+        let (ver_v, ver_r, _) = run_memoized(MemoMode::Verify, bubble::<Annotated>);
         assert_eq!(ver_v, expect);
         assert_eq!(ver_r, live_r, "verify diverged from live");
     }

@@ -17,14 +17,18 @@
 //!   selection per subframe;
 //! * **Post Proc.** — LPC synthesis filter + de-emphasis + clipping.
 //!
-//! All arithmetic is wrapping 32-bit fixed point, so the plain Rust,
-//! annotated and `minic`/ISS forms produce bit-identical results.
+//! Each stage is written once, generic over the value domain
+//! ([`stages`]); all arithmetic is wrapping 32-bit fixed point, so its
+//! native and annotated instantiations and the `minic`/ISS form produce
+//! bit-identical results.
 //!
 //! Frames are 160 samples (4 subframes of 40), as in GSM.
 
 pub mod minic_gen;
 pub mod pipeline;
 pub mod stages;
+
+use scperf_core::Native;
 
 use crate::data::Lcg;
 
@@ -85,7 +89,7 @@ pub fn speech_frames(nframes: usize) -> Vec<Vec<i32>> {
 }
 
 /// Bandwidth-expansion factors γ^j (γ = 0.75, Q12), j = 1..=10, computed
-/// in integer arithmetic so all three forms can share the exact table.
+/// in integer arithmetic so every form can share the exact table.
 pub fn gamma_powers() -> Vec<i32> {
     let gamma = 3072_i32; // 0.75 in Q12
     let mut powers = Vec::with_capacity(ORDER);
@@ -97,7 +101,7 @@ pub fn gamma_powers() -> Vec<i32> {
     powers
 }
 
-/// Everything the reference (plain) pipeline produces: per-stage input
+/// Everything the reference (native) pipeline produces: per-stage input
 /// streams (used to generate the per-stage ISS programs) and per-stage
 /// checksums (used to validate the annotated and ISS forms).
 #[derive(Debug, Clone)]
@@ -121,12 +125,11 @@ pub struct VocoderTrace {
     pub checksums: [i32; 5],
 }
 
-/// Runs the plain (reference) pipeline over `nframes` frames.
+/// Runs the five stages' native instantiation over `nframes` frames, one
+/// frame at a time through the whole pipeline, without a kernel.
 pub fn run_reference(nframes: usize) -> VocoderTrace {
     let speech = speech_frames(nframes);
-    let mut lpcint_state = stages::LpcIntState::new();
-    let mut acb_state = stages::AcbState::new();
-    let mut post_state = stages::PostState::new();
+    let mut stages = pipeline::STAGES.map(pipeline::StageState::<Native>::new);
     let mut trace = VocoderTrace {
         speech: speech.clone(),
         lpc: Vec::new(),
@@ -137,24 +140,19 @@ pub fn run_reference(nframes: usize) -> VocoderTrace {
         out: Vec::new(),
         checksums: [0; 5],
     };
-    for frame in &speech {
-        let lpc = stages::lsp_plain(frame);
-        trace.checksums[0] = checksum_acc(trace.checksums[0], &lpc);
-        let aq = stages::lpcint_plain(&mut lpcint_state, &lpc);
-        trace.checksums[1] = checksum_acc(trace.checksums[1], &aq);
-        let (res, acb, lags, gains) = stages::acb_plain(&mut acb_state, frame, &aq);
-        trace.checksums[2] = checksum_acc(checksum_acc(trace.checksums[2], &lags), &gains);
-        let exc = stages::icb_plain(&res, &acb);
-        trace.checksums[3] = checksum_acc(trace.checksums[3], &exc);
-        let out = stages::post_plain(&mut post_state, &aq, &exc);
-        trace.checksums[4] = checksum_acc(trace.checksums[4], &out);
-        trace.lpc.push(lpc);
-        trace.aq.push(aq);
-        trace.res.push(res);
-        trace.acb.push(acb);
-        trace.exc.push(exc);
-        trace.out.push(out);
+    for frame in speech {
+        let mut msg = pipeline::FrameMsg::new(frame);
+        for stage in &mut stages {
+            stage.step(&mut msg);
+        }
+        trace.lpc.push(msg.lpc.into_vec());
+        trace.aq.push(msg.aq.into_vec());
+        trace.res.push(msg.res.into_vec());
+        trace.acb.push(msg.acb.into_vec());
+        trace.exc.push(msg.exc.into_vec());
+        trace.out.push(msg.out.into_vec());
     }
+    trace.checksums = stages.map(|stage| stage.checksum());
     trace
 }
 

@@ -2,12 +2,15 @@
 //! FIFO channels, plus an environment source and sink.
 //!
 //! This is the system-level specification the paper's Table 3 measures:
-//! the sequential ETSI code "divided in the 5 concurrent processes".
+//! the sequential ETSI code "divided in the 5 concurrent processes". One
+//! stage list ([`STAGES`], run through [`StageState`]) drives the
+//! analyzed model ([`build_hybrid`]), the plain one ([`build_plain`]) and
+//! the kernel-free reference ([`super::run_reference`]).
 
 use std::sync::Arc;
 
-use scperf_core::{GArr, PerfModel, Replay, ResourceId, G};
-use scperf_kernel::Simulator;
+use scperf_core::{Annotated, Domain, GArr, Native, PFifo, PerfModel, Replay, ResourceId, G};
+use scperf_kernel::{Fifo, ProcCtx, Simulator};
 use scperf_sync::Mutex;
 
 use super::{checksum_acc, speech_frames, stages, MAX_LAG, ORDER};
@@ -17,19 +20,105 @@ use super::{checksum_acc, speech_frames, stages, MAX_LAG, ORDER};
 #[derive(Debug, Clone, Default)]
 pub struct FrameMsg {
     /// Input speech (160 samples).
-    pub speech: Vec<i32>,
+    pub speech: GArr<i32>,
     /// LPC coefficients (10, Q12) — set by LSP estimation.
-    pub lpc: Vec<i32>,
+    pub lpc: GArr<i32>,
     /// Interpolated coefficients (40) — set by LPC interpolation.
-    pub aq: Vec<i32>,
+    pub aq: GArr<i32>,
     /// Residual (160) — set by ACB search.
-    pub res: Vec<i32>,
+    pub res: GArr<i32>,
     /// Adaptive-codebook contribution (160) — set by ACB search.
-    pub acb: Vec<i32>,
+    pub acb: GArr<i32>,
     /// Complete excitation (160) — set by ICB search.
-    pub exc: Vec<i32>,
+    pub exc: GArr<i32>,
     /// Decoded speech (160) — set by post-processing.
-    pub out: Vec<i32>,
+    pub out: GArr<i32>,
+}
+
+impl FrameMsg {
+    /// A frame entering the pipeline.
+    pub fn new(speech: Vec<i32>) -> FrameMsg {
+        FrameMsg {
+            speech: GArr::from_vec(speech),
+            ..FrameMsg::default()
+        }
+    }
+}
+
+/// The five pipeline stages, as Table 3's rows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stage {
+    /// "LSP estim.": [`stages::lsp`].
+    Lsp,
+    /// "LPC int.": [`stages::lpc_int`].
+    LpcInt,
+    /// "ACB sear.": [`stages::acb`].
+    Acb,
+    /// "ICB sear.": [`stages::icb`].
+    Icb,
+    /// "Post Proc.": [`stages::post`].
+    Post,
+}
+
+/// The stages in pipeline order (names in [`STAGE_NAMES`]).
+pub const STAGES: [Stage; 5] = [
+    Stage::Lsp,
+    Stage::LpcInt,
+    Stage::Acb,
+    Stage::Icb,
+    Stage::Post,
+];
+
+/// One stage's state from frame to frame, in domain `D`: the history it
+/// keeps (LPC int.: the previous LPC set; ACB sear.: the excitation
+/// history; Post Proc.: the synthesis history and de-emphasis memory)
+/// and its running checksum.
+#[derive(Debug, Clone)]
+pub struct StageState<D: Domain> {
+    stage: Stage,
+    hist: GArr<i32>,
+    deemph: G<i32, D>,
+    chk: G<i32, D>,
+}
+
+impl<D: Domain> StageState<D> {
+    /// The state before the first frame.
+    pub fn new(stage: Stage) -> StageState<D> {
+        let hist = match stage {
+            Stage::LpcInt | Stage::Post => ORDER,
+            Stage::Acb => MAX_LAG,
+            Stage::Lsp | Stage::Icb => 0,
+        };
+        StageState {
+            stage,
+            hist: GArr::zeroed(hist),
+            deemph: D::raw(0),
+            chk: D::raw(0),
+        }
+    }
+
+    /// Runs the stage on one frame: reads its inputs from `msg` and
+    /// writes its outputs there.
+    pub fn step(&mut self, msg: &mut FrameMsg) {
+        let chk = &mut self.chk;
+        match self.stage {
+            Stage::Lsp => msg.lpc = stages::lsp(&msg.speech, chk),
+            Stage::LpcInt => msg.aq = stages::lpc_int(&mut self.hist, &msg.lpc, chk),
+            Stage::Acb => {
+                (msg.res, msg.acb, _, _) = stages::acb(&mut self.hist, &msg.speech, &msg.aq, chk);
+            }
+            Stage::Icb => msg.exc = stages::icb(&msg.res, &msg.acb, chk),
+            Stage::Post => {
+                msg.out = stages::post(&mut self.hist, &mut self.deemph, &msg.aq, &msg.exc, chk);
+            }
+        }
+    }
+
+    /// The stage checksum over every frame so far (same folding as the
+    /// ISS stage programs).
+    pub fn checksum(&self) -> i32 {
+        self.chk.get()
+    }
 }
 
 /// The architectural mapping of the five processes.
@@ -58,6 +147,11 @@ impl VocoderMapping {
             icb: r,
             post: r,
         }
+    }
+
+    /// The five resources, in pipeline order.
+    fn resources(&self) -> [ResourceId; 5] {
+        [self.lsp, self.lpc_int, self.acb, self.icb, self.post]
     }
 }
 
@@ -107,8 +201,8 @@ pub fn build(
 }
 
 /// Like [`build`], but stages with a recorded segment-cost trace run in
-/// *replay* mode: the stage executes its plain (un-annotated)
-/// implementation — so data still flows and checksums still hold — while
+/// *replay* mode: the stage executes its native (un-annotated)
+/// instantiation — so data still flows and checksums still hold — while
 /// every segment's cycles are popped from the trace instead of being
 /// re-estimated operation by operation. Timing is bit-identical to the
 /// live run the trace was recorded from; host time drops because all
@@ -125,337 +219,136 @@ pub fn build_hybrid(
     model: &PerfModel,
     mapping: VocoderMapping,
     nframes: usize,
-    replays: [StageTrace; 5],
+    mut replays: [StageTrace; 5],
 ) -> VocoderHandles {
-    let ch_in = model.fifo::<FrameMsg>(sim, "speech_in", 2);
-    let ch_lsp = model.fifo::<FrameMsg>(sim, "lsp_out", 2);
-    let ch_lpc = model.fifo::<FrameMsg>(sim, "lpcint_out", 2);
-    let ch_acb = model.fifo::<FrameMsg>(sim, "acb_out", 2);
-    let ch_icb = model.fifo::<FrameMsg>(sim, "icb_out", 2);
-    let ch_out = model.fifo::<FrameMsg>(sim, "speech_out", 2);
-
-    // Environment source: synthesizes the input frames (not analyzed).
-    {
-        let tx = ch_in.clone();
-        sim.spawn("source", move |ctx| {
-            for frame in speech_frames(nframes) {
-                tx.write(
-                    ctx,
-                    FrameMsg {
-                        speech: frame,
-                        ..FrameMsg::default()
-                    },
-                );
-            }
-        });
-    }
-
-    let stage_chks: StageChecksums = Arc::new(Mutex::new([None; 5]));
-    let [rp_lsp, rp_lpc, rp_acb, rp_icb, rp_post] = replays;
-
-    // LSP estimation.
-    {
-        let rx = ch_in.clone();
-        let tx = ch_lsp.clone();
-        let chks = Arc::clone(&stage_chks);
-        match rp_lsp {
-            Some(trace) => {
-                model.spawn_replaying(sim, STAGE_NAMES[0], mapping.lsp, trace, move |ctx| {
-                    let mut chk = 0_i32;
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        msg.lpc = stages::lsp_plain(&msg.speech);
-                        chk = checksum_acc(chk, &msg.lpc);
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[0] = Some(chk);
-                });
-            }
-            None => {
-                model.spawn(sim, STAGE_NAMES[0], mapping.lsp, move |ctx| {
-                    let mut chk = G::raw(0_i32);
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        let speech = GArr::from_slice(&msg.speech);
-                        msg.lpc = stages::lsp_annotated(&speech, &mut chk).into_vec();
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[0] = Some(chk.get());
-                });
-            }
-        }
-    }
-
-    // LPC interpolation.
-    {
-        let rx = ch_lsp.clone();
-        let tx = ch_lpc.clone();
-        let chks = Arc::clone(&stage_chks);
-        match rp_lpc {
-            Some(trace) => {
-                model.spawn_replaying(sim, STAGE_NAMES[1], mapping.lpc_int, trace, move |ctx| {
-                    let mut state = stages::LpcIntState::new();
-                    let mut chk = 0_i32;
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        msg.aq = stages::lpcint_plain(&mut state, &msg.lpc);
-                        chk = checksum_acc(chk, &msg.aq);
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[1] = Some(chk);
-                });
-            }
-            None => {
-                model.spawn(sim, STAGE_NAMES[1], mapping.lpc_int, move |ctx| {
-                    let mut prev = GArr::<i32>::zeroed(ORDER);
-                    let mut chk = G::raw(0_i32);
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        let lpc = GArr::from_slice(&msg.lpc);
-                        msg.aq = stages::lpcint_annotated(&mut prev, &lpc, &mut chk).into_vec();
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[1] = Some(chk.get());
-                });
-            }
-        }
-    }
-
-    // Adaptive-codebook search.
-    {
-        let rx = ch_lpc.clone();
-        let tx = ch_acb.clone();
-        let chks = Arc::clone(&stage_chks);
-        match rp_acb {
-            Some(trace) => {
-                model.spawn_replaying(sim, STAGE_NAMES[2], mapping.acb, trace, move |ctx| {
-                    let mut state = stages::AcbState::new();
-                    let mut chk = 0_i32;
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        let (res, acb, lags, gains) =
-                            stages::acb_plain(&mut state, &msg.speech, &msg.aq);
-                        msg.res = res;
-                        msg.acb = acb;
-                        chk = checksum_acc(checksum_acc(chk, &lags), &gains);
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[2] = Some(chk);
-                });
-            }
-            None => {
-                model.spawn(sim, STAGE_NAMES[2], mapping.acb, move |ctx| {
-                    let mut hist = GArr::<i32>::zeroed(MAX_LAG);
-                    let mut chk = G::raw(0_i32);
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        let speech = GArr::from_slice(&msg.speech);
-                        let aq = GArr::from_slice(&msg.aq);
-                        let (res, acb, _lags, _gains) =
-                            stages::acb_annotated(&mut hist, &speech, &aq, &mut chk);
-                        msg.res = res.into_vec();
-                        msg.acb = acb.into_vec();
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[2] = Some(chk.get());
-                });
-            }
-        }
-    }
-
-    // Innovative-codebook search.
-    {
-        let rx = ch_acb.clone();
-        let tx = ch_icb.clone();
-        let chks = Arc::clone(&stage_chks);
-        match rp_icb {
-            Some(trace) => {
-                model.spawn_replaying(sim, STAGE_NAMES[3], mapping.icb, trace, move |ctx| {
-                    let mut chk = 0_i32;
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        msg.exc = stages::icb_plain(&msg.res, &msg.acb);
-                        chk = checksum_acc(chk, &msg.exc);
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[3] = Some(chk);
-                });
-            }
-            None => {
-                model.spawn(sim, STAGE_NAMES[3], mapping.icb, move |ctx| {
-                    let mut chk = G::raw(0_i32);
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        let res = GArr::from_slice(&msg.res);
-                        let acb = GArr::from_slice(&msg.acb);
-                        msg.exc = stages::icb_annotated(&res, &acb, &mut chk).into_vec();
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[3] = Some(chk.get());
-                });
-            }
-        }
-    }
-
-    // Post-processing.
-    {
-        let rx = ch_icb.clone();
-        let tx = ch_out.clone();
-        let chks = Arc::clone(&stage_chks);
-        match rp_post {
-            Some(trace) => {
-                model.spawn_replaying(sim, STAGE_NAMES[4], mapping.post, trace, move |ctx| {
-                    let mut state = stages::PostState::new();
-                    let mut chk = 0_i32;
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        msg.out = stages::post_plain(&mut state, &msg.aq, &msg.exc);
-                        chk = checksum_acc(chk, &msg.out);
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[4] = Some(chk);
-                });
-            }
-            None => {
-                model.spawn(sim, STAGE_NAMES[4], mapping.post, move |ctx| {
-                    let mut synth_hist = GArr::<i32>::zeroed(ORDER);
-                    let mut deemph = G::raw(0_i32);
-                    let mut chk = G::raw(0_i32);
-                    for _ in 0..nframes {
-                        let mut msg = rx.read(ctx);
-                        let aq = GArr::from_slice(&msg.aq);
-                        let exc = GArr::from_slice(&msg.exc);
-                        msg.out = stages::post_annotated(
-                            &mut synth_hist,
-                            &mut deemph,
-                            &aq,
-                            &exc,
-                            &mut chk,
-                        )
-                        .into_vec();
-                        tx.write(ctx, msg);
-                    }
-                    chks.lock()[4] = Some(chk.get());
-                });
-            }
-        }
-    }
-
-    // Environment sink: accumulates the output checksum.
-    let result: OutputChecksum = Arc::new(Mutex::new(None));
-    {
-        let result = Arc::clone(&result);
-        let rx = ch_out.clone();
-        sim.spawn("sink", move |ctx| {
-            let mut checksum = 0_i32;
-            for _ in 0..nframes {
-                let msg = rx.read(ctx);
-                checksum = checksum_acc(checksum, &msg.out);
-            }
-            *result.lock() = Some(checksum);
-        });
-    }
-    VocoderHandles {
-        output: result,
-        stages: stage_chks,
-    }
+    let stages: StageChecksums = Arc::new(Mutex::new([None; 5]));
+    let resources = mapping.resources();
+    let output = wire(
+        sim,
+        nframes,
+        |sim, name| model.fifo(sim, name, 2),
+        |sim, i, rx, tx| {
+            let chks = Arc::clone(&stages);
+            match replays[i].take() {
+                Some(trace) => {
+                    model.spawn_replaying(sim, STAGE_NAMES[i], resources[i], trace, move |ctx| {
+                        chks.lock()[i] = Some(run_stage::<Native>(ctx, i, nframes, &rx, &tx));
+                    })
+                }
+                None => model.spawn(sim, STAGE_NAMES[i], resources[i], move |ctx| {
+                    chks.lock()[i] = Some(run_stage::<Annotated>(ctx, i, nframes, &rx, &tx));
+                }),
+            };
+        },
+    );
+    VocoderHandles { output, stages }
 }
 
 /// Elaborates the *plain* (un-annotated) vocoder into `sim`: the same five
-/// processes and channels built directly on the kernel with the reference
-/// stage implementations. This is the "original SystemC specification"
-/// whose host simulation time Table 3's overhead column compares against.
+/// processes and channels built directly on the kernel, running the
+/// stages' native instantiation. This is the "original SystemC
+/// specification" whose host simulation time Table 3's overhead column
+/// compares against.
 pub fn build_plain(sim: &mut Simulator, nframes: usize) -> OutputChecksum {
-    let ch_in = sim.fifo::<FrameMsg>("speech_in", 2);
-    let ch_lsp = sim.fifo::<FrameMsg>("lsp_out", 2);
-    let ch_lpc = sim.fifo::<FrameMsg>("lpcint_out", 2);
-    let ch_acb = sim.fifo::<FrameMsg>("acb_out", 2);
-    let ch_icb = sim.fifo::<FrameMsg>("icb_out", 2);
-    let ch_out = sim.fifo::<FrameMsg>("speech_out", 2);
+    wire(
+        sim,
+        nframes,
+        |sim, name| sim.fifo(name, 2),
+        |sim, i, rx, tx| {
+            sim.spawn(STAGE_NAMES[i], move |ctx| {
+                run_stage::<Native>(ctx, i, nframes, &rx, &tx);
+            });
+        },
+    )
+}
 
-    {
-        let tx = ch_in.clone();
-        sim.spawn("source", move |ctx| {
-            for frame in speech_frames(nframes) {
-                tx.write(
-                    ctx,
-                    FrameMsg {
-                        speech: frame,
-                        ..FrameMsg::default()
-                    },
-                );
-            }
-        });
+/// The FIFO end a stage process reads frames from or forwards them to: a
+/// kernel [`Fifo`] in the plain model, an instrumented [`PFifo`] in the
+/// analyzed one.
+trait Port: Clone + 'static {
+    fn read(&self, ctx: &mut ProcCtx) -> FrameMsg;
+    fn write(&self, ctx: &mut ProcCtx, msg: FrameMsg);
+}
+
+impl Port for Fifo<FrameMsg> {
+    fn read(&self, ctx: &mut ProcCtx) -> FrameMsg {
+        Fifo::read(self, ctx)
     }
-    {
-        let (rx, tx) = (ch_in.clone(), ch_lsp.clone());
-        sim.spawn(STAGE_NAMES[0], move |ctx| {
-            for _ in 0..nframes {
-                let mut msg = rx.read(ctx);
-                msg.lpc = stages::lsp_plain(&msg.speech);
-                tx.write(ctx, msg);
-            }
-        });
+
+    fn write(&self, ctx: &mut ProcCtx, msg: FrameMsg) {
+        Fifo::write(self, ctx, msg);
     }
-    {
-        let (rx, tx) = (ch_lsp.clone(), ch_lpc.clone());
-        sim.spawn(STAGE_NAMES[1], move |ctx| {
-            let mut state = stages::LpcIntState::new();
-            for _ in 0..nframes {
-                let mut msg = rx.read(ctx);
-                msg.aq = stages::lpcint_plain(&mut state, &msg.lpc);
-                tx.write(ctx, msg);
-            }
-        });
+}
+
+impl Port for PFifo<FrameMsg> {
+    fn read(&self, ctx: &mut ProcCtx) -> FrameMsg {
+        PFifo::read(self, ctx)
     }
-    {
-        let (rx, tx) = (ch_lpc.clone(), ch_acb.clone());
-        sim.spawn(STAGE_NAMES[2], move |ctx| {
-            let mut state = stages::AcbState::new();
-            for _ in 0..nframes {
-                let mut msg = rx.read(ctx);
-                let (res, acb, _lags, _gains) = stages::acb_plain(&mut state, &msg.speech, &msg.aq);
-                msg.res = res;
-                msg.acb = acb;
-                tx.write(ctx, msg);
-            }
-        });
+
+    fn write(&self, ctx: &mut ProcCtx, msg: FrameMsg) {
+        PFifo::write(self, ctx, msg);
     }
-    {
-        let (rx, tx) = (ch_acb.clone(), ch_icb.clone());
-        sim.spawn(STAGE_NAMES[3], move |ctx| {
-            for _ in 0..nframes {
-                let mut msg = rx.read(ctx);
-                msg.exc = stages::icb_plain(&msg.res, &msg.acb);
-                tx.write(ctx, msg);
-            }
-        });
-    }
-    {
-        let (rx, tx) = (ch_icb.clone(), ch_out.clone());
-        sim.spawn(STAGE_NAMES[4], move |ctx| {
-            let mut state = stages::PostState::new();
-            for _ in 0..nframes {
-                let mut msg = rx.read(ctx);
-                msg.out = stages::post_plain(&mut state, &msg.aq, &msg.exc);
-                tx.write(ctx, msg);
-            }
-        });
+}
+
+/// The pipeline's channels in order: source → the five stages → sink.
+const CHANNELS: [&str; 6] = [
+    "speech_in",
+    "lsp_out",
+    "lpcint_out",
+    "acb_out",
+    "icb_out",
+    "speech_out",
+];
+
+/// Elaborates the pipeline around its stages: the channels `fifo` makes,
+/// the environment source feeding `nframes` frames, the five stage
+/// processes `spawn_stage(sim, i, rx, tx)` spawns, and the environment
+/// sink, whose output checksum the returned handle holds after the run.
+fn wire<P: Port>(
+    sim: &mut Simulator,
+    nframes: usize,
+    mut fifo: impl FnMut(&mut Simulator, &str) -> P,
+    mut spawn_stage: impl FnMut(&mut Simulator, usize, P, P),
+) -> OutputChecksum {
+    let ch: Vec<P> = CHANNELS.iter().map(|name| fifo(sim, name)).collect();
+    let tx = ch[0].clone();
+    sim.spawn("source", move |ctx| {
+        for frame in speech_frames(nframes) {
+            tx.write(ctx, FrameMsg::new(frame));
+        }
+    });
+    for i in 0..STAGES.len() {
+        spawn_stage(sim, i, ch[i].clone(), ch[i + 1].clone());
     }
     let result: OutputChecksum = Arc::new(Mutex::new(None));
-    {
-        let result = Arc::clone(&result);
-        let rx = ch_out.clone();
-        sim.spawn("sink", move |ctx| {
-            let mut checksum = 0_i32;
-            for _ in 0..nframes {
-                let msg = rx.read(ctx);
-                checksum = checksum_acc(checksum, &msg.out);
-            }
-            *result.lock() = Some(checksum);
-        });
-    }
+    let (out, rx) = (Arc::clone(&result), ch[5].clone());
+    sim.spawn("sink", move |ctx| {
+        let mut checksum = 0_i32;
+        for _ in 0..nframes {
+            checksum = checksum_acc(checksum, rx.read(ctx).out.as_slice());
+        }
+        *out.lock() = Some(checksum);
+    });
     result
+}
+
+/// Stage `i`'s process body in domain `D`: reads `nframes` frames from
+/// `rx`, runs the stage on each and forwards it to `tx`; returns the
+/// stage checksum.
+fn run_stage<D: Domain>(
+    ctx: &mut ProcCtx,
+    i: usize,
+    nframes: usize,
+    rx: &impl Port,
+    tx: &impl Port,
+) -> i32 {
+    let mut state = StageState::<D>::new(STAGES[i]);
+    for _ in 0..nframes {
+        let mut msg = rx.read(ctx);
+        state.step(&mut msg);
+        tx.write(ctx, msg);
+    }
+    state.checksum()
 }
 
 #[cfg(test)]

@@ -1,102 +1,85 @@
-//! Property tests: the three forms of each vocoder stage agree on
-//! arbitrary (not just the canonical synthetic) input frames, and the DSP
-//! keeps its numeric invariants.
+//! Property tests: each vocoder stage's native and annotated
+//! instantiations agree on arbitrary (not just the canonical synthetic)
+//! input frames, and the DSP keeps its numeric invariants.
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use scperf_core::{GArr, G};
+use scperf_core::{Annotated, Domain, GArr, Native, G};
+use scperf_workloads::vocoder::pipeline::{FrameMsg, StageState, STAGES};
 use scperf_workloads::vocoder::{stages, FRAME, MAX_LAG, MIN_LAG, ORDER};
 
 fn frame_strategy() -> impl Strategy<Value = Vec<i32>> {
     vec(-2047_i32..=2047, FRAME..=FRAME)
 }
 
+/// Runs `frames` through the five stages in domain `D`: every frame's
+/// finished message, and the five stage checksums.
+fn chain<D: Domain>(frames: &[Vec<i32>]) -> (Vec<FrameMsg>, [i32; 5]) {
+    let mut states = STAGES.map(StageState::<D>::new);
+    let msgs = frames
+        .iter()
+        .map(|frame| {
+            let mut msg = FrameMsg::new(frame.clone());
+            for state in &mut states {
+                state.step(&mut msg);
+            }
+            msg
+        })
+        .collect();
+    (msgs, states.map(|state| state.checksum()))
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// LSP estimation: plain and annotated agree on random frames, and
+    /// LSP estimation: native and annotated agree on random frames, and
     /// the reflection-derived coefficients stay bounded.
     #[test]
     fn lsp_agrees_on_random_frames(frame in frame_strategy()) {
-        let p = stages::lsp_plain(&frame);
-        let mut chk = G::raw(0_i32);
-        let a = stages::lsp_annotated(&GArr::from_slice(&frame), &mut chk);
-        prop_assert_eq!(&p, a.as_slice());
-        for c in &p {
+        let sp = GArr::from_vec(frame);
+        let (mut chk_n, mut chk_a) = (Native::raw(0_i32), G::raw(0_i32));
+        let p = stages::lsp(&sp, &mut chk_n);
+        let a = stages::lsp::<Annotated>(&sp, &mut chk_a);
+        prop_assert_eq!(p.as_slice(), a.as_slice());
+        prop_assert_eq!(chk_n.get(), chk_a.get());
+        for c in p.as_slice() {
             prop_assert!(c.abs() <= 3 * 4096, "coefficient {c} out of range");
         }
     }
 
-    /// The whole per-frame chain agrees between plain and annotated for
-    /// random frames and random (bounded) LPC state.
+    /// The whole per-frame chain agrees between native and annotated for
+    /// random frames and the state they build up.
     #[test]
     fn full_stage_chain_agrees(frames in vec(frame_strategy(), 1..3)) {
-        let mut lp_p = stages::LpcIntState::new();
-        let mut prev_a = GArr::<i32>::zeroed(ORDER);
-        let mut acb_p = stages::AcbState::new();
-        let mut hist_a = GArr::<i32>::zeroed(MAX_LAG);
-        let mut post_p = stages::PostState::new();
-        let mut hist_post = GArr::<i32>::zeroed(ORDER);
-        let mut deemph = G::raw(0_i32);
-        let mut chk = G::raw(0_i32);
-        for frame in &frames {
-            let lpc = stages::lsp_plain(frame);
-            let aq_p = stages::lpcint_plain(&mut lp_p, &lpc);
-            let aq_a = stages::lpcint_annotated(&mut prev_a, &GArr::from_slice(&lpc), &mut chk);
-            prop_assert_eq!(&aq_p, aq_a.as_slice());
-
-            let (res_p, acbc_p, lags_p, gains_p) = stages::acb_plain(&mut acb_p, frame, &aq_p);
-            let (res_a, acbc_a, lags_a, gains_a) = stages::acb_annotated(
-                &mut hist_a,
-                &GArr::from_slice(frame),
-                &GArr::from_slice(&aq_p),
-                &mut chk,
-            );
-            prop_assert_eq!(&res_p, res_a.as_slice());
-            prop_assert_eq!(&acbc_p, acbc_a.as_slice());
-            prop_assert_eq!(&lags_p, lags_a.as_slice());
-            prop_assert_eq!(&gains_p, gains_a.as_slice());
-            for &l in &lags_p {
-                prop_assert!((MIN_LAG as i32..=MAX_LAG as i32).contains(&l));
-            }
-            for &g in &gains_p {
-                prop_assert!((-8191..=8191).contains(&g));
-            }
-
-            let exc_p = stages::icb_plain(&res_p, &acbc_p);
-            let exc_a = stages::icb_annotated(
-                &GArr::from_slice(&res_p),
-                &GArr::from_slice(&acbc_p),
-                &mut chk,
-            );
-            prop_assert_eq!(&exc_p, exc_a.as_slice());
-
-            let out_p = stages::post_plain(&mut post_p, &aq_p, &exc_p);
-            let out_a = stages::post_annotated(
-                &mut hist_post,
-                &mut deemph,
-                &GArr::from_slice(&aq_p),
-                &GArr::from_slice(&exc_p),
-                &mut chk,
-            );
-            prop_assert_eq!(&out_p, out_a.as_slice());
+        let (native, native_chk) = chain::<Native>(&frames);
+        let (annotated, annotated_chk) = chain::<Annotated>(&frames);
+        prop_assert_eq!(native_chk, annotated_chk);
+        for (p, a) in native.iter().zip(&annotated) {
+            prop_assert_eq!(format!("{p:?}"), format!("{a:?}"));
             // Output stays in 16-bit audio range.
-            for &v in &out_p {
+            for &v in p.out.as_slice() {
                 prop_assert!((-32767..=32767).contains(&v));
             }
         }
     }
 
-    /// The residual is always clamped to the 13-bit excitation range.
+    /// The residual is always clamped to the 13-bit excitation range, and
+    /// the pitch search keeps its lags and gains in range.
     #[test]
     fn residual_is_clamped(frame in frame_strategy()) {
-        let mut st = stages::AcbState::new();
-        let lpc = stages::lsp_plain(&frame);
-        let mut lp = stages::LpcIntState::new();
-        let aq = stages::lpcint_plain(&mut lp, &lpc);
-        let (res, _, _, _) = stages::acb_plain(&mut st, &frame, &aq);
-        for &v in &res {
+        let sp = GArr::from_vec(frame);
+        let mut chk = Native::raw(0_i32);
+        let lpc = stages::lsp(&sp, &mut chk);
+        let aq = stages::lpc_int(&mut GArr::zeroed(ORDER), &lpc, &mut chk);
+        let (res, _, lags, gains) = stages::acb(&mut GArr::zeroed(MAX_LAG), &sp, &aq, &mut chk);
+        for &v in res.as_slice() {
             prop_assert!((-4095..=4095).contains(&v));
+        }
+        for &l in lags.as_slice() {
+            prop_assert!((MIN_LAG as i32..=MAX_LAG as i32).contains(&l));
+        }
+        for &g in gains.as_slice() {
+            prop_assert!((-8191..=8191).contains(&g));
         }
     }
 }

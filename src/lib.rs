@@ -14,7 +14,7 @@
 //! | [`core`] | `scperf-core` | the paper's estimation library (annotated types, segments, platform model, back-annotation, capture points) |
 //! | [`iss`] | `scperf-iss` | cycle-accurate reference RISC ISS + `minic` compiler + calibration |
 //! | [`hls`] | `scperf-hls` | behavioral-synthesis scheduling baseline (ASAP/ALAP/list, area model) |
-//! | [`workloads`] | `scperf-workloads` | the paper's benchmarks in three matched forms, incl. the GSM-like vocoder |
+//! | [`workloads`] | `scperf-workloads` | the paper's benchmarks, each one generic source in two meanings plus `minic`, incl. the GSM-like vocoder |
 //! | [`obs`] | `scperf-obs` | observability layer: compact tracing, metrics snapshots, host-time profiling, Chrome-trace export |
 //! | [`dse`] | `scperf-dse` | parallel design-space exploration: mapping sweeps, segment-cost memoization, Pareto frontiers |
 //! | [`serve`] | `scperf-serve` | concurrent simulation service: JSON-lines scenario evaluation over stdio/TCP with batching, deadlines, backpressure |
