@@ -22,9 +22,10 @@
 //!
 //! Every configuration must produce bit-identical simulated time and
 //! checksums — the bench asserts this — so `memoized_speedup` is a
-//! host-time ratio over the live path at identical estimates. Live and memoized runs alternate, as do the attribution
-//! off and on runs; the attribution overhead is the median of the
-//! per-pair ratios. `--quick` shrinks only the charge and plain-thread
+//! host-time ratio over the live path at identical estimates. Live and
+//! memoized runs alternate, as do the attribution off and on runs; the
+//! attribution overhead is the median of the per-pair ratios, over at
+//! least 15 pairs in a full run. `--quick` shrinks only the charge and plain-thread
 //! streams: fir and vocoder keep their sizes so that memoization
 //! amortizes recording the same way in both modes. Results go to
 //! `BENCH_estimator.json` together with the host's cpu count; the
@@ -267,7 +268,7 @@ fn main() {
     // estimate must stay bit-identical and the median of the per-pair
     // host-time overheads ≤ 5%.
     let (attr_off, attr_on) = interleave(
-        args.reps,
+        args.overhead_pairs(),
         || charge_stream(Config::Memoized, charge_ops, false),
         || charge_stream(Config::Memoized, charge_ops, true),
     );

@@ -8,7 +8,8 @@
 //! ```
 //!
 //! Three kernels, each reported as host nanoseconds per process
-//! activation (median, min and stddev over `--reps` runs):
+//! activation (median, min and stddev over `--reps` runs; pingpong's
+//! over its overhead pairs, at least 15 in a full run):
 //!
 //! * **pingpong** — two processes over a [`scperf_kernel::Rendezvous`];
 //!   every transfer is a chain of scheduler↔process round trips, the
@@ -182,7 +183,7 @@ fn main() {
     // Pingpong alternates with its attribution-on twin (see below), so
     // its cost runs double as the overhead's attribution-off leg.
     let (pingpong_runs, attribution_runs) = interleave(
-        args.reps,
+        args.overhead_pairs(),
         || pingpong(pingpong_iters, false),
         || pingpong(pingpong_iters, true),
     );

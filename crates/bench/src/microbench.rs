@@ -146,6 +146,18 @@ impl BenchArgs {
         }
         args
     }
+
+    /// Alternating pairs an asserted overhead is the median over: at
+    /// least 15 in a full run, so one disturbed stretch moves the median
+    /// of a few-percent overhead less; `reps` in a quick run, which
+    /// asserts no overhead.
+    pub fn overhead_pairs(&self) -> usize {
+        if self.quick {
+            self.reps
+        } else {
+            self.reps.max(15)
+        }
+    }
 }
 
 /// Median, minimum and population standard deviation of a sample, e.g.
@@ -291,6 +303,14 @@ mod tests {
         let off = [ms(100), ms(300)];
         let on = [ms(103), ms(309)];
         assert!((paired_overhead(&off, &on) - 0.03).abs() < 1e-12);
+    }
+
+    #[test]
+    fn full_runs_take_overheads_over_at_least_15_pairs() {
+        let args = |reps, quick| BenchArgs { reps, quick };
+        assert_eq!(args(5, false).overhead_pairs(), 15);
+        assert_eq!(args(20, false).overhead_pairs(), 20);
+        assert_eq!(args(5, true).overhead_pairs(), 5);
     }
 
     #[test]

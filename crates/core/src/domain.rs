@@ -10,7 +10,7 @@
 //! * [`Annotated`] (the default everywhere) charges every operation to
 //!   the running process, as [`G`] always has;
 //! * [`Native`] is the plain program: wrapping words, uncharged array
-//!   access, and branch, loop, call and site hooks that do nothing and
+//!   access, and branch, loop, call and region hooks that do nothing and
 //!   never touch the estimation thread-local.
 //!
 //! ```
@@ -30,10 +30,11 @@
 //! assert_eq!(sum_sq::<scperf_core::Annotated>(&a), 14);
 //! ```
 //!
-//! A [`g_twin!`](crate::g_twin) region is a function generic over the
-//! domain: once its cost program is compiled, repeats charge the
-//! program and run the function's `Native` instantiation, so the plain
-//! program *is* the twin and no hand-written copy exists to drift.
+//! A [`g_twin!`](crate::g_twin) region, the one memoized region, is a
+//! function generic over the domain: once its cost program is compiled,
+//! repeats charge the program and run the function's `Native`
+//! instantiation, so the plain program *is* the twin and no
+//! hand-written copy exists to drift.
 
 use std::fmt::Debug;
 
@@ -41,7 +42,7 @@ use crate::cost::Op;
 use crate::garray::GArr;
 use crate::gval::G;
 use crate::hw::NO_NODE;
-use crate::site::{self, SegmentSite, SiteGuard};
+use crate::site::{self, Region, SegmentSite};
 use crate::tls;
 
 /// The meaning of a kernel source: how its values charge. Implemented
@@ -82,19 +83,11 @@ pub trait Domain: Copy + Default + Debug + 'static {
         let _ = Self::charge(op, Self::NONE, Self::NONE);
     }
 
-    /// What an entered memoized region holds until it ends: a
-    /// [`SiteGuard`] when annotated, nothing when native.
-    type Guard;
-
-    /// Enters a memoized region ([`g_site!`](crate::g_site),
-    /// [`g_loop!`](crate::g_loop)); the key is computed only when the
-    /// region can memoize. The guard ends the region when dropped.
-    fn enter(site: &'static SegmentSite, key: impl FnOnce() -> u64) -> Self::Guard;
-
     /// Enters a [`g_twin!`](crate::g_twin) region: `None` means run the
     /// region's `Native` instantiation (its cost, if any, is charged
-    /// already); `Some` means run this domain's under the guard.
-    fn twin(site: &'static SegmentSite, key: impl FnOnce() -> u64) -> Option<Self::Guard>;
+    /// already); `Some` means run this domain's through the [`Region`].
+    /// The key is computed only when the region can memoize.
+    fn twin(site: &'static SegmentSite, key: impl FnOnce() -> u64) -> Option<Region>;
 }
 
 /// The annotated domain: every operation charges the running process's
@@ -130,15 +123,8 @@ impl Domain for Annotated {
         let _ = Self::charge(Op::Assign, (ready.max(r1), node), (r1, n1));
     }
 
-    type Guard = SiteGuard;
-
     #[inline]
-    fn enter(site: &'static SegmentSite, key: impl FnOnce() -> u64) -> SiteGuard {
-        site::enter(site, key)
-    }
-
-    #[inline]
-    fn twin(site: &'static SegmentSite, key: impl FnOnce() -> u64) -> Option<SiteGuard> {
+    fn twin(site: &'static SegmentSite, key: impl FnOnce() -> u64) -> Option<Region> {
         site::twin(site, key)
     }
 }
@@ -154,13 +140,8 @@ impl Domain for Native {
     #[inline(always)]
     fn store(_: Option<()>, _: ()) {}
 
-    type Guard = ();
-
     #[inline(always)]
-    fn enter(_: &'static SegmentSite, _: impl FnOnce() -> u64) {}
-
-    #[inline(always)]
-    fn twin(_: &'static SegmentSite, _: impl FnOnce() -> u64) -> Option<()> {
+    fn twin(_: &'static SegmentSite, _: impl FnOnce() -> u64) -> Option<Region> {
         None
     }
 }
@@ -204,7 +185,7 @@ macro_rules! carry_as_is {
         }
     )*};
 }
-carry_as_is!((), u64, usize);
+carry_as_is!((), bool, u64, usize);
 
 impl<A: Carry<X>, B: Carry<Y>, X, Y> Carry<(X, Y)> for (A, B) {
     #[inline(always)]

@@ -113,5 +113,5 @@ pub use report::{
 };
 pub use resource::{Platform, Resource, ResourceId, ResourceKind};
 pub use session::{Session, SimConfig};
-pub use site::{site_enter, site_enter_loop, MemoMode, SegmentSite, SiteGuard};
+pub use site::{MemoMode, Region, SegmentSite};
 pub use tls::{charge_branch, charge_call, charge_op};

@@ -110,118 +110,33 @@ macro_rules! g_for {
     };
 }
 
-/// A memoizable annotated counted loop: [`g_for!`] wrapped in a single
-/// *whole-loop* segment-site region, so on sequential resources with
-/// integer-valued cost tables every repeat of the loop is satisfied by
-/// one compiled-program apply instead of per-op (or even per-iteration)
-/// charging. The trip count — taken from the range via
-/// [`ExactSizeIterator::len`] — is folded into the site key, so
-/// different trip counts compile into different programs.
+/// A memoized region with a **native twin**, the one kind of memoized
+/// region: the region is a function generic over the
+/// [`Domain`](crate::Domain), called with its arguments. Once the
+/// region's cost program is compiled, repeat executions charge the
+/// program in one step and run the function's [`Native`](crate::Native)
+/// instantiation instead of the annotated one. This is the
+/// host-compiled simulation move the paper's single-source methodology
+/// enables: functionality at native speed, timing from the pre-compiled
+/// cost program, and the plain program is the same source.
 ///
-/// Charges exactly what [`g_for!`] charges — the loop bookkeeping
-/// ([`crate::Op::Assign`] + [`crate::Op::Add`] + [`crate::Op::Cmp`] +
-/// [`crate::Op::Branch`]) is inside the memoized region, so replayed
-/// loops are bit-identical to live ones.
-///
-/// Use only when the loop's charge stream is determined by the trip
-/// count and the key (no data-dependent `g_if!` arms or early exits
-/// that depend on element values). If the stream depends on a value you
-/// can name, fold it into the key with the keyed form — the key
-/// expression is evaluated at most **once**, before the first iteration,
-/// and only when the region can memoize;
-/// [`crate::MemoMode::Verify`] re-charges every hit live and asserts
-/// bit-equality, catching misuse.
-///
-/// ```
-/// use scperf_core::g_loop;
-///
-/// let mut sum = 0;
-/// g_loop!(i in 0..4 => {
-///     sum += i;
-/// });
-/// assert_eq!(sum, 6);
-/// ```
-#[macro_export]
-macro_rules! g_loop {
-    ($i:ident in $range:expr => $body:block) => {
-        $crate::g_loop!($crate::Annotated; $i in $range, key = 0u64 => $body)
-    };
-    ($i:ident in $range:expr, key = $key:expr => $body:block) => {
-        $crate::g_loop!($crate::Annotated; $i in $range, key = $key => $body)
-    };
-    ($d:ty; $i:ident in $range:expr => $body:block) => {
-        $crate::g_loop!($d; $i in $range, key = 0u64 => $body)
-    };
-    ($d:ty; $i:ident in $range:expr, key = $key:expr => $body:block) => {{
-        static __SCPERF_SITE: $crate::SegmentSite =
-            $crate::SegmentSite::named(concat!(file!(), ':', line!(), ':', column!()));
-        let __scperf_iter = ::core::iter::IntoIterator::into_iter($range);
-        let __scperf_trips = ::core::iter::ExactSizeIterator::len(&__scperf_iter) as u64;
-        let __scperf_guard = <$d as $crate::Domain>::enter(&__SCPERF_SITE, || {
-            $crate::SegmentSite::loop_key($key, __scperf_trips)
-        });
-        $crate::g_for!($d; $i in __scperf_iter => $body);
-        drop(__scperf_guard);
-    }};
-}
-
-/// A memoizable straight-line region (block form of [`g_loop!`]): the
-/// first execution per key records the charge delta, repeats apply it in
-/// one step. Evaluates to the block's value. Charges nothing by itself.
-///
-/// The optional key distinguishes executions with different charge
-/// streams — e.g. a data-dependent trip count:
-///
-/// ```
-/// use scperf_core::{g_for, g_site};
-///
-/// let k = 3usize;
-/// let sum = g_site!((k as u64) {
-///     let mut s = 0;
-///     g_for!(i in 0..k => { s += i; });
-///     s
-/// });
-/// assert_eq!(sum, 3);
-/// ```
-#[macro_export]
-macro_rules! g_site {
-    (($key:expr) $body:block) => {
-        $crate::g_site!($crate::Annotated; ($key) $body)
-    };
-    ($body:block) => {
-        $crate::g_site!($crate::Annotated; (0u64) $body)
-    };
-    ($d:ty; ($key:expr) $body:block) => {{
-        static __SCPERF_SITE: $crate::SegmentSite =
-            $crate::SegmentSite::named(concat!(file!(), ':', line!(), ':', column!()));
-        let __scperf_guard = <$d as $crate::Domain>::enter(&__SCPERF_SITE, || $key);
-        let __scperf_value = $body;
-        drop(__scperf_guard);
-        __scperf_value
-    }};
-    ($d:ty; $body:block) => {
-        $crate::g_site!($d; (0u64) $body)
-    };
-}
-
-/// A memoized region with a **native twin**: the region is a function
-/// generic over the [`Domain`](crate::Domain), called with its
-/// arguments. Once the region's cost program is compiled, repeat
-/// executions charge the program in one step and run the function's
-/// [`Native`](crate::Native) instantiation instead of the annotated one.
-/// This is the host-compiled simulation move the paper's single-source
-/// methodology enables: functionality at native speed, timing from the
-/// pre-compiled cost program, and the plain program is the same source.
+/// The key distinguishes executions with different charge streams: fold
+/// into it every value the region's charges depend on, such as a
+/// data-dependent trip count or a branch outcome computed uncharged.
+/// It is evaluated at most once, before any argument, and only when the
+/// region can memoize — never in the `Native` domain.
+/// [`MemoMode::Verify`](crate::MemoMode) runs the annotated
+/// instantiation on every hit and asserts its charges equal to the
+/// program's, catching a missing key.
 ///
 /// Arguments and the result cross between the domains through
 /// [`Carry`](crate::Carry): a [`G`](crate::G) keeps its word, storage
 /// and plain scalars pass as they are. The region must not wait or cross
-/// a segment boundary. The annotated instantiation runs on the first
-/// execution per key (recording the program), in
-/// [`MemoMode::Off`](crate::MemoMode) and
-/// [`MemoMode::Verify`](crate::MemoMode) and on non-sequential
-/// resources, so verify mode still checks programs against live
-/// charging. The key is computed only when the region can memoize.
+/// a segment boundary (one that does records nothing). The annotated
+/// instantiation runs on the first execution per key (recording the
+/// program), in [`MemoMode::Off`](crate::MemoMode) and
+/// [`MemoMode::Verify`](crate::MemoMode), and on fractional tables and
+/// non-sequential resources.
 ///
 /// ```
 /// use scperf_core::{g_for, g_twin, Domain, GArr};
@@ -246,11 +161,7 @@ macro_rules! g_twin {
             $crate::SegmentSite::named(concat!(file!(), ':', line!(), ':', column!()));
         match <$d as $crate::Domain>::twin(&__SCPERF_SITE, || $key) {
             None => $crate::Carry::carry($f::<$crate::Native>($($crate::Carry::carry($arg)),*)),
-            Some(__scperf_guard) => {
-                let __scperf_value = $f::<$d>($($arg),*);
-                drop(__scperf_guard);
-                __scperf_value
-            }
+            Some(__scperf_region) => __scperf_region.run(|| $f::<$d>($($arg),*)),
         }
     }};
 }
@@ -285,6 +196,7 @@ macro_rules! g_call {
 #[cfg(test)]
 mod tests {
     use crate::cost::{CostTable, Op};
+    use crate::domain::{Annotated, Domain};
     use crate::gval::G;
     use crate::resource::ResourceKind;
     use crate::site::MemoMode;
@@ -347,14 +259,24 @@ mod tests {
         g_if!((true) { n += 1; });
         g_while!((n < 2) { n += 1; });
         g_for!(_i in 0..2 => { n += 1; });
-        g_loop!(_i in 0..2 => { n += 1; });
-        let m = g_site!({ n + 1 });
-        assert_eq!(n, 6);
-        assert_eq!(m, 7);
+        let m = g_twin!((0) plus_one(G::raw(n)));
+        assert_eq!(n, 4);
+        assert_eq!(m.get(), 5);
+    }
+
+    fn plus_one<D: Domain>(x: G<i32, D>) -> G<i32, D> {
+        x + D::raw(1)
+    }
+
+    /// `trips` iterations of one charged multiply.
+    fn muls<D: Domain>(trips: usize) {
+        g_for!(D; _i in 0..trips => {
+            D::op(Op::Mul);
+        });
     }
 
     #[test]
-    fn g_loop_charges_exactly_like_g_for() {
+    fn g_twin_charges_exactly_like_its_body() {
         let table = CostTable::from_pairs([
             (Op::Branch, 2.0),
             (Op::Assign, 1.0),
@@ -363,24 +285,56 @@ mod tests {
             (Op::Mul, 5.0),
         ]);
         let plain = with_test_ctx(ResourceKind::Sequential, table.clone(), false, || {
-            g_for!(_i in 0..6 => {
-                crate::charge_op(Op::Mul);
-            });
+            for _ in 0..3 {
+                muls::<Annotated>(6);
+            }
         });
         for memo in [MemoMode::Off, MemoMode::Replay, MemoMode::Verify] {
-            let looped =
+            let twinned =
                 with_test_ctx_memo(ResourceKind::Sequential, table.clone(), false, memo, || {
-                    g_loop!(_i in 0..6 => {
-                        crate::charge_op(Op::Mul);
-                    });
+                    for _ in 0..3 {
+                        g_twin!((6) muls(6));
+                    }
                 });
-            assert_eq!(plain.acc.to_bits(), looped.acc.to_bits(), "{memo:?}");
-            assert_eq!(plain.counts, looped.counts, "{memo:?}");
+            assert_eq!(plain.acc.to_bits(), twinned.acc.to_bits(), "{memo:?}");
+            assert_eq!(plain.counts, twinned.counts, "{memo:?}");
         }
     }
 
     #[test]
-    fn g_site_keyed_form_distinguishes_trip_counts() {
+    fn g_twin_key_is_evaluated_only_when_memoizing() {
+        let keyed = std::cell::Cell::new(0);
+        let key = || {
+            keyed.set(keyed.get() + 1);
+            6
+        };
+        let run = |memo| {
+            keyed.set(0);
+            with_test_ctx_memo(
+                ResourceKind::Sequential,
+                CostTable::risc_sw(),
+                false,
+                memo,
+                || {
+                    for _ in 0..3 {
+                        g_twin!((key()) muls(6));
+                        g_twin!(crate::Native; (key()) muls(6));
+                    }
+                },
+            );
+            keyed.get()
+        };
+        assert_eq!(run(MemoMode::Off), 0, "never with memoization off");
+        assert_eq!(
+            run(MemoMode::Replay),
+            3,
+            "once per annotated entry, never native"
+        );
+        assert_eq!(run(MemoMode::Verify), 3);
+    }
+
+    #[test]
+    fn g_twin_key_distinguishes_trip_counts() {
         let table = CostTable::from_pairs([
             (Op::Branch, 1.0),
             (Op::Assign, 1.0),
@@ -390,9 +344,7 @@ mod tests {
         let run = |memo| {
             with_test_ctx_memo(ResourceKind::Sequential, table.clone(), false, memo, || {
                 for trip in [2usize, 5, 2, 5, 5] {
-                    g_site!((trip as u64) {
-                        g_for!(_i in 0..trip => {});
-                    });
+                    g_twin!((trip as u64) muls(trip));
                 }
             })
         };
@@ -400,33 +352,8 @@ mod tests {
         let memo = run(MemoMode::Replay);
         assert_eq!(live.acc.to_bits(), memo.acc.to_bits());
         assert_eq!(live.counts, memo.counts);
+        assert_eq!((memo.site_misses, memo.site_hits), (2, 3));
         // (2+5+2+5+5) iterations x 4 bookkeeping ops.
         assert_eq!(live.acc, 19.0 * 4.0);
-    }
-
-    #[test]
-    fn g_loop_body_break_and_continue_stay_safe() {
-        let table = CostTable::from_pairs([(Op::Branch, 1.0), (Op::Mul, 3.0)]);
-        let ctx = with_test_ctx_memo(
-            ResourceKind::Sequential,
-            table,
-            false,
-            MemoMode::Replay,
-            || {
-                g_loop!(i in 0..10 => {
-                    if i == 7 {
-                        break;
-                    }
-                    if i % 2 == 0 {
-                        continue;
-                    }
-                    crate::charge_op(Op::Mul);
-                });
-                // Charging must still be live after the early exits.
-                crate::charge_op(Op::Mul);
-            },
-        );
-        assert!(ctx.counts.get(Op::Mul) >= 1);
-        assert!(ctx.counts.get(Op::Branch) >= 7);
     }
 }

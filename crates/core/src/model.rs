@@ -108,7 +108,7 @@ impl PerfModel {
     /// Sets the segment-site memoization policy for processes spawned
     /// after this call (default: [`MemoMode::Replay`]). Memoization only
     /// actually engages for live estimation on sequential resources with
-    /// integer-valued cost tables — see [`crate::g_loop!`].
+    /// integer-valued cost tables — see [`crate::g_twin!`].
     pub fn site_memo(&self, mode: MemoMode) {
         self.est.borrow_mut().memo_mode = mode;
     }

@@ -169,7 +169,7 @@ impl SimConfig {
     }
 
     /// Sets the segment-site memoization policy (default
-    /// [`MemoMode::Replay`]); see [`crate::g_loop!`] for what a site is
+    /// [`MemoMode::Replay`]); see [`crate::g_twin!`] for what a region is
     /// and when memoization engages.
     pub fn site_memo(mut self, mode: MemoMode) -> SimConfig {
         self.site_memo = mode;

@@ -28,8 +28,9 @@
 //!   no pointer chase. Outside an analyzed process the discriminant is
 //!   [`S_ABSENT`] and the whole call is a single flag test.
 //! * [`ThreadCtx`] — the full context behind a `RefCell`, touched only
-//!   at segment boundaries (`take_segment`), at site-memo region edges,
-//!   and by DFG recording.
+//!   at segment boundaries (`take_segment`), when a memoizing twin
+//!   region looks up, records or verifies its cost program, and by DFG
+//!   recording.
 //!
 //! `install` seeds the fast slots from the `ThreadCtx`; `take_segment`
 //! drains them at every segment boundary; `uninstall` restores what the
@@ -55,7 +56,7 @@ use crate::site::MemoMode;
 /// Fast-slot state: no context installed — charging is a no-op.
 pub(crate) const S_ABSENT: u8 = 0;
 /// Fast-slot state: context installed but charging is disabled
-/// (environment resource, trace replay, or inside a replayed site region).
+/// (environment resource or trace replay).
 pub(crate) const S_PASSIVE: u8 = 1;
 /// Fast-slot state: live sequential charging (`acc += cost`).
 pub(crate) const S_SEQ: u8 = 2;
@@ -69,8 +70,6 @@ pub(crate) const S_PAR_DFG: u8 = 4;
 pub(crate) const MEMO_OFF: u8 = MemoMode::Off as u8;
 /// Effective memo mode: replay recorded deltas.
 pub(crate) const MEMO_REPLAY: u8 = MemoMode::Replay as u8;
-/// Effective memo mode: replay + live re-charge with bit-equality asserts.
-pub(crate) const MEMO_VERIFY: u8 = MemoMode::Verify as u8;
 
 /// The flat per-op fast path: every field a [`Cell`], mutated without any
 /// `RefCell` borrow. [`FAST`] holds the running process's; each switched-
@@ -80,8 +79,8 @@ pub(crate) struct FastSlots {
     pub(crate) state: Cell<u8>,
     /// Effective site-memoization mode (a `MemoMode` as `u8`); `0` = off.
     pub(crate) memo: Cell<u8>,
-    /// Bumped at every segment boundary; site regions use it to detect a
-    /// boundary firing inside the region.
+    /// Bumped at every segment boundary; a recording twin region uses it
+    /// to detect a boundary firing inside the region.
     pub(crate) seg_gen: Cell<u32>,
     /// Sequential: accumulated fractional cycles. Parallel: accumulated
     /// single-ALU cycles (`T_max`).
@@ -93,9 +92,11 @@ pub(crate) struct FastSlots {
     pub(crate) costs: [Cell<f64>; OP_COUNT],
     /// Per-op execution counters for the running segment.
     pub(crate) counts: [Cell<u64>; OP_COUNT],
-    /// Site-memo regions satisfied from the cache this segment.
+    /// Twin regions satisfied from (or verified against) a compiled
+    /// program this segment.
     pub(crate) site_hits: Cell<u64>,
-    /// Site-memo regions recorded (first execution) this segment.
+    /// Twin regions that recorded a program (first execution) this
+    /// segment.
     pub(crate) site_misses: Cell<u64>,
 }
 
@@ -248,7 +249,7 @@ pub(crate) fn install(ctx: ThreadCtx) {
     };
     // Memoized delta replay is bit-exact only when every cost is an
     // integer-valued f64 (all partial sums are then exact); otherwise the
-    // site regions silently stay live.
+    // twin regions silently run their annotated instantiation live.
     let memo = if state == S_SEQ && integral(&ctx.costs) {
         ctx.memo as u8
     } else {
@@ -558,6 +559,8 @@ pub(crate) mod testutil {
         pub(crate) max_ready: f64,
         pub(crate) counts: OpCounts,
         pub(crate) dfg: Option<Dfg>,
+        pub(crate) site_hits: u64,
+        pub(crate) site_misses: u64,
         pub(crate) progs: ProgStore,
     }
 
@@ -588,6 +591,8 @@ pub(crate) mod testutil {
             max_ready: take.max_ready,
             counts: take.counts,
             dfg: take.dfg,
+            site_hits: take.site_hits,
+            site_misses: take.site_misses,
             progs: ctx.progs,
         }
     }

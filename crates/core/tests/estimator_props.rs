@@ -1,5 +1,5 @@
 //! Property tests for the estimator hot path: the flat-TLS fast path,
-//! segment-site memoization and verify mode are bit-identical to live
+//! twin-region memoization and verify mode are bit-identical to live
 //! estimation across random integral cost tables, hardware `k` values
 //! and both resource kinds, also for nested, branch-keyed regions;
 //! fractional tables never replay; and data-dependent keys miss
@@ -10,7 +10,7 @@ use std::collections::HashSet;
 use proptest::collection::vec;
 use proptest::prelude::*;
 use scperf_core::{
-    g_if, g_loop, g_site, timed_wait, CostTable, EstHotStats, MemoMode, Platform, Report,
+    g_for, g_if, g_twin, timed_wait, CostTable, Domain, EstHotStats, MemoMode, Platform, Report,
     ResourceKind, SimConfig, ALL_OPS, G, OP_COUNT,
 };
 use scperf_kernel::Time;
@@ -27,9 +27,29 @@ fn table_from(costs: &[u32], fractional_op: Option<usize>) -> CostTable {
     }))
 }
 
+/// `for (i = 0; i < trips; i = i + 1) acc = acc + (base + i) * 3;`, a
+/// straight-line loop whose charges depend on `trips` alone.
+fn accumulate<D: Domain>(trips: usize, base: usize, mut acc: G<i64, D>) -> G<i64, D> {
+    g_for!(D; i in 0..trips => {
+        acc.assign(acc + D::raw((base + i) as i64) * D::raw(3));
+    });
+    acc
+}
+
+/// `if (x >= 0) acc = acc + x * 2; else acc = acc - x;`: the branch
+/// taken depends on the sign of `x`.
+fn signed_step<D: Domain>(x: G<i64, D>, mut acc: G<i64, D>) -> G<i64, D> {
+    g_if!(D; (x >= 0) {
+        acc.assign(acc + x * D::raw(2));
+    } else {
+        acc.assign(acc - x);
+    });
+    acc
+}
+
 /// Runs one session: a single process executing `segments` copies of a
-/// straight-line `g_loop!` region separated by timed waits. Returns the
-/// report and the hot-path counters.
+/// straight-line twin region keyed by its trip count, separated by
+/// timed waits. Returns the report and the hot-path counters.
 fn run_loops(
     kind: ResourceKind,
     table: CostTable,
@@ -47,10 +67,7 @@ fn run_loops(
     let mut session = SimConfig::new().platform(platform).site_memo(memo).build();
     session.spawn("w", r, move |ctx| {
         for _ in 0..segments {
-            let mut acc = G::raw(0_i64);
-            g_loop!(i in 0..trips => {
-                acc.assign(acc + G::raw(i as i64) * G::raw(3));
-            });
+            let acc = g_twin!((trips as u64) accumulate(trips, 0, G::raw(0_i64)));
             std::hint::black_box(acc.get());
             timed_wait(ctx, Time::ns(50));
         }
@@ -59,24 +76,17 @@ fn run_loops(
     (session.report(), session.model().hot_stats())
 }
 
-/// Runs one session over `values`, charging through a site keyed by the
-/// sign of each value, whose body branches on that same sign — correct
-/// keyed memoization of data-dependent control flow.
+/// Runs one session over `values`, charging through a twin region keyed
+/// by the sign of each value, whose body branches on that same sign —
+/// correct keyed memoization of data-dependent control flow.
 fn run_keyed(memo: MemoMode, values: Vec<i32>) -> (Report, EstHotStats) {
     let mut platform = Platform::new();
     let r = platform.sequential("r0", Time::ns(10), CostTable::risc_sw(), 25.0);
     let mut session = SimConfig::new().platform(platform).site_memo(memo).build();
     session.spawn("w", r, move |_ctx| {
-        let mut acc = G::raw(0_i32);
+        let mut acc = G::raw(0_i64);
         for &v in &values {
-            g_site!(((v >= 0) as u64) {
-                let x = G::raw(v);
-                g_if!((x >= 0) {
-                    acc.assign(acc + x * G::raw(2));
-                } else {
-                    acc.assign(acc - x);
-                });
-            });
+            acc = g_twin!(((v >= 0) as u64) signed_step(G::raw(i64::from(v)), acc));
         }
         std::hint::black_box(acc.get());
     });
@@ -84,10 +94,17 @@ fn run_keyed(memo: MemoMode, values: Vec<i32>) -> (Report, EstHotStats) {
     (session.report(), session.model().hot_stats())
 }
 
-/// Runs one session of a nested workload: per value, an outer site
-/// keyed by the value's sign encloses a `g_loop!` and a charged branch
-/// on that sign, followed by a timed wait — so programs nest, branch
-/// arms key separately and every value closes a segment.
+/// The nested workload's outer region: a twin loop, then a charged
+/// branch on the sign of `x`.
+fn loop_then_step<D: Domain>(trips: usize, x: G<i64, D>, acc: G<i64, D>) -> G<i64, D> {
+    let acc = g_twin!(D; (trips as u64) accumulate(trips, 0, acc));
+    signed_step(x, acc)
+}
+
+/// Runs one session of a nested workload: per value, an outer twin
+/// region keyed by the value's sign encloses a twin loop and a charged
+/// branch on that sign, followed by a timed wait — so programs nest,
+/// branch arms key separately and every value closes a segment.
 fn run_nested(
     table: CostTable,
     memo: MemoMode,
@@ -101,17 +118,8 @@ fn run_nested(
     session.spawn("w", cpu, move |ctx| {
         let mut acc = G::raw(0_i64);
         for &v in &values {
-            g_site!(((v >= 0) as u64) {
-                g_loop!(i in 0..trips => {
-                    acc.assign(acc + G::raw(i as i64) * G::raw(3));
-                });
-                let x = G::raw(v as i64);
-                g_if!((x >= 0) {
-                    acc.assign(acc + x * G::raw(2));
-                } else {
-                    acc.assign(acc - x);
-                });
-            });
+            let x = G::raw(i64::from(v));
+            acc = g_twin!(((v >= 0) as u64) loop_then_step(trips, x, acc));
             timed_wait(ctx, Time::ns(50));
         }
         std::hint::black_box(acc.get());
@@ -138,10 +146,7 @@ fn run_contended(
     let tx = ch.clone();
     session.spawn("prod", cpu, move |ctx| {
         for f in 0..frames {
-            let mut acc = G::raw(0_i64);
-            g_loop!(i in 0..trips => {
-                acc.assign(acc + G::raw((f + i) as i64));
-            });
+            let acc = g_twin!((trips as u64) accumulate(trips, f, G::raw(0_i64)));
             tx.write(ctx, acc.get());
         }
     });
@@ -188,10 +193,10 @@ proptest! {
             // is not delta-replayable).
             prop_assert_eq!(memo_hot.site_hits, 0);
         } else {
-            // `g_loop!` is one whole-loop region: 3 segment executions,
-            // one recording miss on the first, the other two replay the
-            // compiled program (the trip count is folded into the key,
-            // and it is the same in every segment here).
+            // The loop is one twin region: 3 segment executions, one
+            // recording miss on the first, the other two replay the
+            // compiled program (the trip count is the key, and it is the
+            // same in every segment here).
             prop_assert_eq!(memo_hot.site_misses, 1);
             prop_assert_eq!(memo_hot.site_hits, 2);
         }

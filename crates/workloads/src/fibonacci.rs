@@ -2,33 +2,31 @@
 //! call-overhead stress test, written once, generic over the value
 //! domain.
 
-use scperf_core::{g_call, g_if, g_site, Annotated, Domain, Native, G};
+use scperf_core::{g_call, g_if, g_twin, Annotated, Domain, Native, G};
 
 /// The argument (fib(18) = 2584; ~8k recursive calls).
 pub const N: i32 = 18;
 
-/// `if (n < 2) return n; return fib(n - 1) + fib(n - 2);`, marked for
-/// whole-subtree memoization: the cost of fib(n) is a function of n
-/// alone, so the entire body — prologue branch, recursive calls and the
-/// final add — is one region keyed by n. Recording compiles one program
-/// per depth, each referencing fib(n-1)/fib(n-2) as `Call` instructions;
-/// a repeat of any depth is one program apply.
+/// `fib(n)`, memoized as a whole subtree: the cost of fib(n) is a
+/// function of n alone, so the entire body is one twin region keyed by
+/// n. Recording compiles one program per depth, whose totals include
+/// the recursive calls' charges; a repeat of any depth is one program
+/// apply and a native recursion.
 fn fib<D: Domain>(n: G<i32, D>) -> G<i32, D> {
-    g_site!(D; (n.get() as u64) {
-        let mut result = D::raw(0);
-        let mut done = false;
-        g_if!(D; (n < 2) {
-            result = n;
-            done = true;
-        });
-        if done {
-            result
-        } else {
-            let a = g_call!(D; fib(n - 1));
-            let b = g_call!(D; fib(n - 2));
-            a + b
-        }
-    })
+    g_twin!(D; (n.get() as u64) fib_body(n))
+}
+
+/// `if (n < 2) return n; return fib(n - 1) + fib(n - 2);`
+fn fib_body<D: Domain>(n: G<i32, D>) -> G<i32, D> {
+    let mut done = false;
+    g_if!(D; (n < 2) { done = true; });
+    if done {
+        n
+    } else {
+        let a = g_call!(D; fib(n - 1));
+        let b = g_call!(D; fib(n - 2));
+        a + b
+    }
 }
 
 /// The benchmark: `result = fib(18);`.

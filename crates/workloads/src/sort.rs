@@ -3,13 +3,11 @@
 //!
 //! Both sort the same deterministic data and use as checksum
 //! `Σ (i+1)·a[i]` over the sorted array (wrapping), which is sensitive to
-//! ordering mistakes. Each is written once, generic over the value domain
-//! and marked for segment-site memoization; the marks are inert outside
-//! memoizing runs.
+//! ordering mistakes. Each is written once, generic over the value domain,
+//! with its straight-line stretches as [`g_twin!`] regions; the regions
+//! are inert outside memoizing runs.
 
-use scperf_core::{
-    g_call, g_for, g_if, g_loop, g_site, g_while, Annotated, Domain, GArr, Native, G,
-};
+use scperf_core::{g_call, g_for, g_if, g_twin, g_while, Annotated, Domain, GArr, Native, G};
 
 use crate::data::{minic_initializer, signed_values};
 
@@ -28,77 +26,100 @@ pub fn bubble_input() -> Vec<i32> {
     signed_values(0x51, BUBBLE_N, 10_000)
 }
 
-/// `s = 0; for (i = 0; i < n; i = i + 1) s = s + (i + 1) * a[i];` — a
-/// whole-loop memoized region.
-fn weighted_checksum<D: Domain>(a: &GArr<i32>) -> i32 {
+/// `s = 0; for (i = 0; i < n; i = i + 1) s = s + (i + 1) * a[i];`
+fn weighted_checksum<D: Domain>(a: &GArr<i32>) -> G<i32, D> {
     let mut s = D::init(0_i32); // s = 0;
-    g_loop!(D; i in 0..a.len() => {
+    g_for!(D; i in 0..a.len() => {
         // s = s + (i + 1) * a[i];
         let w = D::raw(i as i32) + D::raw(1);
         s.assign(s + w * a.at(D::raw(i)));
     });
-    s.get()
+    s
 }
 
 /// Mirrors the minic `qsort(int p, int lo, int hi)` statement by
-/// statement, marked for segment-site memoization — the adversarial case
-/// for cost-program keying: the recursion's extent and the partition's
-/// swap pattern both depend on element *values*, so no key derived from
-/// `(lo, hi)` is sound. Instead every data-dependent branch is its own
-/// region keyed by the branch outcome (computed uncharged via
-/// [`GArr::peek`]), and the straight-line stretches between them are
-/// unkeyed regions; the charge stream within each region is then fully
-/// determined by its key.
+/// statement — the adversarial case for cost-program keying: the
+/// recursion's extent and the partition's swap pattern both depend on
+/// element *values*, so no key derived from `(lo, hi)` is sound.
+/// Instead every data-dependent branch is its own twin region keyed by
+/// the branch outcome (computed uncharged via [`GArr::peek`]), and the
+/// straight-line stretches between them are unkeyed regions; the charge
+/// stream within each region is then fully determined by its key.
 fn quicksort<D: Domain>(a: &mut GArr<i32>, lo: G<i32, D>, hi: G<i32, D>) {
-    let stop = g_site!(D; ((lo.get() >= hi.get()) as u64) {
-        let mut stop = false;
-        g_if!(D; (lo >= hi) { stop = true; }); // if (lo >= hi) return 0;
-        stop
-    });
-    if stop {
+    // if (lo >= hi) return 0;
+    if g_twin!(D; ((lo.get() >= hi.get()) as u64) at_leaf(lo, hi)) {
         return;
     }
-    let mut pivot = D::raw(0_i32);
-    let mut i = D::raw(0_i32);
-    let mut j = D::raw(0_i32);
-    g_site!(D; {
-        pivot.assign(a.at(D::raw(hi.get() as usize))); // pivot = p[hi];
-        i.assign(lo - 1); // i = lo - 1;
-        j.assign(lo); // j = lo;
-    });
+    let (pivot, mut i, mut j) = g_twin!(D; (0) start_partition(&*a, lo, hi));
     g_while!(D; (j < hi) {
-        g_site!(D; ((a.peek(j.get() as usize) < pivot.get()) as u64) {
-            g_if!(D; (a.at(D::raw(j.get() as usize)) < pivot) {
-                i.assign(i + 1); // i = i + 1;
-                let mut t = D::raw(0_i32);
-                t.assign(a.at(D::raw(i.get() as usize))); // t = p[i];
-                a.set_raw(i.get() as usize, a.at(D::raw(j.get() as usize))); // p[i] = p[j];
-                a.set_raw(j.get() as usize, t); // p[j] = t;
-            });
-            j.assign(j + 1); // j = j + 1;
-        });
+        (i, j) = g_twin!(
+            D; ((a.peek(j.get() as usize) < pivot.get()) as u64)
+            partition_step(&mut *a, pivot, i, j)
+        );
     });
-    g_site!(D; {
-        let mut t = D::raw(0_i32);
-        t.assign(a.at((i + 1).cast_usize())); // t = p[i + 1];
-        a.set((i + 1).cast_usize(), a.at(D::raw(hi.get() as usize))); // p[i + 1] = p[hi];
-        a.set_raw(hi.get() as usize, t); // p[hi] = t;
-    });
+    g_twin!(D; (0) place_pivot(&mut *a, i, hi));
     g_call!(D; quicksort(a, lo, i)); // qsort(p, lo, i);
     let hi2 = i + 2;
     g_call!(D; quicksort(a, hi2, hi)); // qsort(p, i + 2, hi);
+}
+
+/// `lo >= hi`, as the branch of `if (lo >= hi) return 0;`.
+fn at_leaf<D: Domain>(lo: G<i32, D>, hi: G<i32, D>) -> bool {
+    g_if!(D; (lo >= hi) { true } else { false })
+}
+
+/// `pivot = p[hi]; i = lo - 1; j = lo;`, returning `(pivot, i, j)`.
+fn start_partition<D: Domain>(
+    a: &GArr<i32>,
+    lo: G<i32, D>,
+    hi: G<i32, D>,
+) -> (G<i32, D>, G<i32, D>, G<i32, D>) {
+    let mut pivot = D::raw(0_i32);
+    let mut i = D::raw(0_i32);
+    let mut j = D::raw(0_i32);
+    pivot.assign(a.at(D::raw(hi.get() as usize))); // pivot = p[hi];
+    i.assign(lo - 1); // i = lo - 1;
+    j.assign(lo); // j = lo;
+    (pivot, i, j)
+}
+
+/// One partition step, returning the new `(i, j)`:
+/// `if (p[j] < pivot) { i = i + 1; t = p[i]; p[i] = p[j]; p[j] = t; } j = j + 1;`
+fn partition_step<D: Domain>(
+    a: &mut GArr<i32>,
+    pivot: G<i32, D>,
+    mut i: G<i32, D>,
+    mut j: G<i32, D>,
+) -> (G<i32, D>, G<i32, D>) {
+    g_if!(D; (a.at(D::raw(j.get() as usize)) < pivot) {
+        i.assign(i + 1); // i = i + 1;
+        let mut t = D::raw(0_i32);
+        t.assign(a.at(D::raw(i.get() as usize))); // t = p[i];
+        a.set_raw(i.get() as usize, a.at(D::raw(j.get() as usize))); // p[i] = p[j];
+        a.set_raw(j.get() as usize, t); // p[j] = t;
+    });
+    j.assign(j + 1); // j = j + 1;
+    (i, j)
+}
+
+/// `t = p[i + 1]; p[i + 1] = p[hi]; p[hi] = t;`
+fn place_pivot<D: Domain>(a: &mut GArr<i32>, i: G<i32, D>, hi: G<i32, D>) {
+    let mut t = D::raw(0_i32);
+    t.assign(a.at((i + 1).cast_usize())); // t = p[i + 1];
+    a.set((i + 1).cast_usize(), a.at(D::raw(hi.get() as usize))); // p[i + 1] = p[hi];
+    a.set_raw(hi.get() as usize, t); // p[hi] = t;
 }
 
 /// Quicksort (Table 1 row "Quick sort"), mirroring the minic `main`.
 pub fn qsort<D: Domain>() -> i32 {
     let mut a = GArr::from_vec(qsort_input());
     g_call!(D; quicksort(&mut a, D::init(0), D::init(QSORT_N as i32 - 1)));
-    weighted_checksum::<D>(&a)
+    g_twin!(D; (0) weighted_checksum(&a)).get()
 }
 
 /// Bubble sort (Table 1 row "Bubble"; the minic form hoists the inner
-/// bound: `m = N - 1 - i;`). The comparison is a memoized region keyed
-/// by the swap outcome, the only data-dependent branch.
+/// bound: `m = N - 1 - i;`). The comparison is a twin region keyed by
+/// the swap outcome, the only data-dependent branch.
 pub fn bubble<D: Domain>() -> i32 {
     let mut a = GArr::from_vec(bubble_input());
     let n = BUBBLE_N;
@@ -107,21 +128,26 @@ pub fn bubble<D: Domain>() -> i32 {
         m.assign(D::raw(n as i32) - D::raw(1) - D::raw(i as i32)); // m = N - 1 - i;
         g_for!(D; j in 0..(n - 1 - i) => {
             let _ = &m;
-            g_site!(D; ((a.peek(j) > a.peek(j + 1)) as u64) {
-                // if (a[j] > a[j + 1]) { ... }
-                let jp = D::raw(j) + D::raw(1);
-                g_if!(D; (a.at(D::raw(j)) > a.at(jp)) {
-                    let mut t = D::raw(0_i32);
-                    t.assign(a.at(D::raw(j))); // t = a[j];
-                    let jp2 = D::raw(j) + D::raw(1);
-                    a.set_raw(j, a.at(jp2)); // a[j] = a[j + 1];
-                    let jp3 = D::raw(j) + D::raw(1);
-                    a.set(jp3, t); // a[j + 1] = t;
-                });
-            });
+            g_twin!(D; ((a.peek(j) > a.peek(j + 1)) as u64) compare_swap(&mut a, j));
         });
     });
-    weighted_checksum::<D>(&a)
+    g_twin!(D; (0) weighted_checksum(&a)).get()
+}
+
+/// `if (a[j] > a[j + 1]) { t = a[j]; a[j] = a[j + 1]; a[j + 1] = t; }`
+fn compare_swap<D: Domain>(a: &mut GArr<i32>, j: usize) {
+    // One range check up front stands in for the five per-access ones
+    // in the native instantiation; it charges nothing.
+    assert!(j + 1 < a.len());
+    let jp = D::raw(j) + D::raw(1);
+    g_if!(D; (a.at(D::raw(j)) > a.at(jp)) {
+        let mut t = D::raw(0_i32);
+        t.assign(a.at(D::raw(j))); // t = a[j];
+        let jp2 = D::raw(j) + D::raw(1);
+        a.set_raw(j, a.at(jp2)); // a[j] = a[j + 1];
+        let jp3 = D::raw(j) + D::raw(1);
+        a.set(jp3, t); // a[j + 1] = t;
+    });
 }
 
 // ---------------------------------------------------------------- minic --
@@ -215,7 +241,7 @@ mod tests {
     /// The checksum of `input` sorted by the standard library.
     fn sorted_checksum(mut input: Vec<i32>) -> i32 {
         input.sort_unstable();
-        weighted_checksum::<Native>(&GArr::from_vec(input))
+        weighted_checksum::<Native>(&GArr::from_vec(input)).get()
     }
 
     #[test]
@@ -267,7 +293,7 @@ mod tests {
         let (memo_v, memo_r, memo_h) = run_memoized(MemoMode::Replay, bubble::<Annotated>);
         assert_eq!(memo_v, expect);
         assert_eq!(memo_r, live_r, "replay diverged from live");
-        // Comparison site (2 keys) + checksum loop (1 key): 3 misses.
+        // Comparison region (2 keys) + checksum loop (1 key): 3 misses.
         assert_eq!(memo_h.site_misses, 3);
         assert!(memo_h.site_hits > 0);
 

@@ -38,13 +38,14 @@ pub use scperf_core::{
 };
 
 // --- Annotated value types and control-flow macros (§3 of the paper).
-pub use scperf_core::{g_call, g_for, g_if, g_loop, g_site, g_while};
+pub use scperf_core::{g_call, g_for, g_if, g_twin, g_while};
 pub use scperf_core::{
     g_f32, g_f64, g_i16, g_i32, g_i64, g_u16, g_u32, g_u64, g_u8, g_usize, GArr, G,
 };
 
-// --- Segment-site memoization (estimator hot path).
-pub use scperf_core::{site_enter, MemoMode, SegmentSite, SiteGuard};
+// --- In-run memoization (estimator hot path): a `g_twin!` region is a
+// function generic over the value `Domain`.
+pub use scperf_core::{Domain, MemoMode, SegmentSite};
 
 // --- Platform declaration and the estimation model.
 pub use scperf_core::{CostTable, Mode, PerfModel, Platform, Resource, ResourceId, ResourceKind};
