@@ -12,8 +12,8 @@
 
 use scperf_bench::microbench::{run_group, Case};
 use scperf_bench::{calibration, harness};
-use scperf_core::{Mode, PerfModel, Platform};
-use scperf_kernel::{Simulator, Time};
+use scperf_core::{Platform, SimConfig};
+use scperf_kernel::Time;
 use scperf_workloads::{probes::probes, table1_cases, vocoder};
 
 /// Accuracy vs calibration-set size (printed once; benches the full fit).
@@ -50,15 +50,15 @@ fn ablation_rtos() {
     let run = move |rtos: f64| -> Time {
         let mut platform = Platform::new();
         let cpu = platform.sequential("cpu0", harness::CLOCK, table.clone(), rtos);
-        let mut sim = Simulator::new();
-        let model = PerfModel::new(platform, Mode::StrictTimed);
+        let mut session = SimConfig::new().platform(platform).build();
+        let (sim, model) = session.parts_mut();
         let _ = vocoder::pipeline::build(
-            &mut sim,
-            &model,
+            sim,
+            model,
             vocoder::pipeline::VocoderMapping::all_on(cpu),
             4,
         );
-        sim.run().expect("runs").end_time
+        session.run().expect("runs").end_time
     };
     let with_rtos = run(harness::RTOS_CYCLES);
     let without = run(0.0);

@@ -6,7 +6,7 @@
 
 use scperf_bench::harness;
 use scperf_bench::microbench::{run_group, Case};
-use scperf_core::{Mode, PerfModel};
+use scperf_core::{Mode, SimConfig};
 use scperf_kernel::Simulator;
 use scperf_workloads::{table1_cases, vocoder};
 
@@ -50,29 +50,32 @@ fn bench_vocoder_paths() {
         }),
         Case::new("library_sim_strict", move || {
             let (platform, cpu) = harness::cpu_platform(t1.clone());
-            let mut sim = Simulator::new();
-            let model = PerfModel::new(platform, Mode::StrictTimed);
+            let mut session = SimConfig::new().platform(platform).build();
+            let (sim, model) = session.parts_mut();
             let handles = vocoder::pipeline::build(
-                &mut sim,
-                &model,
+                sim,
+                model,
                 vocoder::pipeline::VocoderMapping::all_on(cpu),
                 nframes,
             );
-            sim.run().expect("runs");
+            session.run().expect("runs");
             let v = *handles.output.lock();
             std::hint::black_box(v.expect("finished"));
         }),
         Case::new("library_sim_untimed", move || {
             let (platform, cpu) = harness::cpu_platform(t2.clone());
-            let mut sim = Simulator::new();
-            let model = PerfModel::new(platform, Mode::EstimateOnly);
+            let mut session = SimConfig::new()
+                .platform(platform)
+                .mode(Mode::EstimateOnly)
+                .build();
+            let (sim, model) = session.parts_mut();
             let handles = vocoder::pipeline::build(
-                &mut sim,
-                &model,
+                sim,
+                model,
                 vocoder::pipeline::VocoderMapping::all_on(cpu),
                 nframes,
             );
-            sim.run().expect("runs");
+            session.run().expect("runs");
             let v = *handles.output.lock();
             std::hint::black_box(v.expect("finished"));
         }),

@@ -31,7 +31,8 @@
 //! `BENCH_estimator.json` together with the host's cpu count; the
 //! committed baseline is a run pinned to one CPU (`taskset -c 0`).
 
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
 use scperf_bench::microbench::{
@@ -124,19 +125,19 @@ fn plain_thread(ops: u64) -> Duration {
 fn fir_run(config: Config, iters: usize) -> Run {
     let (platform, cpu) = sw_platform();
     let mut session = config.apply(SimConfig::new().platform(platform)).build();
-    let out = Arc::new(Mutex::new(0_i64));
-    let sink = Arc::clone(&out);
+    let out = Rc::new(Cell::new(0_i64));
+    let sink = Rc::clone(&out);
     session.spawn("fir", cpu, move |_ctx| {
         let mut acc = 0_i64;
         for _ in 0..iters {
             acc = acc.wrapping_add(fir::run::<Annotated>() as i64);
         }
-        *sink.lock().expect("sink") = acc;
+        sink.set(acc);
     });
     let start = Instant::now();
     let summary = session.run().expect("fir runs");
     let hot = session.model().hot_stats();
-    let checksum = *out.lock().expect("sink");
+    let checksum = out.get();
     Run {
         end_time_ps: summary.end_time.as_ps(),
         checksum,

@@ -3,10 +3,10 @@
 use std::fmt::Write as _;
 
 use scperf_core::{
-    g_call, g_i32, g_if, timed_wait, CostTable, GArr, Mode, Op, PerfModel, Platform, ProcessGraph,
+    g_call, g_i32, g_if, timed_wait, CostTable, GArr, Mode, Op, Platform, ProcessGraph, SimConfig,
     G,
 };
-use scperf_kernel::{SimOptions, Simulator, Time, TraceMode};
+use scperf_kernel::{Time, TraceMode};
 
 use crate::harness::CLOCK;
 
@@ -18,17 +18,16 @@ use crate::harness::CLOCK;
 pub fn figure1_2() -> (String, String) {
     let mut platform = Platform::new();
     let cpu = platform.sequential("cpu0", CLOCK, CostTable::figure3(), 0.0);
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    let ch1 = model.fifo::<i32>(&mut sim, "ch1", 4);
-    let ch2 = model.fifo::<i32>(&mut sim, "ch2", 4);
+    let mut session = SimConfig::new().platform(platform).build();
+    let ch1 = session.fifo::<i32>("ch1", 4);
+    let ch2 = session.fifo::<i32>("ch2", 4);
 
     const ITERS: usize = 8;
     // Environment: feeds ch1 and consumes/back-fills ch2.
     {
         let ch1 = ch1.clone();
         let ch2 = ch2.clone();
-        sim.spawn("env", move |ctx| {
+        session.spawn_untimed("env", move |ctx| {
             for i in 0..ITERS {
                 // Alternate the condition the process sees.
                 ch1.raw().write(ctx, if i % 2 == 0 { 5 } else { -5 });
@@ -43,7 +42,7 @@ pub fn figure1_2() -> (String, String) {
     {
         let ch1 = ch1.clone();
         let ch2 = ch2.clone();
-        model.spawn(&mut sim, "process", cpu, move |ctx| {
+        session.spawn("process", cpu, move |ctx| {
             let delay1 = Time::ns(500);
             for _ in 0..ITERS {
                 // code of segment S0-1 / S4-1 (common code omitted)
@@ -65,8 +64,8 @@ pub fn figure1_2() -> (String, String) {
             }
         });
     }
-    sim.run().expect("figure 1 model runs");
-    let report = model.report();
+    session.run().expect("figure 1 model runs");
+    let report = session.report();
     let proc = report.process("process").expect("process reported");
 
     let mut table = String::new();
@@ -168,16 +167,15 @@ pub fn figure3_estimate() -> f64 {
     }
     let mut platform = Platform::new();
     let cpu = platform.sequential("cpu", CLOCK, CostTable::figure3(), 0.0);
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    let ch1 = model.fifo::<i32>(&mut sim, "ch1", 1);
-    let ch2 = model.fifo::<i32>(&mut sim, "ch2", 1);
+    let mut session = SimConfig::new().platform(platform).build();
+    let ch1 = session.fifo::<i32>("ch1", 1);
+    let ch2 = session.fifo::<i32>("ch2", 1);
     let (ch1_w, ch2_w) = (ch1.clone(), ch2.clone());
-    sim.spawn("env", move |ctx| {
+    session.spawn_untimed("env", move |ctx| {
         ch1_w.raw().write(ctx, 0);
         ch2_w.raw().write(ctx, 0);
     });
-    model.spawn(&mut sim, "proc", cpu, move |ctx| {
+    session.spawn("proc", cpu, move |ctx| {
         let (mut i, c, d) = (G::raw(-1_i32), G::raw(20_i32), G::raw(22_i32));
         let array = GArr::<i32>::from_vec(vec![7; 8]);
         let (mut datai, mut datao) = (G::raw(0), G::raw(0));
@@ -190,8 +188,8 @@ pub fn figure3_estimate() -> f64 {
         let _ = ch2.read(ctx);
         let _ = datao;
     });
-    sim.run().expect("figure 3 model runs");
-    model
+    session.run().expect("figure 3 model runs");
+    session
         .report()
         .process("proc")
         .and_then(|p| p.segment("ch1.read", "ch2.read"))
@@ -318,11 +316,14 @@ pub fn figure5() -> (String, String) {
         let mut platform = Platform::new();
         let cpu = platform.sequential("cpu0 (SW)", CLOCK, CostTable::risc_sw(), 100.0);
         let hw = platform.parallel("res1 (HW)", CLOCK, CostTable::asic_hw(), 0.0);
-        let mut sim = SimOptions::new().tracing(TraceMode::Unbounded).build();
-        let model = PerfModel::new(platform, mode);
-        let s1 = model.signal(&mut sim, "s1", 0_i32);
-        let s2 = model.signal(&mut sim, "s2", 0_i32);
-        let s3 = model.signal(&mut sim, "s3", 0_i32);
+        let mut session = SimConfig::new()
+            .platform(platform)
+            .mode(mode)
+            .tracing(TraceMode::Unbounded)
+            .build();
+        let s1 = session.signal("s1", 0_i32);
+        let s2 = session.signal("s2", 0_i32);
+        let s3 = session.signal("s3", 0_i32);
         // A dependent chain of adds: n cycles on the HW critical path,
         // n add-costs on a CPU.
         let burn = |n: u64| {
@@ -332,29 +333,29 @@ pub fn figure5() -> (String, String) {
             }
             let _ = x;
         };
-        model.spawn(&mut sim, "P1", hw, move |ctx| {
+        session.spawn("P1", hw, move |ctx| {
             for i in 1..=3_i32 {
                 burn(400); // sg4-like computation on HW
                 s1.write(ctx, i);
                 timed_wait(ctx, Time::ZERO); // delta separation, as in Fig. 5a
             }
         });
-        model.spawn(&mut sim, "P2", cpu, move |ctx| {
+        session.spawn("P2", cpu, move |ctx| {
             for i in 1..=3_i32 {
                 burn(300); // sg1
                 s2.write(ctx, i);
                 timed_wait(ctx, Time::ZERO);
             }
         });
-        model.spawn(&mut sim, "P3", cpu, move |ctx| {
+        session.spawn("P3", cpu, move |ctx| {
             for i in 1..=3_i32 {
                 burn(500); // sg2
                 s3.write(ctx, i);
                 timed_wait(ctx, Time::ZERO);
             }
         });
-        sim.run().expect("figure 5 model runs");
-        sim.take_trace()
+        session.run().expect("figure 5 model runs");
+        session.sim().take_trace()
     };
     let untimed = run(Mode::EstimateOnly);
     let timed = run(Mode::StrictTimed);

@@ -1,9 +1,11 @@
 //! Shared experiment plumbing: the standard platform, single-process
 //! estimation runs, host-time measurement and DFG recording.
 
+use std::cell::Cell;
+use std::rc::Rc;
 use std::time::{Duration, Instant};
 
-use scperf_core::{CostTable, Dfg, Mode, OpCounts, PerfModel, Platform, ResourceId};
+use scperf_core::{CostTable, Dfg, Mode, OpCounts, Platform, ResourceId, Session, SimConfig};
 use scperf_kernel::{Simulator, Time};
 
 /// The experimental clock: 100 MHz, as a period.
@@ -32,28 +34,30 @@ pub struct EstimateRun {
     pub value: i32,
 }
 
+/// A session on the standard CPU platform with `table`, with `body`
+/// spawned as its only analyzed process, named `bench`; the returned
+/// cell holds the body's value once the session has run.
+fn bench_session(table: &CostTable, mode: Mode, body: fn() -> i32) -> (Session, Rc<Cell<i32>>) {
+    let (platform, cpu) = cpu_platform(table.clone());
+    let mut session = SimConfig::new().platform(platform).mode(mode).build();
+    let value = Rc::new(Cell::new(0));
+    let out = Rc::clone(&value);
+    session.spawn("bench", cpu, move |_ctx| out.set(body()));
+    (session, value)
+}
+
 /// Runs `body` as the only analyzed process on a CPU with `table`,
 /// collecting its estimate without back-annotation.
 pub fn estimate(table: &CostTable, body: fn() -> i32) -> EstimateRun {
-    let (platform, cpu) = cpu_platform(table.clone());
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::EstimateOnly);
-    let value = std::sync::Arc::new(scperf_sync::Mutex::new(0_i32));
-    {
-        let value = std::sync::Arc::clone(&value);
-        model.spawn(&mut sim, "bench", cpu, move |_ctx| {
-            *value.lock() = body();
-        });
-    }
-    sim.run().expect("estimation run");
-    let report = model.report();
+    let (mut session, value) = bench_session(table, Mode::EstimateOnly, body);
+    session.run().expect("estimation run");
+    let report = session.report();
     let p = report.process("bench").expect("process reported");
-    let result = *value.lock();
     EstimateRun {
         cycles: p.total_cycles,
         time: p.total_time,
         counts: p.counts,
-        value: result,
+        value: value.get(),
     }
 }
 
@@ -61,21 +65,11 @@ pub fn estimate(table: &CostTable, body: fn() -> i32) -> EstimateRun {
 /// `body` (the "library execution time" column of Table 1). Returns
 /// `(host_time, simulated_end_time, value)`.
 pub fn time_strict_timed(table: &CostTable, body: fn() -> i32) -> (Duration, Time, i32) {
-    let (platform, cpu) = cpu_platform(table.clone());
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    let value = std::sync::Arc::new(scperf_sync::Mutex::new(0_i32));
-    {
-        let value = std::sync::Arc::clone(&value);
-        model.spawn(&mut sim, "bench", cpu, move |_ctx| {
-            *value.lock() = body();
-        });
-    }
+    let (mut session, value) = bench_session(table, Mode::StrictTimed, body);
     let start = Instant::now();
-    let summary = sim.run().expect("strict-timed run");
+    let summary = session.run().expect("strict-timed run");
     let host = start.elapsed();
-    let result = *value.lock();
-    (host, summary.end_time, result)
+    (host, summary.end_time, value.get())
 }
 
 /// Host wall-clock time of the plain, un-annotated simulation of `body`
@@ -83,18 +77,13 @@ pub fn time_strict_timed(table: &CostTable, body: fn() -> i32) -> (Duration, Tim
 /// `(host_time, value)`.
 pub fn time_plain(body: fn() -> i32) -> (Duration, i32) {
     let mut sim = Simulator::new();
-    let value = std::sync::Arc::new(scperf_sync::Mutex::new(0_i32));
-    {
-        let value = std::sync::Arc::clone(&value);
-        sim.spawn("bench", move |_ctx| {
-            *value.lock() = body();
-        });
-    }
+    let value = Rc::new(Cell::new(0));
+    let out = Rc::clone(&value);
+    sim.spawn("bench", move |_ctx| out.set(body()));
     let start = Instant::now();
     sim.run().expect("plain run");
     let host = start.elapsed();
-    let result = *value.lock();
-    (host, result)
+    (host, value.get())
 }
 
 /// Host wall-clock time of an execution on the reference ISS (the
@@ -119,15 +108,17 @@ where
 {
     let mut platform = Platform::new();
     let hw = platform.parallel("hw", CLOCK, table, 0.0);
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::EstimateOnly);
-    model.record_dfgs();
-    model.spawn(&mut sim, "hw_seg", hw, move |_ctx| body());
-    sim.run().expect("hw recording run");
-    let report = model.report();
+    let mut session = SimConfig::new()
+        .platform(platform)
+        .mode(Mode::EstimateOnly)
+        .record_dfgs()
+        .build();
+    session.spawn("hw_seg", hw, move |_ctx| body());
+    session.run().expect("hw recording run");
+    let report = session.report();
     let seg = &report.process("hw_seg").expect("hw process").segments[0];
     let (t_min, t_max) = (seg.stats.last_t_min, seg.stats.last_t_max);
-    let dfgs = model.dfgs("hw_seg");
+    let dfgs = session.model().dfgs("hw_seg");
     let dfg = dfgs
         .into_iter()
         .next()

@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use scperf_core::{CostTable, Dfg, Mode, PerfModel};
+use scperf_core::{CostTable, Dfg, SimConfig};
 use scperf_hls::{chained_critical_path, chained_sequential};
 use scperf_kernel::{Simulator, Time};
 use scperf_workloads::vocoder;
@@ -269,16 +269,16 @@ pub fn table3(cal: &Calibration, nframes: usize) -> Table3 {
 
     // Strict-timed library run (also measures host time).
     let (platform, cpu) = harness::cpu_platform(cal.table.clone());
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
+    let mut session = SimConfig::new().platform(platform).build();
+    let (sim, model) = session.parts_mut();
     let handles = vocoder::pipeline::build(
-        &mut sim,
-        &model,
+        sim,
+        model,
         vocoder::pipeline::VocoderMapping::all_on(cpu),
         nframes,
     );
     let start = std::time::Instant::now();
-    let summary = sim.run().expect("vocoder strict-timed run");
+    let summary = session.run().expect("vocoder strict-timed run");
     let host_lib = start.elapsed();
     assert_eq!(
         handles.output.lock().expect("sink finished"),
@@ -293,7 +293,7 @@ pub fn table3(cal: &Calibration, nframes: usize) -> Table3 {
             "stage {i} checksum mismatch"
         );
     }
-    let report = model.report();
+    let report = session.report();
 
     // Plain pipeline baseline.
     let mut plain_sim = Simulator::new();

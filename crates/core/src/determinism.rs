@@ -10,11 +10,12 @@
 //! [`check`] runs the same model twice — once untimed, once strict-timed —
 //! and diffs the per-process functional traces.
 
-use scperf_kernel::{trace, SimError, SimOptions, Simulator, TraceMode, TraceRecord};
+use scperf_kernel::{trace, SimError, Simulator, TraceMode, TraceRecord};
 
 use crate::estimator::Mode;
 use crate::model::PerfModel;
 use crate::resource::Platform;
+use crate::session::SimConfig;
 
 /// The result of a determinism check.
 #[derive(Debug, Clone)]
@@ -34,7 +35,8 @@ pub struct DeterminismOutcome {
 /// functional (value-carrying) content of the traces per process.
 ///
 /// `build` must construct the *same* model each time it is called — it
-/// receives a fresh [`Simulator`] and [`PerfModel`] per run.
+/// receives the [`Simulator`] and [`PerfModel`] of a fresh
+/// [`crate::Session`] per run ([`crate::Session::parts_mut`]).
 ///
 /// # Errors
 ///
@@ -66,11 +68,15 @@ where
     F: Fn(&mut Simulator, &PerfModel),
 {
     let run = |mode: Mode| -> Result<Vec<TraceRecord>, SimError> {
-        let mut sim = SimOptions::new().tracing(TraceMode::Unbounded).build();
-        let model = PerfModel::new(platform.clone(), mode);
-        build(&mut sim, &model);
-        sim.run()?;
-        Ok(sim.take_trace())
+        let mut session = SimConfig::new()
+            .platform(platform.clone())
+            .mode(mode)
+            .tracing(TraceMode::Unbounded)
+            .build();
+        let (sim, model) = session.parts_mut();
+        build(sim, model);
+        session.run()?;
+        Ok(session.sim().take_trace())
     };
     let untimed_trace = run(Mode::EstimateOnly)?;
     let timed_trace = run(Mode::StrictTimed)?;

@@ -113,12 +113,39 @@ pub(crate) struct ProcRecord {
     pub(crate) resource_waits: u64,
 }
 
+/// The estimator's settings, fixed when [`crate::SimConfig::build`]
+/// builds the model.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct EstSettings {
+    pub(crate) mode: Mode,
+    /// Keep one [`InstSample`] per segment execution.
+    pub(crate) record_instantaneous: bool,
+    /// Keep the DFG of each hardware segment's first execution.
+    pub(crate) record_dfgs: bool,
+    /// Resource-contention accounting — measurement-only, never changes
+    /// back-annotation results.
+    pub(crate) attribution: bool,
+    /// Segment-site memoization policy handed to spawned processes.
+    pub(crate) memo: MemoMode,
+}
+
+impl Default for EstSettings {
+    fn default() -> EstSettings {
+        EstSettings {
+            mode: Mode::StrictTimed,
+            record_instantaneous: false,
+            record_dfgs: false,
+            attribution: false,
+            memo: MemoMode::default(),
+        }
+    }
+}
+
 /// One [`crate::PerfModel`]'s estimator state, shared as
 /// `Rc<RefCell<EstInner>>` with its processes, recorders and capture
 /// points; a simulation runs on one thread, so no lock guards it.
 pub(crate) struct EstInner {
     pub(crate) platform: Platform,
-    pub(crate) mode: Mode,
     /// Node label registry; ids 0..=2 are the implicit entry/exit/wait.
     pub(crate) nodes: Vec<String>,
     /// Per-process records, indexed by kernel pid.
@@ -129,13 +156,12 @@ pub(crate) struct EstInner {
     pub(crate) busy_total: Vec<Time>,
     /// Accumulated RTOS time per resource.
     pub(crate) rtos_total: Vec<Time>,
-    pub(crate) record_instantaneous: bool,
-    pub(crate) record_dfgs: bool,
+    /// The settings the model was built with.
+    pub(crate) settings: EstSettings,
     /// Record every segment execution's cycles into
-    /// [`ProcRecord::cost_trace`] (cheap: one `Vec::push` per segment).
+    /// [`ProcRecord::cost_trace`] (cheap: one `Vec::push` per segment);
+    /// switched on by attaching a [`crate::Recorder`].
     pub(crate) record_segment_costs: bool,
-    /// Segment-site memoization policy handed to spawned processes.
-    pub(crate) memo_mode: MemoMode,
     /// Operations charged through the flat fast path (`est.charge.fast`).
     pub(crate) fast_charges: u64,
     /// Site-memo regions replayed from cache (`est.site_cache.hit`).
@@ -147,9 +173,6 @@ pub(crate) struct EstInner {
     /// (`est.dfg.arena_reuse`).
     pub(crate) dfg_arena_reuse: u64,
     pub(crate) captures: Vec<crate::capture::CaptureList>,
-    /// Attribution accounting toggle — measurement-only, never changes
-    /// back-annotation results.
-    pub(crate) attribution: bool,
     /// Attribution: accumulated arbitration-wait time per resource
     /// (time processes spent blocked behind the sequential resource).
     pub(crate) contention_total: Vec<Time>,
@@ -175,26 +198,22 @@ pub struct EstHotStats {
 }
 
 impl EstInner {
-    pub(crate) fn new(platform: Platform, mode: Mode) -> EstInner {
+    pub(crate) fn new(platform: Platform, settings: EstSettings) -> EstInner {
         let n = platform.len();
         EstInner {
             platform,
-            mode,
+            settings,
             nodes: vec!["entry".into(), "exit".into(), "wait".into()],
             procs: BTreeMap::new(),
             busy_until: vec![Time::ZERO; n],
             busy_total: vec![Time::ZERO; n],
             rtos_total: vec![Time::ZERO; n],
-            record_instantaneous: false,
-            record_dfgs: false,
             record_segment_costs: false,
-            memo_mode: MemoMode::default(),
             fast_charges: 0,
             site_hits: 0,
             site_misses: 0,
             dfg_arena_reuse: 0,
             captures: Vec::new(),
-            attribution: false,
             contention_total: vec![Time::ZERO; n],
             arbitration_waits: vec![0; n],
         }
@@ -321,9 +340,12 @@ pub(crate) fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
         } else {
             Time::ZERO
         };
-        let mode = inner.mode;
-        let record_inst = inner.record_instantaneous;
-        let record_dfgs = inner.record_dfgs;
+        let EstSettings {
+            mode,
+            record_instantaneous: record_inst,
+            record_dfgs,
+            ..
+        } = inner.settings;
         let record_costs = inner.record_segment_costs;
         let rec = inner
             .procs
@@ -428,7 +450,7 @@ pub(crate) fn end_segment(ctx: &mut ProcCtx, node: u32) -> Time {
                 // contention charged to this resource. Measured from
                 // values already in hand — no extra kernel calls, so the
                 // simulated schedule is bit-identical either way.
-                if inner.attribution {
+                if inner.settings.attribution {
                     let waited = resumed.saturating_sub(now);
                     if !waited.is_zero() {
                         let idx = resource.index();

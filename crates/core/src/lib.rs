@@ -26,7 +26,7 @@
 //!    the same sequential resource serialize through the arbitration
 //!    protocol, and RTOS overhead is charged at every node.
 //! 4. **Reporting** (§4): automatic totals per process and per resource
-//!    ([`PerfModel::report`]), optional instantaneous per-segment samples,
+//!    ([`Session::report`]), optional instantaneous per-segment samples,
 //!    process graphs ([`ProcessGraph`]), and user-inserted
 //!    [`CapturePoint`]s with CSV/Matlab export.
 //! 5. **Verification** (§6): [`determinism::check`] diffs untimed vs
@@ -34,20 +34,25 @@
 //!
 //! # Example
 //!
+//! Every analyzed simulation is configured by a [`SimConfig`] and built
+//! as a [`Session`]:
+//!
 //! ```
-//! use scperf_core::{g_i64, CostTable, Mode, PerfModel, Platform};
-//! use scperf_kernel::{Simulator, Time};
+//! use scperf_core::{g_i64, CostTable, Mode, Platform, SimConfig};
+//! use scperf_kernel::Time;
 //!
 //! // Platform: one 100 MHz CPU with a vendor cost table.
 //! let mut platform = Platform::new();
 //! let cpu = platform.sequential("cpu0", Time::ns(10), CostTable::risc_sw(), 120.0);
 //!
-//! let mut sim = Simulator::new();
-//! let model = PerfModel::new(platform, Mode::StrictTimed);
-//! let out = model.fifo::<i64>(&mut sim, "out", 8);
+//! let mut session = SimConfig::new()
+//!     .platform(platform)
+//!     .mode(Mode::StrictTimed)
+//!     .build();
+//! let out = session.fifo::<i64>("out", 8);
 //!
 //! let tx = out.clone();
-//! model.spawn(&mut sim, "dot", cpu, move |ctx| {
+//! session.spawn("dot", cpu, move |ctx| {
 //!     let a = [1_i64, 2, 3, 4];
 //!     let b = [4_i64, 3, 2, 1];
 //!     let mut acc = g_i64(0);
@@ -58,12 +63,12 @@
 //!     }
 //!     tx.write(ctx, acc.get());
 //! });
-//! sim.spawn("sink", move |ctx| {
+//! session.spawn_untimed("sink", move |ctx| {
 //!     assert_eq!(out.read(ctx), 20);
 //! });
-//! sim.run()?;
+//! session.run()?;
 //!
-//! let report = model.report();
+//! let report = session.report();
 //! let dot = report.process("dot").unwrap();
 //! assert!(dot.total_cycles > 0.0);
 //! assert!(!dot.total_time.is_zero());

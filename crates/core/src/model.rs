@@ -1,12 +1,13 @@
-//! [`PerfModel`]: the user-facing entry point tying the estimation library
-//! to a kernel [`Simulator`].
+//! [`PerfModel`]: the estimation half of a [`crate::Session`], tying the
+//! estimation library to a kernel [`Simulator`].
 //!
 //! The paper's library is "included within a usual simulation" without
 //! changing the source. The Rust equivalent: build your processes and
-//! channels through a `PerfModel` instead of directly through the
-//! `Simulator`, write the process bodies against the annotated [`crate::G`]
-//! types, and the same model runs untimed ([`Mode::EstimateOnly`]) or
-//! strict-timed ([`Mode::StrictTimed`]) — no other change.
+//! channels through a session instead of directly through the
+//! `Simulator`, write the process bodies against the annotated
+//! [`crate::G`] types, and the same model runs untimed
+//! ([`Mode::EstimateOnly`]) or strict-timed ([`Mode::StrictTimed`]) — no
+//! other change.
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -15,102 +16,90 @@ use std::sync::Arc;
 use scperf_kernel::{Fifo, ProcCtx, ProcId, Rendezvous, Signal, Simulator, Time};
 
 use crate::capture::{CaptureList, CapturePoint};
-use crate::estimator::{end_segment, EstHotStats, EstInner, Mode, NODE_WAIT};
+use crate::estimator::{end_segment, EstHotStats, EstInner, EstSettings, Mode, NODE_WAIT};
 use crate::hw::Dfg;
 use crate::prog::{ProgStore, ProgramSet};
-use crate::recorder::{Recorder, Replay};
-use crate::report::Report;
+use crate::recorder::Replay;
 use crate::resource::{Platform, ResourceId};
-use crate::site::MemoMode;
 use crate::tls;
 
 /// The performance-analysis model: a [`Platform`], an architectural mapping
 /// and the estimation state, layered over a kernel [`Simulator`].
 ///
+/// A model is one half of a [`crate::Session`]: [`crate::SimConfig::build`]
+/// builds it with its settings fixed, and [`crate::Session::parts_mut`]
+/// hands it, with the simulator, to elaboration helpers written against
+/// `(sim, model)`.
+///
 /// # Examples
 ///
 /// ```
-/// use scperf_core::{g_i64, CostTable, Mode, PerfModel, Platform};
+/// use scperf_core::{g_i64, CostTable, Mode, PerfModel, Platform, SimConfig};
 /// use scperf_kernel::{Simulator, Time};
+///
+/// /// An elaboration helper: spawns a worker that writes one sum.
+/// fn elaborate(sim: &mut Simulator, model: &PerfModel, cpu: scperf_core::ResourceId) {
+///     let ch = model.fifo::<i64>(sim, "out", 4);
+///     let tx = ch.clone();
+///     model.spawn(sim, "worker", cpu, move |ctx| {
+///         let mut acc = g_i64(0);
+///         for i in 0..10 {
+///             acc = acc + g_i64(i);
+///         }
+///         tx.write(ctx, acc.get());
+///     });
+///     sim.spawn("sink", move |ctx| {
+///         assert_eq!(ch.read(ctx), 45);
+///     });
+/// }
 ///
 /// let mut platform = Platform::new();
 /// let cpu = platform.sequential("cpu0", Time::ns(10), CostTable::risc_sw(), 50.0);
 ///
-/// let mut sim = Simulator::new();
-/// let model = PerfModel::new(platform, Mode::StrictTimed);
-/// let ch = model.fifo::<i64>(&mut sim, "out", 4);
-/// let tx = ch.clone();
-/// model.spawn(&mut sim, "worker", cpu, move |ctx| {
-///     let mut acc = g_i64(0);
-///     for i in 0..10 {
-///         acc = acc + g_i64(i);
-///     }
-///     tx.write(ctx, acc.get());
-/// });
-/// let rx = ch;
-/// sim.spawn("sink", move |ctx| {
-///     assert_eq!(rx.read(ctx), 45);
-/// });
-/// sim.run()?;
-/// let report = model.report();
+/// let mut session = SimConfig::new()
+///     .platform(platform)
+///     .mode(Mode::StrictTimed)
+///     .build();
+/// let (sim, model) = session.parts_mut();
+/// elaborate(sim, model, cpu);
+/// session.run()?;
+/// let report = session.report();
 /// assert!(report.processes[0].total_cycles > 0.0);
 /// # Ok::<(), scperf_kernel::SimError>(())
+/// ```
+///
+/// There is no public constructor: outside this crate a model comes
+/// only from a [`crate::SimConfig`].
+///
+/// ```compile_fail,E0624
+/// use scperf_core::{Mode, PerfModel, Platform};
+///
+/// let model = PerfModel::new(Platform::new(), Mode::StrictTimed);
 /// ```
 ///
 /// The estimation state is single-threaded, like the simulation it
 /// annotates: a model is `!Send`, so moving one to another thread does
 /// not compile.
 ///
-/// ```compile_fail
-/// use scperf_core::{Mode, PerfModel, Platform};
-///
-/// let model = PerfModel::new(Platform::new(), Mode::StrictTimed);
-/// std::thread::spawn(move || model.mode());
+/// ```compile_fail,E0277
+/// fn assert_send<T: Send>() {}
+/// assert_send::<scperf_core::PerfModel>();
 /// ```
 pub struct PerfModel {
     pub(crate) est: Rc<RefCell<EstInner>>,
 }
 
 impl PerfModel {
-    /// Creates a model for `platform` operating in `mode`.
-    pub fn new(platform: Platform, mode: Mode) -> PerfModel {
+    /// Creates a model for `platform` with its settings fixed.
+    pub(crate) fn new(platform: Platform, settings: EstSettings) -> PerfModel {
         PerfModel {
-            est: Rc::new(RefCell::new(EstInner::new(platform, mode))),
+            est: Rc::new(RefCell::new(EstInner::new(platform, settings))),
         }
     }
 
     /// The model's mode.
     pub fn mode(&self) -> Mode {
-        self.est.borrow().mode
-    }
-
-    /// Record one `(time, cycles)` sample per segment execution (the
-    /// paper's "instantaneous estimated parameters"). Off by default.
-    pub fn record_instantaneous(&self) {
-        self.est.borrow_mut().record_instantaneous = true;
-    }
-
-    /// Record the dataflow graph of each hardware segment's first
-    /// execution, for export to the HLS scheduler. Off by default.
-    pub fn record_dfgs(&self) {
-        self.est.borrow_mut().record_dfgs = true;
-    }
-
-    /// Enables/disables resource-contention attribution: per-resource
-    /// arbitration-wait accounting (`est.res.*` metrics and the
-    /// [`crate::UtilizationReport`]). Measurement-only — estimates and
-    /// the strict-timed schedule are bit-identical either way. Off by
-    /// default.
-    pub fn attribution(&self, enable: bool) {
-        self.est.borrow_mut().attribution = enable;
-    }
-
-    /// Sets the segment-site memoization policy for processes spawned
-    /// after this call (default: [`MemoMode::Replay`]). Memoization only
-    /// actually engages for live estimation on sequential resources with
-    /// integer-valued cost tables — see [`crate::g_twin!`].
-    pub fn site_memo(&self, mode: MemoMode) {
-        self.est.borrow_mut().memo_mode = mode;
+        self.est.borrow().settings.mode
     }
 
     /// Has no effect. Cost programs no longer leave the run that
@@ -136,18 +125,6 @@ impl PerfModel {
         }
     }
 
-    /// Attaches a [`Recorder`]: every segment execution's estimated
-    /// cycles are captured per process, in execution order (one
-    /// `Vec::push` per segment boundary). After the run the recorder
-    /// hands each process's trace back as a [`crate::Replay`] for
-    /// [`PerfModel::spawn_replaying`] — the memoization that lets a
-    /// design-space exploration or a simulation service skip
-    /// re-estimating segments whose annotation cannot differ between
-    /// runs. Off unless a recorder is attached.
-    pub fn recorder(&self) -> Recorder {
-        Recorder::attach(&self.est)
-    }
-
     /// Spawns a process mapped to `resource` (the architectural-mapping
     /// annotation of §2). The body runs with the estimation context
     /// installed, so `G`-typed operations are charged automatically and
@@ -167,7 +144,7 @@ impl PerfModel {
 
     /// Spawns a process mapped to `resource` that **replays** a
     /// previously recorded per-segment cycle trace instead of estimating
-    /// live (see [`PerfModel::recorder`]).
+    /// live (see [`crate::Session::recorder`]).
     ///
     /// The body should execute the *plain* (un-annotated) form of the
     /// workload: operator charging is disabled, and every segment
@@ -219,8 +196,8 @@ impl PerfModel {
                     tls::dense_costs(&r.costs),
                     r.k,
                     r.rtos_cycles,
-                    inner.memo_mode,
-                    inner.record_dfgs,
+                    inner.settings.memo,
+                    inner.settings.record_dfgs,
                 )
             };
             let record_dfgs =
@@ -326,29 +303,11 @@ impl PerfModel {
         self.est.borrow().captures.clone()
     }
 
-    /// Builds the full performance report (call after `sim.run()`).
-    pub fn report(&self) -> Report {
-        Report::build(&self.est.borrow())
-    }
-
-    /// Builds the utilization & contention attribution for a run whose
-    /// total simulated time is `total_time` (usually `sim.now()` after
-    /// the run). Returns `None` when attribution was not enabled. The
-    /// channel section is left empty here — `Session::report` fills it
-    /// from the kernel's channel accounting.
-    pub fn utilization_report(&self, total_time: Time) -> Option<crate::UtilizationReport> {
-        let inner = self.est.borrow();
-        inner
-            .attribution
-            .then(|| Report::build_utilization(&inner, total_time))
-    }
-
     /// Snapshots the estimator's internals as metrics: segments closed,
     /// annotated operation totals (overall and per class), estimated
-    /// cycles/time and per-resource busy/RTOS time. Complements
-    /// [`Simulator::metrics`]; merge the two snapshots for a full
-    /// picture of one run.
-    pub fn metrics_snapshot(&self) -> scperf_obs::MetricsSnapshot {
+    /// cycles/time and per-resource busy/RTOS time.
+    /// [`crate::Session::metrics`] merges it with the kernel's.
+    pub(crate) fn metrics_snapshot(&self) -> scperf_obs::MetricsSnapshot {
         let inner = self.est.borrow();
         let mut m = scperf_obs::MetricsSnapshot::new();
         m.set_counter("est.processes", inner.procs.len() as u64);
@@ -392,7 +351,7 @@ impl PerfModel {
                 format!("resource.{}.rtos_ns", r.name),
                 inner.rtos_total[id.index()].as_ns_f64(),
             );
-            if inner.attribution {
+            if inner.settings.attribution {
                 // Counter (integer ns) variants so multi-run folds sum.
                 m.set_counter(
                     format!("est.res.{}.busy_ns", r.name),
@@ -414,9 +373,9 @@ impl PerfModel {
     /// Builds a Chrome `trace_event` document from the recorded
     /// instantaneous samples: one track per process, one complete span
     /// per segment execution, positioned at the segment's strict-timed
-    /// simulation interval. Requires [`PerfModel::record_instantaneous`]
-    /// before the run; load the written JSON in Perfetto or
-    /// `chrome://tracing`.
+    /// simulation interval. Requires
+    /// [`crate::SimConfig::record_instantaneous`]; load the written JSON
+    /// in Perfetto or `chrome://tracing`.
     pub fn chrome_trace(&self) -> scperf_obs::chrome::ChromeTrace {
         let inner = self.est.borrow();
         let mut t = scperf_obs::chrome::ChromeTrace::new();
@@ -461,7 +420,8 @@ impl PerfModel {
     }
 
     /// The recorded DFG of a hardware segment, identified by process name
-    /// and `(from, to)` node labels. Requires [`PerfModel::record_dfgs`].
+    /// and `(from, to)` node labels. Requires
+    /// [`crate::SimConfig::record_dfgs`].
     pub fn dfg(&self, process: &str, from: &str, to: &str) -> Option<Dfg> {
         let inner = self.est.borrow();
         let from = inner.nodes.iter().position(|n| n == from)? as u32;
@@ -500,7 +460,7 @@ impl std::fmt::Debug for PerfModel {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let inner = self.est.borrow();
         f.debug_struct("PerfModel")
-            .field("mode", &inner.mode)
+            .field("mode", &inner.settings.mode)
             .field("resources", &inner.platform.len())
             .field("processes", &inner.procs.len())
             .finish()

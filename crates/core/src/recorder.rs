@@ -5,8 +5,9 @@
 //! Recording is a capability you *hold* — a [`Recorder`] handle obtained
 //! before the run — and a captured trace is a first-class [`Replay`]
 //! value that can be cached, cloned cheaply and handed to
-//! [`PerfModel::spawn_replaying`](crate::PerfModel::spawn_replaying) or
-//! [`Session::spawn_replaying`](crate::Session::spawn_replaying).
+//! [`Session::spawn_replaying`](crate::Session::spawn_replaying) (or
+//! [`PerfModel::spawn_replaying`](crate::PerfModel::spawn_replaying) in an
+//! elaboration helper).
 //!
 //! # Soundness
 //!
@@ -105,11 +106,9 @@ impl Replay {
 
 /// A handle that captures per-segment cycle traces during a run.
 ///
-/// Obtained from [`PerfModel::recorder`](crate::PerfModel::recorder) or
-/// [`SimConfig::record_costs`](crate::SimConfig::record_costs) /
-/// [`Session::recorder`](crate::Session::recorder) **before** the
-/// simulation runs; recording costs one `Vec::push` per segment
-/// boundary. After the run, [`Recorder::replay`] hands back each
+/// Obtained from [`Session::recorder`](crate::Session::recorder)
+/// **before** the simulation runs; recording costs one `Vec::push` per
+/// segment boundary. After the run, [`Recorder::replay`] hands back each
 /// process's trace as a [`Replay`].
 ///
 /// # Examples

@@ -45,7 +45,7 @@ pub struct ProcessReport {
     /// Per-segment detail.
     pub segments: Vec<SegmentReport>,
     /// Instantaneous samples (when enabled via
-    /// [`crate::PerfModel::record_instantaneous`]).
+    /// [`crate::SimConfig::record_instantaneous`]).
     pub instantaneous: Vec<InstSample>,
 }
 
@@ -114,7 +114,7 @@ pub struct ChannelUtilization {
 /// Resource utilization & contention attribution for one run: which
 /// resources were busiest, how long processes queued behind them, and
 /// how deep the channels ran. Only populated when attribution was
-/// enabled (`SimConfig::attribution` / [`crate::PerfModel::attribution`]);
+/// enabled ([`crate::SimConfig::attribution`]);
 /// attribution is measurement-only, so enabling it never changes the
 /// simulated results themselves.
 #[derive(Debug, Clone, PartialEq)]
@@ -127,9 +127,8 @@ pub struct UtilizationReport {
     pub resources: Vec<ResourceUtilization>,
     /// Per-process contention entries, in spawn order.
     pub processes: Vec<ProcessContention>,
-    /// Per-channel entries, in creation order (filled from the kernel's
-    /// channel accounting by `Session::report`; empty when built from a
-    /// bare [`crate::PerfModel`]).
+    /// Per-channel entries, in creation order, from the kernel's
+    /// channel accounting.
     pub channels: Vec<ChannelUtilization>,
 }
 
@@ -184,8 +183,7 @@ pub struct Report {
     /// Per-resource results, in declaration order.
     pub resources: Vec<ResourceReport>,
     /// Utilization & contention attribution (`None` unless attribution
-    /// was enabled and the report was built through `Session::report`
-    /// or [`crate::PerfModel::utilization_report`]).
+    /// was enabled: [`crate::SimConfig::attribution`]).
     pub utilization: Option<UtilizationReport>,
 }
 
@@ -230,7 +228,7 @@ impl Report {
             })
             .collect();
         Report {
-            mode: inner.mode,
+            mode: inner.settings.mode,
             processes,
             resources,
             utilization: None,
@@ -313,7 +311,7 @@ impl Report {
 
 impl ProcessReport {
     /// Renders this process's instantaneous samples (when recorded via
-    /// [`crate::PerfModel::record_instantaneous`]) as CSV
+    /// [`crate::SimConfig::record_instantaneous`]) as CSV
     /// (`time_ns,from,to,cycles,dur_ns`) — the paper's "instantaneous
     /// estimated parameters for each process", ready for post-processing.
     pub fn instantaneous_csv(&self, node_label: impl Fn(u32) -> String) -> String {

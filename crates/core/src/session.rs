@@ -1,11 +1,11 @@
-//! The redesigned front door: a [`SimConfig`] builder describing *one
-//! simulation* — kernel options, platform, mode, recording — and the
-//! [`Session`] handle that owns that simulation's whole lifecycle.
+//! The front door: a [`SimConfig`] describing *one simulation* — kernel
+//! options, platform, mode, recording — and the [`Session`] it builds,
+//! which owns that simulation's whole lifecycle.
 //!
-//! Historically every consumer hand-assembled a
-//! [`Simulator`], a [`PerfModel`], trace sinks and replay plumbing
-//! through scattered constructors. A `SimConfig` collects all of it in
-//! one declarative value:
+//! Every analyzed simulation is configured once, by a `SimConfig`, and
+//! built as a `Session`; the kernel's and the estimator's settings are
+//! both fixed at the build. Elaboration helpers written against a
+//! simulator and its model get both from [`Session::parts_mut`].
 //!
 //! ```
 //! use scperf_core::{g_i64, CostTable, Mode, Platform, SimConfig};
@@ -45,7 +45,7 @@ use scperf_kernel::{
 use scperf_obs::{MetricsSnapshot, TraceSink, TraceTable};
 
 use crate::capture::{CaptureList, CapturePoint};
-use crate::estimator::Mode;
+use crate::estimator::{EstSettings, Mode};
 use crate::model::{PFifo, PRendezvous, PSignal, PerfModel};
 use crate::prog::ProgramSet;
 use crate::recorder::{Recorder, Replay};
@@ -64,13 +64,7 @@ use crate::site::MemoMode;
 pub struct SimConfig {
     options: SimOptions,
     platform: Platform,
-    mode: Mode,
-    record_instantaneous: bool,
-    record_dfgs: bool,
-    record_costs: bool,
-    site_memo: MemoMode,
-    run_limit: Option<Time>,
-    attribution: bool,
+    est: EstSettings,
 }
 
 impl Default for SimConfig {
@@ -85,13 +79,7 @@ impl SimConfig {
         SimConfig {
             options: SimOptions::new(),
             platform: Platform::new(),
-            mode: Mode::StrictTimed,
-            record_instantaneous: false,
-            record_dfgs: false,
-            record_costs: false,
-            site_memo: MemoMode::default(),
-            run_limit: None,
-            attribution: false,
+            est: EstSettings::default(),
         }
     }
 
@@ -109,7 +97,7 @@ impl SimConfig {
     /// Measurement-only — simulated results are bit-identical whether
     /// attribution is on or off. Off by default.
     pub fn attribution(mut self, enable: bool) -> SimConfig {
-        self.attribution = enable;
+        self.est.attribution = enable;
         self
     }
 
@@ -121,7 +109,7 @@ impl SimConfig {
 
     /// Sets the estimation mode (default [`Mode::StrictTimed`]).
     pub fn mode(mut self, mode: Mode) -> SimConfig {
-        self.mode = mode;
+        self.est.mode = mode;
         self
     }
 
@@ -140,23 +128,14 @@ impl SimConfig {
     /// Records one `(time, cycles)` sample per segment execution (the
     /// paper's "instantaneous estimated parameters").
     pub fn record_instantaneous(mut self) -> SimConfig {
-        self.record_instantaneous = true;
+        self.est.record_instantaneous = true;
         self
     }
 
     /// Records the dataflow graph of each hardware segment's first
     /// execution, for export to the HLS scheduler.
     pub fn record_dfgs(mut self) -> SimConfig {
-        self.record_dfgs = true;
-        self
-    }
-
-    /// Attaches a segment-cost [`Recorder`] to the session at build
-    /// time; fetch it afterwards with [`Session::recorder`]. The replay
-    /// source side of the pair is per-process:
-    /// [`Session::spawn_replaying`].
-    pub fn record_costs(mut self) -> SimConfig {
-        self.record_costs = true;
+        self.est.record_dfgs = true;
         self
     }
 
@@ -172,37 +151,16 @@ impl SimConfig {
     /// [`MemoMode::Replay`]); see [`crate::g_twin!`] for what a region is
     /// and when memoization engages.
     pub fn site_memo(mut self, mode: MemoMode) -> SimConfig {
-        self.site_memo = mode;
-        self
-    }
-
-    /// Caps simulation time: [`Session::run`] stops at `limit` (with
-    /// [`scperf_kernel::StopReason::TimeLimit`]) instead of running to
-    /// event exhaustion.
-    pub fn run_limit(mut self, limit: Time) -> SimConfig {
-        self.run_limit = Some(limit);
+        self.est.memo = mode;
         self
     }
 
     /// Builds the [`Session`]: simulator plus estimation model, wired
     /// per this configuration.
     pub fn build(self) -> Session {
-        let sim = Simulator::with_options(self.options.attribution(self.attribution));
-        let model = PerfModel::new(self.platform, self.mode);
-        model.attribution(self.attribution);
-        if self.record_instantaneous {
-            model.record_instantaneous();
-        }
-        if self.record_dfgs {
-            model.record_dfgs();
-        }
-        model.site_memo(self.site_memo);
-        let recorder = self.record_costs.then(|| model.recorder());
         Session {
-            sim,
-            model,
-            recorder,
-            run_limit: self.run_limit,
+            sim: Simulator::with_options(self.options.attribution(self.est.attribution)),
+            model: PerfModel::new(self.platform, self.est),
         }
     }
 }
@@ -231,8 +189,6 @@ impl SimConfig {
 pub struct Session {
     sim: Simulator,
     model: PerfModel,
-    recorder: Option<Recorder>,
-    run_limit: Option<Time>,
 }
 
 impl Session {
@@ -301,27 +257,28 @@ impl Session {
         self.model.capture_point(name)
     }
 
-    /// The session's segment-cost [`Recorder`]. Attaches one on first
-    /// call if [`SimConfig::record_costs`] was not set (recording only
-    /// captures segments executed *after* the recorder is attached, so
-    /// call this before [`Session::run`]).
-    pub fn recorder(&mut self) -> Recorder {
-        self.recorder
-            .get_or_insert_with(|| self.model.recorder())
-            .clone()
+    /// Attaches a segment-cost [`Recorder`]: from now on every segment
+    /// execution's estimated cycles are captured per process, in
+    /// execution order (one `Vec::push` per segment boundary). Only
+    /// segments executed after the attach are captured, so call this
+    /// before [`Session::run`]. After the run the recorder hands each
+    /// process's trace back as a [`Replay`] for
+    /// [`Session::spawn_replaying`] — the memoization that lets a
+    /// design-space exploration or a simulation service skip
+    /// re-estimating segments whose annotation cannot differ between
+    /// runs.
+    pub fn recorder(&self) -> Recorder {
+        Recorder::attach(&self.model.est)
     }
 
-    /// Runs the simulation to event exhaustion, or to the configured
-    /// [`SimConfig::run_limit`].
+    /// Runs the simulation to event exhaustion; [`Session::run_until`]
+    /// caps a run instead.
     ///
     /// # Errors
     ///
     /// Returns [`SimError::ProcessPanic`] if any process body panics.
     pub fn run(&mut self) -> Result<SimSummary, SimError> {
-        match self.run_limit {
-            Some(limit) => self.sim.run_until(limit),
-            None => self.sim.run(),
-        }
+        self.sim.run()
     }
 
     /// Runs until no events remain or simulation time would exceed
@@ -347,8 +304,10 @@ impl Session {
     /// contention%, per-process arbitration waits, and the kernel's
     /// per-channel queue-depth/blocked-time accounting.
     pub fn report(&self) -> Report {
-        let mut report = self.model.report();
-        report.utilization = self.model.utilization_report(self.sim.now()).map(|mut u| {
+        let inner = self.model.est.borrow();
+        let mut report = Report::build(&inner);
+        if inner.settings.attribution {
+            let mut u = Report::build_utilization(&inner, self.sim.now());
             u.channels = self
                 .sim
                 .sched_stats()
@@ -361,8 +320,8 @@ impl Session {
                     blocked: c.blocked,
                 })
                 .collect();
-            u
-        });
+            report.utilization = Some(u);
+        }
         report
     }
 
@@ -393,42 +352,31 @@ impl Session {
     }
 
     /// Replaces this session with a freshly built one on `platform`, with
-    /// the same configuration. Sessions are single-use, so this is the
-    /// one rebuild path: nothing is reset in place.
+    /// the settings this session was built with. Sessions are
+    /// single-use, so this is the one rebuild path: nothing is reset in
+    /// place.
     ///
-    /// The settings are read from the live session: the mode,
-    /// attribution, `record_instantaneous`, `record_dfgs`, the site-memo
-    /// policy and whether a recorder is attached come from the model (so
-    /// [`PerfModel`] setters called after the build carry over), the
-    /// trace mode from the kernel, and the run limit from the session. A
-    /// custom sink from [`SimConfig::trace_sink`] cannot be carried over
-    /// and is dropped. Handles taken from the old session (a
+    /// The kernel's trace mode carries over; a custom sink from
+    /// [`SimConfig::trace_sink`] cannot and is dropped. A recorder is a
+    /// handle, not a setting: attach one to the new session with
+    /// [`Session::recorder`]. Handles taken from the old session (a
     /// [`Recorder`], channels) stay bound to it.
     pub fn reset_with_platform(&mut self, platform: Platform) {
-        let config = {
-            let est = self.model.est.borrow();
-            SimConfig {
-                options: SimOptions::new().tracing(self.sim.trace_mode()),
-                platform,
-                mode: est.mode,
-                record_instantaneous: est.record_instantaneous,
-                record_dfgs: est.record_dfgs,
-                record_costs: est.record_segment_costs,
-                site_memo: est.memo_mode,
-                run_limit: self.run_limit,
-                attribution: est.attribution,
-            }
-        };
-        *self = config.build();
+        let est = self.model.est.borrow().settings;
+        *self = SimConfig {
+            options: SimOptions::new().tracing(self.sim.trace_mode()),
+            platform,
+            est,
+        }
+        .build();
     }
 
     /// Captures the segment-cost traces this session recorded, one per
     /// process; [`crate::Snapshot::replay`] hands one back for
     /// [`Session::spawn_replaying`].
     ///
-    /// The session must have run with recording enabled
-    /// ([`SimConfig::record_costs`], or [`Session::recorder`] called
-    /// before the run) — otherwise the captured traces are empty and
+    /// The session must have run with a [`Session::recorder`] attached
+    /// before the run — otherwise the captured traces are empty and
     /// replaying them panics at the first segment boundary.
     pub fn snapshot(&mut self) -> crate::pool::Snapshot {
         crate::pool::Snapshot::capture(self)
@@ -440,7 +388,8 @@ impl Session {
         &mut self.sim
     }
 
-    /// The underlying estimation model (reports, DFGs, Chrome traces).
+    /// The underlying estimation model (DFGs, Chrome traces, hot-path
+    /// counters).
     pub fn model(&self) -> &PerfModel {
         &self.model
     }
@@ -450,11 +399,6 @@ impl Session {
     /// take.
     pub fn parts_mut(&mut self) -> (&mut Simulator, &PerfModel) {
         (&mut self.sim, &self.model)
-    }
-
-    /// Decomposes the session into its parts.
-    pub fn into_parts(self) -> (Simulator, PerfModel) {
-        (self.sim, self.model)
     }
 }
 
@@ -556,16 +500,13 @@ mod tests {
     }
 
     #[test]
-    fn run_limit_caps_the_run() {
+    fn run_until_caps_the_run() {
         let (platform, cpu) = one_cpu();
-        let mut session = SimConfig::new()
-            .platform(platform)
-            .run_limit(Time::ns(7))
-            .build();
+        let mut session = SimConfig::new().platform(platform).build();
         session.spawn("p", cpu, |ctx| {
             crate::model::timed_wait(ctx, Time::us(1));
         });
-        let summary = session.run().unwrap();
+        let summary = session.run_until(Time::ns(7)).unwrap();
         assert_eq!(summary.end_time, Time::ns(7));
         assert_eq!(summary.reason, scperf_kernel::StopReason::TimeLimit);
     }
@@ -573,10 +514,8 @@ mod tests {
     #[test]
     fn record_and_replay_round_trip_is_bit_identical() {
         let (platform, cpu) = one_cpu();
-        let mut session = SimConfig::new()
-            .platform(platform.clone())
-            .record_costs()
-            .build();
+        let mut session = SimConfig::new().platform(platform.clone()).build();
+        let recorder = session.recorder();
         session.spawn("w", cpu, |_ctx| {
             let mut acc = g_i64(0);
             for i in 0..32 {
@@ -584,7 +523,7 @@ mod tests {
             }
         });
         let live = session.run().unwrap();
-        let replay = session.recorder().replay("w").unwrap();
+        let replay = recorder.replay("w").unwrap();
         assert!(!replay.is_empty());
 
         let mut session = SimConfig::new().platform(platform).build();
@@ -706,10 +645,10 @@ mod tests {
 
     #[test]
     fn reset_with_platform_carries_every_setting_over() {
-        use std::sync::atomic::{AtomicU64, Ordering};
+        use std::cell::Cell;
+        use std::rc::Rc;
 
-        // Every setting away from its default. The recorder is attached
-        // after the build, through the session, as a cached run does.
+        // Every setting away from its default.
         let settings = |platform: Platform| {
             SimConfig::new()
                 .platform(platform)
@@ -719,7 +658,6 @@ mod tests {
                 .record_instantaneous()
                 .record_dfgs()
                 .site_memo(MemoMode::Verify)
-                .run_limit(Time::ns(7))
         };
         let mut platform = Platform::new();
         let cpu = platform.sequential("cpu0", Time::ns(10), CostTable::risc_sw(), 50.0);
@@ -727,16 +665,18 @@ mod tests {
 
         // What each setting shows: the mode, attribution and
         // `record_instantaneous` in the report, the ring in the kernel
-        // events, `record_dfgs` in the DFGs, the run limit in the
-        // summary, the recorder in the replays, and the memo policy in
-        // which twin block ran (Verify re-runs the annotated one).
+        // events, `record_dfgs` in the DFGs, and the memo policy in
+        // which twin block ran (Verify re-runs the annotated one). The
+        // recorder is attached after the build, through the session, as
+        // a cached run does.
         let scenario = |session: &mut Session| {
-            let annotated = Arc::new(AtomicU64::new(0));
-            let probe = Arc::clone(&annotated);
+            let recorder = session.recorder();
+            let annotated = Rc::new(Cell::new(0));
+            let probe = Rc::clone(&annotated);
             session.spawn("w", cpu, move |_ctx| {
                 for i in 0..3 {
                     let ran = crate::g_twin!((0) which_ran(G::raw(i)));
-                    probe.fetch_add(ran, Ordering::Relaxed);
+                    probe.set(probe.get() + ran);
                 }
             });
             session.spawn("h", hw, |_ctx| {
@@ -756,20 +696,20 @@ mod tests {
                 table.events,
                 table.dropped,
                 session.model().dfgs("h"),
-                session.recorder().replays(),
-                annotated.load(Ordering::Relaxed),
+                recorder.replays(),
+                annotated.get(),
             )
         };
 
-        let mut fresh = settings(platform.clone()).build();
-        fresh.recorder();
-        let expected = scenario(&mut fresh);
-        assert_eq!(expected.0.reason, scperf_kernel::StopReason::TimeLimit);
+        let expected = scenario(&mut settings(platform.clone()).build());
+        assert_eq!(expected.0.end_time, Time::us(1), "estimate-only is untimed");
         assert!(expected.1.utilization.is_some());
         assert!(expected.3 > 0, "the ring dropped events");
+        assert!(expected.5.iter().all(|(_, r)| !r.is_empty()));
         assert_eq!(expected.6, 3, "verify charges every repeat live");
 
-        // First life on another platform, with an unrelated scenario.
+        // First life on another platform, with an unrelated scenario
+        // and a recorder of its own.
         let (other, other_cpu) = one_cpu();
         let mut session = settings(other).build();
         session.recorder();

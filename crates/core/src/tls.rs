@@ -534,7 +534,10 @@ pub(crate) mod testutil {
         ThreadCtx {
             est: Rc::new(RefCell::new(EstInner::new(
                 platform,
-                crate::Mode::EstimateOnly,
+                crate::estimator::EstSettings {
+                    mode: crate::Mode::EstimateOnly,
+                    ..Default::default()
+                },
             ))),
             pid: 0,
             resource,

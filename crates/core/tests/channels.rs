@@ -2,10 +2,10 @@
 //! auxiliary reporting features.
 
 use scperf_core::{
-    charge_op, g_i32, timed_wait, timed_wait_labeled, CostTable, Mode, Op, PerfModel, Platform,
-    ProcessGraph,
+    charge_op, g_i32, timed_wait, timed_wait_labeled, CostTable, Op, Platform, ProcessGraph,
+    SimConfig,
 };
-use scperf_kernel::{SimOptions, Simulator, Time, TraceMode};
+use scperf_kernel::{Time, TraceMode};
 
 fn one_cpu_platform() -> (Platform, scperf_core::ResourceId) {
     let mut p = Platform::new();
@@ -21,11 +21,10 @@ fn one_cpu_platform() -> (Platform, scperf_core::ResourceId) {
 #[test]
 fn rendezvous_wrapper_marks_segments_and_synchronizes() {
     let (platform, cpu) = one_cpu_platform();
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    let ch = model.rendezvous::<i32>(&mut sim, "sync");
+    let mut session = SimConfig::new().platform(platform).build();
+    let ch = session.rendezvous::<i32>("sync");
     let (w, r) = (ch.clone(), ch);
-    model.spawn(&mut sim, "writer", cpu, move |ctx| {
+    session.spawn("writer", cpu, move |ctx| {
         for i in 0..5 {
             for _ in 0..100 {
                 charge_op(Op::Add);
@@ -33,13 +32,13 @@ fn rendezvous_wrapper_marks_segments_and_synchronizes() {
             w.write(ctx, i);
         }
     });
-    sim.spawn("reader", move |ctx| {
+    session.spawn_untimed("reader", move |ctx| {
         for i in 0..5 {
             assert_eq!(r.read(ctx), i);
         }
     });
-    sim.run().unwrap();
-    let report = model.report();
+    session.run().unwrap();
+    let report = session.report();
     let writer = report.process("writer").unwrap();
     // 5 segments ending at sync.write + the exit segment.
     let seg = writer.segment("sync.write", "sync.write").unwrap();
@@ -52,11 +51,10 @@ fn rendezvous_wrapper_marks_segments_and_synchronizes() {
 #[test]
 fn signal_wrapper_write_is_a_node_but_read_is_not() {
     let (platform, cpu) = one_cpu_platform();
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    let s = model.signal(&mut sim, "level", 0_i32);
+    let mut session = SimConfig::new().platform(platform).build();
+    let s = session.signal("level", 0_i32);
     let sw = s.clone();
-    model.spawn(&mut sim, "driver", cpu, move |ctx| {
+    session.spawn("driver", cpu, move |ctx| {
         for _ in 0..50 {
             charge_op(Op::Add);
         }
@@ -68,8 +66,8 @@ fn signal_wrapper_write_is_a_node_but_read_is_not() {
         }
         timed_wait(ctx, Time::ZERO);
     });
-    sim.run().unwrap();
-    let report = model.report();
+    session.run().unwrap();
+    let report = session.report();
     let p = report.process("driver").unwrap();
     let to_write = p.segment("entry", "level.write").unwrap();
     assert_eq!(to_write.stats.total_cycles, 50.0);
@@ -81,9 +79,8 @@ fn signal_wrapper_write_is_a_node_but_read_is_not() {
 #[test]
 fn labeled_waits_become_distinct_nodes() {
     let (platform, cpu) = one_cpu_platform();
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    model.spawn(&mut sim, "p", cpu, move |ctx| {
+    let mut session = SimConfig::new().platform(platform).build();
+    session.spawn("p", cpu, move |ctx| {
         for _ in 0..3 {
             charge_op(Op::Add);
             timed_wait_labeled(ctx, Time::ns(5), "phase_a");
@@ -92,8 +89,8 @@ fn labeled_waits_become_distinct_nodes() {
             timed_wait_labeled(ctx, Time::ns(5), "phase_b");
         }
     });
-    sim.run().unwrap();
-    let report = model.report();
+    session.run().unwrap();
+    let report = session.report();
     let p = report.process("p").unwrap();
     let a_to_b = p.segment("wait:phase_a", "wait:phase_b").unwrap();
     assert_eq!(a_to_b.stats.count, 3);
@@ -109,18 +106,17 @@ fn labeled_waits_become_distinct_nodes() {
 #[test]
 fn capture_csv_and_matlab_round_trip() {
     let (platform, cpu) = one_cpu_platform();
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    let cp = model.capture_point("sample");
+    let mut session = SimConfig::new().platform(platform).build();
+    let cp = session.capture_point("sample");
     let cp2 = cp.clone();
-    model.spawn(&mut sim, "p", cpu, move |ctx| {
+    session.spawn("p", cpu, move |ctx| {
         for i in 0..4 {
             timed_wait(ctx, Time::us(1));
             cp2.capture_value_if(ctx, i % 2 == 0, i as f64);
         }
     });
-    sim.run().unwrap();
-    let lists = model.captures();
+    session.run().unwrap();
+    let lists = session.captures();
     let list = &lists[0];
     assert_eq!(list.events.len(), 2); // conditional: i = 0, 2
     let csv = list.to_csv();
@@ -147,11 +143,10 @@ fn instrumented_fifo_between_sw_and_hw_processes() {
         CostTable::from_pairs([(Op::Add, 1.0)]),
         1.0,
     );
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    let ch = model.fifo::<i32>(&mut sim, "data", 2);
+    let mut session = SimConfig::new().platform(platform).build();
+    let ch = session.fifo::<i32>("data", 2);
     let (tx, rx) = (ch.clone(), ch);
-    model.spawn(&mut sim, "producer_sw", cpu, move |ctx| {
+    session.spawn("producer_sw", cpu, move |ctx| {
         for i in 0..10 {
             let mut v = g_i32(i);
             for _ in 0..100 {
@@ -160,15 +155,15 @@ fn instrumented_fifo_between_sw_and_hw_processes() {
             tx.write(ctx, v.get());
         }
     });
-    model.spawn(&mut sim, "consumer_hw", hw, move |ctx| {
+    session.spawn("consumer_hw", hw, move |ctx| {
         let mut sum = g_i32(0);
         for _ in 0..10 {
             sum = sum + rx.read(ctx);
         }
         assert_eq!(sum.get(), 45);
     });
-    let summary = sim.run().unwrap();
-    let report = model.report();
+    let summary = session.run().unwrap();
+    let report = session.report();
     // Producer: 10 data segments of 100 adds (g_i32's assign costs 0 here).
     let producer = report.process("producer_sw").unwrap();
     assert_eq!(producer.total_cycles, 1000.0);
@@ -184,11 +179,13 @@ fn instrumented_fifo_between_sw_and_hw_processes() {
 #[test]
 fn vcd_export_from_an_instrumented_model() {
     let (platform, cpu) = one_cpu_platform();
-    let mut sim = SimOptions::new().tracing(TraceMode::Unbounded).build();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    let s = model.signal(&mut sim, "beat", 0_i32);
+    let mut session = SimConfig::new()
+        .platform(platform)
+        .tracing(TraceMode::Unbounded)
+        .build();
+    let s = session.signal("beat", 0_i32);
     let sw = s.clone();
-    model.spawn(&mut sim, "p", cpu, move |ctx| {
+    session.spawn("p", cpu, move |ctx| {
         for i in 1..=3 {
             for _ in 0..100 {
                 charge_op(Op::Add);
@@ -197,8 +194,8 @@ fn vcd_export_from_an_instrumented_model() {
             timed_wait(ctx, Time::ZERO);
         }
     });
-    sim.run().unwrap();
-    let vcd = scperf_kernel::vcd::trace_to_vcd(&sim.take_trace(), "1ns");
+    session.run().unwrap();
+    let vcd = scperf_kernel::vcd::trace_to_vcd(&session.sim().take_trace(), "1ns");
     assert!(vcd.contains("$var wire 32 ! beat $end"));
     // Three value changes at 1us, 2us, 3us (100 cycles @ 10ns each).
     assert!(vcd.contains("#1000"));
@@ -209,10 +206,11 @@ fn vcd_export_from_an_instrumented_model() {
 #[test]
 fn report_and_instantaneous_csv_exports() {
     let (platform, cpu) = one_cpu_platform();
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    model.record_instantaneous();
-    model.spawn(&mut sim, "p", cpu, move |ctx| {
+    let mut session = SimConfig::new()
+        .platform(platform)
+        .record_instantaneous()
+        .build();
+    session.spawn("p", cpu, move |ctx| {
         for n in [5_u64, 9] {
             for _ in 0..n {
                 charge_op(Op::Add);
@@ -220,13 +218,13 @@ fn report_and_instantaneous_csv_exports() {
             timed_wait(ctx, Time::ZERO);
         }
     });
-    sim.run().unwrap();
-    let report = model.report();
+    session.run().unwrap();
+    let report = session.report();
     let csv = report.to_csv();
     assert!(csv.starts_with("process,resource,kind,cycles,time_ns,rtos_ns,segments\n"));
     assert!(csv.contains("p,cpu,Sequential,14,140,0,3"));
     let p = report.process("p").unwrap();
-    let inst = p.instantaneous_csv(|n| model.node_label(n));
+    let inst = p.instantaneous_csv(|n| session.model().node_label(n));
     assert!(inst.starts_with("time_ns,from,to,cycles,dur_ns\n"));
     assert!(inst.contains("entry,wait,5"));
     assert!(inst.contains("wait,wait,9"));

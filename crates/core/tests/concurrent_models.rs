@@ -1,22 +1,22 @@
 //! Coexistence audit for the estimator: concurrent models, nested
 //! simulations and processes sharing one thread.
 //!
-//! The design-space-exploration engine runs one `Simulator` + `PerfModel`
-//! per worker thread, many workers per process, and every process of a
-//! simulation runs as a coroutine on the thread that calls
-//! `Simulator::run`. These tests pin the invariants that make that safe:
+//! The design-space-exploration engine runs one `Session` per worker
+//! thread, many workers per process, and every process of a simulation
+//! runs as a coroutine on the thread that calls `Session::run`. These
+//! tests pin the invariants that make that safe:
 //!
-//! * all estimator state is per-`PerfModel` (`Rc<RefCell<EstInner>>`),
-//!   not process-global, so concurrent models cannot observe each other;
+//! * all estimator state is per-session (`Rc<RefCell<EstInner>>`), not
+//!   process-global, so concurrent sessions cannot observe each other;
 //! * each process's estimation context follows it across context
 //!   switches: a process suspended mid-segment, or running an inner
 //!   simulation, keeps its own accumulators, and the worker thread
-//!   driving `Simulator::run` keeps none;
-//! * segment-cost replay ([`PerfModel::spawn_replaying`]) reproduces a
+//!   driving `Session::run` keeps none;
+//! * segment-cost replay ([`Session::spawn_replaying`]) reproduces a
 //!   live run's strict-timed schedule bit-exactly.
 
-use scperf_core::{charge_op, timed_wait, CostTable, Mode, Op, PerfModel, Platform, Replay};
-use scperf_kernel::{Simulator, Time};
+use scperf_core::{charge_op, timed_wait, CostTable, Op, Platform, Replay, SimConfig};
+use scperf_kernel::Time;
 
 /// Charges exactly `n` unit-cost Adds into the running segment.
 fn burn(n: u64) {
@@ -33,18 +33,17 @@ fn run_pipeline(seed: u64) -> (Time, f64, f64) {
     let table = CostTable::from_pairs([(Op::Add, 1.0)]);
     let mut platform = Platform::new();
     let cpu = platform.sequential("cpu", Time::ns(10), table, 25.0);
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    let fifo = model.fifo::<u64>(&mut sim, "frames", 2);
+    let mut session = SimConfig::new().platform(platform).build();
+    let fifo = session.fifo::<u64>("frames", 2);
 
     let tx = fifo.clone();
-    model.spawn(&mut sim, "producer", cpu, move |ctx| {
+    session.spawn("producer", cpu, move |ctx| {
         for i in 0..4_u64 {
             burn(100 + seed % 7 + i);
             tx.write(ctx, i);
         }
     });
-    model.spawn(&mut sim, "consumer", cpu, move |ctx| {
+    session.spawn("consumer", cpu, move |ctx| {
         for _ in 0..4 {
             let v = fifo.read(ctx);
             burn(50 + v);
@@ -52,8 +51,8 @@ fn run_pipeline(seed: u64) -> (Time, f64, f64) {
         }
     });
 
-    let stats = sim.run().unwrap();
-    let report = model.report();
+    let stats = session.run().unwrap();
+    let report = session.report();
     (
         stats.end_time,
         report.process("producer").unwrap().total_cycles,
@@ -87,15 +86,14 @@ fn nested_simulation_on_a_process_thread_is_isolated() {
     let table = CostTable::from_pairs([(Op::Add, 1.0)]);
     let mut platform = Platform::new();
     let cpu = platform.sequential("cpu", Time::ns(10), table, 0.0);
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    model.spawn(&mut sim, "outer", cpu, |_ctx| {
+    let mut session = SimConfig::new().platform(platform).build();
+    session.spawn("outer", cpu, |_ctx| {
         burn(10);
         let (inner_end, _, _) = run_pipeline(3);
         assert!(inner_end > Time::ZERO);
         burn(10);
     });
-    let stats = sim.run().unwrap();
+    let stats = session.run().unwrap();
     assert_eq!(stats.end_time, Time::ns(200), "20 cycles @ 10ns");
 }
 
@@ -108,16 +106,15 @@ fn raw_wait_mid_segment_keeps_each_process_accumulators() {
     let mut platform = Platform::new();
     let cpu_a = platform.sequential("cpu_a", Time::ns(10), table.clone(), 0.0);
     let cpu_b = platform.sequential("cpu_b", Time::ns(10), table, 0.0);
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    model.spawn(&mut sim, "a", cpu_a, |ctx| {
+    let mut session = SimConfig::new().platform(platform).build();
+    session.spawn("a", cpu_a, |ctx| {
         burn(10);
         ctx.wait(Time::ns(1));
         burn(10);
     });
-    model.spawn(&mut sim, "b", cpu_b, |_ctx| burn(1000));
-    sim.run().unwrap();
-    let report = model.report();
+    session.spawn("b", cpu_b, |_ctx| burn(1000));
+    session.run().unwrap();
+    let report = session.report();
     assert_eq!(report.process("a").unwrap().total_cycles, 20.0);
     assert_eq!(report.process("b").unwrap().total_cycles, 1000.0);
 }
@@ -128,26 +125,25 @@ fn record_traces(seed: u64) -> (Time, Replay, Replay) {
     let table = CostTable::from_pairs([(Op::Add, 1.0)]);
     let mut platform = Platform::new();
     let cpu = platform.sequential("cpu", Time::ns(10), table, 25.0);
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    let recorder = model.recorder();
-    let fifo = model.fifo::<u64>(&mut sim, "frames", 2);
+    let mut session = SimConfig::new().platform(platform).build();
+    let recorder = session.recorder();
+    let fifo = session.fifo::<u64>("frames", 2);
 
     let tx = fifo.clone();
-    model.spawn(&mut sim, "producer", cpu, move |ctx| {
+    session.spawn("producer", cpu, move |ctx| {
         for i in 0..4_u64 {
             burn(100 + seed % 7 + i);
             tx.write(ctx, i);
         }
     });
-    model.spawn(&mut sim, "consumer", cpu, move |ctx| {
+    session.spawn("consumer", cpu, move |ctx| {
         for _ in 0..4 {
             let v = fifo.read(ctx);
             burn(50 + v);
             timed_wait(ctx, Time::ns(30));
         }
     });
-    let stats = sim.run().unwrap();
+    let stats = session.run().unwrap();
     (
         stats.end_time,
         recorder.replay("producer").unwrap(),
@@ -166,27 +162,26 @@ fn replayed_run_matches_live_run_bit_exactly() {
     let table = CostTable::from_pairs([(Op::Add, 1.0)]);
     let mut platform = Platform::new();
     let cpu = platform.sequential("cpu", Time::ns(10), table, 25.0);
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    let fifo = model.fifo::<u64>(&mut sim, "frames", 2);
+    let mut session = SimConfig::new().platform(platform).build();
+    let fifo = session.fifo::<u64>("frames", 2);
 
     let tx = fifo.clone();
-    model.spawn_replaying(&mut sim, "producer", cpu, prod_trace.clone(), move |ctx| {
+    session.spawn_replaying("producer", cpu, prod_trace.clone(), move |ctx| {
         for i in 0..4_u64 {
             // plain body: no charging at all
             tx.write(ctx, i);
         }
     });
-    model.spawn_replaying(&mut sim, "consumer", cpu, cons_trace, move |ctx| {
+    session.spawn_replaying("consumer", cpu, cons_trace, move |ctx| {
         for _ in 0..4 {
             let _ = fifo.read(ctx);
             timed_wait(ctx, Time::ns(30));
         }
     });
 
-    let stats = sim.run().unwrap();
+    let stats = session.run().unwrap();
     assert_eq!(stats.end_time, live_end, "replay must be bit-identical");
-    let report = model.report();
+    let report = session.report();
     let live_total: f64 = prod_trace.cycles().iter().sum();
     assert_eq!(report.process("producer").unwrap().total_cycles, live_total);
 }
@@ -199,11 +194,10 @@ fn replay_with_charging_body_still_uses_trace() {
     let table = CostTable::from_pairs([(Op::Add, 1.0)]);
     let mut platform = Platform::new();
     let cpu = platform.sequential("cpu", Time::ns(10), table, 0.0);
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    model.spawn_replaying(&mut sim, "p", cpu, Replay::new(vec![40.0]), |_ctx| {
+    let mut session = SimConfig::new().platform(platform).build();
+    session.spawn_replaying("p", cpu, Replay::new(vec![40.0]), |_ctx| {
         burn(1_000_000); // ignored
     });
-    let stats = sim.run().unwrap();
+    let stats = session.run().unwrap();
     assert_eq!(stats.end_time, Time::ns(400), "40 cycles @ 10ns");
 }

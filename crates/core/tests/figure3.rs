@@ -13,8 +13,7 @@
 //!
 //! The paper's running totals: 5.4 → 8.4 → 15.4 → 35.4 → **75.8** cycles.
 
-use scperf_core::{g_call, g_if, CostTable, GArr, Mode, PerfModel, Platform, G};
-use scperf_kernel::Simulator;
+use scperf_core::{g_call, g_if, CostTable, GArr, Platform, SimConfig, G};
 use scperf_kernel::Time;
 
 /// `func` is constructed to contribute exactly 40.4 cycles with the Figure 3
@@ -37,18 +36,17 @@ fn figure3_segment_costs_75_8_cycles() {
     // 100 MHz CPU, no RTOS cost so the segment time is pure computation.
     let cpu = platform.sequential("cpu", Time::ns(10), CostTable::figure3(), 0.0);
 
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    let ch1 = model.fifo::<i32>(&mut sim, "ch1", 1);
-    let ch2 = model.fifo::<i32>(&mut sim, "ch2", 1);
+    let mut session = SimConfig::new().platform(platform).build();
+    let ch1 = session.fifo::<i32>("ch1", 1);
+    let ch2 = session.fifo::<i32>("ch2", 1);
 
     let (ch1_w, ch1_r) = (ch1.clone(), ch1);
     let (ch2_w, ch2_r) = (ch2.clone(), ch2);
-    sim.spawn("env", move |ctx| {
+    session.spawn_untimed("env", move |ctx| {
         ch1_w.raw().write(ctx, 0);
         ch2_w.raw().write(ctx, 0);
     });
-    model.spawn(&mut sim, "proc", cpu, move |ctx| {
+    session.spawn("proc", cpu, move |ctx| {
         let mut i = G::raw(-1_i32);
         let c = G::raw(20_i32);
         let d = G::raw(22_i32);
@@ -65,9 +63,9 @@ fn figure3_segment_costs_75_8_cycles() {
         let _ = ch2_r.read(ctx); // node: segment of interest ends here
         let _ = datao;
     });
-    sim.run().unwrap();
+    session.run().unwrap();
 
-    let report = model.report();
+    let report = session.report();
     let proc = report.process("proc").unwrap();
     let seg = proc
         .segment("ch1.read", "ch2.read")
@@ -87,18 +85,17 @@ fn figure3_condition_false_skips_branch_body() {
     // When the condition does not hold, only t_if + t_< accrue for the if.
     let mut platform = Platform::new();
     let cpu = platform.sequential("cpu", Time::ns(10), CostTable::figure3(), 0.0);
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
-    let ch1 = model.fifo::<i32>(&mut sim, "ch1", 1);
-    let ch2 = model.fifo::<i32>(&mut sim, "ch2", 1);
+    let mut session = SimConfig::new().platform(platform).build();
+    let ch1 = session.fifo::<i32>("ch1", 1);
+    let ch2 = session.fifo::<i32>("ch2", 1);
 
     let (ch1_w, ch1_r) = (ch1.clone(), ch1);
     let (ch2_w, ch2_r) = (ch2.clone(), ch2);
-    sim.spawn("env", move |ctx| {
+    session.spawn_untimed("env", move |ctx| {
         ch1_w.raw().write(ctx, 0);
         ch2_w.raw().write(ctx, 0);
     });
-    model.spawn(&mut sim, "proc", cpu, move |ctx| {
+    session.spawn("proc", cpu, move |ctx| {
         let mut i = G::raw(1_i32); // positive: branch body skipped
         let c = G::raw(20_i32);
         let d = G::raw(22_i32);
@@ -108,9 +105,9 @@ fn figure3_condition_false_skips_branch_body() {
         });
         let _ = ch2_r.read(ctx);
     });
-    sim.run().unwrap();
+    session.run().unwrap();
 
-    let report = model.report();
+    let report = session.report();
     let seg = report
         .process("proc")
         .unwrap()

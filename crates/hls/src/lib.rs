@@ -6,7 +6,7 @@
 //! from Synopsys". This crate is the open substitute: the textbook
 //! scheduling cores of behavioral synthesis, operating directly on the
 //! dataflow graphs the estimation library records
-//! ([`scperf_core::PerfModel::record_dfgs`]).
+//! ([`scperf_core::SimConfig::record_dfgs`]).
 //!
 //! * [`schedule_asap`] — unlimited resources; its makespan is the critical
 //!   path, the *time-constrained* / best-case reference.

@@ -1,10 +1,10 @@
 //! A bounded log-linear (HDR-style) histogram for long-running
 //! aggregation.
 //!
-//! [`LatencySamples`](crate::stats::LatencySamples) keeps every sample
-//! in a `Vec<f64>` — exact, but unbounded: a service recording one
-//! sample per request grows without limit. [`LogHistogram`] trades a
-//! bounded relative error for a fixed footprint:
+//! Keeping every sample in a `Vec<f64>` is exact, but unbounded: a
+//! service recording one sample per request would grow without limit.
+//! [`LogHistogram`] trades a bounded relative error for a fixed
+//! footprint:
 //!
 //! * values are recorded as integer ticks (the serve layer uses
 //!   nanoseconds) into log-linear buckets — exact below
@@ -130,7 +130,7 @@ impl LogHistogram {
 
     /// Records a microsecond sample as nanosecond ticks (the convention
     /// used by the serve layer). Non-finite and negative samples are
-    /// ignored, mirroring [`crate::stats::LatencySamples::record_us`].
+    /// ignored: they would poison every percentile.
     pub fn record_us(&mut self, us: f64) {
         if us.is_finite() && us >= 0.0 {
             self.record((us * 1e3).round() as u64);

@@ -18,10 +18,9 @@
 //!   answering "where does wall-clock go" (scheduling vs. estimation
 //!   vs. channel ops), the Figure-4 overhead question for our own
 //!   kernel.
-//! * **Latency distributions** ([`stats`], [`histogram`]) — exact
-//!   sample bags for short runs and the bounded, mergeable
-//!   [`LogHistogram`] (fixed ~11 KB footprint, <1% relative quantile
-//!   error) for long-running services.
+//! * **Latency distributions** ([`stats`], [`histogram`]) — the
+//!   bounded, mergeable [`LogHistogram`] (fixed ~11 KB footprint, <1%
+//!   relative quantile error) and the percentile summary it exports.
 //! * **Exporters** ([`chrome`], [`json`], [`prom`]) — Chrome
 //!   `trace_event` JSON loadable in Perfetto / `chrome://tracing` with
 //!   one track per process or resource, metric counter tracks, a tiny
@@ -51,5 +50,5 @@ pub use histogram::LogHistogram;
 pub use intern::{Interner, Sym};
 pub use metrics::{MetricValue, MetricsSnapshot};
 pub use sink::{MemorySink, TraceSink};
-pub use stats::{LatencySamples, LatencySummary};
+pub use stats::LatencySummary;
 pub use value::Payload;

@@ -1,67 +1,14 @@
 //! Latency statistics for request-serving layers.
 //!
-//! [`LatencySamples`] accumulates per-request durations (in
-//! microseconds) and summarizes them as the percentiles a service
-//! report needs — p50/p90/p99 plus min/max/mean. The serve layer keeps
-//! one instance per run and folds the summary into its
-//! [`crate::MetricsSnapshot`] under a caller-chosen
-//! prefix (`serve.latency.*`).
+//! [`LatencySummary`] is the percentile summary a service report needs —
+//! p50/p90/p99 plus min/max/mean, in microseconds — as
+//! [`crate::LogHistogram::summary`] returns it; the serve layer keeps
+//! one histogram per latency it tracks and folds each summary into its
+//! [`crate::MetricsSnapshot`] under a caller-chosen prefix
+//! (`serve.latency.*`). [`percentile`] reads one percentile off a sorted
+//! slice of samples.
 
 use crate::MetricsSnapshot;
-
-/// A bag of latency samples in microseconds.
-///
-/// Samples are kept raw (8 bytes each) and sorted once at summary
-/// time; for the request volumes a simulation service sees this is
-/// both exact and cheap, with none of a histogram's bucketing error.
-#[derive(Debug, Default, Clone)]
-pub struct LatencySamples {
-    samples: Vec<f64>,
-}
-
-impl LatencySamples {
-    /// An empty bag.
-    pub fn new() -> LatencySamples {
-        LatencySamples::default()
-    }
-
-    /// Records one duration in microseconds. Non-finite values are
-    /// ignored (they would poison every percentile).
-    pub fn record_us(&mut self, us: f64) {
-        if us.is_finite() {
-            self.samples.push(us);
-        }
-    }
-
-    /// Number of recorded samples.
-    pub fn len(&self) -> usize {
-        self.samples.len()
-    }
-
-    /// Whether no samples were recorded.
-    pub fn is_empty(&self) -> bool {
-        self.samples.is_empty()
-    }
-
-    /// Summarizes the samples; `None` when empty.
-    pub fn summary(&self) -> Option<LatencySummary> {
-        if self.samples.is_empty() {
-            return None;
-        }
-        let mut sorted = self.samples.clone();
-        sorted.sort_by(f64::total_cmp);
-        let sum: f64 = sorted.iter().sum();
-        Some(LatencySummary {
-            count: sorted.len(),
-            min_us: sorted[0],
-            max_us: *sorted.last().expect("non-empty"),
-            mean_us: sum / sorted.len() as f64,
-            p50_us: percentile(&sorted, 50.0),
-            p90_us: percentile(&sorted, 90.0),
-            p99_us: percentile(&sorted, 99.0),
-        })
-    }
-}
 
 /// Percentile summary of a latency distribution, in microseconds.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -135,75 +82,24 @@ mod tests {
     }
 
     #[test]
-    fn summary_covers_the_distribution() {
-        let mut lat = LatencySamples::new();
-        for v in [5.0, 1.0, 3.0, 2.0, 4.0] {
-            lat.record_us(v);
-        }
-        lat.record_us(f64::NAN); // ignored
-        let s = lat.summary().expect("non-empty");
-        assert_eq!(s.count, 5);
-        assert_eq!(s.min_us, 1.0);
-        assert_eq!(s.max_us, 5.0);
-        assert_eq!(s.mean_us, 3.0);
-        assert_eq!(s.p50_us, 3.0);
-        assert!(s.p99_us > s.p50_us);
-    }
-
-    #[test]
     fn summary_exports_named_metrics() {
-        let mut lat = LatencySamples::new();
-        lat.record_us(10.0);
-        lat.record_us(30.0);
+        let summary = LatencySummary {
+            count: 2,
+            min_us: 10.0,
+            max_us: 30.0,
+            mean_us: 20.0,
+            p50_us: 20.0,
+            p90_us: 28.0,
+            p99_us: 29.8,
+        };
         let mut m = MetricsSnapshot::new();
-        lat.summary()
-            .expect("non-empty")
-            .export(&mut m, "serve.latency");
+        summary.export(&mut m, "serve.latency");
         assert_eq!(m.counter("serve.latency.count"), Some(2));
-        assert_eq!(m.gauge("serve.latency.p50_us"), Some(20.0));
+        assert_eq!(m.gauge("serve.latency.min_us"), Some(10.0));
         assert_eq!(m.gauge("serve.latency.max_us"), Some(30.0));
-    }
-
-    #[test]
-    fn empty_bag_has_no_summary() {
-        assert!(LatencySamples::new().summary().is_none());
-    }
-
-    #[test]
-    fn single_sample_is_every_percentile() {
-        let mut lat = LatencySamples::new();
-        lat.record_us(42.0);
-        let s = lat.summary().expect("one sample");
-        assert_eq!(s.count, 1);
-        for v in [s.min_us, s.max_us, s.mean_us, s.p50_us, s.p90_us, s.p99_us] {
-            assert_eq!(v, 42.0);
-        }
-    }
-
-    #[test]
-    fn duplicate_samples_collapse_percentiles() {
-        let mut lat = LatencySamples::new();
-        for _ in 0..100 {
-            lat.record_us(7.0);
-        }
-        let s = lat.summary().expect("non-empty");
-        assert_eq!(s.count, 100);
-        assert_eq!((s.p50_us, s.p90_us, s.p99_us), (7.0, 7.0, 7.0));
-        assert_eq!(s.mean_us, 7.0);
-    }
-
-    #[test]
-    fn signed_zeros_sort_stably() {
-        // total_cmp orders -0.0 before 0.0; the summary must neither
-        // panic nor produce a nonsensical ordering.
-        let mut lat = LatencySamples::new();
-        lat.record_us(0.0);
-        lat.record_us(-0.0);
-        lat.record_us(1.0);
-        let s = lat.summary().expect("non-empty");
-        assert_eq!(s.min_us, 0.0); // -0.0 == 0.0 numerically…
-        assert!(s.min_us.is_sign_negative(), "…but -0.0 sorts first");
-        assert_eq!(s.max_us, 1.0);
-        assert!(s.p50_us <= s.p90_us && s.p90_us <= s.p99_us);
+        assert_eq!(m.gauge("serve.latency.mean_us"), Some(20.0));
+        assert_eq!(m.gauge("serve.latency.p50_us"), Some(20.0));
+        assert_eq!(m.gauge("serve.latency.p90_us"), Some(28.0));
+        assert_eq!(m.gauge("serve.latency.p99_us"), Some(29.8));
     }
 }

@@ -132,92 +132,80 @@ pub enum Disposition {
     Shutdown,
 }
 
-#[derive(Debug, Default)]
-struct Counters {
-    received: AtomicU64,
-    accepted: AtomicU64,
-    rejected: AtomicU64,
-    invalid: AtomicU64,
-    completed: AtomicU64,
-    failed: AtomicU64,
-    deadline_exceeded: AtomicU64,
-    batches: AtomicU64,
-    panics: AtomicU64,
-    flight_dumps: AtomicU64,
-    op_sim: AtomicU64,
-    op_batch: AtomicU64,
-    op_ping: AtomicU64,
-    op_stats: AtomicU64,
-    op_telemetry: AtomicU64,
-    op_shutdown: AtomicU64,
-    est_fast_charges: AtomicU64,
-    est_site_hits: AtomicU64,
-    est_site_misses: AtomicU64,
-    est_dfg_arena_reuse: AtomicU64,
+/// The service's counters, each one slot of [`Counters`]; a counter's
+/// metric name is `COUNTER_NAMES[counter as usize]`.
+#[derive(Debug, Clone, Copy)]
+enum Counter {
+    Received,
+    Accepted,
+    Rejected,
+    Invalid,
+    Completed,
+    Failed,
+    DeadlineExceeded,
+    Batches,
+    Panics,
+    FlightDumps,
+    OpSim,
+    OpBatch,
+    OpPing,
+    OpStats,
+    OpTelemetry,
+    OpShutdown,
+    EstFastCharges,
+    EstSiteHits,
+    EstSiteMisses,
+    EstDfgArenaReuse,
 }
 
-/// One coherent reading of every counter, taken by [`Counters::read`].
-#[derive(Debug, Default, Clone, Copy)]
-struct CounterValues {
-    received: u64,
-    accepted: u64,
-    rejected: u64,
-    invalid: u64,
-    completed: u64,
-    failed: u64,
-    deadline_exceeded: u64,
-    batches: u64,
-    panics: u64,
-    flight_dumps: u64,
-    op_sim: u64,
-    op_batch: u64,
-    op_ping: u64,
-    op_stats: u64,
-    op_telemetry: u64,
-    op_shutdown: u64,
-    est_fast_charges: u64,
-    est_site_hits: u64,
-    est_site_misses: u64,
-    est_dfg_arena_reuse: u64,
-}
+/// The metric name of each [`Counter`], in declaration order.
+const COUNTER_NAMES: [&str; 20] = [
+    "serve.requests",
+    "serve.accepted",
+    "serve.rejected",
+    "serve.invalid",
+    "serve.completed",
+    "serve.failed",
+    "serve.deadline_exceeded",
+    "serve.batches",
+    "serve.panics",
+    "serve.flight_dumps",
+    "serve.op.sim",
+    "serve.op.batch",
+    "serve.op.ping",
+    "serve.op.stats",
+    "serve.op.telemetry",
+    "serve.op.shutdown",
+    "est.charge.fast",
+    "est.site_cache.hit",
+    "est.site_cache.miss",
+    "est.dfg.arena_reuse",
+];
+
+const _: () = assert!(Counter::EstDfgArenaReuse as usize + 1 == COUNTER_NAMES.len());
+
+/// One atomic per [`Counter`].
+#[derive(Debug, Default)]
+struct Counters([AtomicU64; COUNTER_NAMES.len()]);
 
 impl Counters {
-    /// Reads every counter; with `reset`, each counter is atomically
-    /// read-and-zeroed in one `swap`, so the returned snapshot *is*
-    /// the value that was taken out — an increment racing the reset
-    /// lands either in this snapshot or in the zeroed counter, never
-    /// in neither. (The old reset snapshotted and then stored zero per
-    /// counter; anything added between the two was silently lost.)
-    fn read(&self, reset: bool) -> CounterValues {
-        let take = |c: &AtomicU64| {
+    fn add(&self, counter: Counter, n: u64) {
+        self.0[counter as usize].fetch_add(n, Ordering::Relaxed);
+    }
+
+    /// Reads every counter, indexed by [`Counter`]; with `reset`, each
+    /// counter is atomically read-and-zeroed in one `swap`, so the
+    /// returned values *are* what was taken out — an increment racing
+    /// the reset lands either in this reading or in the zeroed counter,
+    /// never in neither.
+    fn read(&self, reset: bool) -> [u64; COUNTER_NAMES.len()] {
+        self.0.each_ref().map(|c| {
             if reset {
                 c.swap(0, Ordering::Relaxed)
             } else {
                 c.load(Ordering::Relaxed)
             }
-        };
-        CounterValues {
-            received: take(&self.received),
-            accepted: take(&self.accepted),
-            rejected: take(&self.rejected),
-            invalid: take(&self.invalid),
-            completed: take(&self.completed),
-            failed: take(&self.failed),
-            deadline_exceeded: take(&self.deadline_exceeded),
-            batches: take(&self.batches),
-            panics: take(&self.panics),
-            flight_dumps: take(&self.flight_dumps),
-            op_sim: take(&self.op_sim),
-            op_batch: take(&self.op_batch),
-            op_ping: take(&self.op_ping),
-            op_stats: take(&self.op_stats),
-            op_telemetry: take(&self.op_telemetry),
-            op_shutdown: take(&self.op_shutdown),
-            est_fast_charges: take(&self.est_fast_charges),
-            est_site_hits: take(&self.est_site_hits),
-            est_site_misses: take(&self.est_site_misses),
-            est_dfg_arena_reuse: take(&self.est_dfg_arena_reuse),
-        }
+        })
     }
 }
 
@@ -343,8 +331,8 @@ impl Service {
 
     fn reject_line(&self, code: ErrorCode, message: String) -> String {
         let counters = &self.shared.counters;
-        counters.received.fetch_add(1, Ordering::Relaxed);
-        counters.invalid.fetch_add(1, Ordering::Relaxed);
+        counters.add(Counter::Received, 1);
+        counters.add(Counter::Invalid, 1);
         let err = RequestError {
             code,
             field: None,
@@ -392,7 +380,7 @@ impl Service {
                     responder.send(&render::error(Some(&id), &err, retry));
                     return Disposition::Continue;
                 }
-                self.shared.counters.batches.fetch_add(1, Ordering::Relaxed);
+                self.shared.counters.add(Counter::Batches, 1);
                 self.submit_batch(id, scenarios, runnable, responder);
             }
             Request::Ping { .. }
@@ -432,7 +420,7 @@ impl Service {
                 }
             }
             Request::Batch { id, scenarios } => {
-                self.shared.counters.batches.fetch_add(1, Ordering::Relaxed);
+                self.shared.counters.add(Counter::Batches, 1);
                 let items: Vec<String> = scenarios
                     .iter()
                     .enumerate()
@@ -472,11 +460,11 @@ impl Service {
             return None;
         }
         let counters = &self.shared.counters;
-        counters.received.fetch_add(1, Ordering::Relaxed);
+        counters.add(Counter::Received, 1);
         let value = match json::parse(line) {
             Ok(v) => v,
             Err(e) => {
-                counters.invalid.fetch_add(1, Ordering::Relaxed);
+                counters.add(Counter::Invalid, 1);
                 let err = RequestError {
                     code: ErrorCode::Parse,
                     field: None,
@@ -489,21 +477,21 @@ impl Service {
         let request = match Request::from_json(&value) {
             Ok(r) => r,
             Err(err) => {
-                counters.invalid.fetch_add(1, Ordering::Relaxed);
+                counters.add(Counter::Invalid, 1);
                 let id = crate::protocol::salvage_id(&value);
                 responder.send(&render::error(id.as_deref(), &err, None));
                 return None;
             }
         };
-        match &request {
-            Request::Sim { .. } => &counters.op_sim,
-            Request::Batch { .. } => &counters.op_batch,
-            Request::Ping { .. } => &counters.op_ping,
-            Request::Stats { .. } => &counters.op_stats,
-            Request::Telemetry { .. } => &counters.op_telemetry,
-            Request::Shutdown { .. } => &counters.op_shutdown,
-        }
-        .fetch_add(1, Ordering::Relaxed);
+        let op = match &request {
+            Request::Sim { .. } => Counter::OpSim,
+            Request::Batch { .. } => Counter::OpBatch,
+            Request::Ping { .. } => Counter::OpPing,
+            Request::Stats { .. } => Counter::OpStats,
+            Request::Telemetry { .. } => Counter::OpTelemetry,
+            Request::Shutdown { .. } => Counter::OpShutdown,
+        };
+        counters.add(op, 1);
         match &request {
             Request::Ping { id } => {
                 responder.send(&render::pong(id.as_deref()));
@@ -546,7 +534,7 @@ impl Service {
     pub(crate) fn admit(&self, njobs: usize) -> Result<(), (RequestError, Option<u64>)> {
         let counters = &self.shared.counters;
         if self.shared.draining.load(Ordering::SeqCst) {
-            counters.rejected.fetch_add(1, Ordering::Relaxed);
+            counters.add(Counter::Rejected, 1);
             return Err((
                 RequestError {
                     code: ErrorCode::ShuttingDown,
@@ -557,7 +545,7 @@ impl Service {
             ));
         }
         if self.pool.pending() + njobs > self.queue_capacity {
-            counters.rejected.fetch_add(1, Ordering::Relaxed);
+            counters.add(Counter::Rejected, 1);
             return Err((
                 RequestError {
                     code: ErrorCode::QueueFull,
@@ -573,7 +561,7 @@ impl Service {
                 Some(self.shared.retry_hint()),
             ));
         }
-        counters.accepted.fetch_add(njobs as u64, Ordering::Relaxed);
+        counters.add(Counter::Accepted, njobs as u64);
         Ok(())
     }
 
@@ -653,35 +641,18 @@ impl Service {
     fn metrics_snapshot(&self, reset: bool) -> MetricsSnapshot {
         let c = self.shared.counters.read(reset);
         let mut m = MetricsSnapshot::new();
-        m.set_counter("serve.requests", c.received);
-        m.set_counter("serve.accepted", c.accepted);
-        m.set_counter("serve.rejected", c.rejected);
-        m.set_counter("serve.invalid", c.invalid);
-        m.set_counter("serve.completed", c.completed);
-        m.set_counter("serve.failed", c.failed);
-        m.set_counter("serve.deadline_exceeded", c.deadline_exceeded);
-        m.set_counter("serve.batches", c.batches);
-        m.set_counter("serve.panics", c.panics);
-        m.set_counter("serve.flight_dumps", c.flight_dumps);
-        m.set_counter("serve.op.sim", c.op_sim);
-        m.set_counter("serve.op.batch", c.op_batch);
-        m.set_counter("serve.op.ping", c.op_ping);
-        m.set_counter("serve.op.stats", c.op_stats);
-        m.set_counter("serve.op.telemetry", c.op_telemetry);
-        m.set_counter("serve.op.shutdown", c.op_shutdown);
+        for (name, value) in COUNTER_NAMES.into_iter().zip(c) {
+            m.set_counter(name, value);
+        }
         m.set_gauge("serve.uptime_s", self.shared.uptime_s());
         m.set_counter("serve.workers", self.pool.workers() as u64);
         m.set_counter("serve.queue.pending", self.pool.pending() as u64);
         m.set_counter("serve.queue.capacity", self.queue_capacity as u64);
-        m.set_counter("est.charge.fast", c.est_fast_charges);
-        m.set_counter("est.site_cache.hit", c.est_site_hits);
-        m.set_counter("est.site_cache.miss", c.est_site_misses);
-        m.set_counter("est.dfg.arena_reuse", c.est_dfg_arena_reuse);
         // In-run cost-program accounting, summed across completed runs.
         // Hits and misses mirror the site cache (a replayed region *is*
         // a compiled-program apply — see `scperf_core` model metrics).
-        m.set_counter("est.prog.hits", c.est_site_hits);
-        m.set_counter("est.prog.misses", c.est_site_misses);
+        m.set_counter("est.prog.hits", c[Counter::EstSiteHits as usize]);
+        m.set_counter("est.prog.misses", c[Counter::EstSiteMisses as usize]);
         m.merge(self.shared.pool.metrics());
         let stats = self.shared.cache.stats();
         m.set_counter("serve.cache.hits", stats.hits);
@@ -772,35 +743,31 @@ fn run_scenario(
     let c = &shared.counters;
     match &result {
         Ok(out) => {
-            c.completed.fetch_add(1, Ordering::Relaxed);
-            c.est_fast_charges
-                .fetch_add(out.hot.fast_charges, Ordering::Relaxed);
-            c.est_site_hits
-                .fetch_add(out.hot.site_hits, Ordering::Relaxed);
-            c.est_site_misses
-                .fetch_add(out.hot.site_misses, Ordering::Relaxed);
-            c.est_dfg_arena_reuse
-                .fetch_add(out.hot.dfg_arena_reuse, Ordering::Relaxed);
+            c.add(Counter::Completed, 1);
+            c.add(Counter::EstFastCharges, out.hot.fast_charges);
+            c.add(Counter::EstSiteHits, out.hot.site_hits);
+            c.add(Counter::EstSiteMisses, out.hot.site_misses);
+            c.add(Counter::EstDfgArenaReuse, out.hot.dfg_arena_reuse);
             shared.sim_metrics.lock().merge(out.sim_metrics.clone());
         }
         Err(err) if err.code == ErrorCode::DeadlineExceeded => {
-            c.deadline_exceeded.fetch_add(1, Ordering::Relaxed);
+            c.add(Counter::DeadlineExceeded, 1);
             if shared.flight_recorder > 0 {
-                c.flight_dumps.fetch_add(1, Ordering::Relaxed);
+                c.add(Counter::FlightDumps, 1);
             }
         }
         Err(err) if err.code == ErrorCode::PoolExhausted => {
             // Saturation, not failure: the request never ran.
-            c.rejected.fetch_add(1, Ordering::Relaxed);
+            c.add(Counter::Rejected, 1);
         }
         Err(err) => {
-            c.failed.fetch_add(1, Ordering::Relaxed);
+            c.add(Counter::Failed, 1);
             // The engine converts a caught panic into a Sim error with
             // this message prefix (see `engine::execute_pooled`).
             if err.message.starts_with("worker panicked") {
-                c.panics.fetch_add(1, Ordering::Relaxed);
+                c.add(Counter::Panics, 1);
                 if shared.flight_recorder > 0 {
-                    c.flight_dumps.fetch_add(1, Ordering::Relaxed);
+                    c.add(Counter::FlightDumps, 1);
                 }
             }
         }
@@ -840,7 +807,7 @@ mod tests {
             thread::spawn(move || {
                 let mut harvested = 0_u64;
                 while !stop.load(Ordering::SeqCst) {
-                    harvested += counters.read(true).received;
+                    harvested += counters.read(true)[Counter::Received as usize];
                 }
                 harvested
             })
@@ -850,7 +817,7 @@ mod tests {
                 let counters = Arc::clone(&counters);
                 thread::spawn(move || {
                     for _ in 0..PER_WRITER {
-                        counters.received.fetch_add(1, Ordering::Relaxed);
+                        counters.add(Counter::Received, 1);
                     }
                 })
             })
@@ -860,7 +827,7 @@ mod tests {
         }
         stop.store(true, Ordering::SeqCst);
         let harvested = reader.join().unwrap();
-        let leftover = counters.read(true).received;
+        let leftover = counters.read(true)[Counter::Received as usize];
         assert_eq!(
             harvested + leftover,
             WRITERS as u64 * PER_WRITER,
@@ -871,10 +838,11 @@ mod tests {
     #[test]
     fn plain_reads_do_not_consume() {
         let counters = Counters::default();
-        counters.completed.fetch_add(7, Ordering::Relaxed);
-        assert_eq!(counters.read(false).completed, 7);
-        assert_eq!(counters.read(false).completed, 7, "load must not zero");
-        assert_eq!(counters.read(true).completed, 7, "swap takes the value");
-        assert_eq!(counters.read(false).completed, 0);
+        let completed = |values: [u64; COUNTER_NAMES.len()]| values[Counter::Completed as usize];
+        counters.add(Counter::Completed, 7);
+        assert_eq!(completed(counters.read(false)), 7);
+        assert_eq!(completed(counters.read(false)), 7, "load must not zero");
+        assert_eq!(completed(counters.read(true)), 7, "swap takes the value");
+        assert_eq!(completed(counters.read(false)), 0);
     }
 }

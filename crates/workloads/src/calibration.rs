@@ -9,8 +9,11 @@
 //! least squares, with an intercept column absorbing constant program
 //! overhead (entry stub, `main` prologue).
 
-use scperf_core::{CostTable, Mode, OpCounts, PerfModel, Platform, ResourceKind};
-use scperf_kernel::{Simulator, Time};
+use std::cell::Cell;
+use std::rc::Rc;
+
+use scperf_core::{CostTable, Mode, OpCounts, Platform, ResourceKind, SimConfig};
+use scperf_kernel::Time;
 
 use crate::probes::{probes, Probe};
 
@@ -46,19 +49,16 @@ pub fn count_ops(body: fn() -> i32) -> (OpCounts, i32) {
     let mut platform = Platform::new();
     let cpu = platform.sequential("cal", Time::ns(10), CostTable::zero(), 0.0);
     assert_eq!(platform.resource(cpu).kind, ResourceKind::Sequential);
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::EstimateOnly);
-    let value = std::sync::Arc::new(scperf_sync::Mutex::new(0_i32));
-    {
-        let value = std::sync::Arc::clone(&value);
-        model.spawn(&mut sim, "probe", cpu, move |_ctx| {
-            *value.lock() = body();
-        });
-    }
-    sim.run().expect("count run");
-    let counts = model.report().process("probe").expect("reported").counts;
-    let v = *value.lock();
-    (counts, v)
+    let mut session = SimConfig::new()
+        .platform(platform)
+        .mode(Mode::EstimateOnly)
+        .build();
+    let value = Rc::new(Cell::new(0_i32));
+    let out = Rc::clone(&value);
+    session.spawn("probe", cpu, move |_ctx| out.set(body()));
+    session.run().expect("count run");
+    let counts = session.report().process("probe").expect("reported").counts;
+    (counts, value.get())
 }
 
 /// Calibrates the SW cost table from the standard probe set.

@@ -1,6 +1,7 @@
 //! The uniform benchmark interface used by the Table 1/3 harnesses.
 
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::rc::Rc;
 
 use scperf_core::{CostTable, EstHotStats, MemoMode, Platform, Report, SimConfig};
 use scperf_kernel::Time;
@@ -13,7 +14,7 @@ use scperf_kernel::Time;
 ///   specification" timing baseline;
 /// * `annotated` — the same source's
 ///   [`Annotated`](scperf_core::Annotated) instantiation (charges costs
-///   when run inside a [`scperf_core::PerfModel`] process);
+///   when run inside an analyzed [`scperf_core::Session`] process);
 /// * `minic` — the same algorithm in `minic` source, compiled and executed
 ///   on the reference ISS. The program must leave its checksum in a global
 ///   named `result`.
@@ -64,14 +65,11 @@ pub fn run_memoized(memo: MemoMode, body: fn() -> i32) -> (i32, Report, EstHotSt
     let mut platform = Platform::new();
     let cpu = platform.sequential("cpu0", Time::ns(10), CostTable::risc_sw(), 25.0);
     let mut session = SimConfig::new().platform(platform).site_memo(memo).build();
-    let out = Arc::new(Mutex::new(0_i32));
-    let slot = Arc::clone(&out);
-    session.spawn("bench", cpu, move |_ctx| {
-        *slot.lock().unwrap() = body();
-    });
+    let out = Rc::new(Cell::new(0_i32));
+    let slot = Rc::clone(&out);
+    session.spawn("bench", cpu, move |_ctx| slot.set(body()));
     session.run().expect("bench session runs");
-    let checksum = *out.lock().unwrap();
-    (checksum, session.report(), session.model().hot_stats())
+    (out.get(), session.report(), session.model().hot_stats())
 }
 
 /// The reference-ISS configuration shared by every experiment: the

@@ -354,7 +354,7 @@ fn run_stage<D: Domain>(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use scperf_core::{CostTable, Mode, Platform};
+    use scperf_core::{CostTable, Mode, Platform, SimConfig};
     use scperf_kernel::Time;
 
     #[test]
@@ -376,10 +376,10 @@ mod tests {
 
         let mut platform = Platform::new();
         let cpu = platform.sequential("cpu0", Time::ns(10), CostTable::risc_sw(), 100.0);
-        let mut sim = Simulator::new();
-        let model = PerfModel::new(platform, Mode::StrictTimed);
-        let handles = build(&mut sim, &model, VocoderMapping::all_on(cpu), nframes);
-        let summary = sim.run().unwrap();
+        let mut session = SimConfig::new().platform(platform).build();
+        let (sim, model) = session.parts_mut();
+        let handles = build(sim, model, VocoderMapping::all_on(cpu), nframes);
+        let summary = session.run().unwrap();
 
         assert_eq!(
             handles.output.lock().expect("sink finished"),
@@ -397,7 +397,7 @@ mod tests {
         }
         assert!(summary.end_time > Time::ZERO);
 
-        let report = model.report();
+        let report = session.report();
         for name in STAGE_NAMES {
             let p = report
                 .process(name)
@@ -415,10 +415,10 @@ mod tests {
         let run = |mode: Mode| -> i32 {
             let mut platform = Platform::new();
             let cpu = platform.sequential("cpu0", Time::ns(10), CostTable::risc_sw(), 100.0);
-            let mut sim = Simulator::new();
-            let model = PerfModel::new(platform, mode);
-            let handles = build(&mut sim, &model, VocoderMapping::all_on(cpu), nframes);
-            sim.run().unwrap();
+            let mut session = SimConfig::new().platform(platform).mode(mode).build();
+            let (sim, model) = session.parts_mut();
+            let handles = build(sim, model, VocoderMapping::all_on(cpu), nframes);
+            session.run().unwrap();
             let out = handles.output.lock().expect("sink finished");
             out
         };
@@ -437,12 +437,12 @@ mod tests {
 
         // Live run with trace recording on.
         let (platform, cpu) = build_platform();
-        let mut sim = Simulator::new();
-        let model = PerfModel::new(platform, Mode::StrictTimed);
-        let recorder = model.recorder();
-        let live = build(&mut sim, &model, VocoderMapping::all_on(cpu), nframes);
-        let live_end = sim.run().unwrap().end_time;
-        let live_report = model.report();
+        let mut session = SimConfig::new().platform(platform).build();
+        let recorder = session.recorder();
+        let (sim, model) = session.parts_mut();
+        let live = build(sim, model, VocoderMapping::all_on(cpu), nframes);
+        let live_end = session.run().unwrap().end_time;
+        let live_report = session.report();
         let traces: Vec<Replay> = STAGE_NAMES
             .iter()
             .map(|n| recorder.replay(n).unwrap())
@@ -452,17 +452,11 @@ mod tests {
 
         // Replay run: all five stages replayed from the recorded traces.
         let (platform, cpu) = build_platform();
-        let mut sim = Simulator::new();
-        let model = PerfModel::new(platform, Mode::StrictTimed);
+        let mut session = SimConfig::new().platform(platform).build();
         let replays: [StageTrace; 5] = std::array::from_fn(|i| Some(traces[i].clone()));
-        let replayed = build_hybrid(
-            &mut sim,
-            &model,
-            VocoderMapping::all_on(cpu),
-            nframes,
-            replays,
-        );
-        let replay_end = sim.run().unwrap().end_time;
+        let (sim, model) = session.parts_mut();
+        let replayed = build_hybrid(sim, model, VocoderMapping::all_on(cpu), nframes, replays);
+        let replay_end = session.run().unwrap().end_time;
 
         assert_eq!(replay_end, live_end, "replay must be bit-identical");
         assert_eq!(*replayed.stages.lock(), *live.stages.lock());
@@ -471,7 +465,7 @@ mod tests {
             reference.checksums[4],
             "replayed pipeline must still produce correct data"
         );
-        let replay_report = model.report();
+        let replay_report = session.report();
         for name in STAGE_NAMES {
             assert_eq!(
                 replay_report.process(name).unwrap().total_cycles,
@@ -490,10 +484,10 @@ mod tests {
         let hw = platform.parallel("post_asic", Time::ns(10), CostTable::asic_hw(), 0.0);
         let mut mapping = VocoderMapping::all_on(cpu);
         mapping.post = hw;
-        let mut sim = Simulator::new();
-        let model = PerfModel::new(platform, Mode::StrictTimed);
-        let handles = build(&mut sim, &model, mapping, nframes);
-        sim.run().unwrap();
+        let mut session = SimConfig::new().platform(platform).build();
+        let (sim, model) = session.parts_mut();
+        let handles = build(sim, model, mapping, nframes);
+        session.run().unwrap();
         assert_eq!(handles.output.lock().unwrap(), reference.checksums[4]);
     }
 }

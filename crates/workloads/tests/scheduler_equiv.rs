@@ -7,7 +7,8 @@
 //! anything that moves a constant changed simulation semantics, not just
 //! host performance.
 
-use std::sync::{Arc, Mutex};
+use std::cell::Cell;
+use std::rc::Rc;
 
 use scperf_core::{CostTable, Op, Platform, SimConfig};
 use scperf_kernel::trace::functional_projection;
@@ -171,20 +172,17 @@ fn table1_bodies_match_golden_bits_on_a_fractional_table() {
             let mut platform = Platform::new();
             let cpu = platform.sequential("cpu0", Time::ns(10), fractional_sw(), 25.0);
             let mut session = SimConfig::new().platform(platform).build();
-            let out = Arc::new(Mutex::new(0_i32));
-            let slot = Arc::clone(&out);
+            let out = Rc::new(Cell::new(0_i32));
+            let slot = Rc::clone(&out);
             let body = case.annotated;
-            session.spawn("bench", cpu, move |_ctx| {
-                *slot.lock().unwrap() = body();
-            });
+            session.spawn("bench", cpu, move |_ctx| slot.set(body()));
             session.run().expect("bench session runs");
             let cycles = session
                 .report()
                 .process("bench")
                 .expect("bench")
                 .total_cycles;
-            let checksum = *out.lock().unwrap();
-            (case.name, checksum, cycles.to_bits())
+            (case.name, out.get(), cycles.to_bits())
         })
         .collect();
     assert_eq!(got, TABLE1_GOLDEN, "{got:#x?}");

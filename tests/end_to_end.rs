@@ -2,9 +2,9 @@
 //! `scperf` facade: kernel + estimation library + workloads + ISS + HLS.
 
 use scperf::core::{
-    determinism, g_i64, timed_wait, CostTable, Mode, PerfModel, Platform, ResourceKind, G,
+    determinism, g_i64, timed_wait, CostTable, Mode, Platform, ResourceKind, SimConfig, G,
 };
-use scperf::kernel::{Simulator, Time};
+use scperf::kernel::Time;
 use scperf::workloads::{table1_cases, vocoder};
 
 const CLOCK: Time = Time::ns(10);
@@ -27,16 +27,18 @@ fn estimation_error_stays_single_digit_with_default_table() {
     // order of magnitude (the calibrated run in scperf-bench tightens this
     // to single-digit percent).
     for case in table1_cases() {
-        let mut sim = Simulator::new();
         let mut platform = Platform::new();
         let cpu = platform.sequential("cpu", CLOCK, CostTable::risc_sw(), 0.0);
-        let model = PerfModel::new(platform, Mode::EstimateOnly);
+        let mut session = SimConfig::new()
+            .platform(platform)
+            .mode(Mode::EstimateOnly)
+            .build();
         let body = case.annotated;
-        model.spawn(&mut sim, "b", cpu, move |_ctx| {
+        session.spawn("b", cpu, move |_ctx| {
             let _ = body();
         });
-        sim.run().unwrap();
-        let est = model.report().process("b").unwrap().total_cycles;
+        session.run().unwrap();
+        let est = session.report().process("b").unwrap().total_cycles;
         let (_, stats) = case.run_iss();
         let ratio = est / stats.cycles as f64;
         assert!(
@@ -53,19 +55,19 @@ fn strict_timed_vocoder_runs_and_serializes_on_one_cpu() {
     let reference = vocoder::run_reference(nframes);
     let mut platform = Platform::new();
     let cpu = platform.sequential("cpu0", CLOCK, CostTable::risc_sw(), 150.0);
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
+    let mut session = SimConfig::new().platform(platform).build();
+    let (sim, model) = session.parts_mut();
     let handles = vocoder::pipeline::build(
-        &mut sim,
-        &model,
+        sim,
+        model,
         vocoder::pipeline::VocoderMapping::all_on(cpu),
         nframes,
     );
-    let summary = sim.run().unwrap();
+    let summary = session.run().unwrap();
     assert_eq!(handles.output.lock().unwrap(), reference.checksums[4]);
     // One shared CPU: end-to-end time ≥ sum of all computation (full
     // serialization), and the CPU is never over-committed.
-    let report = model.report();
+    let report = session.report();
     let total: Time = report
         .processes
         .iter()
@@ -79,10 +81,10 @@ fn strict_timed_vocoder_runs_and_serializes_on_one_cpu() {
 fn hw_mapping_shortens_the_pipeline() {
     let nframes = 3;
     let run = |mapping: vocoder::pipeline::VocoderMapping, platform: Platform| -> Time {
-        let mut sim = Simulator::new();
-        let model = PerfModel::new(platform, Mode::StrictTimed);
-        let _ = vocoder::pipeline::build(&mut sim, &model, mapping, nframes);
-        sim.run().unwrap().end_time
+        let mut session = SimConfig::new().platform(platform).build();
+        let (sim, model) = session.parts_mut();
+        let _ = vocoder::pipeline::build(sim, model, mapping, nframes);
+        session.run().unwrap().end_time
     };
     let mut p1 = Platform::new();
     let cpu1 = p1.sequential("cpu0", CLOCK, CostTable::risc_sw(), 150.0);
@@ -126,16 +128,18 @@ fn recorded_dfg_matches_hls_references() {
     // same graph under the same integer latencies.
     let mut platform = Platform::new();
     let hw = platform.parallel("hw", CLOCK, CostTable::asic_hw(), 0.0);
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::EstimateOnly);
-    model.record_dfgs();
-    model.spawn(&mut sim, "fir", hw, |_ctx| {
+    let mut session = SimConfig::new()
+        .platform(platform)
+        .mode(Mode::EstimateOnly)
+        .record_dfgs()
+        .build();
+    session.spawn("fir", hw, |_ctx| {
         let _ = scperf::workloads::fir::annotated_one_sample(3);
     });
-    sim.run().unwrap();
-    let report = model.report();
+    session.run().unwrap();
+    let report = session.report();
     let seg = &report.process("fir").unwrap().segments[0];
-    let dfg = model.dfgs("fir").into_iter().next().unwrap().1;
+    let dfg = session.model().dfgs("fir").into_iter().next().unwrap().1;
     assert_eq!(dfg.critical_path() as f64, seg.stats.last_t_min);
     assert_eq!(dfg.sequential_cycles() as f64, seg.stats.last_t_max);
     assert_eq!(
@@ -154,8 +158,7 @@ fn mixed_platform_report_accounts_every_resource_kind() {
     let cpu = platform.sequential("cpu", CLOCK, CostTable::risc_sw(), 50.0);
     let hw = platform.parallel("asic", CLOCK, CostTable::asic_hw(), 0.5);
     let env = platform.environment("testbench");
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, Mode::StrictTimed);
+    let mut session = SimConfig::new().platform(platform).build();
     let burn = || {
         let mut x = g_i64(0);
         for i in 0..500 {
@@ -163,19 +166,19 @@ fn mixed_platform_report_accounts_every_resource_kind() {
         }
         let _ = x;
     };
-    model.spawn(&mut sim, "sw", cpu, move |ctx| {
+    session.spawn("sw", cpu, move |ctx| {
         burn();
         timed_wait(ctx, Time::ZERO);
     });
-    model.spawn(&mut sim, "hwp", hw, move |ctx| {
+    session.spawn("hwp", hw, move |ctx| {
         burn();
         timed_wait(ctx, Time::ZERO);
     });
-    model.spawn(&mut sim, "tb", env, move |_ctx| {
+    session.spawn("tb", env, move |_ctx| {
         burn();
     });
-    sim.run().unwrap();
-    let report = model.report();
+    session.run().unwrap();
+    let report = session.report();
     assert_eq!(report.processes.len(), 3);
     let sw = report.process("sw").unwrap();
     let hwp = report.process("hwp").unwrap();

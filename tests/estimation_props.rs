@@ -3,8 +3,8 @@
 
 use proptest::collection::vec;
 use proptest::prelude::*;
-use scperf::core::{charge_op, timed_wait, CostTable, Mode, Op, PerfModel, Platform, ResourceKind};
-use scperf::kernel::{Simulator, Time};
+use scperf::core::{charge_op, timed_wait, CostTable, Mode, Op, Platform, ResourceKind, SimConfig};
+use scperf::kernel::Time;
 
 const CLOCK: Time = Time::ns(10);
 
@@ -24,9 +24,8 @@ fn run_bursts(
         ResourceKind::Parallel => platform.parallel("hw", CLOCK, table, k),
         ResourceKind::Environment => platform.environment("env"),
     };
-    let mut sim = Simulator::new();
-    let model = PerfModel::new(platform, mode);
-    model.spawn(&mut sim, "p", r, move |ctx| {
+    let mut session = SimConfig::new().platform(platform).mode(mode).build();
+    session.spawn("p", r, move |ctx| {
         for (op_idx, n) in bursts {
             let op = scperf::core::ALL_OPS[op_idx as usize % scperf::core::OP_COUNT];
             for _ in 0..n {
@@ -35,8 +34,8 @@ fn run_bursts(
             timed_wait(ctx, Time::ZERO);
         }
     });
-    let summary = sim.run().expect("burst program runs");
-    (model.report(), summary.end_time)
+    let summary = session.run().expect("burst program runs");
+    (session.report(), summary.end_time)
 }
 
 proptest! {
@@ -120,16 +119,15 @@ proptest! {
         let run = |procs: usize| -> Time {
             let mut platform = Platform::new();
             let cpu = platform.sequential("cpu", CLOCK, CostTable::risc_sw(), 0.0);
-            let mut sim = Simulator::new();
-            let model = PerfModel::new(platform, Mode::StrictTimed);
+            let mut session = SimConfig::new().platform(platform).build();
             for i in 0..procs {
-                model.spawn(&mut sim, format!("p{i}"), cpu, move |_ctx| {
+                session.spawn(format!("p{i}"), cpu, move |_ctx| {
                     for _ in 0..n {
                         charge_op(Op::Add);
                     }
                 });
             }
-            sim.run().unwrap().end_time
+            session.run().unwrap().end_time
         };
         let one = run(1);
         let two = run(2);
